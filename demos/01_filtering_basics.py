@@ -51,7 +51,7 @@ scenario = ScenarioConfig(
             ThermalSegment(91, HORIZON - 1, "constant", {"value": 40.5}),
         ),
         cooling_constant=10.0,
-        initial_temp=28.0,
+        initial_oscillator_temp=28.0,
     ),
     temp_model=model,
     truth=TruthOptions(initial_offset=1e-6, process_noise_sq=2.5e-17),

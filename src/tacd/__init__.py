@@ -19,6 +19,7 @@ from .thermal import (
 )
 from .scenario import (
     EmpiricalDelayTable,
+    ExchangeBatch,
     ExchangeRecord,
     LinkConfig,
     PdvProfile,
@@ -47,14 +48,12 @@ from .netcomm import (
     gsf_predict,
     gsf_update,
     isotropic_mixture_model,
-    kalman_baseline_step,
     nominal_noise_cov,
     vb_refine,
 )
 from .fusion import (
     FusionWeights,
     PhaseErrorStats,
-    condition_filter_on_fused,
     fuse_skew,
     fusion_bias,
     fusion_cost,

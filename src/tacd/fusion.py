@@ -3,13 +3,14 @@
 The fused estimate alpha*theta_L + beta*theta_T trades the network phase's
 variance against the thermal phase's bias; the weight beta minimizing the
 scalarized cost lambda*bias^2 + (1-lambda)*variance has a closed form,
-clamped to [0, 1].
+clamped to [0, 1]. Every function works elementwise on arrays of runs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netcomm import GaussianBelief, GsfVbFilter
+import numpy as np
+
 from .thermal import TempSkewModel
 
 
@@ -26,7 +27,7 @@ class PhaseErrorStats:
     temp_gap: float
 
     def __post_init__(self) -> None:
-        if self.linear_variance <= 0.0:
+        if np.any(np.less_equal(self.linear_variance, 0.0)):
             raise ValueError("linear_variance must be > 0")
 
 
@@ -38,9 +39,10 @@ class FusionWeights:
     degenerate: bool = False
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.beta <= 1.0:
+        beta = np.asarray(self.beta)
+        if not np.all((beta >= 0.0) & (beta <= 1.0)):
             raise ValueError("beta must lie in [0, 1]")
-        if abs(self.alpha + self.beta - 1.0) > 1e-12:
+        if np.any(np.abs(self.alpha + beta - 1.0) > 1e-12):
             raise ValueError("alpha + beta must equal 1")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("lambda must lie in [0, 1]")
@@ -87,29 +89,13 @@ def pareto_beta(stats: PhaseErrorStats, model: TempSkewModel, lam: float) -> Fus
     denom = lam * k2 * s2 * s2 + (1.0 - lam) * (
         k2 * (4.0 * stats.temp_gap**2 * s2 + 2.0 * s2 * s2) + eps
     )
-    if denom == 0.0:
-        return FusionWeights(alpha=1.0, beta=0.0, lam=lam, degenerate=True)
-    eta = (1.0 - lam) * eps / denom
-    beta = min(max(eta, 0.0), 1.0)
-    return FusionWeights(alpha=1.0 - beta, beta=beta, lam=lam)
+    degenerate = denom == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.divide((1.0 - lam) * eps, denom)
+    beta = np.where(degenerate, 0.0, np.clip(eta, 0.0, 1.0))
+    return FusionWeights(alpha=1.0 - beta, beta=beta, lam=lam, degenerate=degenerate)
 
 
 def fuse_skew(theta_linear: float, theta_thermal: float, weights: FusionWeights) -> float:
     """Linear fusion of the two phase estimates."""
     return weights.alpha * theta_linear + weights.beta * theta_thermal
-
-
-def condition_filter_on_fused(belief: GaussianBelief, fused_skew: float) -> GaussianBelief:
-    """Belief with the mean skew entry replaced by the fused estimate.
-
-    The covariance is deliberately left unchanged: the fused value enters the
-    next prediction through the state coupling, not the uncertainty model.
-    """
-    mean = belief.mean.copy()
-    mean[0] = fused_skew
-    return GaussianBelief(mean=mean, cov=belief.cov)
-
-
-def apply_fused_feedback(filt: GsfVbFilter, fused_skew: float) -> None:
-    """Inject the fused skew into a live filter's belief."""
-    filt.condition_on_skew(fused_skew)

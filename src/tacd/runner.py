@@ -1,14 +1,16 @@
 """Seeded Monte-Carlo execution of the estimator pipelines.
 
-Each run draws its own RNG stream from (master_seed, run_index), generates
-the scenario once, and steps every selected estimator over the shared
-records, so estimator comparisons are paired and adding an estimator never
-changes another's trajectory.
+Each run draws its own RNG stream from (master_seed, run_index) and
+generates its scenario once; every selected estimator then steps over the
+shared records, so estimator comparisons are paired and adding an
+estimator never changes another's trajectory. Runs are independent, so the
+estimators step a whole batch of runs per period, and a run's trajectory
+is bit-identical whatever batch it is in.
 """
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,12 +23,13 @@ from .netcomm import (
     GaussianBelief,
     GsfVbFilter,
     KalmanBaseline,
+    build_measurement,
     gptp_offset,
     gptp_skew,
     isotropic_mixture_model,
     nominal_noise_cov,
 )
-from .scenario import generate_scenario
+from .scenario import ExchangeBatch, generate_scenario, pdv_params_table, record_stamps
 from .thermal import skew_from_temperature
 
 
@@ -90,143 +93,172 @@ def _run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,)))
 
 
-def simulate_run(cfg: RunConfig, run_index: int) -> RunTrajectory:
-    """Generate one scenario and step every selected estimator over it."""
-    rng = _run_rng(cfg.master_seed, run_index)
-    data = generate_scenario(cfg.scenario, rng)
-    h = data.horizon
+def _per_run(x, runs: int) -> np.ndarray:
+    """x repeated along a new leading run axis."""
+    x = np.asarray(x, dtype=float)
+    return np.broadcast_to(x, (runs,) + x.shape).copy()
+
+
+def fusion_bound_params(cfg: RunConfig, alpha) -> Optional[FusionBclbParams]:
+    """Fusion-bound inputs for a fixed weight or a per-period alpha sequence.
+
+    None where the fusion bound is undefined: it needs a noisy temperature
+    sensor (temp_model.sigma_T_sq > 0). Every command then reports the
+    fusion bound as NaN.
+    """
+    model = cfg.temp_model
+    if model.sigma_T_sq <= 0.0:
+        return None
+    return FusionBclbParams(
+        alpha=alpha,
+        sigma_m_sq=cfg.bclb.sigma_m_sq,
+        sigma_T_sq=model.sigma_T_sq,
+        kappa=model.kappa,
+        T0=model.T0,
+        theta0=model.theta0,
+    )
+
+
+def case_bounds(cfg: RunConfig, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """(BCLB_linear, BCLB_fusion) over the horizon under the configured PDV
+    profile. Nothing here depends on a run's draws, so a fixed alpha gives
+    one bound per case."""
+    if cfg.scenario.pdv is None:
+        raise ValueError("bounds require a synthetic PDV profile")
+    weights, stddevs = pdv_params_table(cfg.scenario.pdv, cfg.scenario.horizon)
+    oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs, tau=cfg.scenario.tau)
+    params = fusion_bound_params(cfg, alpha)
+    return bclb_trajectory(oracle, cfg.dynamics, params, cfg.netcomm_init.p0_diag[0])
+
+
+def simulate_run(cfg: RunConfig, runs: Sequence[int]) -> list[RunTrajectory]:
+    """Generate each run's scenario, then step every selected estimator over
+    all runs at once: the period loop is the only sequential loop."""
+    runs = list(runs)
+    n, h = len(runs), cfg.scenario.horizon
     sel = set(cfg.estimators)
     ss = build_state_space(cfg.dynamics)
     model = cfg.temp_model
     init = cfg.netcomm_init
-    d = data.link.d
 
-    nan = np.full(h, np.nan)
-    theta_L, theta_T, theta_F = nan.copy(), nan.copy(), nan.copy()
-    delta_hat, epsilon = nan.copy(), nan.copy()
-    alpha, beta = nan.copy(), nan.copy()
-    est_skew: dict[str, np.ndarray] = {name: nan.copy() for name in sel}
-    est_offset: dict[str, np.ndarray] = {name: nan.copy() for name in sel}
+    truth = {name: np.empty((n, h)) for name in ("skew_true", "offset_true", "temp_osc", "temp_meas")}
+    stamps = np.empty((n, h, 5))
+    d = np.empty(n)
+    for i, r in enumerate(runs):
+        data = generate_scenario(cfg.scenario, _run_rng(cfg.master_seed, r))
+        for name, arr in truth.items():
+            arr[i] = getattr(data, name)
+        stamps[i] = record_stamps(data.records)
+        d[i] = data.link.d
+    ex = ExchangeBatch.from_stamps(stamps)
+    later, earlier = ex.periods(slice(1, None)), ex.periods(slice(None, -1))
+    z = np.full((n, h, 2), np.nan)
+    z[:, 1:] = build_measurement(later, earlier, d[:, None])
+
+    def nans() -> np.ndarray:
+        return np.full((n, h), np.nan)
+
+    theta_L, theta_F, delta_hat, epsilon, alpha, beta = (nans() for _ in range(6))
+    est_skew = {name: nans() for name in sel}
+    est_offset = {name: nans() for name in sel}
+    need_thermal = ("tacd" in sel) or ("thermal-only" in sel)
+    theta_T = skew_from_temperature(truth["temp_meas"], model) if need_thermal else nans()
+    if "thermal-only" in sel:
+        est_skew["thermal-only"] = theta_T
+    if "gptp" in sel:
+        est_offset["gptp"] = gptp_offset(ex, d[:, None])
+        est_skew["gptp"][:, 1:] = gptp_skew(later, earlier, cfg.scenario.tau)
+
+    def prior() -> GaussianBelief:
+        return GaussianBelief(mean=_per_run(init.x0, n), cov=_per_run(np.diag(init.p0_diag), n))
 
     def fresh_filter() -> GsfVbFilter:
-        return GsfVbFilter(
-            ss,
-            isotropic_mixture_model(init.chi0, init.dof0, init.scale0, init.unit_scale),
-            GaussianBelief(mean=np.array(init.x0), cov=np.diag(init.p0_diag)),
-            vb=cfg.vb,
+        noise = isotropic_mixture_model(init.chi0, init.dof0, init.scale0, init.unit_scale)
+        noise = replace(
+            noise,
+            dirichlet_concentration=_per_run(noise.dirichlet_concentration, n),
+            iw_dof=_per_run(noise.iw_dof, n),
+            iw_scale=_per_run(noise.iw_scale, n),
         )
+        return GsfVbFilter(ss, noise, prior(), vb=cfg.vb)
 
+    baselines = {}
+    if "kalman" in sel:
+        baselines["kalman"] = KalmanBaseline(ss, nominal_noise_cov(cfg.kalman_nominal_stddev), prior())
+    if "linear-only" in sel:
+        baselines["linear-only"] = fresh_filter()
+    for name in baselines:
+        est_skew[name][:, 0], est_offset[name][:, 0] = init.x0
     tacd_f = fresh_filter() if "tacd" in sel else None
-    lin_f = fresh_filter() if "linear-only" in sel else None
-    kal_f = (
-        KalmanBaseline(
-            ss,
-            nominal_noise_cov(cfg.kalman_nominal_stddev),
-            GaussianBelief(mean=np.array(init.x0), cov=np.diag(init.p0_diag)),
-        )
-        if "kalman" in sel
-        else None
-    )
-    need_thermal = ("tacd" in sel) or ("thermal-only" in sel)
+    if tacd_f is not None:
+        theta_L[:, 0], delta_hat[:, 0], epsilon[:, 0] = init.x0[0], init.x0[1], init.p0_diag[0]
+        est_skew["tacd"], est_offset["tacd"] = theta_F, delta_hat
 
     for k in range(h):
-        rec = data.records[k]
-        th_T = skew_from_temperature(data.temp_meas[k], model) if need_thermal else np.nan
-
-        if "thermal-only" in sel:
-            est_skew["thermal-only"][k] = th_T
-        if "gptp" in sel:
-            est_offset["gptp"][k] = gptp_offset(rec, d)
-            if k > 0:
-                est_skew["gptp"][k] = gptp_skew(rec, data.records[k - 1], cfg.scenario.tau)
-        if kal_f is not None:
-            if k > 0:
-                res = kal_f.step(rec, data.records[k - 1], d)
-                est_skew["kalman"][k] = res.skew
-                est_offset["kalman"][k] = res.offset
-            else:
-                est_skew["kalman"][k] = init.x0[0]
-                est_offset["kalman"][k] = init.x0[1]
-        if lin_f is not None:
-            if k > 0:
-                res = lin_f.step(rec, data.records[k - 1], d)
-                est_skew["linear-only"][k] = res.skew
-                est_offset["linear-only"][k] = res.offset
-            else:
-                est_skew["linear-only"][k] = init.x0[0]
-                est_offset["linear-only"][k] = init.x0[1]
-
+        if k > 0:
+            for name, filt in baselines.items():
+                res = filt.step(z[:, k])
+                est_skew[name][:, k], est_offset[name][:, k] = res.skew, res.offset
         if tacd_f is not None:
             if k > 0:
-                res = tacd_f.step(rec, data.records[k - 1], d)
-                th_L, eps, d_hat = res.skew, res.epsilon, res.offset
-            else:
-                th_L, eps, d_hat = init.x0[0], init.p0_diag[0], init.x0[1]
-            stats = PhaseErrorStats(linear_variance=eps, temp_gap=data.temp_meas[k] - model.T0)
+                res = tacd_f.step(z[:, k])
+                theta_L[:, k], delta_hat[:, k], epsilon[:, k] = res.skew, res.offset, res.epsilon
+            stats = PhaseErrorStats(linear_variance=epsilon[:, k], temp_gap=truth["temp_meas"][:, k] - model.T0)
             wts = pareto_beta(stats, model, cfg.fusion.lam)
-            th_F = fuse_skew(th_L, th_T, wts)
+            theta_F[:, k] = fuse_skew(theta_L[:, k], theta_T[:, k], wts)
             if cfg.fusion.feedback:
-                tacd_f.condition_on_skew(th_F)
-            theta_L[k], theta_F[k] = th_L, th_F
-            epsilon[k], alpha[k], beta[k] = eps, wts.alpha, wts.beta
-            delta_hat[k] = d_hat
-            est_skew["tacd"][k] = th_F
-            est_offset["tacd"][k] = d_hat
-        if need_thermal:
-            theta_T[k] = th_T
+                tacd_f.condition_on_skew(theta_F[:, k])
+            alpha[:, k], beta[:, k] = wts.alpha, wts.beta
 
-    bclb_l = np.full(h, np.nan)
-    bclb_f = np.full(h, np.nan)
-    if data.pdv_weights is not None:
-        oracle = OracleNoiseTruth(weights=data.pdv_weights, stddevs=data.pdv_stddevs, tau=cfg.scenario.tau)
-        if cfg.bclb.alpha_mode == "runtime" and "tacd" in sel:
-            alpha_seq: object = np.clip(np.nan_to_num(alpha, nan=1.0), 1e-12, 1.0)
+    bclb_l, bclb_f = nans(), nans()
+    if cfg.scenario.empirical is None:
+        if cfg.bclb.alpha_mode == "runtime" and tacd_f is not None:
+            for i in range(n):
+                bclb_l[i], bclb_f[i] = case_bounds(cfg, np.clip(np.nan_to_num(alpha[i], nan=1.0), 1e-12, 1.0))
         else:
-            alpha_seq = cfg.bclb.alpha_value
-        params = None
-        if model.sigma_T_sq > 0.0:  # the fusion bound needs a proper sensor-noise model
-            params = FusionBclbParams(
-                alpha=alpha_seq,
-                sigma_m_sq=cfg.bclb.sigma_m_sq,
-                sigma_T_sq=model.sigma_T_sq,
-                kappa=model.kappa,
-                T0=model.T0,
-                theta0=model.theta0,
-            )
-        bclb_l, bclb_f = bclb_trajectory(oracle, cfg.dynamics, params, init.p0_diag[0])
+            bclb_l[:], bclb_f[:] = case_bounds(cfg, cfg.bclb.alpha_value)
 
-    return RunTrajectory(
-        run=run_index,
-        theta_true=data.skew_true,
-        delta_true=data.offset_true,
-        temp_osc=data.temp_osc,
-        temp_meas=data.temp_meas,
-        theta_L=theta_L,
-        theta_T=theta_T,
-        theta_F=theta_F,
-        delta_hat=delta_hat,
-        epsilon=epsilon,
-        alpha=alpha,
-        beta=beta,
-        bclb_L=bclb_l,
-        bclb_F=bclb_f,
-        est_skew=est_skew,
-        est_offset=est_offset,
-    )
+    return [
+        RunTrajectory(
+            run=r,
+            theta_true=truth["skew_true"][i],
+            delta_true=truth["offset_true"][i],
+            temp_osc=truth["temp_osc"][i],
+            temp_meas=truth["temp_meas"][i],
+            theta_L=theta_L[i],
+            theta_T=theta_T[i],
+            theta_F=theta_F[i],
+            delta_hat=delta_hat[i],
+            epsilon=epsilon[i],
+            alpha=alpha[i],
+            beta=beta[i],
+            bclb_L=bclb_l[i],
+            bclb_F=bclb_f[i],
+            est_skew={name: arr[i] for name, arr in est_skew.items()},
+            est_offset={name: arr[i] for name, arr in est_offset.items()},
+        )
+        for i, r in enumerate(runs)
+    ]
 
 
-def _worker(args: tuple[RunConfig, int]) -> RunTrajectory:
-    cfg, run_index = args
-    return simulate_run(cfg, run_index)
+def _worker(args: tuple[RunConfig, range]) -> list[RunTrajectory]:
+    cfg, runs = args
+    return simulate_run(cfg, runs)
 
 
 def run_case(cfg: RunConfig) -> list[RunTrajectory]:
-    """Execute all Monte-Carlo runs; output is identical for any worker count."""
+    """Execute all Monte-Carlo runs; output is identical for any worker count.
+
+    With several workers each pool worker steps one contiguous slice of run
+    indices as a batch.
+    """
     if cfg.workers <= 1 or cfg.runs == 1:
-        return [simulate_run(cfg, r) for r in range(cfg.runs)]
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-        results = list(pool.map(_worker, [(cfg, r) for r in range(cfg.runs)], chunksize=8))
-    return results
+        return simulate_run(cfg, range(cfg.runs))
+    parts = min(cfg.workers, cfg.runs)
+    edges = [cfg.runs * p // parts for p in range(parts + 1)]
+    with ProcessPoolExecutor(max_workers=parts) as pool:
+        batches = pool.map(_worker, [(cfg, range(a, b)) for a, b in zip(edges, edges[1:])])
+        return [t for batch in batches for t in batch]
 
 
 def trajectory_rows(trajectories: Sequence[RunTrajectory]):
@@ -302,18 +334,7 @@ def fusion_study(cfg: RunConfig) -> tuple[FusionStudyResult, list[RunTrajectory]
     if cfg.bclb.alpha_mode == "runtime":
         # rebuild the bound with the Monte-Carlo mean alpha sequence
         mean_alpha = np.clip(np.mean(np.stack([t.alpha for t in trajs]), axis=0), 1e-12, 1.0)
-        from .scenario import pdv_params_table
-
-        weights, stddevs = pdv_params_table(cfg.scenario.pdv, h)
-        oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs, tau=cfg.scenario.tau)
-        params = FusionBclbParams(
-            alpha=mean_alpha,
-            sigma_m_sq=cfg.bclb.sigma_m_sq,
-            sigma_T_sq=cfg.temp_model.sigma_T_sq,
-            kappa=cfg.temp_model.kappa,
-            T0=cfg.temp_model.T0,
-        )
-        bclb_l, bclb_f = bclb_trajectory(oracle, cfg.dynamics, params, cfg.netcomm_init.p0_diag[0])
+        bclb_l, bclb_f = case_bounds(cfg, mean_alpha)
     else:
         bclb_f = trajs[0].bclb_F
 
@@ -351,16 +372,5 @@ def bclb_rows(cfg: RunConfig) -> list[tuple]:
         raise ValueError("bclb evaluation requires a synthetic PDV profile")
     if cfg.bclb.alpha_mode == "runtime":
         raise ValueError("bclb subcommand needs a fixed alpha (set bclb.alpha_mode='fixed')")
-    from .scenario import pdv_params_table
-
-    weights, stddevs = pdv_params_table(cfg.scenario.pdv, cfg.scenario.horizon)
-    oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs, tau=cfg.scenario.tau)
-    params = FusionBclbParams(
-        alpha=cfg.bclb.alpha_value,
-        sigma_m_sq=cfg.bclb.sigma_m_sq,
-        sigma_T_sq=cfg.temp_model.sigma_T_sq,
-        kappa=cfg.temp_model.kappa,
-        T0=cfg.temp_model.T0,
-    )
-    bclb_l, bclb_f = bclb_trajectory(oracle, cfg.dynamics, params, cfg.netcomm_init.p0_diag[0])
+    bclb_l, bclb_f = case_bounds(cfg, cfg.bclb.alpha_value)
     return [(k, bclb_l[k], bclb_f[k]) for k in range(len(bclb_l))]

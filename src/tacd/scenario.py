@@ -8,6 +8,7 @@ from an empirical CSV table.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -94,8 +95,13 @@ class PdvProfile:
         return z, np.zeros(max(self.num_components - 1, 0))
 
 
+@functools.lru_cache(maxsize=16)
 def pdv_params_table(profile: PdvProfile, horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Evolved (weights, stddevs) arrays of shape (horizon, N_g)."""
+    """Evolved (weights, stddevs) arrays of shape (horizon, N_g).
+
+    The table depends on the profile alone, so it is built once per
+    (profile, horizon) and handed out read-only.
+    """
     n = profile.num_components
     weights = np.empty((horizon, n))
     stddevs = np.empty((horizon, n))
@@ -115,6 +121,8 @@ def pdv_params_table(profile: PdvProfile, horizon: int) -> tuple[np.ndarray, np.
         w = np.clip(raw, 0.0, 1.0)
         weights[k] = w / w.sum()
         stddevs[k] = std
+    weights.flags.writeable = False
+    stddevs.flags.writeable = False
     return weights, stddevs
 
 
@@ -256,6 +264,34 @@ class ExchangeRecord:
     def __post_init__(self) -> None:
         if not self.t4 > self.t1:
             raise ValueError("t4 must follow t1 on the local timeline")
+
+
+@dataclass(frozen=True)
+class ExchangeBatch:
+    """Exchange timestamps of several runs, each field shaped (runs, periods).
+
+    Accepted wherever the estimators take an ExchangeRecord.
+    """
+
+    t1: np.ndarray
+    t2: np.ndarray
+    t3: np.ndarray
+    t4: np.ndarray
+    period_index: np.ndarray
+
+    @classmethod
+    def from_stamps(cls, stamps: np.ndarray) -> "ExchangeBatch":
+        """Batch from a (runs, periods, 5) array of (t1, t2, t3, t4, k)."""
+        return cls(*(stamps[..., i] for i in range(5)))
+
+    def periods(self, sl: slice) -> "ExchangeBatch":
+        return ExchangeBatch(self.t1[:, sl], self.t2[:, sl], self.t3[:, sl], self.t4[:, sl],
+                             self.period_index[:, sl])
+
+
+def record_stamps(records: Sequence[ExchangeRecord]) -> list[tuple[float, ...]]:
+    """One run's records as (t1, t2, t3, t4, k) rows, for ExchangeBatch.from_stamps."""
+    return [(r.t1, r.t2, r.t3, r.t4, r.period_index) for r in records]
 
 
 def simulate_exchange(

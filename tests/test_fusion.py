@@ -6,14 +6,14 @@ import pytest
 from tacd.fusion import (
     FusionWeights,
     PhaseErrorStats,
-    condition_filter_on_fused,
     fuse_skew,
     fusion_bias,
     fusion_cost,
     fusion_variance,
     pareto_beta,
 )
-from tacd.netcomm import GaussianBelief
+from tacd.clock import ClockDynamics, build_state_space
+from tacd.netcomm import GaussianBelief, GsfVbFilter, MixtureNoiseModel
 from tacd.thermal import TempSkewModel
 
 
@@ -116,10 +116,14 @@ def test_fuse_skew_values():
 
 def test_condition_on_fused_identity():
     belief = GaussianBelief(np.array([1e-6, 2e-6]), np.diag([1e-12, 1e-12]))
-    same = condition_filter_on_fused(belief, 1e-6)
+    ss = build_state_space(ClockDynamics(m=1.0, sigma_u_sq=1e-18, tau=1.0))
+    filt = GsfVbFilter(ss, MixtureNoiseModel.from_point_estimates([1.0], [1e-6]), belief)
+    filt.condition_on_skew(1e-6)
+    same = filt.belief
     assert np.array_equal(same.mean, belief.mean)
     assert np.array_equal(same.cov, belief.cov)
-    moved = condition_filter_on_fused(belief, 4e-6)
+    filt.condition_on_skew(4e-6)
+    moved = filt.belief
     assert moved.mean[0] == 4e-6 and moved.mean[1] == 2e-6
     assert np.array_equal(moved.cov, belief.cov)
 

@@ -14,17 +14,18 @@ from tacd.netcomm import (
     gsf_predict,
     gsf_update,
     isotropic_mixture_model,
-    kalman_baseline_step,
     nominal_noise_cov,
     vb_refine,
 )
 from tacd.scenario import (
+    ExchangeBatch,
     ExchangeRecord,
     LinkConfig,
     PdvProfile,
     ScenarioConfig,
     TruthOptions,
     generate_scenario,
+    record_stamps,
     simulate_exchange,
 )
 from tacd.thermal import TempSkewModel
@@ -98,6 +99,11 @@ def test_measurement_rejects_non_consecutive():
     b = _rec(0.0, 1e-5, 2e-2, 2e-2 + 1e-5, 2)
     with pytest.raises(ValueError, match="consecutive"):
         build_measurement(b, a, 0.0)
+    # a gap in one run of a batch is reported with that run's periods
+    stamps = np.array([record_stamps([a, _rec(1.0, 1.0, 1.02, 1.02, 1)]), record_stamps([a, b])], dtype=float)
+    batch = ExchangeBatch.from_stamps(stamps)
+    with pytest.raises(ValueError, match="got 0.0 then 2.0"):
+        build_measurement(batch.periods(slice(1, None)), batch.periods(slice(None, -1)), 0.0)
 
 
 def test_gptp_offset_examples():
@@ -389,7 +395,7 @@ def test_step_equals_fixed_noise_kalman_for_single_component():
     kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), _default_belief())
     for k in range(1, 200):
         a = gsf.step(data.records[k], data.records[k - 1], data.link.d)
-        b = kalman_baseline_step(kal, data.records[k], data.records[k - 1], data.link.d)
+        b = kal.step(data.records[k], data.records[k - 1], data.link.d)
         assert a.skew == pytest.approx(b.skew, rel=1e-12)
         assert a.offset == pytest.approx(b.offset, rel=1e-12)
         assert np.allclose(a.belief.cov, b.belief.cov, rtol=1e-12)
