@@ -18,6 +18,7 @@ from tacd import (
     ScenarioConfig,
     TempSkewModel,
     VbSettings,
+    build_measurement,
     build_state_space,
     generate_scenario,
     gptp_skew,
@@ -78,8 +79,9 @@ skew_baseline = [belief0.mean[0]]
 skew_gptp = [np.nan]
 for k in range(1, data.horizon):
     prev, cur = data.records[k - 1], data.records[k]
-    skew_adaptive.append(adaptive.step(cur, prev, data.link.d).skew)
-    skew_baseline.append(baseline.step(cur, prev, data.link.d).skew)
+    z = build_measurement(cur, prev, data.link.d)
+    skew_adaptive.append(adaptive.step(z).skew)
+    skew_baseline.append(baseline.step(z).skew)
     skew_gptp.append(gptp_skew(cur, prev, scenario.tau))
 
 for name, est in [("adaptive", skew_adaptive), ("kalman", skew_baseline), ("gptp", skew_gptp)]:

@@ -26,9 +26,7 @@ dyn = cfg.dynamics
 series = []
 ks = np.arange(cfg.scenario.horizon)
 for alpha in (1.0, 0.7, 0.5, 0.3):
-    params = FusionBclbParams(
-        alpha=alpha, sigma_m_sq=0.25, sigma_T_sq=0.1, kappa=4e-8, T0=25.0
-    )
+    params = FusionBclbParams(alpha=alpha, sigma_m_sq=0.25, sigma_T_sq=0.1)
     bound_lin, bound_fus = bclb_trajectory(oracle, dyn, params, cfg.netcomm_init.p0_diag[0])
     if alpha == 1.0:
         series.append(("linear model", ks, bound_lin))

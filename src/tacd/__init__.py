@@ -31,7 +31,6 @@ from .scenario import (
     generate_scenario,
     load_delay_csv,
     oscillator_temp_step,
-    pdv_params_at,
     sample_measurement_noise,
     simulate_exchange,
     temperature_at,

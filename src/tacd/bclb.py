@@ -45,9 +45,6 @@ class FusionBclbParams:
     alpha: Union[float, Sequence[float]]
     sigma_m_sq: float
     sigma_T_sq: float
-    kappa: float
-    T0: float
-    theta0: float = 0.0
 
     def __post_init__(self) -> None:
         if self.sigma_m_sq <= 0.0:

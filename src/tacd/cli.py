@@ -28,7 +28,7 @@ from .runner import (
     fusion_study,
     fusion_study_rows,
     run_case,
-    summary_rows,
+    skew_rmse_per_period,
     trajectory_rows,
 )
 
@@ -65,14 +65,13 @@ def _cmd_simulate(args) -> int:
     path = emit_csv(trajectory_rows(trajs), TRAJECTORY_COLUMNS, _out_path(cfg, "trajectory.csv"))
     print(f"wrote {path} ({cfg.runs} runs x {cfg.scenario.horizon} periods)")
     if args.plot:
-        t0 = trajs[0]
-        ks = np.arange(t0.horizon)
+        ks = np.arange(trajs.horizon)
         svg = emit_plot_svg(
             [
-                ("true skew", ks, t0.theta_true),
-                ("fused skew", ks, t0.theta_F),
-                ("network skew", ks, t0.theta_L),
-                ("thermal skew", ks, t0.theta_T),
+                ("true skew", ks, trajs.theta_true[0]),
+                ("fused skew", ks, trajs.theta_F[0]),
+                ("network skew", ks, trajs.theta_L[0]),
+                ("thermal skew", ks, trajs.theta_T[0]),
             ],
             _out_path(cfg, "trajectory.svg"),
             title="run 0 skew trajectories",
@@ -86,18 +85,14 @@ def _cmd_evaluate(args) -> int:
     cfg = _load(args)
     trajs = run_case(cfg)
     summary = evaluate_rmse(trajs, cfg.steady_window, cfg.estimators)
-    path = emit_csv(summary_rows(summary), SUMMARY_COLUMNS, _out_path(cfg, "rmse_summary.csv"))
+    path = emit_csv(summary.rows, SUMMARY_COLUMNS, _out_path(cfg, "rmse_summary.csv"))
     for name, sk, of in summary.rows:
         print(f"{name:>12s}  skew RMSE {sk:.4e}  offset RMSE {of:.4e}")
     print(f"wrote {path}")
     if args.plot:
-        ks = np.arange(trajs[0].horizon)
-        series = []
-        for name in cfg.estimators:
-            err = np.sqrt(np.mean(np.stack([t.est_skew[name] - t.theta_true for t in trajs]) ** 2, axis=0))
-            series.append((name, ks, err))
+        ks = np.arange(trajs.horizon)
         svg = emit_plot_svg(
-            series,
+            [(name, ks, skew_rmse_per_period(trajs, name)) for name in cfg.estimators],
             _out_path(cfg, "rmse_skew.svg"),
             log_y=True,
             title="per-period skew RMSE",

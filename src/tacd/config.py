@@ -5,7 +5,7 @@ path that caused them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
@@ -24,11 +24,10 @@ from .scenario import (
     load_delay_csv,
 )
 from .netcomm import VbSettings
+from .runner import ESTIMATORS
 from .thermal import TempSkewModel
 
 SCHEMA_VERSION = 1
-
-ESTIMATOR_NAMES = ("tacd", "gptp", "kalman", "thermal-only", "linear-only")
 
 
 class ConfigError(ValueError):
@@ -130,23 +129,28 @@ class RunConfig:
         output_dir: Optional[str] = None,
         workers: Optional[int] = None,
     ) -> "RunConfig":
-        from dataclasses import replace
-
         out = self
         if runs is not None:
             out = replace(out, runs=runs)
         if seed is not None:
             out = replace(out, master_seed=seed)
         if estimators is not None:
-            for name in estimators:
-                if name not in ESTIMATOR_NAMES:
-                    raise ConfigError(f"estimators: unknown estimator {name!r}")
-            out = replace(out, estimators=estimators)
+            out = replace(out, estimators=_estimator_selection(estimators))
         if output_dir is not None:
             out = replace(out, output_dir=output_dir)
         if workers is not None:
             out = replace(out, workers=workers)
         return out
+
+
+def _estimator_selection(names) -> tuple[str, ...]:
+    """A non-empty selection of names from the estimator table."""
+    if not isinstance(names, (list, tuple)) or not names:
+        raise ConfigError("estimators: expected a non-empty list")
+    for name in names:
+        if name not in ESTIMATORS:
+            raise ConfigError(f"estimators: unknown estimator {name!r}, expected one of {tuple(ESTIMATORS)}")
+    return tuple(names)
 
 
 def _parse_pdv(obj: dict, path: str) -> PdvProfile:
@@ -326,12 +330,7 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
         thermal_coupling=coupling,
     )
 
-    estimators = doc.get("estimators", list(ESTIMATOR_NAMES))
-    if not isinstance(estimators, list) or not estimators:
-        raise ConfigError("estimators: expected a non-empty list")
-    for name in estimators:
-        if name not in ESTIMATOR_NAMES:
-            raise ConfigError(f"estimators: unknown estimator {name!r}, expected one of {ESTIMATOR_NAMES}")
+    estimators = _estimator_selection(doc.get("estimators", list(ESTIMATORS)))
 
     vb_obj = doc.get("vb", {})
     _require(vb_obj, {"enabled": False, "max_iterations": False, "convergence_tol": False, "forgetting_factor": False}, "vb")
@@ -422,7 +421,7 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
         scenario=scenario,
         dynamics=dynamics,
         temp_model=temp_model,
-        estimators=tuple(estimators),
+        estimators=estimators,
         runs=runs,
         master_seed=seed,
         vb=vb,

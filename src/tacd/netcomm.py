@@ -418,12 +418,6 @@ class StepResult:
     skew: np.ndarray
     offset: np.ndarray
     responsibilities: np.ndarray
-    underflow: int = 0
-
-
-def _measurement(current, previous: Optional[Exchanges], d) -> np.ndarray:
-    """z as given, or built from (current, previous, d) exchange records."""
-    return np.asarray(current, dtype=float) if previous is None else build_measurement(current, previous, d)
 
 
 class GsfVbFilter:
@@ -449,10 +443,10 @@ class GsfVbFilter:
         self.spd_repairs = np.zeros(belief.mean.shape[:-1], dtype=int)
         self.underflow_periods = np.zeros(belief.mean.shape[:-1], dtype=int)
 
-    def step(self, current, previous: Optional[Exchanges] = None, d=0.0) -> StepResult:
-        """Advance one period on the measurement z = current, shaped (..., 2),
-        or on z = build_measurement(current, previous, d) given two records."""
-        z = _measurement(current, previous, d)
+    def step(self, z) -> StepResult:
+        """Advance one period on the measurement z, shaped (..., 2) (see
+        build_measurement)."""
+        z = np.asarray(z, dtype=float)
         self.belief = gsf_predict(self.belief, self.ss)
         upd = gsf_update(self.belief, z, self.noise, self.ss)
         self.belief = upd.belief
@@ -466,7 +460,6 @@ class GsfVbFilter:
             skew=self.belief.mean[..., 0],
             offset=self.belief.mean[..., 1],
             responsibilities=upd.responsibilities,
-            underflow=upd.underflow,
         )
 
     def condition_on_skew(self, skew) -> None:
@@ -489,9 +482,9 @@ class KalmanBaseline:
         self.x = belief.mean.copy()
         self.P = belief.cov.copy()
 
-    def step(self, current, previous: Optional[Exchanges] = None, d=0.0) -> StepResult:
-        """Advance one period; arguments as for GsfVbFilter.step."""
-        z = _measurement(current, previous, d)
+    def step(self, z) -> StepResult:
+        """Advance one period on the measurement z, as GsfVbFilter.step."""
+        z = np.asarray(z, dtype=float)
         A, H = _general(self.ss.A), _general(self.ss.H)
         q00, q01, q11 = _entries(self.ss.Q_v)
         r00, r01, r11 = _entries(self.R)

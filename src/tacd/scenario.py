@@ -126,14 +126,6 @@ def pdv_params_table(profile: PdvProfile, horizon: int) -> tuple[np.ndarray, np.
     return weights, stddevs
 
 
-def pdv_params_at(profile: PdvProfile, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Mixture (weights, stddevs) in effect at period k."""
-    if k < 0:
-        raise ValueError("period index must be >= 0")
-    w, s = pdv_params_table(profile, k + 1)
-    return w[k], s[k]
-
-
 def sample_measurement_noise(
     weights: Sequence[float],
     stddevs: Sequence[float],

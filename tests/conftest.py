@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tacd.clock import ClockDynamics, build_state_space
+from tacd.runner import Trajectories
 from tacd.scenario import PdvProfile, RateSegment, ThermalProfile, ThermalSegment
 from tacd.thermal import TempSkewModel
 
@@ -57,4 +58,20 @@ def constant_thermal(horizon: int, value: float = 25.0) -> ThermalProfile:
         segments=(ThermalSegment(0, horizon - 1, "constant", {"value": value}),),
         cooling_constant=10.0,
         initial_oscillator_temp=value,
+    )
+
+
+def toy_trajectories(theta_true, delta_true, est_skew, est_offset) -> Trajectories:
+    """A (runs x periods) record holding truth and estimates only; every
+    other column is NaN."""
+    theta_true = np.asarray(theta_true, dtype=float)
+    nan = np.full(theta_true.shape, np.nan)
+    return Trajectories(
+        runs=np.arange(theta_true.shape[0]),
+        theta_true=theta_true,
+        delta_true=np.asarray(delta_true, dtype=float),
+        temp_osc=nan, temp_meas=nan, theta_L=nan, theta_T=nan, epsilon=nan, alpha=nan, beta=nan,
+        bclb_L=nan, bclb_F=nan,
+        est_skew=est_skew,
+        est_offset=est_offset,
     )

@@ -20,10 +20,11 @@ from tacd.netcomm import (
     GsfVbFilter,
     KalmanBaseline,
     MixtureNoiseModel,
+    build_measurement,
     gsf_update,
     nominal_noise_cov,
 )
-from tacd.runner import RunTrajectory, evaluate_rmse, fusion_study, run_case
+from tacd.runner import evaluate_rmse, fusion_study, run_case
 from tacd.scenario import (
     LinkConfig,
     PdvProfile,
@@ -36,7 +37,7 @@ from tacd.scenario import (
 )
 from tacd.thermal import TempSkewModel
 
-from conftest import M_GM, SIGMA_U_SQ, constant_thermal
+from conftest import M_GM, SIGMA_U_SQ, constant_thermal, toy_trajectories
 from oracles import (
     brute_force_mixture_update,
     closed_form_beta,
@@ -130,8 +131,9 @@ def test_criterion_3_kalman_equivalence():
     kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), belief)
     worst = 0.0
     for k in range(1, horizon):
-        a = gsf.step(data.records[k], data.records[k - 1], data.link.d)
-        b = kal.step(data.records[k], data.records[k - 1], data.link.d)
+        z = build_measurement(data.records[k], data.records[k - 1], data.link.d)
+        a = gsf.step(z)
+        b = kal.step(z)
         worst = max(
             worst,
             abs(a.skew - b.skew) / max(abs(b.skew), 1e-30),
@@ -155,7 +157,7 @@ def test_criterion_4_fisher_sanity():
     j_ref = dyn.tau**2 / lam[0] ** 2 + 1.0 / (dyn.sigma_u_sq + dyn.m**2 / j)
     fixed_ok = abs(j - j_ref) / j_ref <= 1e-10
 
-    params1 = FusionBclbParams(alpha=1.0, sigma_m_sq=0.25, sigma_T_sq=0.1, kappa=4e-8, T0=25.0)
+    params1 = FusionBclbParams(alpha=1.0, sigma_m_sq=0.25, sigma_T_sq=0.1)
     jl = 3e10
     jf = np.diag([3e10, 4.0])
     exact_ok = True
@@ -174,7 +176,7 @@ def test_criterion_4_fisher_sanity():
         alpha = rng.uniform(0.05, 0.999, 75)
         bl, bf = bclb_trajectory(
             oracle, dyn,
-            FusionBclbParams(alpha=alpha, sigma_m_sq=0.25, sigma_T_sq=0.1, kappa=4e-8, T0=25.0),
+            FusionBclbParams(alpha=alpha, sigma_m_sq=0.25, sigma_T_sq=0.1),
             5e-6,
         )
         dom_ok &= bool(np.all(bf[1:] <= bl[1:] * (1 + 1e-12)))
@@ -361,25 +363,16 @@ def test_criterion_9_property_suites(ss):
         horizon = int(rng.integers(3, 12))
         runs = int(rng.integers(1, 4))
         window = int(rng.integers(1, horizon + 1))
-        trajs = []
+        truth, est = np.empty((runs, horizon)), np.empty((runs, horizon))
         for r in range(runs):
-            truth = rng.normal(0, 1e-6, horizon)
-            est = truth + rng.normal(0, 1e-7, horizon)
-            nanarr = np.full(horizon, np.nan)
-            trajs.append(
-                RunTrajectory(
-                    run=r, theta_true=truth, delta_true=truth, temp_osc=nanarr,
-                    temp_meas=nanarr, theta_L=nanarr, theta_T=nanarr, theta_F=nanarr,
-                    delta_hat=nanarr, epsilon=nanarr, alpha=nanarr, beta=nanarr,
-                    bclb_L=nanarr, bclb_F=nanarr,
-                    est_skew={"e": est}, est_offset={"e": est},
-                )
-            )
+            truth[r] = rng.normal(0, 1e-6, horizon)
+            est[r] = truth[r] + rng.normal(0, 1e-7, horizon)
+        trajs = toy_trajectories(truth, truth, {"e": est}, {"e": est})
         got = evaluate_rmse(trajs, window).as_dict()["e"][0]
         acc, cnt = 0.0, 0
-        for t in trajs:
+        for r in range(runs):
             for k in range(horizon - window, horizon):
-                acc += (t.est_skew["e"][k] - t.theta_true[k]) ** 2
+                acc += (trajs.est_skew["e"][r, k] - trajs.theta_true[r, k]) ** 2
                 cnt += 1
         rmse_ok &= abs(got - np.sqrt(acc / cnt)) <= 1e-15 * max(got, 1e-30) + 0.0
 

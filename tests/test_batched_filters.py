@@ -20,7 +20,7 @@ from tacd.netcomm import (
     vb_refine,
 )
 from tacd.report import load_csv_columns
-from tacd.runner import simulate_run
+from tacd.runner import Trajectories, simulate_run
 from tacd.scenario import ExchangeBatch, generate_scenario, record_stamps
 
 SHIPPED = ("case1", "case2", "case3", "fusion_study")
@@ -124,15 +124,12 @@ def test_update_counters_are_python_scalars(ss):
     assert type(refined.dof_clamped) is bool
 
 
-def _trajectory_arrays(trajs):
-    out = []
-    for t in trajs:
-        fields = [t.theta_true, t.delta_true, t.temp_osc, t.temp_meas, t.theta_L, t.theta_T, t.theta_F,
-                  t.delta_hat, t.epsilon, t.alpha, t.beta, t.bclb_L, t.bclb_F]
-        fields += [t.est_skew[name] for name in sorted(t.est_skew)]
-        fields += [t.est_offset[name] for name in sorted(t.est_offset)]
-        out.append((t.run, fields))
-    return out
+def _trajectory_arrays(t):
+    fields = [t.theta_true, t.delta_true, t.temp_osc, t.temp_meas, t.theta_L, t.theta_T, t.theta_F,
+              t.delta_hat, t.epsilon, t.alpha, t.beta, t.bclb_L, t.bclb_F]
+    fields += [t.est_skew[name] for name in sorted(t.est_skew)]
+    fields += [t.est_offset[name] for name in sorted(t.est_offset)]
+    return [(run, [f[i] for f in fields]) for i, run in enumerate(t.runs.tolist())]
 
 
 def _same(a, b) -> bool:
@@ -149,8 +146,8 @@ def test_batch_split_invariance(case, alpha_mode):
     cfg = parse_config(doc).with_overrides(estimators=("tacd", "gptp", "kalman", "thermal-only", "linear-only"))
     n = 6
     whole = _trajectory_arrays(simulate_run(cfg, range(n)))
-    singles = _trajectory_arrays([t for r in range(n) for t in simulate_run(cfg, [r])])
-    uneven = _trajectory_arrays(simulate_run(cfg, range(2)) + simulate_run(cfg, range(2, n)))
+    singles = _trajectory_arrays(Trajectories.concat([simulate_run(cfg, [r]) for r in range(n)]))
+    uneven = _trajectory_arrays(Trajectories.concat([simulate_run(cfg, range(2)), simulate_run(cfg, range(2, n))]))
     assert _same(whole, singles)
     assert _same(whole, uneven)
 

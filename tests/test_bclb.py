@@ -15,9 +15,7 @@ from conftest import M_GM, SIGMA_U_SQ, study_pdv_profile
 
 
 def _params(alpha):
-    return FusionBclbParams(
-        alpha=alpha, sigma_m_sq=0.25, sigma_T_sq=0.1, kappa=4e-8, T0=25.0
-    )
+    return FusionBclbParams(alpha=alpha, sigma_m_sq=0.25, sigma_T_sq=0.1)
 
 
 def test_linear_memoryless_decoupling():

@@ -15,13 +15,15 @@ from tacd.report import (
     load_csv_columns,
 )
 from tacd.runner import (
-    RunTrajectory,
+    Trajectories,
     evaluate_rmse,
     fusion_study,
     run_case,
     simulate_run,
     trajectory_rows,
 )
+
+from conftest import toy_trajectories
 
 BASE_DOC = json.loads(open("configs/fusion_study.json", encoding="utf-8").read())
 
@@ -89,8 +91,8 @@ def test_two_period_bootstrap():
     trajs = run_case(cfg)
     rows = list(trajectory_rows(trajs))
     assert len(rows) == 2
-    assert np.isnan(trajs[0].est_skew["gptp"][0])  # no skew measurement yet
-    assert np.isfinite(trajs[0].est_skew["tacd"][0])  # prior-based output
+    assert np.isnan(trajs.est_skew["gptp"][0, 0])  # no skew measurement yet
+    assert np.isfinite(trajs.est_skew["tacd"][0, 0])  # prior-based output
 
 
 def test_run_determinism_and_worker_independence(tmp_path):
@@ -116,50 +118,28 @@ def test_estimator_isolation():
     for r in range(2):
         for name in ("kalman", "gptp"):
             assert np.array_equal(
-                t_full[r].est_skew[name], t_sub[r].est_skew[name], equal_nan=True
+                t_full.est_skew[name][r], t_sub.est_skew[name][r], equal_nan=True
             )
             assert np.array_equal(
-                t_full[r].est_offset[name], t_sub[r].est_offset[name], equal_nan=True
+                t_full.est_offset[name][r], t_sub.est_offset[name][r], equal_nan=True
             )
 
 
-def _toy_trajectories(rng, runs=4, horizon=20):
-    trajs = []
-    for r in range(runs):
-        truth_s = rng.normal(0, 1e-6, horizon)
-        truth_o = rng.normal(0, 1e-6, horizon)
-        est_s = truth_s + rng.normal(0, 1e-7, horizon)
-        est_o = truth_o + rng.normal(0, 1e-7, horizon)
-        nanarr = np.full(horizon, np.nan)
-        trajs.append(
-            RunTrajectory(
-                run=r,
-                theta_true=truth_s,
-                delta_true=truth_o,
-                temp_osc=nanarr,
-                temp_meas=nanarr,
-                theta_L=nanarr,
-                theta_T=nanarr,
-                theta_F=nanarr,
-                delta_hat=nanarr,
-                epsilon=nanarr,
-                alpha=nanarr,
-                beta=nanarr,
-                bclb_L=nanarr,
-                bclb_F=nanarr,
-                est_skew={"toy": est_s},
-                est_offset={"toy": est_o},
-            )
-        )
-    return trajs
+def _toy_trajectories(rng, runs=4, horizon=20) -> Trajectories:
+    truth_s, truth_o, est_s, est_o = [], [], [], []
+    for _ in range(runs):
+        truth_s.append(rng.normal(0, 1e-6, horizon))
+        truth_o.append(rng.normal(0, 1e-6, horizon))
+        est_s.append(truth_s[-1] + rng.normal(0, 1e-7, horizon))
+        est_o.append(truth_o[-1] + rng.normal(0, 1e-7, horizon))
+    return toy_trajectories(truth_s, truth_o, {"toy": np.array(est_s)}, {"toy": np.array(est_o)})
 
 
 def test_rmse_trivial_values():
     rng = np.random.default_rng(1)
     trajs = _toy_trajectories(rng)
-    for t in trajs:
-        t.est_skew["toy"] = t.theta_true.copy()
-        t.est_offset["toy"] = t.delta_true + 2.5e-7
+    trajs.est_skew["toy"] = trajs.theta_true.copy()
+    trajs.est_offset["toy"] = trajs.delta_true + 2.5e-7
     s = evaluate_rmse(trajs, 10).as_dict()["toy"]
     assert s[0] == 0.0
     assert s[1] == pytest.approx(2.5e-7, rel=1e-12)
@@ -172,10 +152,10 @@ def test_rmse_matches_brute_force():
         window = int(rng.integers(1, 20))
         got = evaluate_rmse(trajs, window).as_dict()["toy"]
         acc_s, acc_o, count = 0.0, 0.0, 0
-        for t in trajs:
-            for k in range(t.horizon - window, t.horizon):
-                acc_s += (t.est_skew["toy"][k] - t.theta_true[k]) ** 2
-                acc_o += (t.est_offset["toy"][k] - t.delta_true[k]) ** 2
+        for r in range(len(trajs.runs)):
+            for k in range(trajs.horizon - window, trajs.horizon):
+                acc_s += (trajs.est_skew["toy"][r, k] - trajs.theta_true[r, k]) ** 2
+                acc_o += (trajs.est_offset["toy"][r, k] - trajs.delta_true[r, k]) ** 2
                 count += 1
         assert got[0] == pytest.approx(np.sqrt(acc_s / count), rel=1e-12)
         assert got[1] == pytest.approx(np.sqrt(acc_o / count), rel=1e-12)

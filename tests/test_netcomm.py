@@ -325,7 +325,7 @@ def test_vb_recovers_mixture_variance():
         )
         effs = []
         for k in range(1, 500):
-            filt.step(data.records[k], data.records[k - 1], data.link.d)
+            filt.step(build_measurement(data.records[k], data.records[k - 1], data.link.d))
             if k >= 400:
                 effs.append(
                     np.einsum("i,iab->ab", filt.noise.point_weights, filt.noise.point_covariances)
@@ -355,7 +355,7 @@ def test_step_zero_noise_exact_tracking(ss):
         vb=None,
     )
     for k in range(1, 40):
-        res = filt.step(recs[k], recs[k - 1], link.d)
+        res = filt.step(build_measurement(recs[k], recs[k - 1], link.d))
         assert res.skew == pytest.approx(theta, rel=1e-9)
         assert res.offset == pytest.approx(delta + k * theta, rel=1e-9)
 
@@ -377,7 +377,7 @@ def test_step_skew_estimator_bias_small():
         )
         errs[r, 0] = 3e-7 - data.skew_true[0]
         for k in range(1, 75):
-            res = filt.step(data.records[k], data.records[k - 1], data.link.d)
+            res = filt.step(build_measurement(data.records[k], data.records[k - 1], data.link.d))
             errs[r, k] = res.skew - data.skew_true[k]
     bias = errs.mean(axis=0)
     rmse = np.sqrt((errs**2).mean(axis=0))
@@ -394,8 +394,9 @@ def test_step_equals_fixed_noise_kalman_for_single_component():
     )
     kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), _default_belief())
     for k in range(1, 200):
-        a = gsf.step(data.records[k], data.records[k - 1], data.link.d)
-        b = kal.step(data.records[k], data.records[k - 1], data.link.d)
+        z = build_measurement(data.records[k], data.records[k - 1], data.link.d)
+        a = gsf.step(z)
+        b = kal.step(z)
         assert a.skew == pytest.approx(b.skew, rel=1e-12)
         assert a.offset == pytest.approx(b.offset, rel=1e-12)
         assert np.allclose(a.belief.cov, b.belief.cov, rtol=1e-12)
@@ -410,7 +411,7 @@ def test_kalman_misspecified_noise_still_unbiased():
         data = generate_scenario(cfg, np.random.default_rng(7000 + r))
         kal = KalmanBaseline(ss, nominal_noise_cov(5e-5), _default_belief())  # 10x true
         for k in range(1, 75):
-            res = kal.step(data.records[k], data.records[k - 1], data.link.d)
+            res = kal.step(build_measurement(data.records[k], data.records[k - 1], data.link.d))
             errs[r, k - 1] = res.skew - data.skew_true[k]
     bias = errs[:, 30:].mean()
     rmse = np.sqrt((errs[:, 30:] ** 2).mean())

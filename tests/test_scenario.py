@@ -15,7 +15,6 @@ from tacd.scenario import (
     generate_scenario,
     load_delay_csv,
     oscillator_temp_step,
-    pdv_params_at,
     pdv_params_table,
     sample_measurement_noise,
     simulate_exchange,
@@ -30,7 +29,8 @@ from conftest import M_GM, constant_thermal, study_pdv_profile, study_thermal_pr
 # ---------------------------------------------------------------- PDV profile
 
 def test_pdv_initial_values():
-    w, s = pdv_params_at(study_pdv_profile(), 0)
+    weights, stddevs = pdv_params_table(study_pdv_profile(), 1)
+    w, s = weights[0], stddevs[0]
     assert np.allclose(w, [0.4, 0.3, 0.3], atol=1e-15)
     assert np.allclose(s, [5e-6, 3e-6, 5e-6], atol=1e-18)
 
@@ -41,14 +41,15 @@ def test_pdv_zero_rates_fixed_point():
         initial_weights=(0.4, 0.3, 0.3),
         rate_schedule=(RateSegment(1, 100, (0.0, 0.0, 0.0), (0.0, 0.0)),),
     )
-    w, s = pdv_params_at(prof, 57)
+    weights, stddevs = pdv_params_table(prof, 58)
+    w, s = weights[57], stddevs[57]
     assert np.allclose(w, [0.4, 0.3, 0.3], atol=1e-15)
     assert np.allclose(s, [5e-6, 3e-6, 5e-6], atol=1e-18)
 
 
 def test_pdv_incremental_accumulation():
     # independent oracle: sum the per-period rates over periods 1..15
-    w, _ = pdv_params_at(study_pdv_profile(), 15)
+    w = pdv_params_table(study_pdv_profile(), 16)[0][15]
     expected_b1 = 0.4 + sum(-11.6e-3 for _ in range(1, 16))
     assert expected_b1 == pytest.approx(0.226, abs=1e-12)
     assert w[0] == pytest.approx(expected_b1, rel=1e-12)
@@ -56,7 +57,7 @@ def test_pdv_incremental_accumulation():
 
 def test_pdv_stddev_floor_engages():
     # the first component of the reference schedule crosses zero in segment 3
-    _, s = pdv_params_at(study_pdv_profile(), 50)
+    s = pdv_params_table(study_pdv_profile(), 51)[1][50]
     assert s[0] == pytest.approx(1e-7)
 
 
@@ -67,7 +68,7 @@ def test_pdv_weight_tolerance_rejects():
         rate_schedule=(RateSegment(1, 100, (0.0, 0.0), (-0.02,)),),
     )
     with pytest.raises(ValueError, match="tolerance"):
-        pdv_params_at(prof, 60)
+        pdv_params_table(prof, 61)
 
 
 def test_pdv_simplex_property_randomized():
