@@ -40,9 +40,13 @@ class OracleNoiseTruth:
 
 @dataclass(frozen=True)
 class FusionBclbParams:
-    """Inputs of the fusion-bound recursion."""
+    """Inputs of the fusion-bound recursion.
 
-    alpha: Union[float, Sequence[float]]
+    alpha is one weight, a per-period (h,) sequence, or an (R, h) table
+    with one sequence per run.
+    """
+
+    alpha: Union[float, Sequence[float], np.ndarray]
     sigma_m_sq: float
     sigma_T_sq: float
 
@@ -52,11 +56,6 @@ class FusionBclbParams:
         if self.sigma_T_sq <= 0.0:
             raise ValueError("sigma_T_sq must be > 0")
 
-    def alpha_at(self, k: int) -> float:
-        if np.isscalar(self.alpha):
-            return float(self.alpha)
-        return float(self.alpha[k])
-
 
 def _mixture_data_term(weights: np.ndarray, stddevs: np.ndarray, tau: float) -> float:
     """Measurement information term tau^2 * (sum b/Lambda^3) / (sum b/Lambda)."""
@@ -65,6 +64,37 @@ def _mixture_data_term(weights: np.ndarray, stddevs: np.ndarray, tau: float) -> 
         raise ValueError("mixture stddevs must be > 0")
     b = np.asarray(weights, dtype=float)
     return tau**2 * float(np.sum(b / lam**3) / np.sum(b / lam))
+
+
+def _square(x):
+    """x ** 2 as Python's float power computes it, elementwise on arrays.
+
+    That power is libm's pow, which now and then rounds x * x the other
+    way; the batched bound keeps it so each run matches its one-run
+    recursion bit for bit.
+    """
+    if isinstance(x, np.ndarray):
+        return np.array([v**2 for v in x.tolist()])
+    return x**2
+
+
+def _linear_prior(j_prev: float, dyn: ClockDynamics) -> float:
+    s = dyn.sigma_u_sq
+    m = dyn.m
+    return 1.0 / s - (m / s) ** 2 / (j_prev + m * m / s)
+
+
+def _fusion_skew_info(j_prev, dyn: ClockDynamics, data: float, alpha_prev, alpha_now):
+    """Skew block of the fusion recursion; elementwise over (R,) arrays."""
+    s = dyn.sigma_u_sq
+    m = dyn.m
+    as_ = alpha_prev * s
+    return 1.0 / (alpha_prev * as_) - _square(m / as_) / (j_prev + m * m / s) + data / (alpha_now * alpha_now)
+
+
+def _fusion_temp_info(j_prev: float, params: FusionBclbParams) -> float:
+    sm = params.sigma_m_sq
+    return 1.0 / sm - (1.0 / sm) ** 2 / (j_prev + 1.0 / sm) + 1.0 / params.sigma_T_sq
 
 
 def fisher_step_linear(
@@ -77,10 +107,12 @@ def fisher_step_linear(
     """
     if j_prev <= 0.0:
         raise ValueError("J_prev must be > 0")
-    s = dyn.sigma_u_sq
-    m = dyn.m
-    prior = 1.0 / s - (m / s) ** 2 / (j_prev + m * m / s)
-    return prior + _mixture_data_term(weights, stddevs, dyn.tau)
+    return _linear_prior(j_prev, dyn) + _mixture_data_term(weights, stddevs, dyn.tau)
+
+
+def _check_alpha(alpha) -> None:
+    if not np.all((np.asarray(alpha) > 0.0) & (np.asarray(alpha) <= 1.0)):
+        raise ValueError("alpha weights must lie in (0, 1]")
 
 
 def fisher_step_fusion(
@@ -102,24 +134,15 @@ def fisher_step_fusion(
 
     which reduces to the linear-model recursion bit-for-bit at alpha = 1.
     """
-    if not (0.0 < alpha_prev <= 1.0 and 0.0 < alpha_now <= 1.0):
-        raise ValueError("alpha weights must lie in (0, 1]")
+    _check_alpha([alpha_prev, alpha_now])
     J = np.asarray(j_prev, dtype=float)
     if J.shape != (2, 2):
         raise ValueError("fusion Fisher matrix must be 2x2")
     if J[0, 0] <= 0.0 or J[1, 1] <= 0.0:
         raise ValueError("fusion Fisher matrix must have positive diagonal")
-    s = dyn.sigma_u_sq
-    m = dyn.m
-    sm = params.sigma_m_sq
-    as_ = alpha_prev * s
-    j_skew = (
-        1.0 / (alpha_prev * as_)
-        - (m / as_) ** 2 / (J[0, 0] + m * m / s)
-        + _mixture_data_term(weights, stddevs, dyn.tau) / (alpha_now * alpha_now)
-    )
-    j_temp = 1.0 / sm - (1.0 / sm) ** 2 / (J[1, 1] + 1.0 / sm) + 1.0 / params.sigma_T_sq
-    return np.diag([j_skew, j_temp])
+    data = _mixture_data_term(weights, stddevs, dyn.tau)
+    j_skew = _fusion_skew_info(J[0, 0], dyn, data, alpha_prev, alpha_now)
+    return np.diag([j_skew, _fusion_temp_info(J[1, 1], params)])
 
 
 def bclb_trajectory(
@@ -134,6 +157,8 @@ def bclb_trajectory(
     Information starts at 1/P0_skew at k = 0 (the prior variance is the
     period-0 bound); each later period applies the recursions with that
     period's oracle mixture. The fusion sequence is NaN when params is None.
+    With an (R, h) alpha the fusion bound is (R, h), one row per run, and
+    the linear bound, which no alpha enters, is computed once.
     """
     if p0_skew <= 0.0:
         raise ValueError("P0 skew variance must be > 0")
@@ -142,24 +167,25 @@ def bclb_trajectory(
         raise ValueError("horizon exceeds the oracle table")
     bclb_l = np.empty(h)
     bclb_f = np.full(h, np.nan)
+    if params is not None:
+        alpha = np.asarray(params.alpha, dtype=float)
+        alpha = np.full(h, float(alpha)) if alpha.ndim == 0 else alpha[..., :h]
+        _check_alpha(alpha)
+        bclb_f = np.empty(alpha.shape)
+        # per period: a Python float, or an (R,) array across runs
+        alpha = alpha.tolist() if alpha.ndim == 1 else list(alpha.T)
+        j_skew = 1.0 / p0_skew
+        j_temp = 1.0 / params.sigma_m_sq
 
     j_lin = 1.0 / p0_skew
-    if params is not None:
-        j_fus = np.diag([1.0 / p0_skew, 1.0 / params.sigma_m_sq])
     for k in range(h):
         if k > 0:
-            j_lin = fisher_step_linear(j_lin, dyn, oracle.weights[k], oracle.stddevs[k])
+            data = _mixture_data_term(oracle.weights[k], oracle.stddevs[k], dyn.tau)
+            j_lin = _linear_prior(j_lin, dyn) + data
             if params is not None:
-                j_fus = fisher_step_fusion(
-                    j_fus,
-                    dyn,
-                    oracle.weights[k],
-                    oracle.stddevs[k],
-                    params,
-                    params.alpha_at(k - 1),
-                    params.alpha_at(k),
-                )
+                j_skew = _fusion_skew_info(j_skew, dyn, data, alpha[k - 1], alpha[k])
+                j_temp = _fusion_temp_info(j_temp, params)
         bclb_l[k] = 1.0 / j_lin
         if params is not None:
-            bclb_f[k] = 1.0 / j_fus[0, 0]
+            bclb_f[..., k] = 1.0 / j_skew
     return bclb_l, bclb_f

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -27,24 +27,28 @@ FUSION_STUDY_COLUMNS = [
 BCLB_COLUMNS = ["k", "bclb_L", "bclb_F"]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, str):
-        return value
-    return repr(float(value))
+def emit_csv(rows: Iterable[Sequence], columns: Sequence[str], path) -> Path:
+    """Write rows under a fixed header; returns the written path.
 
-
-def emit_csv(rows: Sequence[Sequence], columns: Sequence[str], path) -> Path:
-    """Write rows under a fixed header; returns the written path."""
+    Cells must be plain str, int or float (the csv module writes a float's
+    repr); the first row is checked, so a producer that hands over numpy
+    scalars fails instead of writing their text.
+    """
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        for name, value in zip(columns, first):
+            if type(value) not in (str, int, float):
+                raise TypeError(f"CSV column {name!r} holds a {type(value).__name__}, expected str, int or float")
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            if first is not None:
+                writer.writerow(first)
+                writer.writerows(rows)
     except OSError as exc:
         raise OSError(f"failed writing CSV to {out}: {exc}") from exc
     return out

@@ -29,7 +29,7 @@ from .netcomm import (
     isotropic_mixture_model,
     nominal_noise_cov,
 )
-from .scenario import ExchangeBatch, generate_scenario, pdv_params_table, record_stamps
+from .scenario import ExchangeBatch, generate_scenario, pdv_params_table
 from .thermal import skew_from_temperature
 
 if TYPE_CHECKING:
@@ -235,8 +235,9 @@ ESTIMATORS = {
 
 def case_bounds(cfg: RunConfig, alpha) -> tuple[np.ndarray, np.ndarray]:
     """(BCLB_linear, BCLB_fusion) over the horizon under the configured PDV
-    profile, for a fixed weight or a per-period alpha sequence. Nothing here
-    depends on a run's draws, so a fixed alpha gives one bound per case.
+    profile, for a fixed weight, a per-period alpha sequence or an (R, h)
+    table of per-run sequences (then the fusion bound is (R, h)). Nothing
+    else depends on a run's draws, so a fixed alpha gives one bound per case.
 
     The fusion bound needs a noisy temperature sensor (temp_model.sigma_T_sq
     > 0); without one it is NaN, in every command.
@@ -264,7 +265,7 @@ def simulate_run(cfg: RunConfig, runs: Sequence[int]) -> Trajectories:
         data = generate_scenario(cfg.scenario, _run_rng(cfg.master_seed, r))
         truth["theta_true"][i], truth["delta_true"][i] = data.skew_true, data.offset_true
         truth["temp_osc"][i], truth["temp_meas"][i] = data.temp_osc, data.temp_meas
-        stamps[i] = record_stamps(data.records)
+        stamps[i] = data.stamps
         d[i] = data.link.d
     ex = ExchangeBatch.from_stamps(stamps)
     z = np.full((n, h, 2), np.nan)
@@ -281,9 +282,8 @@ def simulate_run(cfg: RunConfig, runs: Sequence[int]) -> Trajectories:
     if cfg.scenario.empirical is None:
         # alpha stays NaN unless the fused pipeline produced weights
         if cfg.bclb.alpha_mode == "runtime" and not np.all(np.isnan(columns["alpha"])):
-            for i in range(n):
-                alpha = np.clip(np.nan_to_num(columns["alpha"][i], nan=1.0), 1e-12, 1.0)
-                bclb_l[i], bclb_f[i] = case_bounds(cfg, alpha)
+            alpha = np.clip(np.nan_to_num(columns["alpha"], nan=1.0), 1e-12, 1.0)
+            bclb_l[:], bclb_f[:] = case_bounds(cfg, alpha)
         else:
             bclb_l[:], bclb_f[:] = case_bounds(cfg, cfg.bclb.alpha_value)
     return Trajectories(
@@ -387,7 +387,8 @@ def fusion_study(cfg: RunConfig) -> tuple[FusionStudyResult, Trajectories]:
 def fusion_study_rows(result: FusionStudyResult):
     """Fusion-study CSV rows, one per period."""
     r = result
-    return zip(range(r.horizon), r.rmse_single1, r.rmse_single2, r.rmse_fusion, r.bclb_single, r.bclb_fusion)
+    columns = (r.rmse_single1, r.rmse_single2, r.rmse_fusion, r.bclb_single, r.bclb_fusion)
+    return zip(range(r.horizon), *(c.tolist() for c in columns))
 
 
 def bclb_rows(cfg: RunConfig) -> list[tuple]:
@@ -395,4 +396,4 @@ def bclb_rows(cfg: RunConfig) -> list[tuple]:
     if cfg.bclb.alpha_mode == "runtime":
         raise ValueError("bclb subcommand needs a fixed alpha (set bclb.alpha_mode='fixed')")
     bclb_l, bclb_f = case_bounds(cfg, cfg.bclb.alpha_value)
-    return [(k, bclb_l[k], bclb_f[k]) for k in range(len(bclb_l))]
+    return list(zip(range(len(bclb_l)), bclb_l.tolist(), bclb_f.tolist()))

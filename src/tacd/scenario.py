@@ -138,15 +138,27 @@ def sample_measurement_noise(
     zero-mean with covariance stddevs[j]^2 * [[1, 0.5], [0.5, 1]]. With
     `size` given, returns (size, 2) i.i.d. draws.
     """
+    u = rng.random(size)
+    pairs = rng.standard_normal((2,) if size is None else (size, 2))
+    return _mixture_noise(weights, stddevs, u, pairs)
+
+
+def _mixture_noise(weights, stddevs, u, z) -> np.ndarray:
+    """Noise vectors from uniform draws u and standard-normal pairs z (..., 2).
+
+    u is a scalar or (n,); weights/stddevs are one mixture (N_g,) shared by
+    every draw or one row per draw (n, N_g). The uniform picks the
+    component; the pair is scaled by its stddev and by the Cholesky factor
+    of the correlation.
+    """
     w = np.asarray(weights, dtype=float)
     s = np.asarray(stddevs, dtype=float)
-    if size is None:
-        j = int(np.searchsorted(np.cumsum(w), rng.random() * w.sum(), side="right"))
-        j = min(j, len(w) - 1)
-        return s[j] * (_NOISE_CORR_CHOL @ rng.standard_normal(2))
-    comps = np.searchsorted(np.cumsum(w), rng.random(size) * w.sum(), side="right")
-    comps = np.minimum(comps, len(w) - 1)
-    return s[comps, None] * (rng.standard_normal((size, 2)) @ _NOISE_CORR_CHOL.T)
+    x = np.asarray(u) * w.sum(axis=-1)
+    # searchsorted(cumsum(w), x, side="right") row by row; the cumsum is sorted
+    j = np.minimum((np.cumsum(w, axis=-1) <= x[..., None]).sum(axis=-1), w.shape[-1] - 1)
+    sig = s[j] if s.ndim == 1 else s[np.arange(s.shape[0]), j]
+    # stacked matrix-vector products: the same BLAS call as L @ z for one pair
+    return sig[..., None] * np.matmul(_NOISE_CORR_CHOL, np.asarray(z, dtype=float)[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -204,6 +216,17 @@ def temperature_at(
 ) -> float:
     """External temperature at period k (degC); colored-noise segments draw from rng."""
     seg = profile._segment_at(k)
+    if seg.kind != "colored-noise":
+        return _segment_temperature(seg, k)
+    if rng is None:
+        raise ValueError("colored-noise segment requires an rng")
+    return _segment_temperature(seg, k, rng.standard_normal())
+
+
+def _segment_temperature(seg: ThermalSegment, k, normal=None):
+    """One segment's external temperature at period(s) k (an int or an int
+    array); a colored-noise segment also takes one standard-normal draw per
+    period."""
     p = seg.params
     if seg.kind == "constant":
         return float(p.get("value", 30.0))
@@ -213,13 +236,13 @@ def temperature_at(
         offset = p.get("offset", 40.0)
         return amp * np.sin(2.0 * k + np.pi) - quad * (2.0 * k + 2.0) ** 2 + offset
     if seg.kind == "colored-noise":
-        if rng is None:
-            raise ValueError("colored-noise segment requires an rng")
         mean = p.get("mean", 20.0)
         var = p.get("var_base", 0.02) + (k - p.get("var_ref_k", 30.0)) * p.get("var_slope", 1e-2)
-        if var <= 0.0:
-            raise ValueError(f"colored-noise variance is non-positive ({var}) at period {k}")
-        return mean + rng.standard_normal() * np.sqrt(var)
+        bad = np.flatnonzero(np.ravel(var) <= 0.0)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"colored-noise variance is non-positive ({np.ravel(var)[i]}) at period {np.ravel(k)[i]}")
+        return mean + normal * np.sqrt(var)
     # first-order
     return p.get("slope", 1.0) * k + p.get("intercept", -30.0)
 
@@ -281,11 +304,6 @@ class ExchangeBatch:
                              self.period_index[:, sl])
 
 
-def record_stamps(records: Sequence[ExchangeRecord]) -> list[tuple[float, ...]]:
-    """One run's records as (t1, t2, t3, t4, k) rows, for ExchangeBatch.from_stamps."""
-    return [(r.t1, r.t2, r.t3, r.t4, r.period_index) for r in records]
-
-
 def simulate_exchange(
     truth: ClockParams,
     link: LinkConfig,
@@ -302,13 +320,19 @@ def simulate_exchange(
     period). w1, w2 are the random one-way delay parts; in synthetic mode
     they are deviations from the fixed part and may be negative.
     """
+    t1, t2, t3, t4 = _exchange_times(truth.offset, link, w1, w2, k, tau, turnaround)
+    return ExchangeRecord(t1=t1, t2=t2, t3=t3, t4=t4, period_index=k)
+
+
+def _exchange_times(offset, link: LinkConfig, w1, w2, k, tau: float, turnaround: Optional[float] = None):
+    """(t1, t2, t3, t4) of simulate_exchange, elementwise over arrays of periods."""
     if turnaround is None:
         turnaround = tau / 100.0
     t1 = k * tau
     t4 = t1 + turnaround
-    t2 = t1 + link.d1 + w1 + truth.offset
-    t3 = t4 - link.d2 - w2 + truth.offset
-    return ExchangeRecord(t1=t1, t2=t2, t3=t3, t4=t4, period_index=k)
+    t2 = t1 + link.d1 + w1 + offset
+    t3 = t4 - link.d2 - w2 + offset
+    return t1, t2, t3, t4
 
 
 class EmpiricalDelayTable:
@@ -421,100 +445,121 @@ class ScenarioConfig:
 
 @dataclass
 class ScenarioData:
-    """One run's ground truth: per-period states, temperatures, and exchanges."""
+    """One run's ground truth: per-period states, temperatures, and exchanges.
 
-    tau: float
+    stamps is (h, 5): each period's (t1, t2, t3, t4, k), the layout of
+    ExchangeBatch.from_stamps.
+    """
+
     skew_true: np.ndarray
     offset_true: np.ndarray
-    temp_ext: np.ndarray
     temp_osc: np.ndarray
     temp_meas: np.ndarray
-    records: list[ExchangeRecord]
+    stamps: np.ndarray
     link: LinkConfig
-    pdv_weights: Optional[np.ndarray]
-    pdv_stddevs: Optional[np.ndarray]
 
     @property
     def horizon(self) -> int:
-        return len(self.records)
+        return self.stamps.shape[0]
+
+    @functools.cached_property
+    def records(self) -> list[ExchangeRecord]:
+        return [ExchangeRecord(t1, t2, t3, t4, int(k)) for t1, t2, t3, t4, k in self.stamps.tolist()]
 
 
 def generate_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> ScenarioData:
     """Generate one seeded run: truth trajectories plus exchange records.
 
-    The per-period draw order is fixed (skew residual, mixture component and
-    noise vector or empirical delays, external temperature, sensor noise) so
-    a given (config, seed) reproduces bit-identical records.
+    The draw order is fixed, period by period: skew residual, then the
+    mixture component and noise pair (or the two empirical delay indices),
+    the colored-noise temperature where a segment has one, the sensor noise.
+    The period loop makes only these draws; consecutive normal draws share
+    one call (a period's pair, colored draw and sensor draw with the next
+    period's residual), which consumes the stream exactly as one call each.
+    Everything else is computed on whole arrays afterwards, so a given
+    (config, seed) reproduces bit-identical records.
     """
     h = cfg.horizon
     model = cfg.temp_model
     truth = cfg.truth
+    ks = np.arange(h)
 
+    colored = np.zeros(h, dtype=bool)
+    for seg in cfg.thermal.segments:
+        if seg.kind == "colored-noise":
+            colored[max(seg.start, 0) : seg.end + 1] = True
+
+    # positions of each period's normal draws in the flat stream
+    pair = 2 if cfg.empirical is None else 0
+    counts = pair + colored + 2
+    counts[-1] -= 1  # no residual after the last period
+    start = np.cumsum(counts) + 1 - counts
+    sensor = start + pair + colored
+
+    normals = np.empty(counts.sum() + 1)
+    normals[0] = rng.standard_normal()
+    period_draws = [normals[a:b] for a, b in zip(start.tolist(), (start + counts).tolist())]
+    picks = []
     if cfg.empirical is not None:
         src = cfg.empirical
         fwd = src.table.samples(*src.forward_cell)
         rev = src.table.samples(*src.reverse_cell)
         link = LinkConfig(d1=float(fwd[0]), d2=float(rev[0]))
-        weights_tbl = stddevs_tbl = None
+        for out in period_draws:
+            picks.append(rng.integers(len(fwd)))
+            picks.append(rng.integers(len(rev)))
+            rng.standard_normal(out=out)
+        picks = np.array(picks).reshape(h, 2)
+        w1 = fwd[picks[:, 0]] - link.d1
+        w2 = rev[picks[:, 1]] - link.d2
     else:
         link = cfg.link
-        weights_tbl, stddevs_tbl = pdv_params_table(cfg.pdv, h)
+        for out in period_draws:
+            picks.append(rng.random())
+            rng.standard_normal(out=out)
+        weights, stddevs = pdv_params_table(cfg.pdv, h)
+        noise = _mixture_noise(weights, stddevs, np.array(picks), normals[start[:, None] + [0, 1]])
+        w1 = np.cumsum(np.append(0.0, noise[1:, 0]))
+        w2 = w1 - noise[:, 1]
 
-    skew = np.empty(h)
-    offset = np.empty(h)
+    # Gauss-Markov skew residual
+    u = normals[np.append(0, sensor[:-1] + 1)] * np.sqrt(truth.process_noise_sq)
+    gamma = [truth.initial_skew_residual]
+    for u_k in u[1:].tolist():
+        gamma.append(cfg.gm_coefficient * gamma[-1] + u_k)
+    gamma = np.array(gamma, dtype=float)
+
     t_ext = np.empty(h)
-    t_osc = np.empty(h)
-    t_meas = np.empty(h)
-    records: list[ExchangeRecord] = []
+    for seg in cfg.thermal.segments:
+        sl = slice(max(seg.start, 0), min(seg.end, h - 1) + 1)
+        draws = normals[sensor[sl] - 1] if seg.kind == "colored-noise" else None
+        t_ext[sl] = _segment_temperature(seg, ks[sl], draws)
+    # Newton cooling, one oscillator_temp_step per period
+    decay = float(np.exp(-1.0 / cfg.thermal.cooling_constant))
+    t_osc = [float(cfg.thermal.initial_oscillator_temp)]
+    for e in t_ext[1:].tolist():
+        t_osc.append(e + (t_osc[-1] - e) * decay)
+    t_osc = np.array(t_osc)
+    t_meas = t_osc + normals[sensor] * np.sqrt(model.sigma_T_sq)
 
-    sig_u = np.sqrt(truth.process_noise_sq)
-    sig_T = np.sqrt(model.sigma_T_sq)
-    gamma = truth.initial_skew_residual
-    w1_prev = 0.0
+    if truth.thermal_coupling:
+        dT = t_osc - model.T0
+        skew = model.theta0 + model.kappa * dT * dT + gamma
+    else:
+        skew = gamma
+    bad = np.flatnonzero(~(np.abs(skew) < 1.0))
+    if bad.size:
+        raise ValueError(f"skew must satisfy |skew| < 1, got {skew[bad[0]]}")
+    offset = np.cumsum(np.append(truth.initial_offset, cfg.tau * skew[1:]))
 
-    for k in range(h):
-        u_k = rng.standard_normal() * sig_u
-        if k > 0:
-            gamma = cfg.gm_coefficient * gamma + u_k
-
-        if cfg.empirical is not None:
-            w1 = float(fwd[rng.integers(len(fwd))]) - link.d1
-            w2 = float(rev[rng.integers(len(rev))]) - link.d2
-        else:
-            n_k = sample_measurement_noise(weights_tbl[k], stddevs_tbl[k], rng)
-            w1 = w1_prev + n_k[0] if k > 0 else 0.0
-            w2 = w1 - n_k[1]
-        w1_prev = w1
-
-        t_ext[k] = temperature_at(cfg.thermal, k, rng)
-        if k == 0:
-            t_osc[k] = cfg.thermal.initial_oscillator_temp
-        else:
-            t_osc[k] = oscillator_temp_step(t_osc[k - 1], t_ext[k], cfg.thermal.cooling_constant)
-        t_meas[k] = t_osc[k] + rng.standard_normal() * sig_T
-
-        if truth.thermal_coupling:
-            dT = t_osc[k] - model.T0
-            skew[k] = model.theta0 + model.kappa * dT * dT + gamma
-        else:
-            skew[k] = gamma
-        offset[k] = truth.initial_offset if k == 0 else offset[k - 1] + cfg.tau * skew[k]
-
-        records.append(
-            simulate_exchange(
-                ClockParams(skew=skew[k], offset=offset[k]), link, w1, w2, k, cfg.tau
-            )
-        )
-
+    t1, t2, t3, t4 = _exchange_times(offset, link, w1, w2, ks, cfg.tau)
+    if not np.all(t4 > t1):
+        raise ValueError("t4 must follow t1 on the local timeline")
     return ScenarioData(
-        tau=cfg.tau,
         skew_true=skew,
         offset_true=offset,
-        temp_ext=t_ext,
         temp_osc=t_osc,
         temp_meas=t_meas,
-        records=records,
+        stamps=np.stack([t1, t2, t3, t4, ks.astype(float)], axis=1),
         link=link,
-        pdv_weights=weights_tbl,
-        pdv_stddevs=stddevs_tbl,
     )

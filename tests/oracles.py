@@ -1,9 +1,13 @@
 """Independent numerical oracles shared by the unit and acceptance suites."""
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.special import digamma
+
+from tacd.bclb import FusionBclbParams, OracleNoiseTruth
+from tacd.clock import ClockDynamics, ClockParams
+from tacd.scenario import ExchangeRecord, LinkConfig, ScenarioConfig, ThermalProfile, pdv_params_table
 
 
 def random_fusion_tuples(n, rng):
@@ -281,3 +285,309 @@ class ScalarGsfVbFilter:
         mean = self.belief.mean.copy()
         mean[0] = skew
         self.belief = replace(self.belief, mean=mean)
+
+
+# Scenario generation as it was before the draw loop kept only the RNG
+# draws (one period at a time, every helper called per period), copied
+# verbatim with the scalar helpers it called, so the array form can be
+# checked against it bit for bit.
+_NOISE_CORR_CHOL = np.linalg.cholesky(np.array([[1.0, 0.5], [0.5, 1.0]]))
+
+
+def sample_measurement_noise(
+    weights: Sequence[float],
+    stddevs: Sequence[float],
+    rng: np.random.Generator,
+    size: Optional[int] = None,
+) -> np.ndarray:
+    """Draw the two-component measurement noise vector from the mixture.
+
+    A component j is selected with probability weights[j]; the vector is
+    zero-mean with covariance stddevs[j]^2 * [[1, 0.5], [0.5, 1]]. With
+    `size` given, returns (size, 2) i.i.d. draws.
+    """
+    w = np.asarray(weights, dtype=float)
+    s = np.asarray(stddevs, dtype=float)
+    if size is None:
+        j = int(np.searchsorted(np.cumsum(w), rng.random() * w.sum(), side="right"))
+        j = min(j, len(w) - 1)
+        return s[j] * (_NOISE_CORR_CHOL @ rng.standard_normal(2))
+    comps = np.searchsorted(np.cumsum(w), rng.random(size) * w.sum(), side="right")
+    comps = np.minimum(comps, len(w) - 1)
+    return s[comps, None] * (rng.standard_normal((size, 2)) @ _NOISE_CORR_CHOL.T)
+
+
+def temperature_at(
+    profile: ThermalProfile, k: int, rng: Optional[np.random.Generator] = None
+) -> float:
+    """External temperature at period k (degC); colored-noise segments draw from rng."""
+    seg = profile._segment_at(k)
+    p = seg.params
+    if seg.kind == "constant":
+        return float(p.get("value", 30.0))
+    if seg.kind == "multimodal":
+        amp = p.get("amp", 1.1)
+        quad = p.get("quad", 0.005)
+        offset = p.get("offset", 40.0)
+        return amp * np.sin(2.0 * k + np.pi) - quad * (2.0 * k + 2.0) ** 2 + offset
+    if seg.kind == "colored-noise":
+        if rng is None:
+            raise ValueError("colored-noise segment requires an rng")
+        mean = p.get("mean", 20.0)
+        var = p.get("var_base", 0.02) + (k - p.get("var_ref_k", 30.0)) * p.get("var_slope", 1e-2)
+        if var <= 0.0:
+            raise ValueError(f"colored-noise variance is non-positive ({var}) at period {k}")
+        return mean + rng.standard_normal() * np.sqrt(var)
+    # first-order
+    return p.get("slope", 1.0) * k + p.get("intercept", -30.0)
+
+
+def oscillator_temp_step(t_osc_prev: float, t_ext_now: float, cooling_constant: float, dt: float = 1.0) -> float:
+    """Newton cooling relaxation of the oscillator temperature toward ambient."""
+    if cooling_constant <= 0.0:
+        raise ValueError("cooling_constant must be > 0")
+    return t_ext_now + (t_osc_prev - t_ext_now) * np.exp(-dt / cooling_constant)
+
+
+def simulate_exchange(
+    truth: ClockParams,
+    link: LinkConfig,
+    w1: float,
+    w2: float,
+    k: int,
+    tau: float,
+    turnaround: Optional[float] = None,
+) -> ExchangeRecord:
+    """Build the period-k exchange timestamps.
+
+    t1 and t4 sit on the local timeline at k*tau and k*tau + turnaround
+    (default tau/100, small enough that the offset is constant within the
+    period). w1, w2 are the random one-way delay parts; in synthetic mode
+    they are deviations from the fixed part and may be negative.
+    """
+    if turnaround is None:
+        turnaround = tau / 100.0
+    t1 = k * tau
+    t4 = t1 + turnaround
+    t2 = t1 + link.d1 + w1 + truth.offset
+    t3 = t4 - link.d2 - w2 + truth.offset
+    return ExchangeRecord(t1=t1, t2=t2, t3=t3, t4=t4, period_index=k)
+
+
+@dataclass
+class ScenarioData:
+    """One run's ground truth: per-period states, temperatures, and exchanges."""
+
+    tau: float
+    skew_true: np.ndarray
+    offset_true: np.ndarray
+    temp_ext: np.ndarray
+    temp_osc: np.ndarray
+    temp_meas: np.ndarray
+    records: list[ExchangeRecord]
+    link: LinkConfig
+    pdv_weights: Optional[np.ndarray]
+    pdv_stddevs: Optional[np.ndarray]
+
+    @property
+    def horizon(self) -> int:
+        return len(self.records)
+
+
+def generate_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> ScenarioData:
+    """Generate one seeded run: truth trajectories plus exchange records.
+
+    The per-period draw order is fixed (skew residual, mixture component and
+    noise vector or empirical delays, external temperature, sensor noise) so
+    a given (config, seed) reproduces bit-identical records.
+    """
+    h = cfg.horizon
+    model = cfg.temp_model
+    truth = cfg.truth
+
+    if cfg.empirical is not None:
+        src = cfg.empirical
+        fwd = src.table.samples(*src.forward_cell)
+        rev = src.table.samples(*src.reverse_cell)
+        link = LinkConfig(d1=float(fwd[0]), d2=float(rev[0]))
+        weights_tbl = stddevs_tbl = None
+    else:
+        link = cfg.link
+        weights_tbl, stddevs_tbl = pdv_params_table(cfg.pdv, h)
+
+    skew = np.empty(h)
+    offset = np.empty(h)
+    t_ext = np.empty(h)
+    t_osc = np.empty(h)
+    t_meas = np.empty(h)
+    records: list[ExchangeRecord] = []
+
+    sig_u = np.sqrt(truth.process_noise_sq)
+    sig_T = np.sqrt(model.sigma_T_sq)
+    gamma = truth.initial_skew_residual
+    w1_prev = 0.0
+
+    for k in range(h):
+        u_k = rng.standard_normal() * sig_u
+        if k > 0:
+            gamma = cfg.gm_coefficient * gamma + u_k
+
+        if cfg.empirical is not None:
+            w1 = float(fwd[rng.integers(len(fwd))]) - link.d1
+            w2 = float(rev[rng.integers(len(rev))]) - link.d2
+        else:
+            n_k = sample_measurement_noise(weights_tbl[k], stddevs_tbl[k], rng)
+            w1 = w1_prev + n_k[0] if k > 0 else 0.0
+            w2 = w1 - n_k[1]
+        w1_prev = w1
+
+        t_ext[k] = temperature_at(cfg.thermal, k, rng)
+        if k == 0:
+            t_osc[k] = cfg.thermal.initial_oscillator_temp
+        else:
+            t_osc[k] = oscillator_temp_step(t_osc[k - 1], t_ext[k], cfg.thermal.cooling_constant)
+        t_meas[k] = t_osc[k] + rng.standard_normal() * sig_T
+
+        if truth.thermal_coupling:
+            dT = t_osc[k] - model.T0
+            skew[k] = model.theta0 + model.kappa * dT * dT + gamma
+        else:
+            skew[k] = gamma
+        offset[k] = truth.initial_offset if k == 0 else offset[k - 1] + cfg.tau * skew[k]
+
+        records.append(
+            simulate_exchange(
+                ClockParams(skew=skew[k], offset=offset[k]), link, w1, w2, k, cfg.tau
+            )
+        )
+
+    return ScenarioData(
+        tau=cfg.tau,
+        skew_true=skew,
+        offset_true=offset,
+        temp_ext=t_ext,
+        temp_osc=t_osc,
+        temp_meas=t_meas,
+        records=records,
+        link=link,
+        pdv_weights=weights_tbl,
+        pdv_stddevs=stddevs_tbl,
+    )
+
+
+# The Fisher-bound recursions as they were before the fusion bound took an
+# (R, h) alpha: one run per call, FusionBclbParams.alpha_at inlined as
+# _alpha_at, otherwise verbatim.
+
+
+def _alpha_at(params, k: int) -> float:
+    if np.isscalar(params.alpha):
+        return float(params.alpha)
+    return float(params.alpha[k])
+
+
+def _mixture_data_term(weights: np.ndarray, stddevs: np.ndarray, tau: float) -> float:
+    """Measurement information term tau^2 * (sum b/Lambda^3) / (sum b/Lambda)."""
+    lam = np.asarray(stddevs, dtype=float)
+    if np.any(lam <= 0.0):
+        raise ValueError("mixture stddevs must be > 0")
+    b = np.asarray(weights, dtype=float)
+    return tau**2 * float(np.sum(b / lam**3) / np.sum(b / lam))
+
+
+def fisher_step_linear(
+    j_prev: float, dyn: ClockDynamics, weights: np.ndarray, stddevs: np.ndarray
+) -> float:
+    """One step of the linear-model skew Fisher recursion.
+
+    J_k = 1/sigma_u^2 - (m/sigma_u^2)(J_{k-1} + m^2/sigma_u^2)^{-1}(m/sigma_u^2)
+          + tau^2 (sum b/Lambda^3)/(sum b/Lambda)
+    """
+    if j_prev <= 0.0:
+        raise ValueError("J_prev must be > 0")
+    s = dyn.sigma_u_sq
+    m = dyn.m
+    prior = 1.0 / s - (m / s) ** 2 / (j_prev + m * m / s)
+    return prior + _mixture_data_term(weights, stddevs, dyn.tau)
+
+
+def fisher_step_fusion(
+    j_prev: np.ndarray,
+    dyn: ClockDynamics,
+    weights: np.ndarray,
+    stddevs: np.ndarray,
+    params: FusionBclbParams,
+    alpha_prev: float,
+    alpha_now: float,
+) -> np.ndarray:
+    """One step of the fusion-model Fisher recursion on the 2x2 (skew, temp) state.
+
+    Every Fisher component is diagonal and the recursion preserves
+    diagonality, so the two blocks propagate independently. The skew block is
+
+    J = 1/(a_{k-1}^2 s) - (m/(a_{k-1} s))(J + m^2/s)^{-1}(m/(a_{k-1} s))
+        + tau^2 (sum b/L^3)/(a_k^2 sum b/L)
+
+    which reduces to the linear-model recursion bit-for-bit at alpha = 1.
+    """
+    if not (0.0 < alpha_prev <= 1.0 and 0.0 < alpha_now <= 1.0):
+        raise ValueError("alpha weights must lie in (0, 1]")
+    J = np.asarray(j_prev, dtype=float)
+    if J.shape != (2, 2):
+        raise ValueError("fusion Fisher matrix must be 2x2")
+    if J[0, 0] <= 0.0 or J[1, 1] <= 0.0:
+        raise ValueError("fusion Fisher matrix must have positive diagonal")
+    s = dyn.sigma_u_sq
+    m = dyn.m
+    sm = params.sigma_m_sq
+    as_ = alpha_prev * s
+    j_skew = (
+        1.0 / (alpha_prev * as_)
+        - (m / as_) ** 2 / (J[0, 0] + m * m / s)
+        + _mixture_data_term(weights, stddevs, dyn.tau) / (alpha_now * alpha_now)
+    )
+    j_temp = 1.0 / sm - (1.0 / sm) ** 2 / (J[1, 1] + 1.0 / sm) + 1.0 / params.sigma_T_sq
+    return np.diag([j_skew, j_temp])
+
+
+def bclb_trajectory(
+    oracle: OracleNoiseTruth,
+    dyn: ClockDynamics,
+    params: Optional[FusionBclbParams],
+    p0_skew: float,
+    horizon: Optional[int] = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-period (BCLB_linear, BCLB_fusion) sequences of length horizon.
+
+    Information starts at 1/P0_skew at k = 0 (the prior variance is the
+    period-0 bound); each later period applies the recursions with that
+    period's oracle mixture. The fusion sequence is NaN when params is None.
+    """
+    if p0_skew <= 0.0:
+        raise ValueError("P0 skew variance must be > 0")
+    h = oracle.horizon if horizon is None else horizon
+    if h > oracle.horizon:
+        raise ValueError("horizon exceeds the oracle table")
+    bclb_l = np.empty(h)
+    bclb_f = np.full(h, np.nan)
+
+    j_lin = 1.0 / p0_skew
+    if params is not None:
+        j_fus = np.diag([1.0 / p0_skew, 1.0 / params.sigma_m_sq])
+    for k in range(h):
+        if k > 0:
+            j_lin = fisher_step_linear(j_lin, dyn, oracle.weights[k], oracle.stddevs[k])
+            if params is not None:
+                j_fus = fisher_step_fusion(
+                    j_fus,
+                    dyn,
+                    oracle.weights[k],
+                    oracle.stddevs[k],
+                    params,
+                    _alpha_at(params, k - 1),
+                    _alpha_at(params, k),
+                )
+        bclb_l[k] = 1.0 / j_lin
+        if params is not None:
+            bclb_f[k] = 1.0 / j_fus[0, 0]
+    return bclb_l, bclb_f

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
+from tacd.bclb import FusionBclbParams, OracleNoiseTruth
 from tacd.cli import main as cli_main
 from tacd.clock import build_state_space
 from tacd.config import load_config, parse_config
@@ -20,8 +21,8 @@ from tacd.netcomm import (
     vb_refine,
 )
 from tacd.report import load_csv_columns
-from tacd.runner import Trajectories, simulate_run
-from tacd.scenario import ExchangeBatch, generate_scenario, record_stamps
+from tacd.runner import Trajectories, case_bounds, simulate_run
+from tacd.scenario import ExchangeBatch, generate_scenario, pdv_params_table
 
 SHIPPED = ("case1", "case2", "case3", "fusion_study")
 
@@ -30,7 +31,7 @@ def _measurements(cfg, seeds) -> np.ndarray:
     stamps, d = [], []
     for seed in seeds:
         data = generate_scenario(cfg.scenario, np.random.default_rng(seed))
-        stamps.append(record_stamps(data.records))
+        stamps.append(data.stamps)
         d.append(data.link.d)
     ex = ExchangeBatch.from_stamps(np.array(stamps, dtype=float))
     return build_measurement(ex.periods(slice(1, None)), ex.periods(slice(None, -1)), np.array(d)[:, None])
@@ -150,6 +151,32 @@ def test_batch_split_invariance(case, alpha_mode):
     uneven = _trajectory_arrays(Trajectories.concat([simulate_run(cfg, range(2)), simulate_run(cfg, range(2, n))]))
     assert _same(whole, singles)
     assert _same(whole, uneven)
+
+
+def test_runtime_alpha_bound_matches_per_run_recursion():
+    # the bound of a batch with runtime alpha is computed once over an (R, h)
+    # alpha; each run's row must be the one-run recursion's, bit for bit
+    doc = json.loads(open("configs/fusion_study.json", encoding="utf-8").read())
+    doc["bclb"]["alpha_mode"] = "runtime"
+    cfg = parse_config(doc)
+    trajs = simulate_run(cfg, range(12))
+    weights, stddevs = pdv_params_table(cfg.scenario.pdv, cfg.scenario.horizon)
+    oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs, tau=cfg.scenario.tau)
+
+    def one_run(alpha):
+        params = FusionBclbParams(alpha=alpha, sigma_m_sq=cfg.bclb.sigma_m_sq, sigma_T_sq=cfg.temp_model.sigma_T_sq)
+        return oracles.bclb_trajectory(oracle, cfg.dynamics, params, cfg.netcomm_init.p0_diag[0])
+
+    assert not np.all(trajs.alpha == trajs.alpha[0])  # the runs' weights differ
+    for i in range(len(trajs.runs)):
+        bclb_l, bclb_f = one_run(np.clip(np.nan_to_num(trajs.alpha[i], nan=1.0), 1e-12, 1.0))
+        assert np.array_equal(trajs.bclb_L[i].view(np.uint64), bclb_l.view(np.uint64)), i
+        assert np.array_equal(trajs.bclb_F[i].view(np.uint64), bclb_f.view(np.uint64)), i
+    # one alpha sequence and one fixed weight take the same recursion
+    mean_alpha = np.clip(np.mean(trajs.alpha, axis=0), 1e-12, 1.0)
+    for alpha in (mean_alpha, cfg.bclb.alpha_value):
+        for new, old in zip(case_bounds(cfg, alpha), one_run(alpha)):
+            assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
 
 
 def _run_cli(tmp_path, doc, sub, tag):

@@ -16,8 +16,10 @@ from tacd.report import (
 )
 from tacd.runner import (
     Trajectories,
+    bclb_rows,
     evaluate_rmse,
     fusion_study,
+    fusion_study_rows,
     run_case,
     simulate_run,
     trajectory_rows,
@@ -189,6 +191,27 @@ def test_emit_csv_single_summary_row(tmp_path):
     lines = p.read_text().strip().split("\n")
     assert len(lines) == 2
     assert lines[1].startswith("tacd,")
+
+
+def test_emit_csv_rejects_numpy_scalars(tmp_path):
+    with pytest.raises(TypeError, match="'skew_rmse'.*float64"):
+        emit_csv([("tacd", np.float64(1e-7), 2e-6)], SUMMARY_COLUMNS, tmp_path / "s.csv")
+    with pytest.raises(TypeError, match="'k'.*int64"):
+        emit_csv([(np.int64(0), 1.0)], ["k", "value"], tmp_path / "k.csv")
+
+
+def test_row_producers_yield_plain_cells():
+    cfg = parse_config(_doc(runs=3))
+    result, trajs = fusion_study(cfg)
+    producers = {
+        "trajectory_rows": trajectory_rows(trajs),
+        "fusion_study_rows": fusion_study_rows(result),
+        "bclb_rows": bclb_rows(cfg),
+        "RmseSummary.rows": evaluate_rmse(trajs, cfg.steady_window).rows,
+    }
+    for name, rows in producers.items():
+        types = {type(cell) for row in rows for cell in row}
+        assert types and types <= {str, int, float}, (name, types)
 
 
 def test_svg_flat_series(tmp_path):

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,6 @@ from tacd.scenario import (
     ScenarioConfig,
     TruthOptions,
     generate_scenario,
-    record_stamps,
     simulate_exchange,
 )
 from tacd.thermal import TempSkewModel
@@ -100,7 +101,7 @@ def test_measurement_rejects_non_consecutive():
     with pytest.raises(ValueError, match="consecutive"):
         build_measurement(b, a, 0.0)
     # a gap in one run of a batch is reported with that run's periods
-    stamps = np.array([record_stamps([a, _rec(1.0, 1.0, 1.02, 1.02, 1)]), record_stamps([a, b])], dtype=float)
+    stamps = np.array([[astuple(a), astuple(_rec(1.0, 1.0, 1.02, 1.02, 1))], [astuple(a), astuple(b)]], dtype=float)
     batch = ExchangeBatch.from_stamps(stamps)
     with pytest.raises(ValueError, match="got 0.0 then 2.0"):
         build_measurement(batch.periods(slice(1, None)), batch.periods(slice(None, -1)), 0.0)

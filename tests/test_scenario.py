@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -307,8 +309,14 @@ def test_empirical_scenario_mode(tmp_path):
     data = generate_scenario(cfg, np.random.default_rng(0))
     assert data.link.d1 == table.fixed_delay(64, 5)
     assert data.link.d2 == table.fixed_delay(64, 25)
-    assert data.pdv_weights is None
     assert len(data.records) == 20
+    # the delays are the table's samples and the PDV profile plays no part:
+    # adding one to the config changes no timestamp
+    fwd = table.samples(64, 5)
+    delay = data.stamps[:, 1] - data.stamps[:, 0] - data.offset_true
+    assert np.all(np.min(np.abs(delay[:, None] - fwd[None, :]), axis=1) < 1e-13)
+    with_pdv = generate_scenario(replace(cfg, pdv=study_pdv_profile()), np.random.default_rng(0))
+    assert np.array_equal(with_pdv.stamps, data.stamps)
 
 
 # ------------------------------------------------------------------ scenario
