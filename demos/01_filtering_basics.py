@@ -11,6 +11,7 @@ import numpy as np
 
 from tacd import (
     ClockDynamics,
+    ExchangeBatch,
     GaussianBelief,
     GsfVbFilter,
     KalmanBaseline,
@@ -74,15 +75,15 @@ adaptive = GsfVbFilter(
 )
 baseline = KalmanBaseline(ss, nominal_noise_cov(3e-6), belief0)
 
+# every period's exchange against the one before it
+ex = ExchangeBatch.from_stamps(data.stamps)
+cur, prev = ex.periods(slice(1, None)), ex.periods(slice(None, -1))
 skew_adaptive = [belief0.mean[0]]
 skew_baseline = [belief0.mean[0]]
-skew_gptp = [np.nan]
-for k in range(1, data.horizon):
-    prev, cur = data.records[k - 1], data.records[k]
-    z = build_measurement(cur, prev, data.link.d)
+for z in build_measurement(cur, prev, data.link.d):
     skew_adaptive.append(adaptive.step(z).skew)
     skew_baseline.append(baseline.step(z).skew)
-    skew_gptp.append(gptp_skew(cur, prev, scenario.tau))
+skew_gptp = np.append(np.nan, gptp_skew(cur, prev, scenario.tau))
 
 for name, est in [("adaptive", skew_adaptive), ("kalman", skew_baseline), ("gptp", skew_gptp)]:
     err = np.asarray(est[60:]) - data.skew_true[60:]

@@ -10,7 +10,7 @@ import pathlib
 
 import numpy as np
 
-from tacd import ScenarioConfig, TempSkewModel, generate_scenario, load_delay_csv
+from tacd import ExchangeBatch, ScenarioConfig, TempSkewModel, generate_scenario, load_delay_csv
 from tacd.scenario import EmpiricalSource, LinkConfig, TruthOptions
 from tacd.netcomm import gptp_offset
 
@@ -46,7 +46,7 @@ scenario = ScenarioConfig(
 )
 data = generate_scenario(scenario, np.random.default_rng(3))
 
-est = np.array([gptp_offset(r, data.link.d) for r in data.records])
+est = gptp_offset(ExchangeBatch.from_stamps(data.stamps), data.link.d)
 err = est - data.offset_true
 print(f"two-way offset estimate error over {data.horizon} periods: "
       f"mean {err.mean():.3e} s, RMS {np.sqrt((err**2).mean()):.3e} s")

@@ -1,18 +1,25 @@
 """Clock-synchronization estimation library and Monte-Carlo study harness.
 
-Submodules: clock (truth model), scenario (ground-truth generation),
+Submodules: clock (clock dynamics), scenario (ground-truth generation),
 netcomm (Gaussian-sum / variational-Bayes filtering and baselines),
 thermal (temperature self-correction), fusion (Pareto-optimal weighting),
 bclb (Fisher-information bound recursions), and the run harness
 (config, runner, report, cli).
+
+Every stage runs on arrays. generate_scenario draws one run; its stamps
+become an ExchangeBatch, the one exchange type, whose fields have any
+leading shape: () for one exchange, (h,) for one run, (R, h) for a batch.
+The filters step all runs of a batch per period and bclb_trajectory runs
+the bound recursion over the horizon. The per-period scalar forms of these
+stages live only in tests/oracles.py, as the reference the array forms are
+checked against.
 """
 
 __version__ = "0.1.0"
 
-from .clock import ClockDynamics, ClockParams, StateSpace, advance_truth, build_state_space
+from .clock import ClockDynamics, StateSpace, build_state_space
 from .thermal import (
     TempSkewModel,
-    measure_temperature,
     skew_from_temperature,
     thermal_bias,
     thermal_second_moment,
@@ -20,7 +27,6 @@ from .thermal import (
 from .scenario import (
     EmpiricalDelayTable,
     ExchangeBatch,
-    ExchangeRecord,
     LinkConfig,
     PdvProfile,
     RateSegment,
@@ -30,10 +36,6 @@ from .scenario import (
     TruthOptions,
     generate_scenario,
     load_delay_csv,
-    oscillator_temp_step,
-    sample_measurement_noise,
-    simulate_exchange,
-    temperature_at,
 )
 from .netcomm import (
     GaussianBelief,
@@ -59,4 +61,4 @@ from .fusion import (
     fusion_variance,
     pareto_beta,
 )
-from .bclb import FusionBclbParams, OracleNoiseTruth, bclb_trajectory, fisher_step_fusion, fisher_step_linear
+from .bclb import FusionBclbParams, OracleNoiseTruth, bclb_trajectory

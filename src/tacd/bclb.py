@@ -1,9 +1,12 @@
 """Bayesian Cramer-Rao lower-bound recursions for the skew estimators.
 
-Fisher information is propagated recursively under oracle knowledge of the
-per-period noise-mixture parameters: a scalar recursion for the linear-model
-estimator and a 2x2 diagonal recursion (skew and temperature blocks) for the
-fusion estimator. Reported bounds are the inverses of the skew information.
+Fisher information follows the posterior Cramer-Rao recursion of
+Tichavsky, Muravchik & Nehorai (IEEE TSP 46(5), 1998) over the horizon,
+under oracle knowledge of the per-period noise-mixture parameters. The
+linear-model estimator has a scalar skew information; the fusion
+estimator's information is diagonal in (skew, temperature), so its two
+entries propagate as two scalar recursions. Reported bounds are the
+inverses of the skew information.
 """
 from __future__ import annotations
 
@@ -79,13 +82,20 @@ def _square(x):
 
 
 def _linear_prior(j_prev: float, dyn: ClockDynamics) -> float:
+    """Prior part of the linear skew recursion, 1/s - (m/s)^2 / (J_{k-1} + m^2/s)."""
     s = dyn.sigma_u_sq
     m = dyn.m
     return 1.0 / s - (m / s) ** 2 / (j_prev + m * m / s)
 
 
 def _fusion_skew_info(j_prev, dyn: ClockDynamics, data: float, alpha_prev, alpha_now):
-    """Skew block of the fusion recursion; elementwise over (R,) arrays."""
+    """Skew entry of the fusion recursion; elementwise over (R,) arrays.
+
+    J_k = 1/(a_{k-1}^2 s) - (m/(a_{k-1} s))^2 / (J_{k-1} + m^2/s)
+          + data / a_k^2
+
+    which is the linear recursion bit for bit at alpha = 1.
+    """
     s = dyn.sigma_u_sq
     m = dyn.m
     as_ = alpha_prev * s
@@ -95,54 +105,6 @@ def _fusion_skew_info(j_prev, dyn: ClockDynamics, data: float, alpha_prev, alpha
 def _fusion_temp_info(j_prev: float, params: FusionBclbParams) -> float:
     sm = params.sigma_m_sq
     return 1.0 / sm - (1.0 / sm) ** 2 / (j_prev + 1.0 / sm) + 1.0 / params.sigma_T_sq
-
-
-def fisher_step_linear(
-    j_prev: float, dyn: ClockDynamics, weights: np.ndarray, stddevs: np.ndarray
-) -> float:
-    """One step of the linear-model skew Fisher recursion.
-
-    J_k = 1/sigma_u^2 - (m/sigma_u^2)(J_{k-1} + m^2/sigma_u^2)^{-1}(m/sigma_u^2)
-          + tau^2 (sum b/Lambda^3)/(sum b/Lambda)
-    """
-    if j_prev <= 0.0:
-        raise ValueError("J_prev must be > 0")
-    return _linear_prior(j_prev, dyn) + _mixture_data_term(weights, stddevs, dyn.tau)
-
-
-def _check_alpha(alpha) -> None:
-    if not np.all((np.asarray(alpha) > 0.0) & (np.asarray(alpha) <= 1.0)):
-        raise ValueError("alpha weights must lie in (0, 1]")
-
-
-def fisher_step_fusion(
-    j_prev: np.ndarray,
-    dyn: ClockDynamics,
-    weights: np.ndarray,
-    stddevs: np.ndarray,
-    params: FusionBclbParams,
-    alpha_prev: float,
-    alpha_now: float,
-) -> np.ndarray:
-    """One step of the fusion-model Fisher recursion on the 2x2 (skew, temp) state.
-
-    Every Fisher component is diagonal and the recursion preserves
-    diagonality, so the two blocks propagate independently. The skew block is
-
-    J = 1/(a_{k-1}^2 s) - (m/(a_{k-1} s))(J + m^2/s)^{-1}(m/(a_{k-1} s))
-        + tau^2 (sum b/L^3)/(a_k^2 sum b/L)
-
-    which reduces to the linear-model recursion bit-for-bit at alpha = 1.
-    """
-    _check_alpha([alpha_prev, alpha_now])
-    J = np.asarray(j_prev, dtype=float)
-    if J.shape != (2, 2):
-        raise ValueError("fusion Fisher matrix must be 2x2")
-    if J[0, 0] <= 0.0 or J[1, 1] <= 0.0:
-        raise ValueError("fusion Fisher matrix must have positive diagonal")
-    data = _mixture_data_term(weights, stddevs, dyn.tau)
-    j_skew = _fusion_skew_info(J[0, 0], dyn, data, alpha_prev, alpha_now)
-    return np.diag([j_skew, _fusion_temp_info(J[1, 1], params)])
 
 
 def bclb_trajectory(
@@ -170,7 +132,8 @@ def bclb_trajectory(
     if params is not None:
         alpha = np.asarray(params.alpha, dtype=float)
         alpha = np.full(h, float(alpha)) if alpha.ndim == 0 else alpha[..., :h]
-        _check_alpha(alpha)
+        if not np.all((alpha > 0.0) & (alpha <= 1.0)):
+            raise ValueError("alpha weights must lie in (0, 1]")
         bclb_f = np.empty(alpha.shape)
         # per period: a Python float, or an (R,) array across runs
         alpha = alpha.tolist() if alpha.ndim == 1 else list(alpha.T)

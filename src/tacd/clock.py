@@ -1,26 +1,16 @@
-"""Discrete-time clock truth model shared by the simulator and all estimators.
+"""Discrete-time clock dynamics shared by the simulator and all estimators.
 
 The local clock is described by a skew (fractional frequency deviation, s/s)
 and an offset (s). Skew follows a first-order Gauss-Markov recursion and the
-offset integrates the skew once per synchronization period.
+offset integrates the skew once per synchronization period; the scenario
+generator runs this recursion for the truth, the estimators use its
+state-space form.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ClockParams:
-    """Skew/offset pair of a clock at one period. Skew is dimensionless (s/s)."""
-
-    skew: float
-    offset: float
-
-    def __post_init__(self) -> None:
-        if not abs(self.skew) < 1.0:
-            raise ValueError(f"skew must satisfy |skew| < 1, got {self.skew}")
 
 
 @dataclass(frozen=True)
@@ -49,13 +39,6 @@ class StateSpace:
     A: np.ndarray
     Q_v: np.ndarray
     H: np.ndarray
-
-
-def advance_truth(state: ClockParams, dyn: ClockDynamics, u_k: float) -> ClockParams:
-    """One period of the truth recursion: skew' = m*skew + u, offset' = offset + tau*skew'."""
-    skew = dyn.m * state.skew + u_k
-    offset = state.offset + dyn.tau * skew
-    return ClockParams(skew=skew, offset=offset)
 
 
 def build_state_space(dyn: ClockDynamics) -> StateSpace:

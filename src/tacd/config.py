@@ -129,17 +129,16 @@ class RunConfig:
         output_dir: Optional[str] = None,
         workers: Optional[int] = None,
     ) -> "RunConfig":
+        """This config with the given fields replaced, under the bounds
+        parse_config applies to them."""
         out = self
-        if runs is not None:
-            out = replace(out, runs=runs)
-        if seed is not None:
-            out = replace(out, master_seed=seed)
+        for key, value, low in (("runs", runs, 1), ("master_seed", seed, 0), ("workers", workers, 1)):
+            if value is not None:
+                out = replace(out, **{key: _int({key: value}, key, "override", minimum=low)})
         if estimators is not None:
             out = replace(out, estimators=_estimator_selection(estimators))
         if output_dir is not None:
             out = replace(out, output_dir=output_dir)
-        if workers is not None:
-            out = replace(out, workers=workers)
         return out
 
 
@@ -261,7 +260,7 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
 
     horizon = _int(doc, "horizon", "top level", minimum=2)
     runs = _int(doc, "runs", "top level", default=1000, minimum=1)
-    seed = _int(doc, "master_seed", "top level", default=0)
+    seed = _int(doc, "master_seed", "top level", default=0, minimum=0)
     tau = _number(doc, "tau", "top level", default=1.0, positive=True)
 
     dyn_obj = doc["dynamics"]

@@ -15,13 +15,13 @@ order, so each run's result is bit-identical whatever batch it is in.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.special import digamma
 
 from .clock import StateSpace
-from .scenario import ExchangeBatch, ExchangeRecord
+from .scenario import ExchangeBatch
 
 _DIM = 2
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -32,8 +32,6 @@ SPD_EIGENVALUE_FLOOR = 1e-30
 # A closed-form minimum eigenvalue this close to the floor (relative to the
 # largest eigenvalue) is re-checked with eigh, which makes the final call.
 _EIG_RECHECK = 1e-12
-
-Exchanges = Union[ExchangeRecord, ExchangeBatch]
 
 
 # ------------------------------------------------------------- 2x2 algebra
@@ -171,22 +169,22 @@ def isotropic_mixture_model(chi, dof, scale_diag, unit_scale: float = 1e-6) -> M
     )
 
 
-def _require_consecutive(current: Exchanges, previous: Exchanges) -> None:
+def _require_consecutive(current: ExchangeBatch, previous: ExchangeBatch) -> None:
     gap = np.asarray(current.period_index) != np.asarray(previous.period_index) + 1
     if np.any(gap):
         i = np.unravel_index(np.argmax(gap), gap.shape)
         raise ValueError(
-            f"records must come from consecutive periods, got "
+            f"exchanges must come from consecutive periods, got "
             f"{np.asarray(previous.period_index)[i]} then {np.asarray(current.period_index)[i]}"
         )
 
 
-def build_measurement(current: Exchanges, previous: Exchanges, d) -> np.ndarray:
+def build_measurement(current: ExchangeBatch, previous: ExchangeBatch, d) -> np.ndarray:
     """Measurement vector from two consecutive exchanges, shaped (..., 2).
 
     z = (t2_k - t2_{k-1} - t1_k + t1_{k-1},  t2_k + t3_k - t1_k - t4_k - d)
 
-    Records may be single exchanges or ExchangeBatch arrays of them.
+    The exchanges may have any leading shape; z gains a last axis of 2.
     """
     _require_consecutive(current, previous)
     z1 = current.t2 - previous.t2 - current.t1 + previous.t1
@@ -194,12 +192,12 @@ def build_measurement(current: Exchanges, previous: Exchanges, d) -> np.ndarray:
     return np.stack([z1, z2], axis=-1)
 
 
-def gptp_offset(rec: Exchanges, d):
+def gptp_offset(rec: ExchangeBatch, d):
     """Plain two-way offset estimate: ((t2 + t3 - t1 - t4) - d) / 2."""
     return ((rec.t2 + rec.t3 - rec.t1 - rec.t4) - d) / 2.0
 
 
-def gptp_skew(current: Exchanges, previous: Exchanges, tau: float):
+def gptp_skew(current: ExchangeBatch, previous: ExchangeBatch, tau: float):
     """Plain forward-path skew estimate from consecutive exchanges."""
     _require_consecutive(current, previous)
     return (current.t2 - previous.t2 - current.t1 + previous.t1) / tau

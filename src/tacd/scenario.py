@@ -10,11 +10,10 @@ from __future__ import annotations
 import csv
 import functools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .clock import ClockParams
 from .thermal import TempSkewModel
 
 WEIGHT_TOLERANCE = 0.05
@@ -126,23 +125,6 @@ def pdv_params_table(profile: PdvProfile, horizon: int) -> tuple[np.ndarray, np.
     return weights, stddevs
 
 
-def sample_measurement_noise(
-    weights: Sequence[float],
-    stddevs: Sequence[float],
-    rng: np.random.Generator,
-    size: Optional[int] = None,
-) -> np.ndarray:
-    """Draw the two-component measurement noise vector from the mixture.
-
-    A component j is selected with probability weights[j]; the vector is
-    zero-mean with covariance stddevs[j]^2 * [[1, 0.5], [0.5, 1]]. With
-    `size` given, returns (size, 2) i.i.d. draws.
-    """
-    u = rng.random(size)
-    pairs = rng.standard_normal((2,) if size is None else (size, 2))
-    return _mixture_noise(weights, stddevs, u, pairs)
-
-
 def _mixture_noise(weights, stddevs, u, z) -> np.ndarray:
     """Noise vectors from uniform draws u and standard-normal pairs z (..., 2).
 
@@ -204,25 +186,6 @@ class ThermalProfile:
             gap = int(np.flatnonzero(~covered)[0])
             raise ValueError(f"thermal segments leave period {gap} uncovered")
 
-    def _segment_at(self, k: int) -> ThermalSegment:
-        for seg in self.segments:
-            if seg.start <= k <= seg.end:
-                return seg
-        raise ValueError(f"no thermal segment covers period {k}")
-
-
-def temperature_at(
-    profile: ThermalProfile, k: int, rng: Optional[np.random.Generator] = None
-) -> float:
-    """External temperature at period k (degC); colored-noise segments draw from rng."""
-    seg = profile._segment_at(k)
-    if seg.kind != "colored-noise":
-        return _segment_temperature(seg, k)
-    if rng is None:
-        raise ValueError("colored-noise segment requires an rng")
-    return _segment_temperature(seg, k, rng.standard_normal())
-
-
 def _segment_temperature(seg: ThermalSegment, k, normal=None):
     """One segment's external temperature at period(s) k (an int or an int
     array); a colored-noise segment also takes one standard-normal draw per
@@ -247,13 +210,6 @@ def _segment_temperature(seg: ThermalSegment, k, normal=None):
     return p.get("slope", 1.0) * k + p.get("intercept", -30.0)
 
 
-def oscillator_temp_step(t_osc_prev: float, t_ext_now: float, cooling_constant: float, dt: float = 1.0) -> float:
-    """Newton cooling relaxation of the oscillator temperature toward ambient."""
-    if cooling_constant <= 0.0:
-        raise ValueError("cooling_constant must be > 0")
-    return t_ext_now + (t_osc_prev - t_ext_now) * np.exp(-dt / cooling_constant)
-
-
 @dataclass(frozen=True)
 class LinkConfig:
     """Fixed one-way delays; the asymmetry d = d1 - d2 is known to estimators."""
@@ -267,25 +223,12 @@ class LinkConfig:
 
 
 @dataclass(frozen=True)
-class ExchangeRecord:
-    """Four timestamps of one two-way exchange at period k (local timeline)."""
-
-    t1: float
-    t2: float
-    t3: float
-    t4: float
-    period_index: int
-
-    def __post_init__(self) -> None:
-        if not self.t4 > self.t1:
-            raise ValueError("t4 must follow t1 on the local timeline")
-
-
-@dataclass(frozen=True)
 class ExchangeBatch:
-    """Exchange timestamps of several runs, each field shaped (runs, periods).
+    """Four timestamps of two-way exchanges on the local timeline, with their
+    period index k.
 
-    Accepted wherever the estimators take an ExchangeRecord.
+    The fields share one shape: () for one exchange, (h,) for one run,
+    (runs, h) for a batch; the last axis is the period.
     """
 
     t1: np.ndarray
@@ -296,40 +239,25 @@ class ExchangeBatch:
 
     @classmethod
     def from_stamps(cls, stamps: np.ndarray) -> "ExchangeBatch":
-        """Batch from a (runs, periods, 5) array of (t1, t2, t3, t4, k)."""
+        """Exchanges from a (..., 5) array of (t1, t2, t3, t4, k)."""
         return cls(*(stamps[..., i] for i in range(5)))
 
     def periods(self, sl: slice) -> "ExchangeBatch":
-        return ExchangeBatch(self.t1[:, sl], self.t2[:, sl], self.t3[:, sl], self.t4[:, sl],
-                             self.period_index[:, sl])
+        """The exchanges of the periods sl selects on the last axis."""
+        return ExchangeBatch(self.t1[..., sl], self.t2[..., sl], self.t3[..., sl], self.t4[..., sl],
+                             self.period_index[..., sl])
 
 
-def simulate_exchange(
-    truth: ClockParams,
-    link: LinkConfig,
-    w1: float,
-    w2: float,
-    k: int,
-    tau: float,
-    turnaround: Optional[float] = None,
-) -> ExchangeRecord:
-    """Build the period-k exchange timestamps.
+def _exchange_times(offset, link: LinkConfig, w1, w2, k, tau: float):
+    """Timestamps (t1, t2, t3, t4) of the period-k exchanges, elementwise.
 
-    t1 and t4 sit on the local timeline at k*tau and k*tau + turnaround
-    (default tau/100, small enough that the offset is constant within the
-    period). w1, w2 are the random one-way delay parts; in synthetic mode
-    they are deviations from the fixed part and may be negative.
+    t1 and t4 sit on the local timeline at k*tau and k*tau + tau/100, a
+    turnaround short enough that the offset is constant within the period.
+    w1, w2 are the random one-way delay parts; in synthetic mode they are
+    deviations from the fixed part and may be negative.
     """
-    t1, t2, t3, t4 = _exchange_times(truth.offset, link, w1, w2, k, tau, turnaround)
-    return ExchangeRecord(t1=t1, t2=t2, t3=t3, t4=t4, period_index=k)
-
-
-def _exchange_times(offset, link: LinkConfig, w1, w2, k, tau: float, turnaround: Optional[float] = None):
-    """(t1, t2, t3, t4) of simulate_exchange, elementwise over arrays of periods."""
-    if turnaround is None:
-        turnaround = tau / 100.0
     t1 = k * tau
-    t4 = t1 + turnaround
+    t4 = t1 + tau / 100.0
     t2 = t1 + link.d1 + w1 + offset
     t3 = t4 - link.d2 - w2 + offset
     return t1, t2, t3, t4
@@ -462,13 +390,9 @@ class ScenarioData:
     def horizon(self) -> int:
         return self.stamps.shape[0]
 
-    @functools.cached_property
-    def records(self) -> list[ExchangeRecord]:
-        return [ExchangeRecord(t1, t2, t3, t4, int(k)) for t1, t2, t3, t4, k in self.stamps.tolist()]
-
 
 def generate_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> ScenarioData:
-    """Generate one seeded run: truth trajectories plus exchange records.
+    """Generate one seeded run: truth trajectories plus exchange timestamps.
 
     The draw order is fixed, period by period: skew residual, then the
     mixture component and noise pair (or the two empirical delay indices),
@@ -477,7 +401,7 @@ def generate_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> Scenario
     one call (a period's pair, colored draw and sensor draw with the next
     period's residual), which consumes the stream exactly as one call each.
     Everything else is computed on whole arrays afterwards, so a given
-    (config, seed) reproduces bit-identical records.
+    (config, seed) reproduces bit-identical timestamps.
     """
     h = cfg.horizon
     model = cfg.temp_model
@@ -534,7 +458,7 @@ def generate_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> Scenario
         sl = slice(max(seg.start, 0), min(seg.end, h - 1) + 1)
         draws = normals[sensor[sl] - 1] if seg.kind == "colored-noise" else None
         t_ext[sl] = _segment_temperature(seg, ks[sl], draws)
-    # Newton cooling, one oscillator_temp_step per period
+    # Newton cooling toward the ambient temperature, one period at a time
     decay = float(np.exp(-1.0 / cfg.thermal.cooling_constant))
     t_osc = [float(cfg.thermal.initial_oscillator_temp)]
     for e in t_ext[1:].tolist():

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class TempSkewModel:
@@ -28,11 +26,6 @@ class TempSkewModel:
     def __post_init__(self) -> None:
         if self.sigma_T_sq < 0.0:
             raise ValueError(f"sigma_T_sq must be >= 0, got {self.sigma_T_sq}")
-
-
-def measure_temperature(true_temp: float, rng: np.random.Generator, model: TempSkewModel) -> float:
-    """Sensor reading: true temperature plus N(0, sigma_T_sq) noise."""
-    return true_temp + rng.standard_normal() * np.sqrt(model.sigma_T_sq)
 
 
 def skew_from_temperature(temp_meas: float, model: TempSkewModel) -> float:

@@ -1,9 +1,22 @@
 import numpy as np
 import pytest
 
+from tacd.bclb import OracleNoiseTruth, bclb_trajectory
 from tacd.clock import ClockDynamics, build_state_space
+from tacd.netcomm import build_measurement
 from tacd.runner import Trajectories
-from tacd.scenario import PdvProfile, RateSegment, ThermalProfile, ThermalSegment
+from tacd.scenario import (
+    ExchangeBatch,
+    LinkConfig,
+    PdvProfile,
+    RateSegment,
+    ScenarioConfig,
+    ThermalProfile,
+    ThermalSegment,
+    TruthOptions,
+    _exchange_times,
+    generate_scenario,
+)
 from tacd.thermal import TempSkewModel
 
 # Reference oscillator constants used across the suite
@@ -59,6 +72,50 @@ def constant_thermal(horizon: int, value: float = 25.0) -> ThermalProfile:
         cooling_constant=10.0,
         initial_oscillator_temp=value,
     )
+
+
+def thermal_run(t_ext: float, t_osc0: float, cooling_constant: float, horizon: int,
+                sigma_T_sq: float = 0.0, seed: int = 0):
+    """A generated run under a constant ambient t_ext whose oscillator starts
+    at t_osc0; by default the sensor is noise-free."""
+    cfg = ScenarioConfig(
+        tau=1.0,
+        horizon=horizon,
+        link=LinkConfig(5e-6, 1e-6),
+        pdv=PdvProfile(initial_stddevs=(1e-6,), initial_weights=(1.0,)),
+        thermal=ThermalProfile(
+            segments=(ThermalSegment(0, horizon - 1, "constant", {"value": t_ext}),),
+            cooling_constant=cooling_constant,
+            initial_oscillator_temp=t_osc0,
+        ),
+        temp_model=TempSkewModel(kappa=4e-8, T0=25.0, theta0=0.0, sigma_T_sq=sigma_T_sq),
+        truth=TruthOptions(thermal_coupling=False),
+    )
+    return generate_scenario(cfg, np.random.default_rng(seed))
+
+
+def exchange(offset, link, w1, w2, k, tau) -> ExchangeBatch:
+    """The period-k exchange, timestamped as the scenario generator does."""
+    return ExchangeBatch(*_exchange_times(offset, link, w1, w2, k, tau), period_index=k)
+
+
+def run_measurements(data) -> np.ndarray:
+    """Measurements of one generated run, (h - 1, 2): row k - 1 pairs period
+    k's exchange with period k - 1's."""
+    ex = ExchangeBatch.from_stamps(data.stamps)
+    return build_measurement(ex.periods(slice(1, None)), ex.periods(slice(None, -1)), data.link.d)
+
+
+def constant_oracle(weights, stddevs, horizon: int, tau: float = 1.0) -> OracleNoiseTruth:
+    """Oracle whose noise mixture is the same in every period."""
+    return OracleNoiseTruth(weights=np.tile(weights, (horizon, 1)), stddevs=np.tile(stddevs, (horizon, 1)), tau=tau)
+
+
+def information(dyn, weights, stddevs, j0: float, steps: int, params=None):
+    """Skew information J_0..J_steps from J_0 = j0 under a constant mixture,
+    (linear, fusion), read off bclb_trajectory as the inverse bounds."""
+    bl, bf = bclb_trajectory(constant_oracle(weights, stddevs, steps + 1, dyn.tau), dyn, params, 1.0 / j0)
+    return 1.0 / bl, 1.0 / bf
 
 
 def toy_trajectories(theta_true, delta_true, est_skew, est_offset) -> Trajectories:

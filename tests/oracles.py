@@ -6,8 +6,8 @@ import numpy as np
 from scipy.special import digamma
 
 from tacd.bclb import FusionBclbParams, OracleNoiseTruth
-from tacd.clock import ClockDynamics, ClockParams
-from tacd.scenario import ExchangeRecord, LinkConfig, ScenarioConfig, ThermalProfile, pdv_params_table
+from tacd.clock import ClockDynamics
+from tacd.scenario import LinkConfig, ScenarioConfig, ThermalProfile, ThermalSegment, pdv_params_table
 
 
 def random_fusion_tuples(n, rng):
@@ -289,9 +289,43 @@ class ScalarGsfVbFilter:
 
 # Scenario generation as it was before the draw loop kept only the RNG
 # draws (one period at a time, every helper called per period), copied
-# verbatim with the scalar helpers it called, so the array form can be
-# checked against it bit for bit.
+# verbatim with the scalar helpers and records it used, so the array form
+# can be checked against it bit for bit.
 _NOISE_CORR_CHOL = np.linalg.cholesky(np.array([[1.0, 0.5], [0.5, 1.0]]))
+
+
+@dataclass(frozen=True)
+class ClockParams:
+    """Skew/offset pair of a clock at one period. Skew is dimensionless (s/s)."""
+
+    skew: float
+    offset: float
+
+    def __post_init__(self) -> None:
+        if not abs(self.skew) < 1.0:
+            raise ValueError(f"skew must satisfy |skew| < 1, got {self.skew}")
+
+
+@dataclass(frozen=True)
+class ExchangeRecord:
+    """Four timestamps of one two-way exchange at period k (local timeline)."""
+
+    t1: float
+    t2: float
+    t3: float
+    t4: float
+    period_index: int
+
+    def __post_init__(self) -> None:
+        if not self.t4 > self.t1:
+            raise ValueError("t4 must follow t1 on the local timeline")
+
+
+def _segment_at(profile: ThermalProfile, k: int) -> ThermalSegment:
+    for seg in profile.segments:
+        if seg.start <= k <= seg.end:
+            return seg
+    raise ValueError(f"no thermal segment covers period {k}")
 
 
 def sample_measurement_noise(
@@ -321,7 +355,7 @@ def temperature_at(
     profile: ThermalProfile, k: int, rng: Optional[np.random.Generator] = None
 ) -> float:
     """External temperature at period k (degC); colored-noise segments draw from rng."""
-    seg = profile._segment_at(k)
+    seg = _segment_at(profile, k)
     p = seg.params
     if seg.kind == "constant":
         return float(p.get("value", 30.0))

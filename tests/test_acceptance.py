@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from tacd.bclb import OracleNoiseTruth, bclb_trajectory, fisher_step_fusion, fisher_step_linear
+from tacd.bclb import OracleNoiseTruth, bclb_trajectory
 from tacd.bclb import FusionBclbParams
 from tacd.cli import main as cli_main
 from tacd.clock import ClockDynamics, build_state_space
@@ -20,7 +20,6 @@ from tacd.netcomm import (
     GsfVbFilter,
     KalmanBaseline,
     MixtureNoiseModel,
-    build_measurement,
     gsf_update,
     nominal_noise_cov,
 )
@@ -32,12 +31,20 @@ from tacd.scenario import (
     ScenarioConfig,
     TruthOptions,
     generate_scenario,
-    oscillator_temp_step,
     pdv_params_table,
 )
 from tacd.thermal import TempSkewModel
 
-from conftest import M_GM, SIGMA_U_SQ, constant_thermal, toy_trajectories
+from conftest import (
+    M_GM,
+    SIGMA_U_SQ,
+    constant_oracle,
+    constant_thermal,
+    information,
+    run_measurements,
+    thermal_run,
+    toy_trajectories,
+)
 from oracles import (
     brute_force_mixture_update,
     closed_form_beta,
@@ -130,8 +137,7 @@ def test_criterion_3_kalman_equivalence():
     gsf = GsfVbFilter(ss, MixtureNoiseModel.from_point_estimates([1.0], [5e-6]), belief, vb=None)
     kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), belief)
     worst = 0.0
-    for k in range(1, horizon):
-        z = build_measurement(data.records[k], data.records[k - 1], data.link.d)
+    for z in run_measurements(data):
         a = gsf.step(z)
         b = kal.step(z)
         worst = max(
@@ -151,20 +157,13 @@ def test_criterion_4_fisher_sanity():
     lam = np.array([5e-6])
     b = np.array([1.0])
 
-    j = 1.0 / 5e-6
-    for _ in range(3000):
-        j = fisher_step_linear(j, dyn, b, lam)
+    j = information(dyn, b, lam, 1.0 / 5e-6, 3000)[0][-1]
     j_ref = dyn.tau**2 / lam[0] ** 2 + 1.0 / (dyn.sigma_u_sq + dyn.m**2 / j)
     fixed_ok = abs(j - j_ref) / j_ref <= 1e-10
 
     params1 = FusionBclbParams(alpha=1.0, sigma_m_sq=0.25, sigma_T_sq=0.1)
-    jl = 3e10
-    jf = np.diag([3e10, 4.0])
-    exact_ok = True
-    for _ in range(50):
-        jl = fisher_step_linear(jl, dyn, b, lam)
-        jf = fisher_step_fusion(jf, dyn, b, lam, params1, 1.0, 1.0)
-        exact_ok &= jf[0, 0] == jl
+    bl, bf = bclb_trajectory(constant_oracle(b, lam, 51), dyn, params1, 1.0 / 3e10)
+    exact_ok = bool(np.array_equal(bf, bl))
 
     from conftest import study_pdv_profile
 
@@ -255,7 +254,6 @@ def test_criterion_7_statistical_bound():
     theta = np.full(runs, 3e-7)
     est = np.full(runs, 3e-7)
     p = 5e-6
-    j = 1.0 / 5e-6
     window = []
     for k in range(1, horizon):
         theta = dyn.m * theta + rng.standard_normal(runs) * np.sqrt(dyn.sigma_u_sq)
@@ -265,10 +263,9 @@ def test_criterion_7_statistical_bound():
         gain = p_pred * dyn.tau / s
         est = dyn.m * est + gain * (z - dyn.tau * dyn.m * est)
         p = (1.0 - gain * dyn.tau) * p_pred
-        j = fisher_step_linear(j, dyn, np.array([1.0]), np.array([lam]))
         if k >= horizon - 10:
             window.append(np.mean((est - theta) ** 2))
-    bound = 1.0 / j
+    bound = bclb_trajectory(constant_oracle([1.0], [lam], horizon), dyn, None, 5e-6)[0][-1]
     mse = float(np.mean(window))
     stderr = max(float(np.std(window, ddof=1) / np.sqrt(len(window))), mse * np.sqrt(2.0 / runs))
     ok = mse >= bound - 3 * stderr
@@ -351,11 +348,10 @@ def test_criterion_9_property_suites(ss):
         t_ext = rng.uniform(-20, 60)
         t = t_ext + rng.uniform(0.5, 30) * rng.choice([-1.0, 1.0])
         c = rng.uniform(0.5, 50)
-        gap = abs(t - t_ext)
-        for _ in range(3):
-            t = oscillator_temp_step(t, t_ext, c)
-            cool_ok &= abs(t - t_ext) < gap
-            gap = abs(t - t_ext)
+        gaps = np.abs(thermal_run(t_ext, t, c, 4).temp_osc - t_ext)
+        cool_ok &= bool(np.all(gaps[1:] < gaps[:-1]))
+        # each period keeps the share exp(-1/c) of the gap
+        cool_ok &= bool(np.allclose(gaps[1:] / gaps[:-1], np.exp(-1.0 / c), rtol=1e-6, atol=0.0))
 
     # RMSE aggregation equals brute-force recomputation
     rmse_ok = True

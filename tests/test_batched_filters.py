@@ -15,26 +15,21 @@ from tacd.netcomm import (
     GsfVbFilter,
     MixtureNoiseModel,
     VbSettings,
-    build_measurement,
     gsf_update,
     isotropic_mixture_model,
     vb_refine,
 )
 from tacd.report import load_csv_columns
 from tacd.runner import Trajectories, case_bounds, simulate_run
-from tacd.scenario import ExchangeBatch, generate_scenario, pdv_params_table
+from tacd.scenario import generate_scenario, pdv_params_table
+
+from conftest import run_measurements
 
 SHIPPED = ("case1", "case2", "case3", "fusion_study")
 
 
 def _measurements(cfg, seeds) -> np.ndarray:
-    stamps, d = [], []
-    for seed in seeds:
-        data = generate_scenario(cfg.scenario, np.random.default_rng(seed))
-        stamps.append(data.stamps)
-        d.append(data.link.d)
-    ex = ExchangeBatch.from_stamps(np.array(stamps, dtype=float))
-    return build_measurement(ex.periods(slice(1, None)), ex.periods(slice(None, -1)), np.array(d)[:, None])
+    return np.array([run_measurements(generate_scenario(cfg.scenario, np.random.default_rng(seed))) for seed in seeds])
 
 
 def _rel(a, b) -> float:

@@ -1,17 +1,11 @@
 import numpy as np
 import pytest
 
-from tacd.bclb import (
-    FusionBclbParams,
-    OracleNoiseTruth,
-    bclb_trajectory,
-    fisher_step_fusion,
-    fisher_step_linear,
-)
+from tacd.bclb import FusionBclbParams, OracleNoiseTruth, bclb_trajectory
 from tacd.clock import ClockDynamics
 from tacd.scenario import pdv_params_table
 
-from conftest import M_GM, SIGMA_U_SQ, study_pdv_profile
+from conftest import M_GM, SIGMA_U_SQ, constant_oracle, information, study_pdv_profile
 
 
 def _params(alpha):
@@ -20,7 +14,7 @@ def _params(alpha):
 
 def test_linear_memoryless_decoupling():
     dyn = ClockDynamics(m=0.0, sigma_u_sq=1e-10, tau=1.0)
-    j = fisher_step_linear(1e5, dyn, np.array([1.0]), np.array([5e-6]))
+    j = information(dyn, [1.0], [5e-6], 1e5, 1)[0][1]
     assert j == pytest.approx(1e10 + 1.0 / 25e-12, rel=1e-12)
 
 
@@ -29,13 +23,12 @@ def test_linear_equals_information_filter_form():
     dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
     lam = np.array([5e-6])
     b = np.array([1.0])
-    j = 2e5
-    for _ in range(200):
-        j_ref = dyn.tau**2 / lam[0] ** 2 + 1.0 / (dyn.sigma_u_sq + dyn.m**2 / j)
-        j = fisher_step_linear(j, dyn, b, lam)
-        assert j == pytest.approx(j_ref, rel=1e-12)
+    j = information(dyn, b, lam, 2e5, 201)[0]
+    for k in range(1, 201):
+        j_ref = dyn.tau**2 / lam[0] ** 2 + 1.0 / (dyn.sigma_u_sq + dyn.m**2 / j[k - 1])
+        assert j[k] == pytest.approx(j_ref, rel=1e-12)
     # fixed point reached
-    assert fisher_step_linear(j, dyn, b, lam) == pytest.approx(j, rel=1e-12)
+    assert j[201] == pytest.approx(j[200], rel=1e-12)
 
 
 def test_linear_mixture_data_term():
@@ -44,44 +37,37 @@ def test_linear_mixture_data_term():
     lam = np.array([5e-6, 3e-6, 5e-6])
     expected_data = float(np.sum(b / lam**3) / np.sum(b / lam))
     j_prev = 2e5
-    j = fisher_step_linear(j_prev, dyn, b, lam)
+    j = information(dyn, b, lam, j_prev, 1)[0][1]
     prior_part = 1.0 / SIGMA_U_SQ - (M_GM / SIGMA_U_SQ) ** 2 / (j_prev + M_GM**2 / SIGMA_U_SQ)
     assert j == pytest.approx(prior_part + expected_data, rel=1e-12)
 
 
 def test_linear_rejects_bad_inputs():
     dyn = ClockDynamics(m=1.0, sigma_u_sq=1e-10, tau=1.0)
-    with pytest.raises(ValueError):
-        fisher_step_linear(0.0, dyn, np.array([1.0]), np.array([5e-6]))
-    with pytest.raises(ValueError):
-        fisher_step_linear(1e5, dyn, np.array([1.0]), np.array([0.0]))
+    with pytest.raises(ValueError, match="P0"):
+        bclb_trajectory(constant_oracle([1.0], [5e-6], 2), dyn, None, 0.0)
+    with pytest.raises(ValueError, match="stddevs"):
+        information(dyn, [1.0], [0.0], 1e5, 1)
 
 
 def test_fusion_reduces_to_linear_at_alpha_one():
     dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
     b = np.array([0.4, 0.3, 0.3])
     lam = np.array([5e-6, 3e-6, 5e-6])
-    j_lin = 3e10
-    j_fus = np.diag([3e10, 4.0])
-    out = fisher_step_fusion(j_fus, dyn, b, lam, _params(1.0), 1.0, 1.0)
-    assert out[0, 0] == pytest.approx(fisher_step_linear(j_lin, dyn, b, lam), rel=1e-12)
-    assert out[0, 1] == 0.0 and out[1, 0] == 0.0
+    j_lin, j_fus = information(dyn, b, lam, 3e10, 1, _params(1.0))
+    assert j_fus[1] == pytest.approx(j_lin[1], rel=1e-12)
 
 
 def test_fusion_half_alpha_memoryless():
     dyn = ClockDynamics(m=0.0, sigma_u_sq=1e-10, tau=1.0)
-    out = fisher_step_fusion(
-        np.diag([1e5, 4.0]), dyn, np.array([1.0]), np.array([5e-6]), _params(0.5), 0.5, 0.5
-    )
-    assert out[0, 0] == pytest.approx(4.0 / 1e-10 + 4.0 / 25e-12, rel=1e-12)
+    j_fus = information(dyn, [1.0], [5e-6], 1e5, 1, _params(0.5))[1]
+    assert j_fus[1] == pytest.approx(4.0 / 1e-10 + 4.0 / 25e-12, rel=1e-12)
 
 
 def test_fusion_rejects_zero_alpha():
     dyn = ClockDynamics(m=1.0, sigma_u_sq=1e-10, tau=1.0)
-    with pytest.raises(ValueError):
-        fisher_step_fusion(
-            np.diag([1e5, 4.0]), dyn, np.array([1.0]), np.array([5e-6]), _params(0.0), 0.0, 0.5
-        )
+    with pytest.raises(ValueError, match="alpha"):
+        information(dyn, [1.0], [5e-6], 1e5, 1, _params(np.array([0.0, 0.5])))
 
 
 def test_trajectory_zero_horizon():
@@ -127,10 +113,8 @@ def test_fixed_point_matches_scalar_kalman_riccati():
         s = dyn.tau**2 * p_pred + lam**2
         k = p_pred * dyn.tau / s
         p = (1.0 - k * dyn.tau) * p_pred
-    j = 1.0 / 5e-6
-    for _ in range(2000):
-        j = fisher_step_linear(j, dyn, np.array([1.0]), np.array([lam]))
-    assert 1.0 / j == pytest.approx(p, rel=1e-10)
+    bound = bclb_trajectory(constant_oracle([1.0], [lam], 2001), dyn, None, 5e-6)[0]
+    assert bound[-1] == pytest.approx(p, rel=1e-10)
 
 
 @pytest.mark.slow
@@ -146,7 +130,6 @@ def test_statistical_bound_holds():
     est = np.full(runs, 3e-7)
     p = p0
     mse_window = []
-    j = 1.0 / p0
     for k in range(1, horizon):
         theta = dyn.m * theta + rng.standard_normal(runs) * np.sqrt(dyn.sigma_u_sq)
         z = dyn.tau * theta + rng.standard_normal(runs) * lam
@@ -155,10 +138,9 @@ def test_statistical_bound_holds():
         gain = p_pred * dyn.tau / s
         est = dyn.m * est + gain * (z - dyn.tau * dyn.m * est)
         p = (1.0 - gain * dyn.tau) * p_pred
-        j = fisher_step_linear(j, dyn, np.array([1.0]), np.array([lam]))
         if k >= horizon - 10:
             mse_window.append(np.mean((est - theta) ** 2))
-    bound = 1.0 / j
+    bound = bclb_trajectory(constant_oracle([1.0], [lam], horizon), dyn, None, p0)[0][-1]
     mse = float(np.mean(mse_window))
     stderr = float(np.std(mse_window, ddof=1) / np.sqrt(len(mse_window)))
     assert mse >= bound - 3 * max(stderr, mse * np.sqrt(2.0 / runs))

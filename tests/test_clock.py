@@ -1,49 +1,66 @@
 import numpy as np
 import pytest
 
-from tacd.clock import ClockDynamics, ClockParams, advance_truth, build_state_space
+from tacd.clock import ClockDynamics, build_state_space
+from tacd.scenario import LinkConfig, PdvProfile, ScenarioConfig, TruthOptions, generate_scenario
+from tacd.thermal import TempSkewModel
 
-from conftest import M_GM, SIGMA_U_SQ
+from conftest import M_GM, SIGMA_U_SQ, constant_thermal
+
+
+def _truth(dyn, skew0, offset0, horizon=2, process_noise_sq=0.0, seed=0):
+    """Skew and offset of a generated run without thermal coupling: the skew
+    is the Gauss-Markov residual with coefficient dyn.m, the offset
+    integrates it."""
+    cfg = ScenarioConfig(
+        tau=dyn.tau,
+        horizon=horizon,
+        link=LinkConfig(5e-6, 1e-6),
+        pdv=PdvProfile(initial_stddevs=(1e-6,), initial_weights=(1.0,)),
+        thermal=constant_thermal(horizon),
+        temp_model=TempSkewModel(kappa=4e-8, T0=25.0, theta0=0.0, sigma_T_sq=0.1),
+        truth=TruthOptions(initial_offset=offset0, initial_skew_residual=skew0,
+                           process_noise_sq=process_noise_sq, thermal_coupling=False),
+        gm_coefficient=dyn.m,
+    )
+    data = generate_scenario(cfg, np.random.default_rng(seed))
+    return data.skew_true, data.offset_true
 
 
 def test_advance_zero_fixed_point():
     dyn = ClockDynamics(m=0.5, sigma_u_sq=1.0, tau=1.0)
-    out = advance_truth(ClockParams(0.0, 0.0), dyn, 0.0)
-    assert out.skew == 0.0 and out.offset == 0.0
+    skew, offset = _truth(dyn, 0.0, 0.0)
+    assert skew[1] == 0.0 and offset[1] == 0.0
 
 
 def test_advance_identity_transfer():
     dyn = ClockDynamics(m=1.0, sigma_u_sq=1.0, tau=1.0)
-    out = advance_truth(ClockParams(1e-6, 0.0), dyn, 0.0)
-    assert out.skew == 1e-6
-    assert out.offset == 1e-6
+    skew, offset = _truth(dyn, 1e-6, 0.0)
+    assert skew[1] == 1e-6
+    assert offset[1] == 1e-6
 
 
 def test_advance_reference_parameters():
     dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
-    out = advance_truth(ClockParams(3e-7, 2e-6), dyn, 0.0)
-    assert out.skew == pytest.approx(3e-7 * M_GM, rel=1e-15)
-    assert out.offset == pytest.approx(2e-6 + 1.0 * out.skew, rel=1e-15)
+    skew, offset = _truth(dyn, 3e-7, 2e-6)
+    # abs=0: approx's default absolute tolerance of 1e-12 exceeds these values
+    assert skew[1] == pytest.approx(3e-7 * M_GM, rel=1e-15, abs=0.0)
+    assert offset[1] == pytest.approx(2e-6 + 1.0 * skew[1], rel=1e-15, abs=0.0)
 
 
 def test_advance_noise_free_offset_accumulation():
     dyn = ClockDynamics(m=1.0, sigma_u_sq=1e-12, tau=0.5)
-    state = ClockParams(2e-7, 0.0)
-    for _ in range(100):
-        state = advance_truth(state, dyn, 0.0)
-    assert state.offset == pytest.approx(100 * dyn.tau * 2e-7, rel=1e-12)
+    _, offset = _truth(dyn, 2e-7, 0.0, horizon=101)
+    assert offset[100] == pytest.approx(100 * dyn.tau * 2e-7, rel=1e-12, abs=0.0)
 
 
 def test_advance_reproducible_under_recorded_noise():
     dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
-    noises = np.random.default_rng(3).standard_normal(50) * 1e-7
     def run():
-        s = ClockParams(1e-7, 1e-6)
-        for u in noises:
-            s = advance_truth(s, dyn, u)
-        return s
-    a, b = run(), run()
-    assert a.skew == b.skew and a.offset == b.offset
+        return _truth(dyn, 1e-7, 1e-6, horizon=51, process_noise_sq=1e-14, seed=3)
+    (skew_a, offset_a), (skew_b, offset_b) = run(), run()
+    assert np.any(skew_a[1:] != M_GM * skew_a[:-1])  # the noise enters
+    assert np.array_equal(skew_a, skew_b) and np.array_equal(offset_a, offset_b)
 
 
 def test_state_space_unit_parameters():
@@ -74,8 +91,8 @@ def test_invalid_dynamics_rejected():
         ClockDynamics(m=1.0, sigma_u_sq=1.0, tau=0.0)
     with pytest.raises(ValueError):
         ClockDynamics(m=1.5, sigma_u_sq=1.0, tau=1.0)
-    with pytest.raises(ValueError):
-        ClockParams(skew=1.5, offset=0.0)
+    with pytest.raises(ValueError, match="skew"):
+        _truth(ClockDynamics(m=1.0, sigma_u_sq=1.0, tau=1.0), 1.5, 0.0)
 
 
 def test_process_noise_psd_and_rank_deficient():

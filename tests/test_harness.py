@@ -248,6 +248,26 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["simulate", "--runs", "0"], "runs"),
+    (["simulate", "--runs", "-3"], "runs"),
+    (["fusion-study", "--runs", "0"], "runs"),
+    (["simulate", "--workers", "0"], "workers"),
+    (["simulate", "--workers", "-4"], "workers"),
+    (["simulate", "--seed", "-1"], "master_seed"),
+])
+def test_cli_overrides_keep_config_bounds(argv, field, tmp_path, capsys):
+    rc = cli_main(argv + ["--config", "configs/case1.json", "--out", str(tmp_path)])
+    assert rc == 2
+    assert f"{field}: must be >=" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_negative_master_seed_rejected():
+    with pytest.raises(ConfigError, match="master_seed"):
+        parse_config(_doc(master_seed=-1))
+
+
 def test_cli_byte_identical_outputs(tmp_path):
     cfgp = tmp_path / "c.json"
     cfgp.write_text(json.dumps(_doc(runs=3)))

@@ -3,7 +3,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from tacd.clock import ClockDynamics, ClockParams, StateSpace, build_state_space
+from tacd.clock import ClockDynamics, StateSpace, build_state_space
 from tacd.netcomm import (
     GaussianBelief,
     GsfVbFilter,
@@ -21,21 +21,19 @@ from tacd.netcomm import (
 )
 from tacd.scenario import (
     ExchangeBatch,
-    ExchangeRecord,
     LinkConfig,
     PdvProfile,
     ScenarioConfig,
     TruthOptions,
     generate_scenario,
-    simulate_exchange,
 )
 from tacd.thermal import TempSkewModel
 
-from conftest import M_GM, SIGMA_U_SQ, constant_thermal
+from conftest import M_GM, SIGMA_U_SQ, constant_thermal, exchange, run_measurements
 
 
 def _rec(t1, t2, t3, t4, k):
-    return ExchangeRecord(t1=t1, t2=t2, t3=t3, t4=t4, period_index=k)
+    return ExchangeBatch(t1=t1, t2=t2, t3=t3, t4=t4, period_index=k)
 
 
 def _stationary_cfg(horizon, stddevs, weights, process_noise_sq=SIGMA_U_SQ, skew0=3e-7):
@@ -71,9 +69,8 @@ def test_measurement_identical_consecutive_records():
 
 def test_measurement_reference_offset():
     link = LinkConfig(5e-6, 1e-6)
-    truth = ClockParams(skew=0.0, offset=1e-6)
-    r0 = simulate_exchange(truth, link, 0.0, 0.0, 0, tau=1.0)
-    r1 = simulate_exchange(truth, link, 0.0, 0.0, 1, tau=1.0)
+    r0 = exchange(1e-6, link, 0.0, 0.0, 0, tau=1.0)
+    r1 = exchange(1e-6, link, 0.0, 0.0, 1, tau=1.0)
     z = build_measurement(r1, r0, link.d)
     assert z[0] == pytest.approx(0.0, abs=1e-18)
     assert z[1] == pytest.approx(2e-6, rel=1e-9)
@@ -88,8 +85,8 @@ def test_measurement_consistency_constant_skew():
         delta0 = rng.uniform(-1e-5, 1e-5)
         tau = rng.uniform(0.1, 4.0)
         d1 = delta0 + tau * theta
-        r0 = simulate_exchange(ClockParams(theta, delta0), link, 0.0, 0.0, 0, tau)
-        r1 = simulate_exchange(ClockParams(theta, d1), link, 0.0, 0.0, 1, tau)
+        r0 = exchange(delta0, link, 0.0, 0.0, 0, tau)
+        r1 = exchange(d1, link, 0.0, 0.0, 1, tau)
         z = build_measurement(r1, r0, link.d)
         assert z[0] == pytest.approx(tau * theta, rel=1e-9, abs=1e-15)
         assert z[1] == pytest.approx(2 * d1, rel=1e-9, abs=1e-15)
@@ -110,13 +107,13 @@ def test_measurement_rejects_non_consecutive():
 def test_gptp_offset_examples():
     rec = _rec(0.0, 6e-6, 1e-2, 1e-2, 0)
     assert gptp_offset(rec, 4e-6) == pytest.approx(1e-6, rel=1e-12)
-    sym = simulate_exchange(ClockParams(0.0, 0.0), LinkConfig(3e-6, 3e-6), 0.0, 0.0, 0, 1.0)
+    sym = exchange(0.0, LinkConfig(3e-6, 3e-6), 0.0, 0.0, 0, 1.0)
     assert gptp_offset(sym, 0.0) == pytest.approx(0.0, abs=1e-18)
 
 
 def test_gptp_offset_error_term():
     link = LinkConfig(5e-6, 1e-6)
-    rec = simulate_exchange(ClockParams(0.0, 0.0), link, 2e-6, 0.0, 0, 1.0)
+    rec = exchange(0.0, link, 2e-6, 0.0, 0, 1.0)
     assert gptp_offset(rec, link.d) == pytest.approx(1e-6, rel=1e-9)  # (w1-w2)/2
 
 
@@ -127,11 +124,11 @@ def test_gptp_skew():
 
     link = LinkConfig(5e-6, 1e-6)
     theta = 1e-6
-    r0 = simulate_exchange(ClockParams(theta, 1e-6), link, 0.0, 0.0, 0, 1.0)
-    r1 = simulate_exchange(ClockParams(theta, 1e-6 + theta), link, 0.0, 0.0, 1, 1.0)
+    r0 = exchange(1e-6, link, 0.0, 0.0, 0, 1.0)
+    r1 = exchange(1e-6 + theta, link, 0.0, 0.0, 1, 1.0)
     assert gptp_skew(r1, r0, 1.0) == pytest.approx(theta, rel=1e-9)
     # a forward-delay jump of tau*1e-6 shifts the estimate by exactly 1e-6
-    r1j = simulate_exchange(ClockParams(theta, 1e-6 + theta), link, 1e-6, 0.0, 1, 1.0)
+    r1j = exchange(1e-6 + theta, link, 1e-6, 0.0, 1, 1.0)
     assert gptp_skew(r1j, r0, 1.0) - theta == pytest.approx(1e-6, rel=1e-9)
 
 
@@ -317,7 +314,7 @@ def test_vb_recovers_mixture_variance():
     true_var = float(np.sum(np.array([0.4, 0.3, 0.3]) * np.array([5e-6, 3e-6, 5e-6]) ** 2))
     acc = []
     for seed in range(6):
-        data = generate_scenario(cfg, np.random.default_rng(100 + seed))
+        z = run_measurements(generate_scenario(cfg, np.random.default_rng(100 + seed)))
         filt = GsfVbFilter(
             ss,
             isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e5, 2e5, 2e5], 1e-6),
@@ -326,7 +323,7 @@ def test_vb_recovers_mixture_variance():
         )
         effs = []
         for k in range(1, 500):
-            filt.step(build_measurement(data.records[k], data.records[k - 1], data.link.d))
+            filt.step(z[k - 1])
             if k >= 400:
                 effs.append(
                     np.einsum("i,iab->ab", filt.noise.point_weights, filt.noise.point_covariances)
@@ -347,7 +344,7 @@ def test_step_zero_noise_exact_tracking(ss):
     for k in range(40):
         if k > 0:
             d_cur += theta
-        recs.append(simulate_exchange(ClockParams(theta, d_cur), link, 0.0, 0.0, k, 1.0))
+        recs.append(exchange(d_cur, link, 0.0, 0.0, k, 1.0))
     ss_rw = build_state_space(ClockDynamics(m=1.0, sigma_u_sq=1e-18, tau=1.0))
     filt = GsfVbFilter(
         ss_rw,
@@ -377,8 +374,9 @@ def test_step_skew_estimator_bias_small():
             vb=VbSettings(),
         )
         errs[r, 0] = 3e-7 - data.skew_true[0]
+        z = run_measurements(data)
         for k in range(1, 75):
-            res = filt.step(build_measurement(data.records[k], data.records[k - 1], data.link.d))
+            res = filt.step(z[k - 1])
             errs[r, k] = res.skew - data.skew_true[k]
     bias = errs.mean(axis=0)
     rmse = np.sqrt((errs**2).mean(axis=0))
@@ -394,8 +392,7 @@ def test_step_equals_fixed_noise_kalman_for_single_component():
         ss, MixtureNoiseModel.from_point_estimates([1.0], [5e-6]), _default_belief(), vb=None
     )
     kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), _default_belief())
-    for k in range(1, 200):
-        z = build_measurement(data.records[k], data.records[k - 1], data.link.d)
+    for z in run_measurements(data):
         a = gsf.step(z)
         b = kal.step(z)
         assert a.skew == pytest.approx(b.skew, rel=1e-12)
@@ -411,8 +408,9 @@ def test_kalman_misspecified_noise_still_unbiased():
     for r in range(300):
         data = generate_scenario(cfg, np.random.default_rng(7000 + r))
         kal = KalmanBaseline(ss, nominal_noise_cov(5e-5), _default_belief())  # 10x true
+        z = run_measurements(data)
         for k in range(1, 75):
-            res = kal.step(build_measurement(data.records[k], data.records[k - 1], data.link.d))
+            res = kal.step(z[k - 1])
             errs[r, k - 1] = res.skew - data.skew_true[k]
     bias = errs[:, 30:].mean()
     rmse = np.sqrt((errs[:, 30:] ** 2).mean())

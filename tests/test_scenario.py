@@ -3,10 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tacd.clock import ClockParams
 from tacd.scenario import (
     DelayCsvError,
     EmpiricalSource,
+    ExchangeBatch,
     LinkConfig,
     PdvProfile,
     RateSegment,
@@ -15,17 +15,15 @@ from tacd.scenario import (
     ThermalSegment,
     TruthOptions,
     generate_scenario,
+    _mixture_noise,
+    _segment_temperature,
     load_delay_csv,
-    oscillator_temp_step,
     pdv_params_table,
-    sample_measurement_noise,
-    simulate_exchange,
-    temperature_at,
 )
 from tacd.netcomm import gptp_offset
 from tacd.thermal import TempSkewModel
 
-from conftest import M_GM, constant_thermal, study_pdv_profile, study_thermal_profile
+from conftest import M_GM, constant_thermal, exchange, study_pdv_profile, study_thermal_profile, thermal_run
 
 
 # ---------------------------------------------------------------- PDV profile
@@ -120,7 +118,7 @@ def test_profile_validation():
 
 def test_noise_degenerate_mixture():
     rng = np.random.default_rng(0)
-    n = sample_measurement_noise([1.0], [0.0], rng)
+    n = _mixture_noise([1.0], [0.0], rng.random(), rng.standard_normal(2))
     assert np.array_equal(n, [0.0, 0.0])
 
 
@@ -128,7 +126,7 @@ def test_noise_mean_and_variance():
     rng = np.random.default_rng(12)
     w = np.array([0.4, 0.3, 0.3])
     s = np.array([5e-6, 3e-6, 5e-6])
-    draws = sample_measurement_noise(w, s, rng, size=10**6)
+    draws = _mixture_noise(w, s, rng.random(10**6), rng.standard_normal((10**6, 2)))
     lam_max = s.max()
     assert np.all(np.abs(draws.mean(axis=0)) < 5 * lam_max / 1000.0)
     target = float(np.sum(w * s**2))
@@ -141,16 +139,16 @@ def test_noise_mean_and_variance():
 
 def test_noise_scalar_matches_component_structure():
     rng = np.random.default_rng(1)
-    vals = np.array([sample_measurement_noise([1.0], [2e-6], rng) for _ in range(4000)])
-    assert vals.var(axis=0) == pytest.approx([4e-12, 4e-12], rel=0.1)
+    vals = np.array([_mixture_noise([1.0], [2e-6], rng.random(), rng.standard_normal(2)) for _ in range(4000)])
+    assert vals.var(axis=0) == pytest.approx([4e-12, 4e-12], rel=0.1, abs=0.0)
 
 
 # -------------------------------------------------------------- temperatures
 
 def test_temperature_constant_and_first_order():
-    prof = study_thermal_profile()
-    assert temperature_at(prof, 5) == 30.0
-    assert temperature_at(prof, 55) == 25.0
+    segments = study_thermal_profile().segments
+    assert _segment_temperature(segments[0], 5) == 30.0
+    assert _segment_temperature(segments[3], 55) == 25.0
 
 
 def test_temperature_multimodal_curve():
@@ -158,21 +156,16 @@ def test_temperature_multimodal_curve():
     k = 25
     expected = 1.1 * np.sin(2 * k + np.pi) - 0.005 * (2 * k + 2) ** 2 + 40.0
     assert expected == pytest.approx(26.768612339074316, abs=1e-12)
-    assert temperature_at(study_thermal_profile(), k) == pytest.approx(expected, abs=1e-12)
+    assert _segment_temperature(study_thermal_profile().segments[1], k) == pytest.approx(expected, abs=1e-12)
 
 
 def test_temperature_colored_noise_stats():
-    prof = study_thermal_profile()
+    colored = study_thermal_profile().segments[2]
     rng = np.random.default_rng(9)
     k = 40
-    draws = np.array([temperature_at(prof, k, rng) for _ in range(20000)])
+    draws = _segment_temperature(colored, k, rng.standard_normal(20000))
     assert draws.mean() == pytest.approx(20.0, abs=0.02)
     assert draws.var() == pytest.approx(0.02 + (k - 30) * 1e-2, rel=0.05)
-
-
-def test_temperature_colored_noise_needs_rng():
-    with pytest.raises(ValueError, match="rng"):
-        temperature_at(study_thermal_profile(), 40)
 
 
 def test_thermal_profile_tiling():
@@ -184,9 +177,10 @@ def test_thermal_profile_tiling():
 
 
 def test_cooling_step():
-    assert oscillator_temp_step(20.0, 20.0, 10.0) == 20.0
-    assert oscillator_temp_step(30.0, 20.0, 10.0, dt=1e9) == pytest.approx(20.0)
-    assert oscillator_temp_step(30.0, 20.0, 10.0, dt=10.0) == pytest.approx(23.678794411714423, abs=1e-12)
+    assert np.all(thermal_run(20.0, 20.0, 10.0, 5).temp_osc == 20.0)
+    assert thermal_run(20.0, 30.0, 10.0, 1000).temp_osc[-1] == pytest.approx(20.0)
+    # ten periods with cooling constant 10 keep exp(-1) of the gap
+    assert thermal_run(20.0, 30.0, 10.0, 11).temp_osc[10] == pytest.approx(23.678794411714423, abs=1e-12)
 
 
 def test_cooling_monotone_approach():
@@ -195,19 +189,16 @@ def test_cooling_monotone_approach():
         t_ext = rng.uniform(-20, 60)
         t = t_ext + rng.uniform(0.5, 30) * rng.choice([-1.0, 1.0])
         c = rng.uniform(0.5, 50)
-        prev_gap = abs(t - t_ext)
-        for _ in range(5):
-            t = oscillator_temp_step(t, t_ext, c)
-            gap = abs(t - t_ext)
-            assert gap < prev_gap
-            prev_gap = gap
+        gaps = np.abs(thermal_run(t_ext, t, c, 6).temp_osc - t_ext)
+        assert np.all(gaps[1:] < gaps[:-1])
+        # each period keeps the share exp(-1/c) of the gap
+        assert np.allclose(gaps[1:] / gaps[:-1], np.exp(-1.0 / c), rtol=1e-6, atol=0.0)
 
 
 # ----------------------------------------------------------------- exchanges
 
 def test_exchange_reference_link():
-    truth = ClockParams(skew=0.0, offset=1e-6)
-    rec = simulate_exchange(truth, LinkConfig(5e-6, 1e-6), 0.0, 0.0, 0, tau=1.0)
+    rec = exchange(1e-6, LinkConfig(5e-6, 1e-6), 0.0, 0.0, 0, tau=1.0)
     assert rec.t1 == 0.0
     assert rec.t4 == pytest.approx(1e-2)
     assert rec.t2 == pytest.approx(6e-6)
@@ -215,8 +206,7 @@ def test_exchange_reference_link():
 
 
 def test_exchange_transparent_link():
-    truth = ClockParams(skew=0.0, offset=0.0)
-    rec = simulate_exchange(truth, LinkConfig(0.0, 0.0), 0.0, 0.0, 3, tau=2.0)
+    rec = exchange(0.0, LinkConfig(0.0, 0.0), 0.0, 0.0, 3, tau=2.0)
     assert rec.t2 == rec.t1 and rec.t3 == rec.t4
 
 
@@ -227,7 +217,7 @@ def test_exchange_offset_recovery():
     for _ in range(200):
         offset = rng.uniform(-1e-5, 1e-5)
         w = rng.uniform(0.0, 1e-5)
-        rec = simulate_exchange(ClockParams(0.0, offset), link, w, w, 1, tau=1.0)
+        rec = exchange(offset, link, w, w, 1, tau=1.0)
         assert gptp_offset(rec, link.d) == pytest.approx(offset, rel=1e-9, abs=1e-15)
 
 
@@ -309,7 +299,7 @@ def test_empirical_scenario_mode(tmp_path):
     data = generate_scenario(cfg, np.random.default_rng(0))
     assert data.link.d1 == table.fixed_delay(64, 5)
     assert data.link.d2 == table.fixed_delay(64, 25)
-    assert len(data.records) == 20
+    assert ExchangeBatch.from_stamps(data.stamps).t1.shape == (20,)
     # the delays are the table's samples and the PDV profile plays no part:
     # adding one to the config changes no timestamp
     fwd = table.samples(64, 5)
@@ -340,10 +330,8 @@ def test_scenario_deterministic():
     b = generate_scenario(cfg, np.random.default_rng(77))
     assert np.array_equal(a.skew_true, b.skew_true)
     assert np.array_equal(a.temp_meas, b.temp_meas)
-    assert all(
-        (ra.t1, ra.t2, ra.t3, ra.t4) == (rb.t1, rb.t2, rb.t3, rb.t4)
-        for ra, rb in zip(a.records, b.records)
-    )
+    ea, eb = ExchangeBatch.from_stamps(a.stamps), ExchangeBatch.from_stamps(b.stamps)
+    assert all(np.array_equal(getattr(ea, t), getattr(eb, t)) for t in ("t1", "t2", "t3", "t4"))
 
 
 def test_scenario_truth_offset_integrates_skew():

@@ -3,11 +3,12 @@ import pytest
 
 from tacd.thermal import (
     TempSkewModel,
-    measure_temperature,
     skew_from_temperature,
     thermal_bias,
     thermal_second_moment,
 )
+
+from conftest import thermal_run
 
 
 @pytest.fixture
@@ -16,9 +17,8 @@ def model():
 
 
 def test_perfect_sensor():
-    m = TempSkewModel(kappa=4e-8, T0=25.0, theta0=0.0, sigma_T_sq=0.0)
-    rng = np.random.default_rng(0)
-    assert measure_temperature(31.5, rng, m) == 31.5
+    data = thermal_run(31.5, 31.5, 10.0, 4, sigma_T_sq=0.0)
+    assert np.all(data.temp_meas == 31.5)
 
 
 def test_sensor_noise_statistics(model):
@@ -26,8 +26,9 @@ def test_sensor_noise_statistics(model):
     draws = 25.0 + rng.standard_normal(10**6) * np.sqrt(model.sigma_T_sq)
     assert draws.mean() == pytest.approx(25.0, abs=0.002)
     assert draws.var() == pytest.approx(0.1, rel=0.01)
-    # scalar op draws from the same distribution
-    few = np.array([measure_temperature(25.0, rng, model) for _ in range(4000)])
+    # the generator's sensor readings draw from the same distribution
+    data = thermal_run(25.0, 25.0, 10.0, 4000, sigma_T_sq=model.sigma_T_sq, seed=1)
+    few = data.temp_meas - data.temp_osc
     assert few.var() == pytest.approx(0.1, rel=0.1)
 
 
