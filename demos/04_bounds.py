@@ -9,7 +9,7 @@ import pathlib
 
 import numpy as np
 
-from tacd.bclb import FusionBclbParams, OracleNoiseTruth, bclb_trajectory
+from tacd.bclb import OracleNoiseTruth, bclb_trajectory
 from tacd.clock import ClockDynamics
 from tacd.config import load_config
 from tacd.report import emit_plot_svg
@@ -26,8 +26,7 @@ dyn = cfg.dynamics
 series = []
 ks = np.arange(cfg.scenario.horizon)
 for alpha in (1.0, 0.7, 0.5, 0.3):
-    params = FusionBclbParams(alpha=alpha, sigma_m_sq=0.25, sigma_T_sq=0.1)
-    bound_lin, bound_fus = bclb_trajectory(oracle, dyn, params, cfg.netcomm_init.p0_diag[0])
+    bound_lin, bound_fus = bclb_trajectory(oracle, dyn, alpha, cfg.netcomm_init.p0_diag[0])
     if alpha == 1.0:
         series.append(("linear model", ks, bound_lin))
         assert np.array_equal(bound_fus, bound_lin)

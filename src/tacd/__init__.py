@@ -10,9 +10,9 @@ Every stage runs on arrays. generate_scenario draws one run; its stamps
 become an ExchangeBatch, the one exchange type, whose fields have any
 leading shape: () for one exchange, (h,) for one run, (R, h) for a batch.
 The filters step all runs of a batch per period and bclb_trajectory runs
-the bound recursion over the horizon. The per-period scalar forms of these
-stages live only in tests/oracles.py, as the reference the array forms are
-checked against.
+the bound recursion over the horizon, once per case (runner.case_bounds).
+The per-period scalar forms of these stages live only in tests/oracles.py,
+as the reference the array forms are checked against.
 """
 
 __version__ = "0.1.0"
@@ -61,4 +61,4 @@ from .fusion import (
     fusion_variance,
     pareto_beta,
 )
-from .bclb import FusionBclbParams, OracleNoiseTruth, bclb_trajectory
+from .bclb import OracleNoiseTruth, bclb_trajectory

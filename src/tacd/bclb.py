@@ -2,11 +2,10 @@
 
 Fisher information follows the posterior Cramer-Rao recursion of
 Tichavsky, Muravchik & Nehorai (IEEE TSP 46(5), 1998) over the horizon,
-under oracle knowledge of the per-period noise-mixture parameters. The
-linear-model estimator has a scalar skew information; the fusion
-estimator's information is diagonal in (skew, temperature), so its two
-entries propagate as two scalar recursions. Reported bounds are the
-inverses of the skew information.
+under oracle knowledge of the per-period noise-mixture parameters. Both the
+linear-model and the fusion estimator propagate a scalar skew information;
+the fusion recursion scales it by the network weight alpha. Reported bounds
+are the inverses of the skew information.
 """
 from __future__ import annotations
 
@@ -41,25 +40,6 @@ class OracleNoiseTruth:
         return self.weights.shape[0]
 
 
-@dataclass(frozen=True)
-class FusionBclbParams:
-    """Inputs of the fusion-bound recursion.
-
-    alpha is one weight, a per-period (h,) sequence, or an (R, h) table
-    with one sequence per run.
-    """
-
-    alpha: Union[float, Sequence[float], np.ndarray]
-    sigma_m_sq: float
-    sigma_T_sq: float
-
-    def __post_init__(self) -> None:
-        if self.sigma_m_sq <= 0.0:
-            raise ValueError("sigma_m_sq must be > 0")
-        if self.sigma_T_sq <= 0.0:
-            raise ValueError("sigma_T_sq must be > 0")
-
-
 def _mixture_data_term(weights: np.ndarray, stddevs: np.ndarray, tau: float) -> float:
     """Measurement information term tau^2 * (sum b/Lambda^3) / (sum b/Lambda)."""
     lam = np.asarray(stddevs, dtype=float)
@@ -69,18 +49,6 @@ def _mixture_data_term(weights: np.ndarray, stddevs: np.ndarray, tau: float) -> 
     return tau**2 * float(np.sum(b / lam**3) / np.sum(b / lam))
 
 
-def _square(x):
-    """x ** 2 as Python's float power computes it, elementwise on arrays.
-
-    That power is libm's pow, which now and then rounds x * x the other
-    way; the batched bound keeps it so each run matches its one-run
-    recursion bit for bit.
-    """
-    if isinstance(x, np.ndarray):
-        return np.array([v**2 for v in x.tolist()])
-    return x**2
-
-
 def _linear_prior(j_prev: float, dyn: ClockDynamics) -> float:
     """Prior part of the linear skew recursion, 1/s - (m/s)^2 / (J_{k-1} + m^2/s)."""
     s = dyn.sigma_u_sq
@@ -88,8 +56,8 @@ def _linear_prior(j_prev: float, dyn: ClockDynamics) -> float:
     return 1.0 / s - (m / s) ** 2 / (j_prev + m * m / s)
 
 
-def _fusion_skew_info(j_prev, dyn: ClockDynamics, data: float, alpha_prev, alpha_now):
-    """Skew entry of the fusion recursion; elementwise over (R,) arrays.
+def _fusion_skew_info(j_prev: float, dyn: ClockDynamics, data: float, alpha_prev: float, alpha_now: float) -> float:
+    """Skew information of the fusion recursion.
 
     J_k = 1/(a_{k-1}^2 s) - (m/(a_{k-1} s))^2 / (J_{k-1} + m^2/s)
           + data / a_k^2
@@ -99,28 +67,22 @@ def _fusion_skew_info(j_prev, dyn: ClockDynamics, data: float, alpha_prev, alpha
     s = dyn.sigma_u_sq
     m = dyn.m
     as_ = alpha_prev * s
-    return 1.0 / (alpha_prev * as_) - _square(m / as_) / (j_prev + m * m / s) + data / (alpha_now * alpha_now)
-
-
-def _fusion_temp_info(j_prev: float, params: FusionBclbParams) -> float:
-    sm = params.sigma_m_sq
-    return 1.0 / sm - (1.0 / sm) ** 2 / (j_prev + 1.0 / sm) + 1.0 / params.sigma_T_sq
+    return 1.0 / (alpha_prev * as_) - (m / as_) ** 2 / (j_prev + m * m / s) + data / (alpha_now * alpha_now)
 
 
 def bclb_trajectory(
     oracle: OracleNoiseTruth,
     dyn: ClockDynamics,
-    params: Optional[FusionBclbParams],
+    alpha: Union[None, float, Sequence[float], np.ndarray],
     p0_skew: float,
     horizon: Optional[int] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-period (BCLB_linear, BCLB_fusion) sequences of length horizon.
 
-    Information starts at 1/P0_skew at k = 0 (the prior variance is the
-    period-0 bound); each later period applies the recursions with that
-    period's oracle mixture. The fusion sequence is NaN when params is None.
-    With an (R, h) alpha the fusion bound is (R, h), one row per run, and
-    the linear bound, which no alpha enters, is computed once.
+    alpha is one fusion weight or a per-period sequence; the fusion sequence
+    is NaN when alpha is None. Information starts at 1/P0_skew at k = 0 (the
+    prior variance is the period-0 bound); each later period applies the
+    recursions with that period's oracle mixture.
     """
     if p0_skew <= 0.0:
         raise ValueError("P0 skew variance must be > 0")
@@ -129,26 +91,24 @@ def bclb_trajectory(
         raise ValueError("horizon exceeds the oracle table")
     bclb_l = np.empty(h)
     bclb_f = np.full(h, np.nan)
-    if params is not None:
-        alpha = np.asarray(params.alpha, dtype=float)
-        alpha = np.full(h, float(alpha)) if alpha.ndim == 0 else alpha[..., :h]
+    if alpha is not None:
+        alpha = np.asarray(alpha, dtype=float)
+        if alpha.ndim > 1:
+            raise ValueError(f"alpha must be one weight or a per-period sequence, got shape {alpha.shape}")
+        alpha = np.full(h, float(alpha)) if alpha.ndim == 0 else alpha[:h]
         if not np.all((alpha > 0.0) & (alpha <= 1.0)):
             raise ValueError("alpha weights must lie in (0, 1]")
-        bclb_f = np.empty(alpha.shape)
-        # per period: a Python float, or an (R,) array across runs
-        alpha = alpha.tolist() if alpha.ndim == 1 else list(alpha.T)
+        alpha = alpha.tolist()
         j_skew = 1.0 / p0_skew
-        j_temp = 1.0 / params.sigma_m_sq
 
     j_lin = 1.0 / p0_skew
     for k in range(h):
         if k > 0:
             data = _mixture_data_term(oracle.weights[k], oracle.stddevs[k], dyn.tau)
             j_lin = _linear_prior(j_lin, dyn) + data
-            if params is not None:
+            if alpha is not None:
                 j_skew = _fusion_skew_info(j_skew, dyn, data, alpha[k - 1], alpha[k])
-                j_temp = _fusion_temp_info(j_temp, params)
         bclb_l[k] = 1.0 / j_lin
-        if params is not None:
-            bclb_f[..., k] = 1.0 / j_skew
+        if alpha is not None:
+            bclb_f[k] = 1.0 / j_skew
     return bclb_l, bclb_f

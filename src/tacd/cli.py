@@ -62,7 +62,7 @@ def _out_path(cfg, name: str) -> Path:
 def _cmd_simulate(args) -> int:
     cfg = _load(args)
     trajs = run_case(cfg)
-    path = emit_csv(trajectory_rows(trajs), TRAJECTORY_COLUMNS, _out_path(cfg, "trajectory.csv"))
+    path = emit_csv(trajectory_rows(cfg, trajs), TRAJECTORY_COLUMNS, _out_path(cfg, "trajectory.csv"))
     print(f"wrote {path} ({cfg.runs} runs x {cfg.scenario.horizon} periods)")
     if args.plot:
         ks = np.arange(trajs.horizon)

@@ -99,7 +99,6 @@ class FusionSettings:
 
 @dataclass(frozen=True)
 class BclbSettings:
-    sigma_m_sq: float = 0.25
     alpha_mode: str = "fixed"  # "fixed" | "runtime"
     alpha_value: float = 0.5
 
@@ -379,7 +378,7 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
     fusion = FusionSettings(lam=lam, feedback=feedback)
 
     bclb_obj = doc.get("bclb", {})
-    _require(bclb_obj, {"sigma_m_sq": False, "alpha_mode": False, "alpha_value": False}, "bclb")
+    _require(bclb_obj, {"alpha_mode": False, "alpha_value": False}, "bclb")
     alpha_mode = bclb_obj.get("alpha_mode", "fixed")
     if alpha_mode not in ("fixed", "runtime"):
         raise ConfigError(f"bclb.alpha_mode: expected 'fixed' or 'runtime', got {alpha_mode!r}")
@@ -387,7 +386,6 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
     if not 0.0 < alpha_value <= 1.0:
         raise ConfigError(f"bclb.alpha_value: must lie in (0, 1], got {alpha_value}")
     bclb = BclbSettings(
-        sigma_m_sq=_number(bclb_obj, "sigma_m_sq", "bclb", default=0.25, positive=True),
         alpha_mode=alpha_mode,
         alpha_value=alpha_value,
     )

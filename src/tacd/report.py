@@ -55,12 +55,20 @@ def emit_csv(rows: Iterable[Sequence], columns: Sequence[str], path) -> Path:
 
 
 def load_csv_columns(path) -> dict[str, np.ndarray]:
-    """Read a numeric CSV back as named float columns ('estimator' stays str)."""
+    """Read a numeric CSV back as named float columns ('estimator' stays str).
+
+    Raises ValueError for a file without a header or a row whose cell count
+    differs from the header's.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty CSV, no header")
         cols: dict[str, list] = {name: [] for name in header}
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path}: line {reader.line_num} has {len(row)} cells, the header {len(header)}")
             for name, cell in zip(header, row):
                 cols[name].append(cell)
     out = {}

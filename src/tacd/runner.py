@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
+from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .bclb import FusionBclbParams, OracleNoiseTruth, bclb_trajectory
+from .bclb import OracleNoiseTruth, bclb_trajectory
 from .clock import build_state_space
 from .fusion import PhaseErrorStats, fuse_skew, pareto_beta
 from .netcomm import (
@@ -41,7 +42,7 @@ OWNED_COLUMNS = ("theta_L", "theta_T", "epsilon", "alpha", "beta")
 
 @dataclass
 class Trajectories:
-    """Per-period truth, estimates and bounds of a set of runs.
+    """Per-period truth and estimates of a set of runs.
 
     Every array is (R, h); row i belongs to run runs[i]. theta_L, epsilon,
     alpha and beta are the fused pipeline's (tacd), theta_T is the thermal
@@ -58,8 +59,6 @@ class Trajectories:
     epsilon: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    bclb_L: np.ndarray
-    bclb_F: np.ndarray
     est_skew: dict[str, np.ndarray]
     est_offset: dict[str, np.ndarray]
 
@@ -233,29 +232,34 @@ ESTIMATORS = {
 }
 
 
-def case_bounds(cfg: RunConfig, alpha) -> tuple[np.ndarray, np.ndarray]:
+def case_bounds(cfg: RunConfig, t: Optional[Trajectories] = None) -> tuple[np.ndarray, np.ndarray]:
     """(BCLB_linear, BCLB_fusion) over the horizon under the configured PDV
-    profile, for a fixed weight, a per-period alpha sequence or an (R, h)
-    table of per-run sequences (then the fusion bound is (R, h)). Nothing
-    else depends on a run's draws, so a fixed alpha gives one bound per case.
+    profile. The bound depends on no run's draws, so there is one per case.
 
-    The fusion bound needs a noisy temperature sensor (temp_model.sigma_T_sq
-    > 0); without one it is NaN, in every command.
+    alpha is the fixed bclb.alpha_value or, with alpha_mode "runtime", the
+    Monte-Carlo mean of t.alpha over all of the command's runs, clipped to
+    [1e-12, 1]; runtime alpha falls back to the fixed value when no run
+    produced weights (tacd not selected). The fusion bound needs a noisy
+    temperature sensor (temp_model.sigma_T_sq > 0); without one it is NaN.
     """
     if cfg.scenario.pdv is None:
         raise ValueError("bounds require a synthetic PDV profile")
+    alpha = cfg.bclb.alpha_value
+    if cfg.bclb.alpha_mode == "runtime":
+        if t is None:
+            raise ValueError("runtime alpha needs the command's runs (set bclb.alpha_mode='fixed')")
+        if not np.all(np.isnan(t.alpha)):
+            alpha = np.clip(np.mean(t.alpha, axis=0), 1e-12, 1.0)
+    if cfg.temp_model.sigma_T_sq <= 0.0:
+        alpha = None
     weights, stddevs = pdv_params_table(cfg.scenario.pdv, cfg.scenario.horizon)
     oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs, tau=cfg.scenario.tau)
-    sigma_T_sq = cfg.temp_model.sigma_T_sq
-    params = None
-    if sigma_T_sq > 0.0:
-        params = FusionBclbParams(alpha=alpha, sigma_m_sq=cfg.bclb.sigma_m_sq, sigma_T_sq=sigma_T_sq)
-    return bclb_trajectory(oracle, cfg.dynamics, params, cfg.netcomm_init.p0_diag[0])
+    return bclb_trajectory(oracle, cfg.dynamics, alpha, cfg.netcomm_init.p0_diag[0])
 
 
 def simulate_run(cfg: RunConfig, runs: Sequence[int]) -> Trajectories:
     """Generate each run's scenario, then run every selected estimator over
-    all runs at once and compute the bounds."""
+    all runs at once."""
     runs = np.asarray(list(runs), dtype=int)
     n, h = len(runs), cfg.scenario.horizon
     truth = {name: np.empty((n, h)) for name in ("theta_true", "delta_true", "temp_osc", "temp_meas")}
@@ -278,17 +282,7 @@ def simulate_run(cfg: RunConfig, runs: Sequence[int]) -> Trajectories:
         est_skew[name], est_offset[name], owned = ESTIMATORS[name](inputs)
         columns.update(owned)
 
-    bclb_l, bclb_f = inputs.nans(), inputs.nans()
-    if cfg.scenario.empirical is None:
-        # alpha stays NaN unless the fused pipeline produced weights
-        if cfg.bclb.alpha_mode == "runtime" and not np.all(np.isnan(columns["alpha"])):
-            alpha = np.clip(np.nan_to_num(columns["alpha"], nan=1.0), 1e-12, 1.0)
-            bclb_l[:], bclb_f[:] = case_bounds(cfg, alpha)
-        else:
-            bclb_l[:], bclb_f[:] = case_bounds(cfg, cfg.bclb.alpha_value)
-    return Trajectories(
-        runs=runs, **truth, **columns, bclb_L=bclb_l, bclb_F=bclb_f, est_skew=est_skew, est_offset=est_offset
-    )
+    return Trajectories(runs=runs, **truth, **columns, est_skew=est_skew, est_offset=est_offset)
 
 
 def run_case(cfg: RunConfig) -> Trajectories:
@@ -306,13 +300,19 @@ def run_case(cfg: RunConfig) -> Trajectories:
         return Trajectories.concat(list(pool.map(simulate_run, [cfg] * parts, slices)))
 
 
-def trajectory_rows(t: Trajectories):
-    """Trajectory CSV rows, run-major, then period."""
-    columns = (t.theta_true, t.delta_true, t.temp_osc, t.temp_meas, t.theta_L, t.theta_T, t.theta_F,
-               t.delta_hat, t.epsilon, t.alpha, t.beta, t.bclb_L, t.bclb_F)
+def trajectory_rows(cfg: RunConfig, t: Trajectories):
+    """Trajectory CSV rows, run-major, then period. Every run's rows carry
+    the case's bounds (NaN in empirical-delay mode, which has no oracle)."""
     h = t.horizon
-    for i, run in enumerate(t.runs.tolist()):
-        yield from zip([run] * h, range(h), *(c[i].tolist() for c in columns))
+    if cfg.scenario.empirical is None:
+        bounds = [b.tolist() for b in case_bounds(cfg, t)]
+    else:
+        bounds = [[float("nan")] * h] * 2
+    columns = (t.theta_true, t.delta_true, t.temp_osc, t.temp_meas, t.theta_L, t.theta_T, t.theta_F,
+               t.delta_hat, t.epsilon, t.alpha, t.beta)
+    return chain.from_iterable(
+        zip([run] * h, range(h), *(c[i].tolist() for c in columns), *bounds) for i, run in enumerate(t.runs.tolist())
+    )
 
 
 def _window_slice(horizon: int, window: int) -> slice:
@@ -351,22 +351,16 @@ def fusion_study(cfg: RunConfig) -> tuple[FusionStudyResult, Trajectories]:
     """Per-period RMSE of the three estimator variants plus both bounds.
 
     Runs the fused pipeline, the isolated network-phase filter, and the
-    thermal phase on shared scenario draws; bound curves follow the
-    configured alpha mode ("fixed" reference weight by default, "runtime"
-    uses the Monte-Carlo mean of the produced alpha sequence).
+    thermal phase on shared scenario draws; the bound curves are
+    case_bounds' over these runs.
     """
+    if cfg.scenario.empirical is not None:
+        raise ValueError("fusion study requires a synthetic PDV profile (oracle bounds)")
     t = run_case(cfg.with_overrides(estimators=("tacd", "linear-only", "thermal-only")))
     r1 = skew_rmse_per_period(t, "linear-only")
     r2 = skew_rmse_per_period(t, "thermal-only")
     rf = skew_rmse_per_period(t, "tacd")
-
-    if not np.any(np.isfinite(t.bclb_L[0])):
-        raise ValueError("fusion study requires a synthetic PDV profile (oracle bounds)")
-    if cfg.bclb.alpha_mode == "runtime":
-        # rebuild the bound with the Monte-Carlo mean alpha sequence
-        bclb_l, bclb_f = case_bounds(cfg, np.clip(np.mean(t.alpha, axis=0), 1e-12, 1.0))
-    else:
-        bclb_l, bclb_f = t.bclb_L[0], t.bclb_F[0]
+    bclb_l, bclb_f = case_bounds(cfg, t)
 
     sl = _window_slice(t.horizon, cfg.steady_window)
     reduction = 1.0 - float(np.mean(bclb_f[sl]) / np.mean(bclb_l[sl]))
@@ -393,7 +387,5 @@ def fusion_study_rows(result: FusionStudyResult):
 
 def bclb_rows(cfg: RunConfig) -> list[tuple]:
     """Bound-only evaluation from the configured scenario (no estimators)."""
-    if cfg.bclb.alpha_mode == "runtime":
-        raise ValueError("bclb subcommand needs a fixed alpha (set bclb.alpha_mode='fixed')")
-    bclb_l, bclb_f = case_bounds(cfg, cfg.bclb.alpha_value)
+    bclb_l, bclb_f = case_bounds(cfg)
     return list(zip(range(len(bclb_l)), bclb_l.tolist(), bclb_f.tolist()))

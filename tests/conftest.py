@@ -111,10 +111,10 @@ def constant_oracle(weights, stddevs, horizon: int, tau: float = 1.0) -> OracleN
     return OracleNoiseTruth(weights=np.tile(weights, (horizon, 1)), stddevs=np.tile(stddevs, (horizon, 1)), tau=tau)
 
 
-def information(dyn, weights, stddevs, j0: float, steps: int, params=None):
+def information(dyn, weights, stddevs, j0: float, steps: int, alpha=None):
     """Skew information J_0..J_steps from J_0 = j0 under a constant mixture,
     (linear, fusion), read off bclb_trajectory as the inverse bounds."""
-    bl, bf = bclb_trajectory(constant_oracle(weights, stddevs, steps + 1, dyn.tau), dyn, params, 1.0 / j0)
+    bl, bf = bclb_trajectory(constant_oracle(weights, stddevs, steps + 1, dyn.tau), dyn, alpha, 1.0 / j0)
     return 1.0 / bl, 1.0 / bf
 
 
@@ -128,7 +128,6 @@ def toy_trajectories(theta_true, delta_true, est_skew, est_offset) -> Trajectori
         theta_true=theta_true,
         delta_true=np.asarray(delta_true, dtype=float),
         temp_osc=nan, temp_meas=nan, theta_L=nan, theta_T=nan, epsilon=nan, alpha=nan, beta=nan,
-        bclb_L=nan, bclb_F=nan,
         est_skew=est_skew,
         est_offset=est_offset,
     )

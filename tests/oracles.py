@@ -1,11 +1,11 @@
 """Independent numerical oracles shared by the unit and acceptance suites."""
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import digamma
 
-from tacd.bclb import FusionBclbParams, OracleNoiseTruth
+from tacd.bclb import OracleNoiseTruth
 from tacd.clock import ClockDynamics
 from tacd.scenario import LinkConfig, ScenarioConfig, ThermalProfile, ThermalSegment, pdv_params_table
 
@@ -510,8 +510,26 @@ def generate_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> Scenario
 
 
 # The Fisher-bound recursions as they were before the fusion bound took an
-# (R, h) alpha: one run per call, FusionBclbParams.alpha_at inlined as
-# _alpha_at, otherwise verbatim.
+# (R, h) alpha: one run per call on the full 2x2 (skew, temperature)
+# information, FusionBclbParams.alpha_at inlined as _alpha_at, otherwise
+# verbatim. The library keeps only the skew entry, which no temperature
+# term enters.
+
+
+@dataclass(frozen=True)
+class FusionBclbParams:
+    """Inputs of the fusion-bound recursion: one weight or a per-period
+    alpha sequence, and the temperature-block variances."""
+
+    alpha: Union[float, Sequence[float], np.ndarray]
+    sigma_m_sq: float
+    sigma_T_sq: float
+
+    def __post_init__(self) -> None:
+        if self.sigma_m_sq <= 0.0:
+            raise ValueError("sigma_m_sq must be > 0")
+        if self.sigma_T_sq <= 0.0:
+            raise ValueError("sigma_T_sq must be > 0")
 
 
 def _alpha_at(params, k: int) -> float:

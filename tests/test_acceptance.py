@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from tacd.bclb import OracleNoiseTruth, bclb_trajectory
-from tacd.bclb import FusionBclbParams
 from tacd.cli import main as cli_main
 from tacd.clock import ClockDynamics, build_state_space
 from tacd.config import load_config, parse_config
@@ -161,8 +160,7 @@ def test_criterion_4_fisher_sanity():
     j_ref = dyn.tau**2 / lam[0] ** 2 + 1.0 / (dyn.sigma_u_sq + dyn.m**2 / j)
     fixed_ok = abs(j - j_ref) / j_ref <= 1e-10
 
-    params1 = FusionBclbParams(alpha=1.0, sigma_m_sq=0.25, sigma_T_sq=0.1)
-    bl, bf = bclb_trajectory(constant_oracle(b, lam, 51), dyn, params1, 1.0 / 3e10)
+    bl, bf = bclb_trajectory(constant_oracle(b, lam, 51), dyn, 1.0, 1.0 / 3e10)
     exact_ok = bool(np.array_equal(bf, bl))
 
     from conftest import study_pdv_profile
@@ -173,11 +171,7 @@ def test_criterion_4_fisher_sanity():
     dom_ok = True
     for _ in range(10):
         alpha = rng.uniform(0.05, 0.999, 75)
-        bl, bf = bclb_trajectory(
-            oracle, dyn,
-            FusionBclbParams(alpha=alpha, sigma_m_sq=0.25, sigma_T_sq=0.1),
-            5e-6,
-        )
+        bl, bf = bclb_trajectory(oracle, dyn, alpha, 5e-6)
         dom_ok &= bool(np.all(bf[1:] <= bl[1:] * (1 + 1e-12)))
     _report(4, "Fisher recursion sanity", fixed_ok and exact_ok and dom_ok,
             f"fixed point rel err {(abs(j - j_ref) / j_ref):.2e}, alpha=1 exact {exact_ok}, dominance {dom_ok}")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles
-from tacd.bclb import FusionBclbParams, OracleNoiseTruth
+from tacd.bclb import OracleNoiseTruth
 from tacd.cli import main as cli_main
 from tacd.clock import build_state_space
 from tacd.config import load_config, parse_config
@@ -122,7 +122,7 @@ def test_update_counters_are_python_scalars(ss):
 
 def _trajectory_arrays(t):
     fields = [t.theta_true, t.delta_true, t.temp_osc, t.temp_meas, t.theta_L, t.theta_T, t.theta_F,
-              t.delta_hat, t.epsilon, t.alpha, t.beta, t.bclb_L, t.bclb_F]
+              t.delta_hat, t.epsilon, t.alpha, t.beta]
     fields += [t.est_skew[name] for name in sorted(t.est_skew)]
     fields += [t.est_offset[name] for name in sorted(t.est_offset)]
     return [(run, [f[i] for f in fields]) for i, run in enumerate(t.runs.tolist())]
@@ -148,10 +148,11 @@ def test_batch_split_invariance(case, alpha_mode):
     assert _same(whole, uneven)
 
 
-def test_runtime_alpha_bound_matches_per_run_recursion():
-    # the bound of a batch with runtime alpha is computed once over an (R, h)
-    # alpha; each run's row must be the one-run recursion's, bit for bit
+def test_case_bounds_match_one_run_recursion():
+    # the runtime (Monte-Carlo mean) alpha sequence and the fixed weight
+    # each take the one-run recursion, bit for bit
     doc = json.loads(open("configs/fusion_study.json", encoding="utf-8").read())
+    fixed = parse_config(doc)
     doc["bclb"]["alpha_mode"] = "runtime"
     cfg = parse_config(doc)
     trajs = simulate_run(cfg, range(12))
@@ -159,27 +160,42 @@ def test_runtime_alpha_bound_matches_per_run_recursion():
     oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs, tau=cfg.scenario.tau)
 
     def one_run(alpha):
-        params = FusionBclbParams(alpha=alpha, sigma_m_sq=cfg.bclb.sigma_m_sq, sigma_T_sq=cfg.temp_model.sigma_T_sq)
+        # the oracle's temperature block never enters the skew bound
+        params = oracles.FusionBclbParams(alpha=alpha, sigma_m_sq=0.25, sigma_T_sq=cfg.temp_model.sigma_T_sq)
         return oracles.bclb_trajectory(oracle, cfg.dynamics, params, cfg.netcomm_init.p0_diag[0])
 
-    assert not np.all(trajs.alpha == trajs.alpha[0])  # the runs' weights differ
-    for i in range(len(trajs.runs)):
-        bclb_l, bclb_f = one_run(np.clip(np.nan_to_num(trajs.alpha[i], nan=1.0), 1e-12, 1.0))
-        assert np.array_equal(trajs.bclb_L[i].view(np.uint64), bclb_l.view(np.uint64)), i
-        assert np.array_equal(trajs.bclb_F[i].view(np.uint64), bclb_f.view(np.uint64)), i
-    # one alpha sequence and one fixed weight take the same recursion
     mean_alpha = np.clip(np.mean(trajs.alpha, axis=0), 1e-12, 1.0)
-    for alpha in (mean_alpha, cfg.bclb.alpha_value):
-        for new, old in zip(case_bounds(cfg, alpha), one_run(alpha)):
+    assert not np.all(mean_alpha == fixed.bclb.alpha_value)
+    for c, alpha in ((cfg, mean_alpha), (fixed, fixed.bclb.alpha_value)):
+        for new, old in zip(case_bounds(c, trajs), one_run(alpha)):
             assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
 
 
-def _run_cli(tmp_path, doc, sub, tag):
+def _run_cli(tmp_path, doc, sub, tag, *flags):
     cfgp = tmp_path / f"{tag}.json"
     cfgp.write_text(json.dumps(doc))
     out = tmp_path / tag
-    rc = cli_main([sub, "--config", str(cfgp), "--out", str(out)])
+    rc = cli_main([sub, "--config", str(cfgp), "--out", str(out), *flags])
     return rc, out
+
+
+def test_runtime_alpha_bound_is_the_fusion_study_bound(tmp_path, capsys):
+    # runtime alpha means the Monte-Carlo mean of the command's weights in
+    # every command: each simulated run carries the fusion study's bound
+    doc = json.loads(open("configs/fusion_study.json", encoding="utf-8").read())
+    doc["bclb"]["alpha_mode"] = "runtime"
+    runs, h = 6, doc["horizon"]
+    for workers in ("1", "2"):
+        flags = ("--runs", str(runs), "--workers", workers)
+        rc, sim = _run_cli(tmp_path, doc, "simulate", f"sim{workers}", *flags)
+        assert rc == 0, capsys.readouterr().err
+        rc, study = _run_cli(tmp_path, doc, "fusion-study", f"study{workers}", *flags)
+        assert rc == 0, capsys.readouterr().err
+        bound = load_csv_columns(study / "fusion_study.csv")["bclb_fusion"]
+        per_run = load_csv_columns(sim / "trajectory.csv")["bclb_F"].reshape(runs, h)
+        assert np.all(np.isfinite(bound))
+        for row in per_run:
+            assert np.array_equal(row.view(np.uint64), bound.view(np.uint64)), workers
 
 
 def test_fusion_bound_guard_agrees_across_commands(tmp_path, capsys):

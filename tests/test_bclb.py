@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
-from tacd.bclb import FusionBclbParams, OracleNoiseTruth, bclb_trajectory
+from tacd.bclb import OracleNoiseTruth, bclb_trajectory
 from tacd.clock import ClockDynamics
 from tacd.scenario import pdv_params_table
 
 from conftest import M_GM, SIGMA_U_SQ, constant_oracle, information, study_pdv_profile
-
-
-def _params(alpha):
-    return FusionBclbParams(alpha=alpha, sigma_m_sq=0.25, sigma_T_sq=0.1)
 
 
 def test_linear_memoryless_decoupling():
@@ -54,26 +50,28 @@ def test_fusion_reduces_to_linear_at_alpha_one():
     dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
     b = np.array([0.4, 0.3, 0.3])
     lam = np.array([5e-6, 3e-6, 5e-6])
-    j_lin, j_fus = information(dyn, b, lam, 3e10, 1, _params(1.0))
+    j_lin, j_fus = information(dyn, b, lam, 3e10, 1, 1.0)
     assert j_fus[1] == pytest.approx(j_lin[1], rel=1e-12)
 
 
 def test_fusion_half_alpha_memoryless():
     dyn = ClockDynamics(m=0.0, sigma_u_sq=1e-10, tau=1.0)
-    j_fus = information(dyn, [1.0], [5e-6], 1e5, 1, _params(0.5))[1]
+    j_fus = information(dyn, [1.0], [5e-6], 1e5, 1, 0.5)[1]
     assert j_fus[1] == pytest.approx(4.0 / 1e-10 + 4.0 / 25e-12, rel=1e-12)
 
 
 def test_fusion_rejects_zero_alpha():
     dyn = ClockDynamics(m=1.0, sigma_u_sq=1e-10, tau=1.0)
-    with pytest.raises(ValueError, match="alpha"):
-        information(dyn, [1.0], [5e-6], 1e5, 1, _params(np.array([0.0, 0.5])))
+    # a zero weight, and an (R, h) table where one sequence is expected
+    for alpha in (np.array([0.0, 0.5]), np.full((3, 2), 0.5)):
+        with pytest.raises(ValueError, match="alpha"):
+            information(dyn, [1.0], [5e-6], 1e5, 1, alpha)
 
 
 def test_trajectory_zero_horizon():
     oracle = OracleNoiseTruth(weights=np.ones((0, 1)), stddevs=np.ones((0, 1)), tau=1.0)
     dyn = ClockDynamics(m=1.0, sigma_u_sq=1e-10, tau=1.0)
-    l, f = bclb_trajectory(oracle, dyn, _params(0.5), 5e-6)
+    l, f = bclb_trajectory(oracle, dyn, 0.5, 5e-6)
     assert l.size == 0 and f.size == 0
 
 
@@ -83,7 +81,7 @@ def test_trajectory_monotone_convergence_single_component():
         weights=np.ones((h, 1)), stddevs=np.full((h, 1), 5e-6), tau=1.0
     )
     dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
-    l, f = bclb_trajectory(oracle, dyn, _params(0.5), 5e-6)
+    l, f = bclb_trajectory(oracle, dyn, 0.5, 5e-6)
     assert np.all(np.diff(l) <= 1e-18)  # bounds shrink toward the fixed point
     assert np.all(np.diff(f) <= 1e-18)
     assert l[-1] == pytest.approx(l[-2], rel=1e-9)
@@ -98,7 +96,7 @@ def test_trajectory_dominance_nonstationary():
     rng = np.random.default_rng(31)
     for _ in range(20):
         alpha = rng.uniform(0.05, 0.999, h)
-        l, f = bclb_trajectory(oracle, dyn, _params(alpha), 5e-6)
+        l, f = bclb_trajectory(oracle, dyn, alpha, 5e-6)
         assert np.all(f[1:] <= l[1:] * (1 + 1e-12))
         assert np.all(f > 0) and np.all(l > 0)
 

@@ -56,8 +56,8 @@ def golden_section_beta(lam, stats, model, iters=120):
 
 def test_fusion_bias_values(model):
     assert fusion_bias(0.0, model) == 0.0
-    assert fusion_bias(1.0, model) == pytest.approx(4e-9, rel=1e-12)
-    assert fusion_bias(0.5, model) == pytest.approx(2e-9, rel=1e-12)
+    assert fusion_bias(1.0, model) == pytest.approx(4e-9, rel=1e-12, abs=0.0)
+    assert fusion_bias(0.5, model) == pytest.approx(2e-9, rel=1e-12, abs=0.0)
 
 
 def test_fusion_variance_values(model):
@@ -65,9 +65,9 @@ def test_fusion_variance_values(model):
     assert fusion_variance(1.0, 0.0, stats, model) == 1e-14
     at_vertex = PhaseErrorStats(linear_variance=1e-14, temp_gap=0.0)
     assert fusion_variance(0.0, 1.0, at_vertex, model) == pytest.approx(
-        2 * model.kappa**2 * 0.1**2, rel=1e-12
+        2 * model.kappa**2 * 0.1**2, rel=1e-12, abs=0.0
     )
-    assert fusion_variance(0.5, 0.5, stats, model) == pytest.approx(1.8508e-14, rel=1e-4)
+    assert fusion_variance(0.5, 0.5, stats, model) == pytest.approx(1.8508e-14, rel=1e-4, abs=0.0)
 
 
 def test_pareto_pure_bias_objective(model):
@@ -79,8 +79,8 @@ def test_pareto_pure_bias_objective(model):
 def test_pareto_reference_value(model):
     stats = PhaseErrorStats(linear_variance=1e-14, temp_gap=10.0)
     w = pareto_beta(stats, model, lam=0.0)
-    assert w.beta == pytest.approx(0.13507672357899286, rel=1e-12)
-    assert w.beta == pytest.approx(1e-14 / (6.4032e-14 + 1e-14), rel=1e-4)
+    assert w.beta == pytest.approx(0.13507672357899286, rel=1e-12, abs=0.0)
+    assert w.beta == pytest.approx(1e-14 / (6.4032e-14 + 1e-14), rel=1e-4, abs=0.0)
 
 
 def test_pareto_matches_golden_section(model):
@@ -109,9 +109,9 @@ def test_fuse_skew_values():
     w = FusionWeights(alpha=1.0, beta=0.0, lam=0.5)
     assert fuse_skew(1e-6, 5e-6, w) == 1e-6
     w = FusionWeights(alpha=0.3, beta=0.7, lam=0.5)
-    assert fuse_skew(2e-6, 2e-6, w) == pytest.approx(2e-6, rel=1e-15)
+    assert fuse_skew(2e-6, 2e-6, w) == pytest.approx(2e-6, rel=1e-15, abs=0.0)
     w = FusionWeights(alpha=0.8, beta=0.2, lam=0.5)
-    assert fuse_skew(1e-6, 2e-6, w) == pytest.approx(1.2e-6, rel=1e-12)
+    assert fuse_skew(1e-6, 2e-6, w) == pytest.approx(1.2e-6, rel=1e-12, abs=0.0)
 
 
 def test_condition_on_fused_identity():
@@ -188,7 +188,7 @@ def test_closed_form_optimality_randomized():
     for i in rng.integers(0, 10**4, 50):
         model_i = TempSkewModel(kappa=kappa[i], T0=25.0, theta0=0.0, sigma_T_sq=s2[i])
         stats_i = PhaseErrorStats(linear_variance=eps[i], temp_gap=gap[i])
-        assert pareto_beta(stats_i, model_i, lam[i]).beta == pytest.approx(beta[i], rel=1e-12)
+        assert pareto_beta(stats_i, model_i, lam[i]).beta == pytest.approx(beta[i], rel=1e-12, abs=0.0)
 
 
 def test_objective_never_worse_than_endpoints():
@@ -226,7 +226,7 @@ def test_fused_error_second_moment_monte_carlo(model):
         closed = eps * alpha**2 + model.kappa**2 * (
             4 * model.sigma_T_sq * gap**2 + 3 * model.sigma_T_sq**2
         ) * beta**2
-        assert np.mean(fused**2) == pytest.approx(closed, rel=0.05)
+        assert np.mean(fused**2) == pytest.approx(closed, rel=0.05, abs=0.0)
 
 
 @pytest.mark.slow

@@ -91,7 +91,7 @@ def test_two_period_bootstrap():
     ]
     cfg = parse_config(doc).with_overrides(estimators=("tacd", "gptp"))
     trajs = run_case(cfg)
-    rows = list(trajectory_rows(trajs))
+    rows = list(trajectory_rows(cfg, trajs))
     assert len(rows) == 2
     assert np.isnan(trajs.est_skew["gptp"][0, 0])  # no skew measurement yet
     assert np.isfinite(trajs.est_skew["tacd"][0, 0])  # prior-based output
@@ -104,9 +104,9 @@ def test_run_determinism_and_worker_independence(tmp_path):
     import dataclasses
 
     c = run_case(dataclasses.replace(cfg, workers=3))
-    pa = emit_csv(trajectory_rows(a), TRAJECTORY_COLUMNS, tmp_path / "a.csv")
-    pb = emit_csv(trajectory_rows(b), TRAJECTORY_COLUMNS, tmp_path / "b.csv")
-    pc = emit_csv(trajectory_rows(c), TRAJECTORY_COLUMNS, tmp_path / "c.csv")
+    pa = emit_csv(trajectory_rows(cfg, a), TRAJECTORY_COLUMNS, tmp_path / "a.csv")
+    pb = emit_csv(trajectory_rows(cfg, b), TRAJECTORY_COLUMNS, tmp_path / "b.csv")
+    pc = emit_csv(trajectory_rows(cfg, c), TRAJECTORY_COLUMNS, tmp_path / "c.csv")
     assert pa.read_bytes() == pb.read_bytes() == pc.read_bytes()
 
 
@@ -204,7 +204,7 @@ def test_row_producers_yield_plain_cells():
     cfg = parse_config(_doc(runs=3))
     result, trajs = fusion_study(cfg)
     producers = {
-        "trajectory_rows": trajectory_rows(trajs),
+        "trajectory_rows": trajectory_rows(cfg, trajs),
         "fusion_study_rows": fusion_study_rows(result),
         "bclb_rows": bclb_rows(cfg),
         "RmseSummary.rows": evaluate_rmse(trajs, cfg.steady_window).rows,
@@ -261,6 +261,17 @@ def test_cli_overrides_keep_config_bounds(argv, field, tmp_path, capsys):
     assert rc == 2
     assert f"{field}: must be >=" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text, where", [("", "empty"), ("k,a\n0,1\n1\n", "line 3")], ids=["empty", "short-row"])
+def test_cli_plot_rejects_malformed_csv(text, where, tmp_path, capsys):
+    src = tmp_path / "bad.csv"
+    src.write_text(text)
+    rc = cli_main(["plot", str(src), "--y", "a", "--out", str(tmp_path / "bad.svg")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(src) in err and where in err
+    assert not (tmp_path / "bad.svg").exists()
 
 
 def test_negative_master_seed_rejected():

@@ -1,4 +1,4 @@
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -56,6 +56,22 @@ def _stationary_cfg(horizon, stddevs, weights, process_noise_sq=SIGMA_U_SQ, skew
 
 def _default_belief():
     return GaussianBelief(mean=np.array([3e-7, 3.5e-6]), cov=np.diag([5e-6, 5e-6]))
+
+
+def _per_run(x, runs):
+    """x repeated along a new leading run axis."""
+    return np.broadcast_to(x, (runs,) + np.shape(x)).copy()
+
+
+def _per_run_belief(runs):
+    belief = _default_belief()
+    return GaussianBelief(_per_run(belief.mean, runs), _per_run(belief.cov, runs))
+
+
+def _batch_runs(cfg, seeds):
+    """Generated runs of the given seeds: true skews (R, h) and measurements (R, h - 1, 2)."""
+    runs = [generate_scenario(cfg, np.random.default_rng(seed)) for seed in seeds]
+    return np.array([d.skew_true for d in runs]), np.array([run_measurements(d) for d in runs])
 
 
 # ------------------------------------------------------------ measurements
@@ -364,20 +380,21 @@ def test_step_skew_estimator_bias_small():
     cfg = _stationary_cfg(75, (5e-6, 3e-6, 5e-6), (0.4, 0.3, 0.3))
     dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
     ss = build_state_space(dyn)
-    errs = np.empty((200, 75))
-    for r in range(200):
-        data = generate_scenario(cfg, np.random.default_rng(5000 + r))
-        filt = GsfVbFilter(
-            ss,
-            isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e5, 2e5, 2e5], 1e-6),
-            _default_belief(),
-            vb=VbSettings(),
-        )
-        errs[r, 0] = 3e-7 - data.skew_true[0]
-        z = run_measurements(data)
-        for k in range(1, 75):
-            res = filt.step(z[k - 1])
-            errs[r, k] = res.skew - data.skew_true[k]
+    n = 200
+    skew_true, z = _batch_runs(cfg, [5000 + r for r in range(n)])
+    noise = isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e5, 2e5, 2e5], 1e-6)
+    noise = replace(
+        noise,
+        dirichlet_concentration=_per_run(noise.dirichlet_concentration, n),
+        iw_dof=_per_run(noise.iw_dof, n),
+        iw_scale=_per_run(noise.iw_scale, n),
+    )
+    filt = GsfVbFilter(ss, noise, _per_run_belief(n), vb=VbSettings())
+    errs = np.empty((n, 75))
+    errs[:, 0] = 3e-7 - skew_true[:, 0]
+    for k in range(1, 75):
+        res = filt.step(z[:, k - 1])
+        errs[:, k] = res.skew - skew_true[:, k]
     bias = errs.mean(axis=0)
     rmse = np.sqrt((errs**2).mean(axis=0))
     assert np.all(np.abs(bias[30:]) < 0.2 * rmse[30:])
@@ -395,23 +412,22 @@ def test_step_equals_fixed_noise_kalman_for_single_component():
     for z in run_measurements(data):
         a = gsf.step(z)
         b = kal.step(z)
-        assert a.skew == pytest.approx(b.skew, rel=1e-12)
-        assert a.offset == pytest.approx(b.offset, rel=1e-12)
-        assert np.allclose(a.belief.cov, b.belief.cov, rtol=1e-12)
+        assert a.skew == pytest.approx(b.skew, rel=1e-12, abs=0.0)
+        assert a.offset == pytest.approx(b.offset, rel=1e-12, abs=0.0)
+        assert np.allclose(a.belief.cov, b.belief.cov, rtol=1e-12, atol=0.0)
 
 
 def test_kalman_misspecified_noise_still_unbiased():
     cfg = _stationary_cfg(75, (5e-6,), (1.0,))
     dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
     ss = build_state_space(dyn)
-    errs = np.empty((300, 74))
-    for r in range(300):
-        data = generate_scenario(cfg, np.random.default_rng(7000 + r))
-        kal = KalmanBaseline(ss, nominal_noise_cov(5e-5), _default_belief())  # 10x true
-        z = run_measurements(data)
-        for k in range(1, 75):
-            res = kal.step(z[k - 1])
-            errs[r, k - 1] = res.skew - data.skew_true[k]
+    n = 300
+    skew_true, z = _batch_runs(cfg, [7000 + r for r in range(n)])
+    kal = KalmanBaseline(ss, nominal_noise_cov(5e-5), _per_run_belief(n))  # 10x true
+    errs = np.empty((n, 74))
+    for k in range(1, 75):
+        res = kal.step(z[:, k - 1])
+        errs[:, k - 1] = res.skew - skew_true[:, k]
     bias = errs[:, 30:].mean()
     rmse = np.sqrt((errs[:, 30:] ** 2).mean())
     assert abs(bias) < 0.2 * rmse

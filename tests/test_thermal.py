@@ -38,8 +38,8 @@ def test_skew_at_vertex(model):
 
 
 def test_skew_reference_values(model):
-    assert skew_from_temperature(35.0, model) == pytest.approx(4e-6, rel=1e-12)
-    assert skew_from_temperature(-10.0, model) == pytest.approx(4.9e-5, rel=1e-12)
+    assert skew_from_temperature(35.0, model) == pytest.approx(4e-6, rel=1e-12, abs=0.0)
+    assert skew_from_temperature(-10.0, model) == pytest.approx(4.9e-5, rel=1e-12, abs=0.0)
 
 
 def test_skew_symmetry(model):
@@ -53,7 +53,7 @@ def test_skew_symmetry(model):
 
 def test_bias_values(model):
     assert thermal_bias(TempSkewModel(4e-8, 25.0, 0.0, 0.0)) == 0.0
-    assert thermal_bias(model) == pytest.approx(4e-9, rel=1e-12)
+    assert thermal_bias(model) == pytest.approx(4e-9, rel=1e-12, abs=0.0)
 
 
 def test_bias_monte_carlo(model):
@@ -64,15 +64,15 @@ def test_bias_monte_carlo(model):
     meas = t_true + rng.standard_normal(10**6) * np.sqrt(model.sigma_T_sq)
     est = model.kappa * (meas - model.T0) ** 2 + model.theta0
     bias = (est - truth).mean()
-    assert bias == pytest.approx(4e-9, rel=0.1)
+    assert bias == pytest.approx(4e-9, rel=0.1, abs=0.0)
 
 
 def test_second_moment_values(model):
     assert thermal_second_moment(TempSkewModel(4e-8, 25.0, 0.0, 0.0), 35.0) == 0.0
     at_vertex = thermal_second_moment(model, 25.0)
-    assert at_vertex == pytest.approx(3 * model.kappa**2 * 0.1**2, rel=1e-12)
-    assert at_vertex == pytest.approx(4.8e-17, rel=1e-9)
-    assert thermal_second_moment(model, 35.0) == pytest.approx(6.4048e-14, rel=1e-6)
+    assert at_vertex == pytest.approx(3 * model.kappa**2 * 0.1**2, rel=1e-12, abs=0.0)
+    assert at_vertex == pytest.approx(4.8e-17, rel=1e-9, abs=0.0)
+    assert thermal_second_moment(model, 35.0) == pytest.approx(6.4048e-14, rel=1e-6, abs=0.0)
 
 
 def test_second_moment_monte_carlo(model):
@@ -82,7 +82,7 @@ def test_second_moment_monte_carlo(model):
     for t_true in (25.0, 31.0, 35.0):
         xi = rng.standard_normal(n) * np.sqrt(model.sigma_T_sq)
         err = model.kappa * (2.0 * (t_true - model.T0) * xi + xi**2)
-        assert np.mean(err**2) == pytest.approx(thermal_second_moment(model, t_true), rel=0.05)
+        assert np.mean(err**2) == pytest.approx(thermal_second_moment(model, t_true), rel=0.05, abs=0.0)
 
 
 def test_bias_independent_of_temperature(model):
