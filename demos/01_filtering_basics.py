@@ -11,7 +11,6 @@ import numpy as np
 
 from tacd import (
     ClockDynamics,
-    ExchangeBatch,
     GaussianBelief,
     GsfVbFilter,
     KalmanBaseline,
@@ -60,10 +59,11 @@ scenario = ScenarioConfig(
     gm_coefficient=M,
 )
 
-rng = np.random.default_rng(7)
-data = generate_scenario(scenario, rng)
+# a batch of one run; row 0 of each array is that run
+data = generate_scenario(scenario, [np.random.default_rng(7)])
+skew_true = data.skew_true[0]
 print(f"generated {data.horizon} exchanges; "
-      f"true skew spans [{data.skew_true.min():.2e}, {data.skew_true.max():.2e}] s/s")
+      f"true skew spans [{skew_true.min():.2e}, {skew_true.max():.2e}] s/s")
 
 ss = build_state_space(dyn)
 belief0 = GaussianBelief(mean=np.array([3e-7, 3.5e-6]), cov=np.diag([5e-6, 5e-6]))
@@ -76,23 +76,23 @@ adaptive = GsfVbFilter(
 baseline = KalmanBaseline(ss, nominal_noise_cov(3e-6), belief0)
 
 # every period's exchange against the one before it
-ex = ExchangeBatch.from_stamps(data.stamps)
+ex = data.exchanges
 cur, prev = ex.periods(slice(1, None)), ex.periods(slice(None, -1))
 skew_adaptive = [belief0.mean[0]]
 skew_baseline = [belief0.mean[0]]
-for z in build_measurement(cur, prev, data.link.d):
+for z in build_measurement(cur, prev, data.d)[0]:
     skew_adaptive.append(adaptive.step(z).skew)
     skew_baseline.append(baseline.step(z).skew)
-skew_gptp = np.append(np.nan, gptp_skew(cur, prev, scenario.tau))
+skew_gptp = np.append(np.nan, gptp_skew(cur, prev, scenario.tau)[0])
 
 for name, est in [("adaptive", skew_adaptive), ("kalman", skew_baseline), ("gptp", skew_gptp)]:
-    err = np.asarray(est[60:]) - data.skew_true[60:]
+    err = np.asarray(est[60:]) - skew_true[60:]
     print(f"{name:>9s} steady skew RMSE: {np.sqrt(np.nanmean(err**2)):.3e} s/s")
 
 ks = np.arange(data.horizon)
 emit_plot_svg(
     [
-        ("true skew", ks, data.skew_true),
+        ("true skew", ks, skew_true),
         ("adaptive filter", ks, np.asarray(skew_adaptive)),
         ("fixed-noise kalman", ks, np.asarray(skew_baseline)),
         ("gptp", ks, np.asarray(skew_gptp)),

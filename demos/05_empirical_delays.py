@@ -10,7 +10,7 @@ import pathlib
 
 import numpy as np
 
-from tacd import ExchangeBatch, ScenarioConfig, TempSkewModel, generate_scenario, load_delay_csv
+from tacd import ScenarioConfig, TempSkewModel, generate_scenario, load_delay_csv
 from tacd.scenario import EmpiricalSource, LinkConfig, TruthOptions
 from tacd.netcomm import gptp_offset
 
@@ -44,10 +44,10 @@ scenario = ScenarioConfig(
     truth=TruthOptions(initial_offset=1e-6),
     empirical=EmpiricalSource(table=table, forward_cell=(1518, 75), reverse_cell=(64, 5)),
 )
-data = generate_scenario(scenario, np.random.default_rng(3))
+data = generate_scenario(scenario, [np.random.default_rng(3)])
 
-est = gptp_offset(ExchangeBatch.from_stamps(data.stamps), data.link.d)
-err = est - data.offset_true
+est = gptp_offset(data.exchanges, data.d)
+err = (est - data.offset_true)[0]
 print(f"two-way offset estimate error over {data.horizon} periods: "
       f"mean {err.mean():.3e} s, RMS {np.sqrt((err**2).mean()):.3e} s")
 print("(heavy-tailed resampled jitter passes straight into the estimate)")

@@ -9,8 +9,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Optional
 
-import numpy as np
-
 from .clock import ClockDynamics
 from .scenario import (
     EmpiricalSource,
@@ -185,32 +183,14 @@ def _parse_thermal(obj: dict, path: str) -> ThermalProfile:
     if not isinstance(obj["segments"], list) or not obj["segments"]:
         raise ConfigError(f"{path}.segments: expected a non-empty list")
     segs = []
-    known_params = {
-        "constant": {"value"},
-        "multimodal": {"amp", "quad", "offset"},
-        "colored-noise": {"mean", "var_base", "var_slope", "var_ref_k"},
-        "first-order": {"slope", "intercept"},
-    }
     for i, seg in enumerate(obj["segments"]):
         spath = f"{path}.segments[{i}]"
         if not isinstance(seg, dict):
             raise ConfigError(f"{spath}: expected an object")
-        kind = seg.get("kind")
-        if kind not in known_params:
-            raise ConfigError(f"{spath}.kind: expected one of {sorted(known_params)}, got {kind!r}")
-        extra = set(seg) - {"start", "end", "kind"} - known_params[kind]
-        if extra:
-            raise ConfigError(f"{spath}: unknown key(s) {sorted(extra)} for kind {kind}")
-        params = {k: _number(seg, k, spath, default=np.nan) for k in known_params[kind] if k in seg}
+        start, end = _int(seg, "start", spath, minimum=0), _int(seg, "end", spath, minimum=0)
+        params = {k: _number(seg, k, spath) for k in seg if k not in ("start", "end", "kind")}
         try:
-            segs.append(
-                ThermalSegment(
-                    start=_int(seg, "start", spath, minimum=0),
-                    end=_int(seg, "end", spath, minimum=0),
-                    kind=kind,
-                    params=params,
-                )
-            )
+            segs.append(ThermalSegment(start=start, end=end, kind=seg.get("kind"), params=params))
         except ValueError as exc:
             raise ConfigError(f"{spath}: {exc}") from None
     try:
@@ -286,6 +266,8 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
     _require(link_obj, {"d1": True, "d2": True}, "link")
     link = LinkConfig(d1=_number(link_obj, "d1", "link"), d2=_number(link_obj, "d2", "link"))
 
+    if (doc.get("pdv") is None) == (doc.get("empirical") is None):
+        raise ConfigError("top level: exactly one of 'pdv' and 'empirical' is required")
     pdv = None
     if doc.get("pdv") is not None:
         pdv = _parse_pdv(doc["pdv"], "pdv")
@@ -307,8 +289,6 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
             forward_cell=(int(fwd[0]), fwd[1]),
             reverse_cell=(int(rev[0]), rev[1]),
         )
-    if pdv is None and empirical is None:
-        raise ConfigError("top level: one of 'pdv' or 'empirical' is required")
 
     thermal = _parse_thermal(doc["thermal"], "thermal")
 

@@ -1,10 +1,11 @@
 """Seeded Monte-Carlo execution of the estimator pipelines.
 
-Each run draws its own RNG stream from (master_seed, run_index) and
-generates its scenario once. ESTIMATORS maps each estimator name to one
-function of a batch's shared inputs (BatchInputs); every estimator reads
-the same draws and none reads another's output, so comparisons are paired
-and adding an estimator never changes another's trajectory. Estimators step
+Each run draws its own RNG stream from (master_seed, run_index), and a
+batch's scenarios come from one generate_scenario call. ESTIMATORS maps
+each estimator name to one function of a batch's shared inputs
+(BatchInputs); every estimator reads the same draws and none reads
+another's output, so comparisons are paired and adding an estimator never
+changes another's trajectory. Estimators step
 a whole batch of runs per period, and a run's trajectory is bit-identical
 whatever batch it is in. Results are one Trajectories record.
 """
@@ -136,7 +137,7 @@ class BatchInputs:
     cfg: RunConfig
     z: np.ndarray  # (R, h, 2); NaN at k = 0, which has no earlier exchange
     exchanges: ExchangeBatch  # fields (R, h)
-    d: np.ndarray  # (R,) known path asymmetry
+    d: float  # the case's known path asymmetry
     temp_meas: np.ndarray  # (R, h)
 
     def nans(self) -> np.ndarray:
@@ -150,12 +151,12 @@ def _per_run(x, runs: int) -> np.ndarray:
 
 
 def _prior(b: BatchInputs) -> GaussianBelief:
-    init, n = b.cfg.netcomm_init, len(b.d)
+    init, n = b.cfg.netcomm_init, len(b.z)
     return GaussianBelief(mean=_per_run(init.x0, n), cov=_per_run(np.diag(init.p0_diag), n))
 
 
 def _gsf_vb_filter(b: BatchInputs) -> GsfVbFilter:
-    init, n = b.cfg.netcomm_init, len(b.d)
+    init, n = b.cfg.netcomm_init, len(b.z)
     noise = isotropic_mixture_model(init.chi0, init.dof0, init.scale0, init.unit_scale)
     noise = replace(
         noise,
@@ -203,7 +204,7 @@ def _gptp(b: BatchInputs) -> Estimate:
     ex = b.exchanges
     skew = b.nans()
     skew[:, 1:] = gptp_skew(ex.periods(slice(1, None)), ex.periods(slice(None, -1)), b.cfg.scenario.tau)
-    return skew, gptp_offset(ex, b.d[:, None]), {}
+    return skew, gptp_offset(ex, b.d), {}
 
 
 def _kalman(b: BatchInputs) -> Estimate:
@@ -258,23 +259,14 @@ def case_bounds(cfg: RunConfig, t: Optional[Trajectories] = None) -> tuple[np.nd
 
 
 def simulate_run(cfg: RunConfig, runs: Sequence[int]) -> Trajectories:
-    """Generate each run's scenario, then run every selected estimator over
-    all runs at once."""
+    """Generate the runs' scenarios as one batch, then run every selected
+    estimator over all runs at once."""
     runs = np.asarray(list(runs), dtype=int)
-    n, h = len(runs), cfg.scenario.horizon
-    truth = {name: np.empty((n, h)) for name in ("theta_true", "delta_true", "temp_osc", "temp_meas")}
-    stamps = np.empty((n, h, 5))
-    d = np.empty(n)
-    for i, r in enumerate(runs.tolist()):
-        data = generate_scenario(cfg.scenario, _run_rng(cfg.master_seed, r))
-        truth["theta_true"][i], truth["delta_true"][i] = data.skew_true, data.offset_true
-        truth["temp_osc"][i], truth["temp_meas"][i] = data.temp_osc, data.temp_meas
-        stamps[i] = data.stamps
-        d[i] = data.link.d
-    ex = ExchangeBatch.from_stamps(stamps)
-    z = np.full((n, h, 2), np.nan)
-    z[:, 1:] = build_measurement(ex.periods(slice(1, None)), ex.periods(slice(None, -1)), d[:, None])
-    inputs = BatchInputs(cfg=cfg, z=z, exchanges=ex, d=d, temp_meas=truth["temp_meas"])
+    data = generate_scenario(cfg.scenario, [_run_rng(cfg.master_seed, r) for r in runs.tolist()])
+    ex = data.exchanges
+    z = np.full(data.skew_true.shape + (2,), np.nan)
+    z[:, 1:] = build_measurement(ex.periods(slice(1, None)), ex.periods(slice(None, -1)), data.d)
+    inputs = BatchInputs(cfg=cfg, z=z, exchanges=ex, d=data.d, temp_meas=data.temp_meas)
 
     columns = {name: inputs.nans() for name in OWNED_COLUMNS}
     est_skew, est_offset = {}, {}
@@ -282,7 +274,8 @@ def simulate_run(cfg: RunConfig, runs: Sequence[int]) -> Trajectories:
         est_skew[name], est_offset[name], owned = ESTIMATORS[name](inputs)
         columns.update(owned)
 
-    return Trajectories(runs=runs, **truth, **columns, est_skew=est_skew, est_offset=est_offset)
+    return Trajectories(runs=runs, theta_true=data.skew_true, delta_true=data.offset_true, temp_osc=data.temp_osc,
+                        temp_meas=data.temp_meas, **columns, est_skew=est_skew, est_offset=est_offset)
 
 
 def run_case(cfg: RunConfig) -> Trajectories:
@@ -304,10 +297,10 @@ def trajectory_rows(cfg: RunConfig, t: Trajectories):
     """Trajectory CSV rows, run-major, then period. Every run's rows carry
     the case's bounds (NaN in empirical-delay mode, which has no oracle)."""
     h = t.horizon
-    if cfg.scenario.empirical is None:
-        bounds = [b.tolist() for b in case_bounds(cfg, t)]
-    else:
+    if cfg.scenario.pdv is None:
         bounds = [[float("nan")] * h] * 2
+    else:
+        bounds = [b.tolist() for b in case_bounds(cfg, t)]
     columns = (t.theta_true, t.delta_true, t.temp_osc, t.temp_meas, t.theta_L, t.theta_T, t.theta_F,
                t.delta_hat, t.epsilon, t.alpha, t.beta)
     return chain.from_iterable(
@@ -354,7 +347,7 @@ def fusion_study(cfg: RunConfig) -> tuple[FusionStudyResult, Trajectories]:
     thermal phase on shared scenario draws; the bound curves are
     case_bounds' over these runs.
     """
-    if cfg.scenario.empirical is not None:
+    if cfg.scenario.pdv is None:
         raise ValueError("fusion study requires a synthetic PDV profile (oracle bounds)")
     t = run_case(cfg.with_overrides(estimators=("tacd", "linear-only", "thermal-only")))
     r1 = skew_rmse_per_period(t, "linear-only")

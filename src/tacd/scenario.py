@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -23,7 +23,13 @@ DEFAULT_STDDEV_FLOOR = 1e-7
 # the measurement noise vector induces cross-correlation Lambda^2/2.
 _NOISE_CORR_CHOL = np.linalg.cholesky(np.array([[1.0, 0.5], [0.5, 1.0]]))
 
-_THERMAL_KINDS = ("constant", "multimodal", "colored-noise", "first-order")
+# Each thermal curve kind and the parameters it requires.
+_THERMAL_PARAMS = {
+    "constant": ("value",),
+    "multimodal": ("amp", "quad", "offset"),
+    "colored-noise": ("mean", "var_base", "var_slope", "var_ref_k"),
+    "first-order": ("slope", "intercept"),
+}
 
 
 class DelayCsvError(ValueError):
@@ -128,10 +134,10 @@ def pdv_params_table(profile: PdvProfile, horizon: int) -> tuple[np.ndarray, np.
 def _mixture_noise(weights, stddevs, u, z) -> np.ndarray:
     """Noise vectors from uniform draws u and standard-normal pairs z (..., 2).
 
-    u is a scalar or (n,); weights/stddevs are one mixture (N_g,) shared by
-    every draw or one row per draw (n, N_g). The uniform picks the
-    component; the pair is scaled by its stddev and by the Cholesky factor
-    of the correlation.
+    u is a scalar, (n,) or (R, n); weights/stddevs are one mixture (N_g,)
+    shared by every draw or one row per position along u's last axis
+    (n, N_g). The uniform picks the component; the pair is scaled by its
+    stddev and by the Cholesky factor of the correlation.
     """
     w = np.asarray(weights, dtype=float)
     s = np.asarray(stddevs, dtype=float)
@@ -150,13 +156,20 @@ class ThermalSegment:
     start: int
     end: int
     kind: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def __post_init__(self) -> None:
         if self.start > self.end:
             raise ValueError(f"segment start {self.start} > end {self.end}")
-        if self.kind not in _THERMAL_KINDS:
-            raise ValueError(f"unknown thermal curve kind {self.kind!r}, expected one of {_THERMAL_KINDS}")
+        if not isinstance(self.kind, str) or self.kind not in _THERMAL_PARAMS:
+            raise ValueError(f"unknown thermal curve kind {self.kind!r}, expected one of {tuple(_THERMAL_PARAMS)}")
+        names = _THERMAL_PARAMS[self.kind]
+        unknown = sorted(set(self.params) - set(names))
+        if unknown:
+            raise ValueError(f"unknown parameter(s) {unknown} for kind {self.kind}")
+        missing = [name for name in names if name not in self.params]
+        if missing:
+            raise ValueError(f"missing parameter(s) {missing} for kind {self.kind}")
 
 
 @dataclass(frozen=True)
@@ -189,25 +202,21 @@ class ThermalProfile:
 def _segment_temperature(seg: ThermalSegment, k, normal=None):
     """One segment's external temperature at period(s) k (an int or an int
     array); a colored-noise segment also takes one standard-normal draw per
-    period."""
+    period (and run)."""
     p = seg.params
     if seg.kind == "constant":
-        return float(p.get("value", 30.0))
+        return float(p["value"])
     if seg.kind == "multimodal":
-        amp = p.get("amp", 1.1)
-        quad = p.get("quad", 0.005)
-        offset = p.get("offset", 40.0)
-        return amp * np.sin(2.0 * k + np.pi) - quad * (2.0 * k + 2.0) ** 2 + offset
+        return p["amp"] * np.sin(2.0 * k + np.pi) - p["quad"] * (2.0 * k + 2.0) ** 2 + p["offset"]
     if seg.kind == "colored-noise":
-        mean = p.get("mean", 20.0)
-        var = p.get("var_base", 0.02) + (k - p.get("var_ref_k", 30.0)) * p.get("var_slope", 1e-2)
+        var = p["var_base"] + (k - p["var_ref_k"]) * p["var_slope"]
         bad = np.flatnonzero(np.ravel(var) <= 0.0)
         if bad.size:
             i = bad[0]
             raise ValueError(f"colored-noise variance is non-positive ({np.ravel(var)[i]}) at period {np.ravel(k)[i]}")
-        return mean + normal * np.sqrt(var)
+        return p["mean"] + normal * np.sqrt(var)
     # first-order
-    return p.get("slope", 1.0) * k + p.get("intercept", -30.0)
+    return p["slope"] * k + p["intercept"]
 
 
 @dataclass(frozen=True)
@@ -236,11 +245,6 @@ class ExchangeBatch:
     t3: np.ndarray
     t4: np.ndarray
     period_index: np.ndarray
-
-    @classmethod
-    def from_stamps(cls, stamps: np.ndarray) -> "ExchangeBatch":
-        """Exchanges from a (..., 5) array of (t1, t2, t3, t4, k)."""
-        return cls(*(stamps[..., i] for i in range(5)))
 
     def periods(self, sl: slice) -> "ExchangeBatch":
         """The exchanges of the periods sl selects on the last axis."""
@@ -366,44 +370,44 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.pdv is None and self.empirical is None:
-            raise ValueError("either a PDV profile or an empirical source is required")
+        if (self.pdv is None) == (self.empirical is None):
+            raise ValueError("exactly one of a PDV profile and an empirical source is required")
         self.thermal.validate_horizon(self.horizon)
 
 
 @dataclass
-class ScenarioData:
-    """One run's ground truth: per-period states, temperatures, and exchanges.
-
-    stamps is (h, 5): each period's (t1, t2, t3, t4, k), the layout of
-    ExchangeBatch.from_stamps.
-    """
+class ScenarioBatch:
+    """Ground truth of a batch of R runs over h periods: per-period states,
+    temperatures and exchanges, each (R, h), and the case's known path
+    asymmetry d = d1 - d2."""
 
     skew_true: np.ndarray
     offset_true: np.ndarray
     temp_osc: np.ndarray
     temp_meas: np.ndarray
-    stamps: np.ndarray
-    link: LinkConfig
+    exchanges: ExchangeBatch
+    d: float
 
     @property
     def horizon(self) -> int:
-        return self.stamps.shape[0]
+        return self.skew_true.shape[1]
 
 
-def generate_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> ScenarioData:
-    """Generate one seeded run: truth trajectories plus exchange timestamps.
+def generate_scenario(cfg: ScenarioConfig, rngs: Sequence[np.random.Generator]) -> ScenarioBatch:
+    """Generate one seeded run per generator: truth trajectories plus
+    exchange timestamps, row i drawn from rngs[i].
 
-    The draw order is fixed, period by period: skew residual, then the
+    Each run's draw order is fixed, period by period: skew residual, then the
     mixture component and noise pair (or the two empirical delay indices),
     the colored-noise temperature where a segment has one, the sensor noise.
     The period loop makes only these draws; consecutive normal draws share
     one call (a period's pair, colored draw and sensor draw with the next
     period's residual), which consumes the stream exactly as one call each.
-    Everything else is computed on whole arrays afterwards, so a given
+    Everything else is computed once per batch on (R, h) arrays, elementwise
+    per run, so a run's rows do not depend on the batch it is in and a given
     (config, seed) reproduces bit-identical timestamps.
     """
-    h = cfg.horizon
+    h, n = cfg.horizon, len(rngs)
     model = cfg.temp_model
     truth = cfg.truth
     ks = np.arange(h)
@@ -413,58 +417,63 @@ def generate_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> Scenario
         if seg.kind == "colored-noise":
             colored[max(seg.start, 0) : seg.end + 1] = True
 
-    # positions of each period's normal draws in the flat stream
+    # positions of each period's normal draws in a run's flat stream
     pair = 2 if cfg.empirical is None else 0
     counts = pair + colored + 2
     counts[-1] -= 1  # no residual after the last period
     start = np.cumsum(counts) + 1 - counts
     sensor = start + pair + colored
+    spans = list(zip(start.tolist(), (start + counts).tolist()))
 
-    normals = np.empty(counts.sum() + 1)
-    normals[0] = rng.standard_normal()
-    period_draws = [normals[a:b] for a, b in zip(start.tolist(), (start + counts).tolist())]
+    normals = np.empty((n, counts.sum() + 1))
     picks = []
     if cfg.empirical is not None:
         src = cfg.empirical
         fwd = src.table.samples(*src.forward_cell)
         rev = src.table.samples(*src.reverse_cell)
-        link = LinkConfig(d1=float(fwd[0]), d2=float(rev[0]))
-        for out in period_draws:
-            picks.append(rng.integers(len(fwd)))
-            picks.append(rng.integers(len(rev)))
-            rng.standard_normal(out=out)
-        picks = np.array(picks).reshape(h, 2)
-        w1 = fwd[picks[:, 0]] - link.d1
-        w2 = rev[picks[:, 1]] - link.d2
+        for rng, row in zip(rngs, normals):
+            row[0] = rng.standard_normal()
+            for a, b in spans:
+                picks.append(rng.integers(len(fwd)))
+                picks.append(rng.integers(len(rev)))
+                rng.standard_normal(out=row[a:b])
+        picks = np.array(picks, dtype=np.intp).reshape(n, h, 2)
+        link = LinkConfig(d1=src.table.fixed_delay(*src.forward_cell), d2=src.table.fixed_delay(*src.reverse_cell))
+        w1 = fwd[picks[..., 0]] - link.d1
+        w2 = rev[picks[..., 1]] - link.d2
     else:
+        for rng, row in zip(rngs, normals):
+            row[0] = rng.standard_normal()
+            for a, b in spans:
+                picks.append(rng.random())
+                rng.standard_normal(out=row[a:b])
         link = cfg.link
-        for out in period_draws:
-            picks.append(rng.random())
-            rng.standard_normal(out=out)
         weights, stddevs = pdv_params_table(cfg.pdv, h)
-        noise = _mixture_noise(weights, stddevs, np.array(picks), normals[start[:, None] + [0, 1]])
-        w1 = np.cumsum(np.append(0.0, noise[1:, 0]))
-        w2 = w1 - noise[:, 1]
+        noise = _mixture_noise(weights, stddevs, np.reshape(picks, (n, h)), normals[:, start[:, None] + [0, 1]])
+        steps = noise[..., 0].copy()
+        steps[:, 0] = 0.0
+        w1 = np.cumsum(steps, axis=1)
+        w2 = w1 - noise[..., 1]
 
     # Gauss-Markov skew residual
-    u = normals[np.append(0, sensor[:-1] + 1)] * np.sqrt(truth.process_noise_sq)
-    gamma = [truth.initial_skew_residual]
-    for u_k in u[1:].tolist():
-        gamma.append(cfg.gm_coefficient * gamma[-1] + u_k)
-    gamma = np.array(gamma, dtype=float)
+    u = normals[:, np.append(0, sensor[:-1] + 1)] * np.sqrt(truth.process_noise_sq)
+    gamma = np.empty((n, h))
+    gamma[:, 0] = truth.initial_skew_residual
+    for k in range(1, h):
+        gamma[:, k] = cfg.gm_coefficient * gamma[:, k - 1] + u[:, k]
 
-    t_ext = np.empty(h)
+    t_ext = np.empty((n, h))
     for seg in cfg.thermal.segments:
         sl = slice(max(seg.start, 0), min(seg.end, h - 1) + 1)
-        draws = normals[sensor[sl] - 1] if seg.kind == "colored-noise" else None
-        t_ext[sl] = _segment_temperature(seg, ks[sl], draws)
+        draws = normals[:, sensor[sl] - 1] if seg.kind == "colored-noise" else None
+        t_ext[:, sl] = _segment_temperature(seg, ks[sl], draws)
     # Newton cooling toward the ambient temperature, one period at a time
     decay = float(np.exp(-1.0 / cfg.thermal.cooling_constant))
-    t_osc = [float(cfg.thermal.initial_oscillator_temp)]
-    for e in t_ext[1:].tolist():
-        t_osc.append(e + (t_osc[-1] - e) * decay)
-    t_osc = np.array(t_osc)
-    t_meas = t_osc + normals[sensor] * np.sqrt(model.sigma_T_sq)
+    t_osc = np.empty((n, h))
+    t_osc[:, 0] = cfg.thermal.initial_oscillator_temp
+    for k in range(1, h):
+        t_osc[:, k] = t_ext[:, k] + (t_osc[:, k - 1] - t_ext[:, k]) * decay
+    t_meas = t_osc + normals[:, sensor] * np.sqrt(model.sigma_T_sq)
 
     if truth.thermal_coupling:
         dT = t_osc - model.T0
@@ -473,17 +482,16 @@ def generate_scenario(cfg: ScenarioConfig, rng: np.random.Generator) -> Scenario
         skew = gamma
     bad = np.flatnonzero(~(np.abs(skew) < 1.0))
     if bad.size:
-        raise ValueError(f"skew must satisfy |skew| < 1, got {skew[bad[0]]}")
-    offset = np.cumsum(np.append(truth.initial_offset, cfg.tau * skew[1:]))
+        raise ValueError(f"skew must satisfy |skew| < 1, got {skew.flat[bad[0]]}")
+    increments = cfg.tau * skew
+    increments[:, 0] = truth.initial_offset
+    offset = np.cumsum(increments, axis=1)
 
     t1, t2, t3, t4 = _exchange_times(offset, link, w1, w2, ks, cfg.tau)
     if not np.all(t4 > t1):
         raise ValueError("t4 must follow t1 on the local timeline")
-    return ScenarioData(
-        skew_true=skew,
-        offset_true=offset,
-        temp_osc=t_osc,
-        temp_meas=t_meas,
-        stamps=np.stack([t1, t2, t3, t4, ks.astype(float)], axis=1),
-        link=link,
-    )
+    shape = (n, h)
+    exchanges = ExchangeBatch(np.broadcast_to(t1, shape), t2, t3, np.broadcast_to(t4, shape),
+                              np.broadcast_to(ks.astype(float), shape))
+    return ScenarioBatch(skew_true=skew, offset_true=offset, temp_osc=t_osc, temp_meas=t_meas,
+                         exchanges=exchanges, d=link.d)

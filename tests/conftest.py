@@ -56,9 +56,9 @@ def study_thermal_profile(horizon: int = 75) -> ThermalProfile:
     return ThermalProfile(
         segments=(
             ThermalSegment(0, 20, "constant", {"value": 30.0}),
-            ThermalSegment(21, 30, "multimodal", {}),
-            ThermalSegment(31, 50, "colored-noise", {}),
-            ThermalSegment(51, 60, "first-order", {}),
+            ThermalSegment(21, 30, "multimodal", {"amp": 1.1, "quad": 0.005, "offset": 40.0}),
+            ThermalSegment(31, 50, "colored-noise", {"mean": 20.0, "var_base": 0.02, "var_slope": 1e-2, "var_ref_k": 30.0}),
+            ThermalSegment(51, 60, "first-order", {"slope": 1.0, "intercept": -30.0}),
             ThermalSegment(61, max(61, horizon - 1), "constant", {"value": 30.0}),
         ),
         cooling_constant=10.0,
@@ -76,8 +76,8 @@ def constant_thermal(horizon: int, value: float = 25.0) -> ThermalProfile:
 
 def thermal_run(t_ext: float, t_osc0: float, cooling_constant: float, horizon: int,
                 sigma_T_sq: float = 0.0, seed: int = 0):
-    """A generated run under a constant ambient t_ext whose oscillator starts
-    at t_osc0; by default the sensor is noise-free."""
+    """A generated run (a one-run batch) under a constant ambient t_ext whose
+    oscillator starts at t_osc0; by default the sensor is noise-free."""
     cfg = ScenarioConfig(
         tau=1.0,
         horizon=horizon,
@@ -91,7 +91,7 @@ def thermal_run(t_ext: float, t_osc0: float, cooling_constant: float, horizon: i
         temp_model=TempSkewModel(kappa=4e-8, T0=25.0, theta0=0.0, sigma_T_sq=sigma_T_sq),
         truth=TruthOptions(thermal_coupling=False),
     )
-    return generate_scenario(cfg, np.random.default_rng(seed))
+    return generate_scenario(cfg, [np.random.default_rng(seed)])
 
 
 def exchange(offset, link, w1, w2, k, tau) -> ExchangeBatch:
@@ -100,10 +100,10 @@ def exchange(offset, link, w1, w2, k, tau) -> ExchangeBatch:
 
 
 def run_measurements(data) -> np.ndarray:
-    """Measurements of one generated run, (h - 1, 2): row k - 1 pairs period
-    k's exchange with period k - 1's."""
-    ex = ExchangeBatch.from_stamps(data.stamps)
-    return build_measurement(ex.periods(slice(1, None)), ex.periods(slice(None, -1)), data.link.d)
+    """Measurements of a generated batch, (R, h - 1, 2): [i, k - 1] pairs run
+    i's period-k exchange with its period k - 1 exchange."""
+    ex = data.exchanges
+    return build_measurement(ex.periods(slice(1, None)), ex.periods(slice(None, -1)), data.d)
 
 
 def constant_oracle(weights, stddevs, horizon: int, tau: float = 1.0) -> OracleNoiseTruth:

@@ -130,13 +130,13 @@ def test_criterion_3_kalman_equivalence():
                            process_noise_sq=SIGMA_U_SQ, thermal_coupling=False),
         gm_coefficient=M_GM,
     )
-    data = generate_scenario(cfg, np.random.default_rng(103))
+    data = generate_scenario(cfg, [np.random.default_rng(103)])
     ss = build_state_space(ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0))
     belief = GaussianBelief(np.array([3e-7, 3.5e-6]), np.diag([5e-6, 5e-6]))
     gsf = GsfVbFilter(ss, MixtureNoiseModel.from_point_estimates([1.0], [5e-6]), belief, vb=None)
     kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), belief)
     worst = 0.0
-    for z in run_measurements(data):
+    for z in run_measurements(data)[0]:
         a = gsf.step(z)
         b = kal.step(z)
         worst = max(

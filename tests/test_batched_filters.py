@@ -29,7 +29,7 @@ SHIPPED = ("case1", "case2", "case3", "fusion_study")
 
 
 def _measurements(cfg, seeds) -> np.ndarray:
-    return np.array([run_measurements(generate_scenario(cfg.scenario, np.random.default_rng(seed))) for seed in seeds])
+    return run_measurements(generate_scenario(cfg.scenario, [np.random.default_rng(seed) for seed in seeds]))
 
 
 def _rel(a, b) -> float:

@@ -23,8 +23,8 @@ def _truth(dyn, skew0, offset0, horizon=2, process_noise_sq=0.0, seed=0):
                            process_noise_sq=process_noise_sq, thermal_coupling=False),
         gm_coefficient=dyn.m,
     )
-    data = generate_scenario(cfg, np.random.default_rng(seed))
-    return data.skew_true, data.offset_true
+    data = generate_scenario(cfg, [np.random.default_rng(seed)])
+    return data.skew_true[0], data.offset_true[0]
 
 
 def test_advance_zero_fixed_point():

@@ -248,6 +248,31 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_cli_rejects_two_delay_sources(tmp_path, capsys):
+    # a PDV profile and an empirical table would each claim the delays; the
+    # bound would describe the one the runs do not draw from
+    (tmp_path / "d.csv").write_text("packet_bytes,load_percent,delay_seconds\n64,5,4e-6\n64,25,2e-6\n")
+    doc = _doc(empirical={"csv_path": "d.csv", "forward_cell": [64, 5], "reverse_cell": [64, 25]})
+    with pytest.raises(ConfigError, match="exactly one of 'pdv' and 'empirical'"):
+        parse_config(doc, base_dir=tmp_path)
+    cfgp = tmp_path / "both.json"
+    cfgp.write_text(json.dumps(doc))
+    rc = cli_main(["bclb", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "'pdv' and 'empirical'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_missing_segment_parameter(tmp_path, capsys):
+    doc = _doc()
+    del doc["thermal"]["segments"][1]["amp"]
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(doc))
+    rc = cli_main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "thermal.segments[1]: missing parameter(s) ['amp'] for kind multimodal" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, field", [
     (["simulate", "--runs", "0"], "runs"),
     (["simulate", "--runs", "-3"], "runs"),

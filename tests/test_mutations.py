@@ -1,0 +1,101 @@
+"""Deliberate faults in the program must fail the tests that guard against them.
+
+Each entry names a module, a snippet of its source that occurs exactly
+once, the snippet's replacement, and the tier-1 tests (test module,
+function, arguments) that must fail under the change. The mutated source is
+executed as a stand-in module in this process, and every binding of the
+module's functions, in the tacd package and in the test modules (the
+oracles excepted), points at the stand-in's for the duration of the check.
+The same tests must pass under a stand-in built from the unchanged source,
+so a failure comes from the mutation and not from the swap.
+"""
+import importlib
+import inspect
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+import tacd.cli  # noqa: F401  (imports every module the CLI reaches)
+
+TESTS = Path(__file__).resolve().parent
+
+MUTATIONS = {
+    "cooling-decay-doubled": (
+        "tacd.scenario",
+        "np.exp(-1.0 / cfg.thermal.cooling_constant)",
+        "np.exp(-2.0 / cfg.thermal.cooling_constant)",
+        [("test_scenario", "test_cooling_step", {}),
+         ("test_scenario_oracle", "test_shipped_configs_match_oracle", {"case": "fusion_study"})],
+    ),
+    "gauss-markov-coefficient-dropped": (
+        "tacd.scenario",
+        "cfg.gm_coefficient * gamma[:, k - 1] + u[:, k]",
+        "gamma[:, k - 1] + u[:, k]",
+        [("test_clock", "test_advance_reference_parameters", {}),
+         ("test_scenario_oracle", "test_gauss_markov_residual_matches_oracle", {})],
+    ),
+    "colored-draw-read-from-sensor-position": (
+        "tacd.scenario",
+        "normals[:, sensor[sl] - 1]",
+        "normals[:, sensor[sl]]",
+        [("test_scenario_oracle", "test_colored_noise_at_both_ends_matches_oracle", {"horizon": 40}),
+         ("test_scenario_oracle", "test_empirical_mode_matches_oracle", {})],
+    ),
+    "fused-skew-scaled": (
+        "tacd.fusion",
+        "return weights.alpha * theta_linear + weights.beta * theta_thermal",
+        "return (weights.alpha * theta_linear + weights.beta * theta_thermal) * (1 + 1e-15)",
+        [("test_fusion", "test_fuse_skew_values", {}),
+         ("test_artifact_digests", "test_artifact_digests", {"config": "fusion_study", "sub": "fusion-study"})],
+    ),
+}
+
+
+def _stand_in(module, snippet: str, replacement: str) -> types.ModuleType:
+    source = inspect.getsource(module)
+    assert source.count(snippet) == 1, f"the snippet must occur once in {module.__name__}: {snippet!r}"
+    stand_in = types.ModuleType(module.__name__)
+    stand_in.__dict__.update(__file__=module.__file__, __package__=module.__package__)
+    exec(compile(source.replace(snippet, replacement), module.__file__, "exec"), vars(stand_in))
+    return stand_in
+
+
+def _rebind(mp, module, stand_in) -> None:
+    """Point every binding of the module's functions at the stand-in's."""
+    owners = [
+        m for name, m in list(sys.modules.items())
+        if name == "tacd" or name.startswith("tacd.")
+        or (name != "oracles" and Path(getattr(m, "__file__", None) or "/").parent == TESTS)
+    ]
+    for name, orig in list(vars(module).items()):
+        if not (isinstance(orig, types.FunctionType) and orig.__module__ == module.__name__):
+            continue
+        for owner in owners:
+            for key, value in list(vars(owner).items()):
+                if value is orig:
+                    mp.setattr(owner, key, getattr(stand_in, name))
+
+
+def _call(test, kwargs, tmp_path: Path) -> None:
+    if "tmp_path" in inspect.signature(test).parameters:
+        tmp_path.mkdir()
+        kwargs = {**kwargs, "tmp_path": tmp_path}
+    test(**kwargs)
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_mutation_fails_named_tests(mutation, monkeypatch, tmp_path):
+    module_name, snippet, replacement, named = MUTATIONS[mutation]
+    module = importlib.import_module(module_name)
+    tests = [(getattr(importlib.import_module(mod), func), kwargs) for mod, func, kwargs in named]
+    with monkeypatch.context() as mp:
+        _rebind(mp, module, _stand_in(module, snippet, snippet))
+        for i, (test, kwargs) in enumerate(tests):
+            _call(test, kwargs, tmp_path / f"control{i}")
+    with monkeypatch.context() as mp:
+        _rebind(mp, module, _stand_in(module, snippet, replacement))
+        for i, (test, kwargs) in enumerate(tests):
+            with pytest.raises(AssertionError):
+                _call(test, kwargs, tmp_path / f"mutant{i}")

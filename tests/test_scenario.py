@@ -6,7 +6,6 @@ import pytest
 from tacd.scenario import (
     DelayCsvError,
     EmpiricalSource,
-    ExchangeBatch,
     LinkConfig,
     PdvProfile,
     RateSegment,
@@ -168,6 +167,17 @@ def test_temperature_colored_noise_stats():
     assert draws.var() == pytest.approx(0.02 + (k - 30) * 1e-2, rel=0.05)
 
 
+def test_thermal_segment_parameters_required():
+    with pytest.raises(ValueError, match=r"missing parameter\(s\) \['amp'\] for kind multimodal"):
+        ThermalSegment(0, 5, "multimodal", {"quad": 0.005, "offset": 40.0})
+    with pytest.raises(ValueError, match=r"unknown parameter\(s\) \['slope'\] for kind constant"):
+        ThermalSegment(0, 5, "constant", {"value": 1.0, "slope": 2.0})
+    with pytest.raises(ValueError, match="unknown thermal curve kind 'sine'"):
+        ThermalSegment(0, 5, "sine", {})
+    with pytest.raises(ValueError, match=r"unknown thermal curve kind \['constant'\]"):
+        ThermalSegment(0, 5, ["constant"], {"value": 1.0})
+
+
 def test_thermal_profile_tiling():
     prof = ThermalProfile(
         segments=(ThermalSegment(0, 10, "constant", {"value": 1.0}),),
@@ -178,9 +188,9 @@ def test_thermal_profile_tiling():
 
 def test_cooling_step():
     assert np.all(thermal_run(20.0, 20.0, 10.0, 5).temp_osc == 20.0)
-    assert thermal_run(20.0, 30.0, 10.0, 1000).temp_osc[-1] == pytest.approx(20.0)
+    assert thermal_run(20.0, 30.0, 10.0, 1000).temp_osc[0, -1] == pytest.approx(20.0)
     # ten periods with cooling constant 10 keep exp(-1) of the gap
-    assert thermal_run(20.0, 30.0, 10.0, 11).temp_osc[10] == pytest.approx(23.678794411714423, abs=1e-12)
+    assert thermal_run(20.0, 30.0, 10.0, 11).temp_osc[0, 10] == pytest.approx(23.678794411714423, abs=1e-12)
 
 
 def test_cooling_monotone_approach():
@@ -189,7 +199,7 @@ def test_cooling_monotone_approach():
         t_ext = rng.uniform(-20, 60)
         t = t_ext + rng.uniform(0.5, 30) * rng.choice([-1.0, 1.0])
         c = rng.uniform(0.5, 50)
-        gaps = np.abs(thermal_run(t_ext, t, c, 6).temp_osc - t_ext)
+        gaps = np.abs(thermal_run(t_ext, t, c, 6).temp_osc[0] - t_ext)
         assert np.all(gaps[1:] < gaps[:-1])
         # each period keeps the share exp(-1/c) of the gap
         assert np.allclose(gaps[1:] / gaps[:-1], np.exp(-1.0 / c), rtol=1e-6, atol=0.0)
@@ -296,17 +306,18 @@ def test_empirical_scenario_mode(tmp_path):
         truth=TruthOptions(thermal_coupling=False),
         empirical=EmpiricalSource(table=table, forward_cell=(64, 5), reverse_cell=(64, 25)),
     )
-    data = generate_scenario(cfg, np.random.default_rng(0))
-    assert data.link.d1 == table.fixed_delay(64, 5)
-    assert data.link.d2 == table.fixed_delay(64, 25)
-    assert ExchangeBatch.from_stamps(data.stamps).t1.shape == (20,)
-    # the delays are the table's samples and the PDV profile plays no part:
-    # adding one to the config changes no timestamp
-    fwd = table.samples(64, 5)
-    delay = data.stamps[:, 1] - data.stamps[:, 0] - data.offset_true
-    assert np.all(np.min(np.abs(delay[:, None] - fwd[None, :]), axis=1) < 1e-13)
-    with_pdv = generate_scenario(replace(cfg, pdv=study_pdv_profile()), np.random.default_rng(0))
-    assert np.array_equal(with_pdv.stamps, data.stamps)
+    data = generate_scenario(cfg, [np.random.default_rng(0)])
+    assert data.d == table.fixed_delay(64, 5) - table.fixed_delay(64, 25)
+    ex = data.exchanges
+    assert ex.t1.shape == (1, 20)
+    # the delays in both directions are the table's samples
+    offset = data.offset_true[0]
+    for delay, cell in ((ex.t2[0] - ex.t1[0] - offset, (64, 5)), (ex.t4[0] - ex.t3[0] + offset, (64, 25))):
+        samples = table.samples(*cell)
+        assert np.all(np.min(np.abs(delay[:, None] - samples[None, :]), axis=1) < 1e-13)
+    # a scenario draws its delays from one source: a PDV profile as well is rejected
+    with pytest.raises(ValueError, match="exactly one of a PDV profile and an empirical source"):
+        replace(cfg, pdv=study_pdv_profile())
 
 
 # ------------------------------------------------------------------ scenario
@@ -326,25 +337,26 @@ def _scenario_cfg(horizon=50):
 
 def test_scenario_deterministic():
     cfg = _scenario_cfg()
-    a = generate_scenario(cfg, np.random.default_rng(77))
-    b = generate_scenario(cfg, np.random.default_rng(77))
+    a = generate_scenario(cfg, [np.random.default_rng(77)])
+    b = generate_scenario(cfg, [np.random.default_rng(77)])
     assert np.array_equal(a.skew_true, b.skew_true)
     assert np.array_equal(a.temp_meas, b.temp_meas)
-    ea, eb = ExchangeBatch.from_stamps(a.stamps), ExchangeBatch.from_stamps(b.stamps)
+    ea, eb = a.exchanges, b.exchanges
     assert all(np.array_equal(getattr(ea, t), getattr(eb, t)) for t in ("t1", "t2", "t3", "t4"))
 
 
 def test_scenario_truth_offset_integrates_skew():
     cfg = _scenario_cfg()
-    data = generate_scenario(cfg, np.random.default_rng(3))
-    assert data.offset_true[0] == 1e-6
-    recon = 1e-6 + np.cumsum(data.skew_true[1:]) * cfg.tau
-    assert np.allclose(data.offset_true[1:], recon, rtol=0, atol=1e-18)
+    data = generate_scenario(cfg, [np.random.default_rng(3)])
+    offset, skew = data.offset_true[0], data.skew_true[0]
+    assert offset[0] == 1e-6
+    recon = 1e-6 + np.cumsum(skew[1:]) * cfg.tau
+    assert np.allclose(offset[1:], recon, rtol=0, atol=1e-18)
 
 
 def test_scenario_thermal_coupling():
     cfg = _scenario_cfg()
-    data = generate_scenario(cfg, np.random.default_rng(3))
+    data = generate_scenario(cfg, [np.random.default_rng(3)])
     quad = 4e-8 * (data.temp_osc - 25.0) ** 2
     # residual wander is tiny compared to the quadratic term here
     assert np.allclose(data.skew_true, quad, atol=5e-7)

@@ -1,5 +1,5 @@
 """The array-form scenario generator against the per-period oracle, bit for bit."""
-from dataclasses import astuple, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,16 +25,20 @@ def _bits(x) -> np.ndarray:
 
 
 def _assert_same(cfg, seeds) -> None:
-    for seed in seeds:
-        rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-        new = generate_scenario(cfg, rng_new)
+    """All seeds through one batch call; each row against the one-run oracle."""
+    rngs_new = [np.random.default_rng(seed) for seed in seeds]
+    new = generate_scenario(cfg, rngs_new)
+    for i, seed in enumerate(seeds):
+        rng_old = np.random.default_rng(seed)
         old = oracles.generate_scenario(cfg, rng_old)
         for name in ("skew_true", "offset_true", "temp_osc", "temp_meas"):
-            assert np.array_equal(_bits(getattr(new, name)), _bits(getattr(old, name))), (seed, name)
-        assert np.array_equal(_bits(new.stamps), _bits([astuple(r) for r in old.records])), seed
-        assert new.link == old.link
+            assert np.array_equal(_bits(getattr(new, name)[i]), _bits(getattr(old, name))), (seed, name)
+        for name in ("t1", "t2", "t3", "t4", "period_index"):
+            want = [getattr(r, name) for r in old.records]
+            assert np.array_equal(_bits(getattr(new.exchanges, name)[i]), _bits(want)), (seed, name)
+        assert new.d == old.link.d
         # both leave the stream at the same place
-        assert rng_new.random() == rng_old.random(), seed
+        assert rngs_new[i].random() == rng_old.random(), seed
 
 
 @pytest.mark.parametrize("case", SHIPPED)
@@ -81,6 +85,10 @@ def test_empirical_mode_matches_oracle():
     _assert_same(cfg, range(8))
 
 
+def _one_run(cfg, rng):
+    return generate_scenario(cfg, [rng])
+
+
 def _error(gen, cfg) -> str:
     with pytest.raises(ValueError) as info:
         gen(cfg, np.random.default_rng(0))
@@ -92,9 +100,9 @@ def test_checks_keep_their_messages():
     bad_var = {"mean": 20.0, "var_base": 0.02, "var_slope": 0.01, "var_ref_k": 30.0}
     segs = (ThermalSegment(0, 9, "colored-noise", bad_var), ThermalSegment(10, 74, "constant", {"value": 30.0}))
     cfg = replace(base, thermal=ThermalProfile(segs))
-    message = _error(generate_scenario, cfg)
+    message = _error(_one_run, cfg)
     assert message.startswith("colored-noise variance is non-positive") and message.endswith("at period 0")
     assert message == _error(oracles.generate_scenario, cfg)
     huge = replace(base, truth=TruthOptions(initial_skew_residual=2.0, thermal_coupling=False))
-    message = _error(generate_scenario, huge)
+    message = _error(_one_run, huge)
     assert message == _error(oracles.generate_scenario, huge) == "skew must satisfy |skew| < 1, got 2.0"

@@ -47,7 +47,7 @@ def test_skew_symmetry(model):
     for _ in range(200):
         d = rng.uniform(0, 40)
         assert skew_from_temperature(25.0 + d, model) == pytest.approx(
-            skew_from_temperature(25.0 - d, model), rel=1e-14
+            skew_from_temperature(25.0 - d, model), rel=1e-14, abs=0.0
         )
 
 
@@ -86,10 +86,13 @@ def test_second_moment_monte_carlo(model):
 
 
 def test_bias_independent_of_temperature(model):
+    # antithetic pairs (xi, -xi) cancel the term linear in xi, which would
+    # otherwise dominate the Monte-Carlo error far from T0
     rng = np.random.default_rng(5)
     biases = []
     for t_true in (-10.0, 0.0, 25.0, 40.0):
         xi = rng.standard_normal(10**6) * np.sqrt(model.sigma_T_sq)
-        err = model.kappa * (2.0 * (t_true - model.T0) * xi + xi**2)
+        reading = t_true + np.concatenate([xi, -xi])
+        err = skew_from_temperature(reading, model) - skew_from_temperature(t_true, model)
         biases.append(err.mean())
-    assert np.allclose(biases, 4e-9, rtol=0.15)
+    assert np.allclose(biases, 4e-9, rtol=0.01, atol=0.0)
