@@ -69,7 +69,7 @@ ss = build_state_space(dyn)
 belief0 = GaussianBelief(mean=np.array([3e-7, 3.5e-6]), cov=np.diag([5e-6, 5e-6]))
 adaptive = GsfVbFilter(
     ss,
-    isotropic_mixture_model([1.0, 1.0], [4.0, 4.0], [10.0, 20.0], unit_scale=1e-6),
+    isotropic_mixture_model([1.0, 1.0], [4.0, 4.0], [1e-11, 2e-11]),
     belief0,
     vb=VbSettings(),
 )

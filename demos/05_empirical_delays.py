@@ -11,7 +11,7 @@ import pathlib
 import numpy as np
 
 from tacd import ScenarioConfig, TempSkewModel, generate_scenario, load_delay_csv
-from tacd.scenario import EmpiricalSource, LinkConfig, TruthOptions
+from tacd.scenario import EmpiricalSource, TruthOptions
 from tacd.netcomm import gptp_offset
 
 OUT = pathlib.Path(__file__).parent / "out"
@@ -34,7 +34,7 @@ from tacd.scenario import ThermalProfile, ThermalSegment
 scenario = ScenarioConfig(
     tau=1.0,
     horizon=60,
-    link=LinkConfig(0.0, 0.0),  # replaced by the table minima
+    link=None,  # the fixed delays are the table minima
     pdv=None,
     thermal=ThermalProfile(
         segments=(ThermalSegment(0, 59, "constant", {"value": 28.0}),),

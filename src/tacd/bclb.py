@@ -10,7 +10,7 @@ are the inverses of the skew information.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -75,9 +75,8 @@ def bclb_trajectory(
     dyn: ClockDynamics,
     alpha: Union[None, float, Sequence[float], np.ndarray],
     p0_skew: float,
-    horizon: Optional[int] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-period (BCLB_linear, BCLB_fusion) sequences of length horizon.
+    """Per-period (BCLB_linear, BCLB_fusion) sequences over the oracle's horizon.
 
     alpha is one fusion weight or a per-period sequence; the fusion sequence
     is NaN when alpha is None. Information starts at 1/P0_skew at k = 0 (the
@@ -86,9 +85,7 @@ def bclb_trajectory(
     """
     if p0_skew <= 0.0:
         raise ValueError("P0 skew variance must be > 0")
-    h = oracle.horizon if horizon is None else horizon
-    if h > oracle.horizon:
-        raise ValueError("horizon exceeds the oracle table")
+    h = oracle.horizon
     bclb_l = np.empty(h)
     bclb_f = np.full(h, np.nan)
     if alpha is not None:

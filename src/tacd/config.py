@@ -11,6 +11,7 @@ from typing import Any, Optional
 
 from .clock import ClockDynamics
 from .scenario import (
+    DEFAULT_STDDEV_FLOOR,
     EmpiricalSource,
     LinkConfig,
     PdvProfile,
@@ -79,26 +80,20 @@ def _float_list(obj: Any, path: str) -> list[float]:
 
 @dataclass(frozen=True)
 class NetcommInit:
-    """Filter initialization block (state prior plus VB hyperpriors)."""
+    """Filter initialization block (state prior plus VB hyperpriors); scale0
+    holds the isotropic inverse-Wishart scales in s^2."""
 
     x0: tuple[float, float] = (3e-7, 3.5e-6)
     p0_diag: tuple[float, float] = (5e-6, 5e-6)
     chi0: tuple[float, ...] = (1.0, 5.0, 5.0)
     dof0: tuple[float, ...] = (4.0, 3.0, 3.0)
-    scale0: tuple[float, ...] = (1e5, 2e5, 2e5)
-    unit_scale: float = 1e-6
+    scale0: tuple[float, ...] = (1e-7, 2e-7, 2e-7)
 
 
 @dataclass(frozen=True)
 class FusionSettings:
     lam: float = 0.5
     feedback: bool = True
-
-
-@dataclass(frozen=True)
-class BclbSettings:
-    alpha_mode: str = "fixed"  # "fixed" | "runtime"
-    alpha_value: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -109,11 +104,10 @@ class RunConfig:
     estimators: tuple[str, ...]
     runs: int
     master_seed: int
-    vb: Optional[VbSettings]
+    vb: VbSettings
     netcomm_init: NetcommInit
     kalman_nominal_stddev: float
     fusion: FusionSettings
-    bclb: BclbSettings
     steady_window: int
     workers: int = 1
     output_dir: str = "out"
@@ -172,7 +166,7 @@ def _parse_pdv(obj: dict, path: str) -> PdvProfile:
             initial_stddevs=tuple(stddevs),
             initial_weights=tuple(weights),
             rate_schedule=tuple(segments),
-            stddev_floor=_number(obj, "floor", path, default=1e-7, positive=True),
+            stddev_floor=_number(obj, "floor", path, default=DEFAULT_STDDEV_FLOOR, positive=True),
         )
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
@@ -193,12 +187,10 @@ def _parse_thermal(obj: dict, path: str) -> ThermalProfile:
             segs.append(ThermalSegment(start=start, end=end, kind=seg.get("kind"), params=params))
         except ValueError as exc:
             raise ConfigError(f"{spath}: {exc}") from None
+    cooling = _number(obj, "cooling_constant", path, default=ThermalProfile.cooling_constant, positive=True)
+    initial = _number(obj, "initial_temp", path, default=ThermalProfile.initial_oscillator_temp)
     try:
-        return ThermalProfile(
-            segments=tuple(segs),
-            cooling_constant=_number(obj, "cooling_constant", path, default=10.0, positive=True),
-            initial_oscillator_temp=_number(obj, "initial_temp", path, default=30.0),
-        )
+        return ThermalProfile(segments=tuple(segs), cooling_constant=cooling, initial_oscillator_temp=initial)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -221,7 +213,6 @@ _TOP_KEYS = {
     "netcomm_init": False,
     "kalman_nominal_stddev": False,
     "fusion": False,
-    "bclb": False,
     "steady_window": False,
     "workers": False,
     "output_dir": False,
@@ -262,15 +253,17 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
         sigma_T_sq=_number(tm_obj, "sigma_T_sq", "temp_model", default=0.1, minimum=0.0),
     )
 
-    link_obj = doc.get("link", {"d1": 5e-6, "d2": 1e-6})
-    _require(link_obj, {"d1": True, "d2": True}, "link")
-    link = LinkConfig(d1=_number(link_obj, "d1", "link"), d2=_number(link_obj, "d2", "link"))
-
     if (doc.get("pdv") is None) == (doc.get("empirical") is None):
         raise ConfigError("top level: exactly one of 'pdv' and 'empirical' is required")
-    pdv = None
+    pdv = link = None
     if doc.get("pdv") is not None:
         pdv = _parse_pdv(doc["pdv"], "pdv")
+        if doc.get("link") is None:
+            raise ConfigError("link: required with 'pdv'")
+        _require(doc["link"], {"d1": True, "d2": True}, "link")
+        link = LinkConfig(d1=_number(doc["link"], "d1", "link"), d2=_number(doc["link"], "d2", "link"))
+    elif doc.get("link") is not None:
+        raise ConfigError("link: not allowed with 'empirical', whose fixed delays are the table cells' minima")
 
     empirical = None
     if doc.get("empirical") is not None:
@@ -298,84 +291,61 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
         {"initial_offset": False, "initial_skew_residual": False, "process_noise_sq": False, "thermal_coupling": False},
         "truth",
     )
-    coupling = truth_obj.get("thermal_coupling", True)
+    coupling = truth_obj.get("thermal_coupling", TruthOptions.thermal_coupling)
     if not isinstance(coupling, bool):
         raise ConfigError("truth.thermal_coupling: expected a boolean")
     truth = TruthOptions(
-        initial_offset=_number(truth_obj, "initial_offset", "truth", default=1e-6),
-        initial_skew_residual=_number(truth_obj, "initial_skew_residual", "truth", default=0.0),
-        process_noise_sq=_number(truth_obj, "process_noise_sq", "truth", default=0.0, minimum=0.0),
+        initial_offset=_number(truth_obj, "initial_offset", "truth", default=TruthOptions.initial_offset),
+        initial_skew_residual=_number(
+            truth_obj, "initial_skew_residual", "truth", default=TruthOptions.initial_skew_residual
+        ),
+        process_noise_sq=_number(
+            truth_obj, "process_noise_sq", "truth", default=TruthOptions.process_noise_sq, minimum=0.0
+        ),
         thermal_coupling=coupling,
     )
 
     estimators = _estimator_selection(doc.get("estimators", list(ESTIMATORS)))
 
     vb_obj = doc.get("vb", {})
-    _require(vb_obj, {"enabled": False, "max_iterations": False, "convergence_tol": False, "forgetting_factor": False}, "vb")
-    vb_enabled = vb_obj.get("enabled", True)
-    if not isinstance(vb_enabled, bool):
-        raise ConfigError("vb.enabled: expected a boolean")
-    vb = None
-    if vb_enabled:
-        try:
-            vb = VbSettings(
-                max_iterations=_int(vb_obj, "max_iterations", "vb", default=5, minimum=1),
-                convergence_tol=_number(vb_obj, "convergence_tol", "vb", default=1e-6, positive=True),
-                forgetting_factor=_number(vb_obj, "forgetting_factor", "vb", default=0.95, positive=True),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"vb: {exc}") from None
+    _require(vb_obj, {"max_iterations": False, "convergence_tol": False, "forgetting_factor": False}, "vb")
+    try:
+        vb = VbSettings(
+            max_iterations=_int(vb_obj, "max_iterations", "vb", default=VbSettings.max_iterations, minimum=1),
+            convergence_tol=_number(vb_obj, "convergence_tol", "vb", default=VbSettings.convergence_tol, positive=True),
+            forgetting_factor=_number(
+                vb_obj, "forgetting_factor", "vb", default=VbSettings.forgetting_factor, positive=True
+            ),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"vb: {exc}") from None
 
     ni_obj = doc.get("netcomm_init", {})
-    _require(ni_obj, {"x0": False, "P0_diag": False, "chi0": False, "dof0": False, "scale0": False, "unit_scale": False}, "netcomm_init")
-    defaults = NetcommInit()
-    x0 = tuple(_float_list(ni_obj["x0"], "netcomm_init.x0")) if "x0" in ni_obj else defaults.x0
-    p0 = tuple(_float_list(ni_obj["P0_diag"], "netcomm_init.P0_diag")) if "P0_diag" in ni_obj else defaults.p0_diag
-    chi0 = tuple(_float_list(ni_obj["chi0"], "netcomm_init.chi0")) if "chi0" in ni_obj else defaults.chi0
-    dof0 = tuple(_float_list(ni_obj["dof0"], "netcomm_init.dof0")) if "dof0" in ni_obj else defaults.dof0
-    scale0 = tuple(_float_list(ni_obj["scale0"], "netcomm_init.scale0")) if "scale0" in ni_obj else defaults.scale0
-    if len(x0) != 2 or len(p0) != 2:
+    ni_fields = {"x0": "x0", "P0_diag": "p0_diag", "chi0": "chi0", "dof0": "dof0", "scale0": "scale0"}
+    _require(ni_obj, dict.fromkeys(ni_fields, False), "netcomm_init")
+    given = {f: tuple(_float_list(ni_obj[k], f"netcomm_init.{k}")) for k, f in ni_fields.items() if k in ni_obj}
+    netcomm_init = NetcommInit(**given)
+    if len(netcomm_init.x0) != 2 or len(netcomm_init.p0_diag) != 2:
         raise ConfigError("netcomm_init: x0 and P0_diag must have two entries")
-    if not (len(chi0) == len(dof0) == len(scale0)):
+    if not (len(netcomm_init.chi0) == len(netcomm_init.dof0) == len(netcomm_init.scale0)):
         raise ConfigError("netcomm_init: chi0, dof0, scale0 lengths must agree")
-    netcomm_init = NetcommInit(
-        x0=x0,
-        p0_diag=p0,
-        chi0=chi0,
-        dof0=dof0,
-        scale0=scale0,
-        unit_scale=_number(ni_obj, "unit_scale", "netcomm_init", default=1e-6, positive=True),
-    )
 
     fusion_obj = doc.get("fusion", {})
     _require(fusion_obj, {"lambda": False, "feedback": False}, "fusion")
-    feedback = fusion_obj.get("feedback", True)
+    feedback = fusion_obj.get("feedback", FusionSettings.feedback)
     if not isinstance(feedback, bool):
         raise ConfigError("fusion.feedback: expected a boolean")
-    lam = _number(fusion_obj, "lambda", "fusion", default=0.5)
+    lam = _number(fusion_obj, "lambda", "fusion", default=FusionSettings.lam)
     if not 0.0 <= lam <= 1.0:
         raise ConfigError(f"fusion.lambda: must lie in [0, 1], got {lam}")
     fusion = FusionSettings(lam=lam, feedback=feedback)
-
-    bclb_obj = doc.get("bclb", {})
-    _require(bclb_obj, {"alpha_mode": False, "alpha_value": False}, "bclb")
-    alpha_mode = bclb_obj.get("alpha_mode", "fixed")
-    if alpha_mode not in ("fixed", "runtime"):
-        raise ConfigError(f"bclb.alpha_mode: expected 'fixed' or 'runtime', got {alpha_mode!r}")
-    alpha_value = _number(bclb_obj, "alpha_value", "bclb", default=0.5)
-    if not 0.0 < alpha_value <= 1.0:
-        raise ConfigError(f"bclb.alpha_value: must lie in (0, 1], got {alpha_value}")
-    bclb = BclbSettings(
-        alpha_mode=alpha_mode,
-        alpha_value=alpha_value,
-    )
 
     steady_window = _int(doc, "steady_window", "top level", default=10, minimum=1)
     if steady_window > horizon:
         raise ConfigError(f"steady_window: must be <= horizon ({horizon}), got {steady_window}")
 
-    workers = _int(doc, "workers", "top level", default=1, minimum=1)
-    output_dir = doc.get("output_dir", "out")
+    workers = _int(doc, "workers", "top level", default=RunConfig.workers, minimum=1)
+    output_dir = doc.get("output_dir", RunConfig.output_dir)
     if not isinstance(output_dir, str):
         raise ConfigError("output_dir: expected a string")
 
@@ -405,7 +375,6 @@ def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
         netcomm_init=netcomm_init,
         kalman_nominal_stddev=_number(doc, "kalman_nominal_stddev", "top level", default=5e-6, positive=True),
         fusion=fusion,
-        bclb=bclb,
         steady_window=steady_window,
         workers=workers,
         output_dir=output_dir,

@@ -158,9 +158,9 @@ class MixtureNoiseModel:
         return cls(dirichlet_concentration=w * 100.0, iw_dof=dof, iw_scale=scale)
 
 
-def isotropic_mixture_model(chi, dof, scale_diag, unit_scale: float = 1e-6) -> MixtureNoiseModel:
-    """Model with per-component isotropic scales V_i = s_i * unit_scale^2 * I."""
-    scale = np.array([s * unit_scale**2 * np.eye(_DIM) for s in np.asarray(scale_diag, dtype=float)])
+def isotropic_mixture_model(chi, dof, scale_diag) -> MixtureNoiseModel:
+    """Model with per-component isotropic scales V_i = s_i * I, s_i in s^2."""
+    scale = np.array([s * np.eye(_DIM) for s in np.asarray(scale_diag, dtype=float)])
     return MixtureNoiseModel(
         dirichlet_concentration=np.asarray(chi, dtype=float),
         iw_dof=np.asarray(dof, dtype=float),

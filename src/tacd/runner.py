@@ -40,6 +40,9 @@ if TYPE_CHECKING:
 # Trajectory columns owned by one estimator; NaN where it is not selected.
 OWNED_COLUMNS = ("theta_L", "theta_T", "epsilon", "alpha", "beta")
 
+# The network-phase fusion weight the fusion bound is evaluated at.
+FUSION_BOUND_ALPHA = 0.5
+
 
 @dataclass
 class Trajectories:
@@ -157,7 +160,7 @@ def _prior(b: BatchInputs) -> GaussianBelief:
 
 def _gsf_vb_filter(b: BatchInputs) -> GsfVbFilter:
     init, n = b.cfg.netcomm_init, len(b.z)
-    noise = isotropic_mixture_model(init.chi0, init.dof0, init.scale0, init.unit_scale)
+    noise = isotropic_mixture_model(init.chi0, init.dof0, init.scale0)
     noise = replace(
         noise,
         dirichlet_concentration=_per_run(noise.dirichlet_concentration, n),
@@ -233,26 +236,16 @@ ESTIMATORS = {
 }
 
 
-def case_bounds(cfg: RunConfig, t: Optional[Trajectories] = None) -> tuple[np.ndarray, np.ndarray]:
+def case_bounds(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """(BCLB_linear, BCLB_fusion) over the horizon under the configured PDV
-    profile. The bound depends on no run's draws, so there is one per case.
-
-    alpha is the fixed bclb.alpha_value or, with alpha_mode "runtime", the
-    Monte-Carlo mean of t.alpha over all of the command's runs, clipped to
-    [1e-12, 1]; runtime alpha falls back to the fixed value when no run
-    produced weights (tacd not selected). The fusion bound needs a noisy
-    temperature sensor (temp_model.sigma_T_sq > 0); without one it is NaN.
+    profile, the fusion bound at the weight FUSION_BOUND_ALPHA. The bound
+    depends on no run's draws, so there is one per case. The fusion bound
+    needs a noisy temperature sensor (temp_model.sigma_T_sq > 0); without
+    one it is NaN.
     """
     if cfg.scenario.pdv is None:
         raise ValueError("bounds require a synthetic PDV profile")
-    alpha = cfg.bclb.alpha_value
-    if cfg.bclb.alpha_mode == "runtime":
-        if t is None:
-            raise ValueError("runtime alpha needs the command's runs (set bclb.alpha_mode='fixed')")
-        if not np.all(np.isnan(t.alpha)):
-            alpha = np.clip(np.mean(t.alpha, axis=0), 1e-12, 1.0)
-    if cfg.temp_model.sigma_T_sq <= 0.0:
-        alpha = None
+    alpha = FUSION_BOUND_ALPHA if cfg.temp_model.sigma_T_sq > 0.0 else None
     weights, stddevs = pdv_params_table(cfg.scenario.pdv, cfg.scenario.horizon)
     oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs, tau=cfg.scenario.tau)
     return bclb_trajectory(oracle, cfg.dynamics, alpha, cfg.netcomm_init.p0_diag[0])
@@ -300,7 +293,7 @@ def trajectory_rows(cfg: RunConfig, t: Trajectories):
     if cfg.scenario.pdv is None:
         bounds = [[float("nan")] * h] * 2
     else:
-        bounds = [b.tolist() for b in case_bounds(cfg, t)]
+        bounds = [b.tolist() for b in case_bounds(cfg)]
     columns = (t.theta_true, t.delta_true, t.temp_osc, t.temp_meas, t.theta_L, t.theta_T, t.theta_F,
                t.delta_hat, t.epsilon, t.alpha, t.beta)
     return chain.from_iterable(
@@ -345,7 +338,7 @@ def fusion_study(cfg: RunConfig) -> tuple[FusionStudyResult, Trajectories]:
 
     Runs the fused pipeline, the isolated network-phase filter, and the
     thermal phase on shared scenario draws; the bound curves are
-    case_bounds' over these runs.
+    case_bounds'.
     """
     if cfg.scenario.pdv is None:
         raise ValueError("fusion study requires a synthetic PDV profile (oracle bounds)")
@@ -353,7 +346,7 @@ def fusion_study(cfg: RunConfig) -> tuple[FusionStudyResult, Trajectories]:
     r1 = skew_rmse_per_period(t, "linear-only")
     r2 = skew_rmse_per_period(t, "thermal-only")
     rf = skew_rmse_per_period(t, "tacd")
-    bclb_l, bclb_f = case_bounds(cfg, t)
+    bclb_l, bclb_f = case_bounds(cfg)
 
     sl = _window_slice(t.horizon, cfg.steady_window)
     reduction = 1.0 - float(np.mean(bclb_f[sl]) / np.mean(bclb_l[sl]))

@@ -357,9 +357,12 @@ class TruthOptions:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
+    """One case's truth and delay model. An empirical source takes no link:
+    its fixed one-way delays are the table cells' minima."""
+
     tau: float
     horizon: int
-    link: LinkConfig
+    link: Optional[LinkConfig]
     pdv: Optional[PdvProfile]
     thermal: ThermalProfile
     temp_model: TempSkewModel
@@ -372,6 +375,8 @@ class ScenarioConfig:
             raise ValueError("horizon must be >= 1")
         if (self.pdv is None) == (self.empirical is None):
             raise ValueError("exactly one of a PDV profile and an empirical source is required")
+        if (self.link is None) != (self.pdv is None):
+            raise ValueError("a link is required with a PDV profile and not allowed with an empirical source")
         self.thermal.validate_horizon(self.horizon)
 
 

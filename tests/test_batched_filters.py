@@ -1,5 +1,4 @@
 """The batched estimators against the scalar oracle, and batch-split invariance."""
-import copy
 import json
 
 import numpy as np
@@ -9,7 +8,7 @@ import oracles
 from tacd.bclb import OracleNoiseTruth
 from tacd.cli import main as cli_main
 from tacd.clock import build_state_space
-from tacd.config import load_config, parse_config
+from tacd.config import load_config
 from tacd.netcomm import (
     GaussianBelief,
     GsfVbFilter,
@@ -20,7 +19,7 @@ from tacd.netcomm import (
     vb_refine,
 )
 from tacd.report import load_csv_columns
-from tacd.runner import Trajectories, case_bounds, simulate_run
+from tacd.runner import FUSION_BOUND_ALPHA, Trajectories, case_bounds, simulate_run
 from tacd.scenario import generate_scenario, pdv_params_table
 
 from conftest import run_measurements
@@ -41,7 +40,7 @@ def test_batched_filter_matches_scalar_oracle(case):
     cfg = load_config(f"configs/{case}.json")
     init = cfg.netcomm_init
     ss = build_state_space(cfg.dynamics)
-    isotropic = isotropic_mixture_model(init.chi0, init.dof0, init.scale0, init.unit_scale)
+    isotropic = isotropic_mixture_model(init.chi0, init.dof0, init.scale0)
     n = 5
     z = _measurements(cfg, range(100, 100 + n))
     x0 = np.tile(init.x0, (n, 1))
@@ -135,11 +134,10 @@ def _same(a, b) -> bool:
     )
 
 
-@pytest.mark.parametrize("case,alpha_mode", [("fusion_study", "runtime"), ("case3", "fixed")])
-def test_batch_split_invariance(case, alpha_mode):
-    doc = json.loads(open(f"configs/{case}.json", encoding="utf-8").read())
-    doc["bclb"]["alpha_mode"] = alpha_mode
-    cfg = parse_config(doc).with_overrides(estimators=("tacd", "gptp", "kalman", "thermal-only", "linear-only"))
+@pytest.mark.parametrize("case", ["fusion_study", "case3"])
+def test_batch_split_invariance(case):
+    cfg = load_config(f"configs/{case}.json")
+    cfg = cfg.with_overrides(estimators=("tacd", "gptp", "kalman", "thermal-only", "linear-only"))
     n = 6
     whole = _trajectory_arrays(simulate_run(cfg, range(n)))
     singles = _trajectory_arrays(Trajectories.concat([simulate_run(cfg, [r]) for r in range(n)]))
@@ -149,26 +147,16 @@ def test_batch_split_invariance(case, alpha_mode):
 
 
 def test_case_bounds_match_one_run_recursion():
-    # the runtime (Monte-Carlo mean) alpha sequence and the fixed weight
-    # each take the one-run recursion, bit for bit
-    doc = json.loads(open("configs/fusion_study.json", encoding="utf-8").read())
-    fixed = parse_config(doc)
-    doc["bclb"]["alpha_mode"] = "runtime"
-    cfg = parse_config(doc)
-    trajs = simulate_run(cfg, range(12))
+    # the case's bounds at the fixed fusion weight take the one-run
+    # recursion, bit for bit
+    cfg = load_config("configs/fusion_study.json")
     weights, stddevs = pdv_params_table(cfg.scenario.pdv, cfg.scenario.horizon)
     oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs, tau=cfg.scenario.tau)
-
-    def one_run(alpha):
-        # the oracle's temperature block never enters the skew bound
-        params = oracles.FusionBclbParams(alpha=alpha, sigma_m_sq=0.25, sigma_T_sq=cfg.temp_model.sigma_T_sq)
-        return oracles.bclb_trajectory(oracle, cfg.dynamics, params, cfg.netcomm_init.p0_diag[0])
-
-    mean_alpha = np.clip(np.mean(trajs.alpha, axis=0), 1e-12, 1.0)
-    assert not np.all(mean_alpha == fixed.bclb.alpha_value)
-    for c, alpha in ((cfg, mean_alpha), (fixed, fixed.bclb.alpha_value)):
-        for new, old in zip(case_bounds(c, trajs), one_run(alpha)):
-            assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
+    # the oracle's temperature block never enters the skew bound
+    params = oracles.FusionBclbParams(alpha=FUSION_BOUND_ALPHA, sigma_m_sq=0.25, sigma_T_sq=cfg.temp_model.sigma_T_sq)
+    one_run = oracles.bclb_trajectory(oracle, cfg.dynamics, params, cfg.netcomm_init.p0_diag[0])
+    for new, old in zip(case_bounds(cfg), one_run):
+        assert np.array_equal(new.view(np.uint64), old.view(np.uint64))
 
 
 def _run_cli(tmp_path, doc, sub, tag, *flags):
@@ -179,11 +167,10 @@ def _run_cli(tmp_path, doc, sub, tag, *flags):
     return rc, out
 
 
-def test_runtime_alpha_bound_is_the_fusion_study_bound(tmp_path, capsys):
-    # runtime alpha means the Monte-Carlo mean of the command's weights in
-    # every command: each simulated run carries the fusion study's bound
+def test_simulated_bound_is_the_fusion_study_bound(tmp_path, capsys):
+    # the bound is one per case: each simulated run carries the fusion
+    # study's bound, whatever the worker count
     doc = json.loads(open("configs/fusion_study.json", encoding="utf-8").read())
-    doc["bclb"]["alpha_mode"] = "runtime"
     runs, h = 6, doc["horizon"]
     for workers in ("1", "2"):
         flags = ("--runs", str(runs), "--workers", workers)
@@ -205,16 +192,13 @@ def test_fusion_bound_guard_agrees_across_commands(tmp_path, capsys):
     base.update(runs=2, horizon=30, steady_window=5)
     base["thermal"]["segments"] = [{"start": 0, "end": 29, "kind": "constant", "value": 30.0}]
     base["temp_model"]["sigma_T_sq"] = 0.0
-    runtime = copy.deepcopy(base)
-    runtime["bclb"]["alpha_mode"] = "runtime"
     cases = [
-        (base, "simulate", "trajectory.csv", "bclb_L", "bclb_F"),
-        (base, "bclb", "bclb.csv", "bclb_L", "bclb_F"),
-        (base, "fusion-study", "fusion_study.csv", "bclb_single", "bclb_fusion"),
-        (runtime, "fusion-study", "fusion_study.csv", "bclb_single", "bclb_fusion"),
+        ("simulate", "trajectory.csv", "bclb_L", "bclb_F"),
+        ("bclb", "bclb.csv", "bclb_L", "bclb_F"),
+        ("fusion-study", "fusion_study.csv", "bclb_single", "bclb_fusion"),
     ]
-    for i, (doc, sub, name, linear, fused) in enumerate(cases):
-        rc, out = _run_cli(tmp_path, doc, sub, f"{sub}{i}")
+    for i, (sub, name, linear, fused) in enumerate(cases):
+        rc, out = _run_cli(tmp_path, base, sub, f"{sub}{i}")
         assert rc == 0, capsys.readouterr().err
         cols = load_csv_columns(out / name)
         assert np.all(np.isfinite(cols[linear])), (sub, i)

@@ -263,6 +263,31 @@ def test_cli_rejects_two_delay_sources(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _empirical_next_to_link(doc, tmp_path):
+    (tmp_path / "d.csv").write_text("packet_bytes,load_percent,delay_seconds\n64,5,4e-6\n64,25,2e-6\n")
+    del doc["pdv"]  # the shipped doc's link block stays
+    doc["empirical"] = {"csv_path": "d.csv", "forward_cell": [64, 5], "reverse_cell": [64, 25]}
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("bclb", lambda doc, _: doc.update(bclb={"alpha_mode": "fixed", "alpha_value": 0.5})),
+    ("enabled", lambda doc, _: doc["vb"].update(enabled=True)),
+    ("unit_scale", lambda doc, _: doc["netcomm_init"].update(unit_scale=1e-6)),
+    ("link", _empirical_next_to_link),
+], ids=["bclb", "vb.enabled", "netcomm_init.unit_scale", "link-with-empirical"])
+def test_cli_rejects_keys_no_run_reads(key, edit, tmp_path, capsys):
+    # a key that would change nothing the command writes is an error, not a
+    # silent no-op
+    doc = _doc()
+    edit(doc, tmp_path)
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(doc))
+    rc = cli_main(["simulate", "--config", str(cfgp), "--runs", "2", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_missing_segment_parameter(tmp_path, capsys):
     doc = _doc()
     del doc["thermal"]["segments"][1]["amp"]

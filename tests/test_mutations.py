@@ -50,6 +50,12 @@ MUTATIONS = {
         [("test_fusion", "test_fuse_skew_values", {}),
          ("test_artifact_digests", "test_artifact_digests", {"config": "fusion_study", "sub": "fusion-study"})],
     ),
+    "fusion-bound-weight-halved": (
+        "tacd.runner",
+        "FUSION_BOUND_ALPHA = 0.5",
+        "FUSION_BOUND_ALPHA = 0.25",
+        [("test_artifact_digests", "test_artifact_digests", {"config": "fusion_study", "sub": "fusion-study"})],
+    ),
 }
 
 

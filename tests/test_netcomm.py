@@ -313,7 +313,7 @@ def test_vb_symmetric_components(ss):
 
 def test_vb_dof_clamped_mean(ss):
     # the shipped init puts two dofs at the existence boundary; the mean clamps
-    noise = isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e5, 2e5, 2e5], unit_scale=1e-6)
+    noise = isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e-7, 2e-7, 2e-7])
     assert noise.dof_clamped
     covs = noise.point_covariances
     assert np.allclose(covs[0], np.eye(2) * 1e-7)
@@ -333,7 +333,7 @@ def test_vb_recovers_mixture_variance():
         z = run_measurements(generate_scenario(cfg, [np.random.default_rng(100 + seed)]))[0]
         filt = GsfVbFilter(
             ss,
-            isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e5, 2e5, 2e5], 1e-6),
+            isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e-7, 2e-7, 2e-7]),
             _default_belief(),
             vb=VbSettings(),
         )
@@ -382,7 +382,7 @@ def test_step_skew_estimator_bias_small():
     ss = build_state_space(dyn)
     n = 200
     skew_true, z = _batch_runs(cfg, [5000 + r for r in range(n)])
-    noise = isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e5, 2e5, 2e5], 1e-6)
+    noise = isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e-7, 2e-7, 2e-7])
     noise = replace(
         noise,
         dirichlet_concentration=_per_run(noise.dirichlet_concentration, n),

@@ -299,7 +299,7 @@ def test_empirical_scenario_mode(tmp_path):
     cfg = ScenarioConfig(
         tau=1.0,
         horizon=20,
-        link=LinkConfig(0.0, 0.0),
+        link=None,
         pdv=None,
         thermal=constant_thermal(20),
         temp_model=TempSkewModel(kappa=4e-8, T0=25.0, theta0=0.0, sigma_T_sq=0.1),
@@ -318,6 +318,12 @@ def test_empirical_scenario_mode(tmp_path):
     # a scenario draws its delays from one source: a PDV profile as well is rejected
     with pytest.raises(ValueError, match="exactly one of a PDV profile and an empirical source"):
         replace(cfg, pdv=study_pdv_profile())
+    # the table's minima are the fixed delays: a link as well is rejected, and
+    # a PDV profile needs one
+    with pytest.raises(ValueError, match="not allowed with an empirical source"):
+        replace(cfg, link=LinkConfig(0.0, 0.0))
+    with pytest.raises(ValueError, match="a link is required with a PDV profile"):
+        replace(cfg, pdv=study_pdv_profile(), empirical=None)
 
 
 # ------------------------------------------------------------------ scenario

@@ -79,6 +79,7 @@ def test_empirical_mode_matches_oracle():
     cfg = replace(
         base,
         pdv=None,
+        link=None,
         empirical=EmpiricalSource(table=table, forward_cell=(64, 5), reverse_cell=(64, 25)),
         thermal=_colored_ends(base.horizon),
     )
