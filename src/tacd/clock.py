@@ -20,7 +20,7 @@ class ClockDynamics:
 
     m: float
     sigma_u_sq: float
-    tau: float
+    tau: float = 1.0
 
     def __post_init__(self) -> None:
         # m = 0 is the memoryless limit, still a valid dynamics

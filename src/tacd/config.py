@@ -1,17 +1,21 @@
 """Run configuration: a versioned JSON schema mapped onto scenario and
-estimator objects. Unknown keys are rejected and violations name the field
-path that caused them.
+estimator objects. Every JSON object, the CLI overrides included, is read
+against a spec that declares each allowed key once: the field it fills, the
+reader of its value and whether it is required. Unknown keys are rejected,
+an absent optional key leaves the owning dataclass's default, and violations
+name the field path. Range checks live in the owning dataclasses; a spec
+adds only the bounds the configuration keeps stricter than them.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from .clock import ClockDynamics
 from .scenario import (
-    DEFAULT_STDDEV_FLOOR,
     EmpiricalSource,
     LinkConfig,
     PdvProfile,
@@ -28,54 +32,12 @@ from .thermal import TempSkewModel
 
 SCHEMA_VERSION = 1
 
+# A reader turns the JSON value at a field path into the value of its field.
+Reader = Callable[[Any, str], Any]
+
 
 class ConfigError(ValueError):
     """Configuration schema violation, carrying the offending field path."""
-
-
-def _require(mapping: dict, allowed: dict[str, bool], path: str) -> None:
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
-    missing = [k for k, req in allowed.items() if req and k not in mapping]
-    if missing:
-        raise ConfigError(f"{path}: missing required key(s) {missing}")
-
-
-def _number(mapping: dict, key: str, path: str, default=None, minimum=None, positive=False):
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: missing")
-        return default
-    v = mapping[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {v!r}")
-    if positive and v <= 0:
-        raise ConfigError(f"{path}.{key}: must be > 0, got {v}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {v}")
-    return float(v)
-
-
-def _int(mapping: dict, key: str, path: str, default=None, minimum=None) -> int:
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(f"{path}.{key}: missing")
-        return default
-    v = mapping[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {v}")
-    return v
-
-
-def _float_list(obj: Any, path: str) -> list[float]:
-    if not isinstance(obj, list) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj
-    ):
-        raise ConfigError(f"{path}: expected a list of numbers")
-    return [float(x) for x in obj]
 
 
 @dataclass(frozen=True)
@@ -89,11 +51,23 @@ class NetcommInit:
     dof0: tuple[float, ...] = (4.0, 3.0, 3.0)
     scale0: tuple[float, ...] = (1e-7, 2e-7, 2e-7)
 
+    def __post_init__(self) -> None:
+        if len(self.x0) != 2 or len(self.p0_diag) != 2:
+            raise ValueError("x0 and P0_diag must have two entries")
+        if not len(self.chi0) == len(self.dof0) == len(self.scale0):
+            raise ValueError("chi0, dof0, scale0 lengths must agree")
+        if min(self.p0_diag + self.chi0 + self.scale0) <= 0.0:
+            raise ValueError("P0_diag, chi0 and scale0 entries must be > 0")
+
 
 @dataclass(frozen=True)
 class FusionSettings:
     lam: float = 0.5
     feedback: bool = True
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValueError(f"lambda must lie in [0, 1], got {self.lam}")
 
 
 @dataclass(frozen=True)
@@ -101,14 +75,14 @@ class RunConfig:
     scenario: ScenarioConfig
     dynamics: ClockDynamics
     temp_model: TempSkewModel
-    estimators: tuple[str, ...]
-    runs: int
-    master_seed: int
-    vb: VbSettings
-    netcomm_init: NetcommInit
-    kalman_nominal_stddev: float
-    fusion: FusionSettings
-    steady_window: int
+    estimators: tuple[str, ...] = tuple(ESTIMATORS)
+    runs: int = 1000
+    master_seed: int = 0
+    vb: VbSettings = VbSettings()
+    netcomm_init: NetcommInit = NetcommInit()
+    kalman_nominal_stddev: float = 5e-6
+    fusion: FusionSettings = FusionSettings()
+    steady_window: int = 10
     workers: int = 1
     output_dir: str = "out"
 
@@ -120,265 +94,229 @@ class RunConfig:
         output_dir: Optional[str] = None,
         workers: Optional[int] = None,
     ) -> "RunConfig":
-        """This config with the given fields replaced, under the bounds
-        parse_config applies to them."""
-        out = self
-        for key, value, low in (("runs", runs, 1), ("master_seed", seed, 0), ("workers", workers, 1)):
-            if value is not None:
-                out = replace(out, **{key: _int({key: value}, key, "override", minimum=low)})
-        if estimators is not None:
-            out = replace(out, estimators=_estimator_selection(estimators))
-        if output_dir is not None:
-            out = replace(out, output_dir=output_dir)
-        return out
+        """This config with the given fields replaced, each read as the
+        config file's key of the same name."""
+        given = {"runs": runs, "master_seed": seed, "estimators": estimators, "output_dir": output_dir,
+                 "workers": workers}
+        return replace(self, **_read({k: v for k, v in given.items() if v is not None}, _RUN, ""))
 
 
-def _estimator_selection(names) -> tuple[str, ...]:
+def _number(v, path: str) -> float:
+    # the bound also rejects NaN, the infinities and ints no float can hold
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {v!r}")
+    return float(v)
+
+
+def _of(kind: type, name: str) -> Reader:
+    """Reader of a JSON value of one type; a boolean is not an integer."""
+    def read(v, path: str):
+        if not isinstance(v, kind) or (isinstance(v, bool) and kind is not bool):
+            raise ConfigError(f"{path}: expected {name}, got {v!r}")
+        return v
+    return read
+
+
+_int, _bool, _str = _of(int, "an integer"), _of(bool, "a boolean"), _of(str, "a string")
+
+
+def _min(read: Reader, low: float, strict: bool = False) -> Reader:
+    """read, then require the value to be >= low (> low when strict)."""
+    def read_min(v, path: str):
+        x = read(v, path)
+        if x < low or (strict and x == low):
+            raise ConfigError(f"{path}: must be {'>' if strict else '>='} {low}, got {x}")
+        return x
+    return read_min
+
+
+_positive = _min(_number, 0, strict=True)
+
+
+def _list(read: Reader) -> Reader:
+    """Reader of a JSON list into a tuple of its items, each read by read."""
+    def read_list(v, path: str) -> tuple:
+        if not isinstance(v, (list, tuple)):
+            raise ConfigError(f"{path}: expected a list, got {v!r}")
+        return tuple(read(x, f"{path}[{i}]") for i, x in enumerate(v))
+    return read_list
+
+
+def _cell(v, path: str) -> tuple[int, float]:
+    """A [packet_bytes, load_percent] table cell with whole packet_bytes."""
+    pair = _list(_number)(v, path)
+    if len(pair) != 2 or not pair[0].is_integer():
+        raise ConfigError(f"{path}: expected a [packet_bytes, load_percent] pair with whole packet_bytes, got {v!r}")
+    return int(pair[0]), pair[1]
+
+
+def _estimators(v, path: str) -> tuple[str, ...]:
     """A non-empty selection of names from the estimator table."""
-    if not isinstance(names, (list, tuple)) or not names:
-        raise ConfigError("estimators: expected a non-empty list")
+    names = _list(_str)(v, path)
+    if not names:
+        raise ConfigError(f"{path}: expected a non-empty list")
     for name in names:
         if name not in ESTIMATORS:
-            raise ConfigError(f"estimators: unknown estimator {name!r}, expected one of {tuple(ESTIMATORS)}")
-    return tuple(names)
+            raise ConfigError(f"{path}: unknown estimator {name!r}, expected one of {tuple(ESTIMATORS)}")
+    return names
 
 
-def _parse_pdv(obj: dict, path: str) -> PdvProfile:
-    _require(obj, {"stddevs": True, "weights": True, "schedule": False, "floor": False}, path)
-    stddevs = _float_list(obj["stddevs"], f"{path}.stddevs")
-    weights = _float_list(obj["weights"], f"{path}.weights")
-    segments = []
-    for i, seg in enumerate(obj.get("schedule", [])):
-        spath = f"{path}.schedule[{i}]"
-        if not isinstance(seg, dict):
-            raise ConfigError(f"{spath}: expected an object")
-        _require(seg, {"start": True, "end": True, "stddev_rates": True, "weight_rates": True}, spath)
-        segments.append(
-            RateSegment(
-                start=_int(seg, "start", spath, minimum=0),
-                end=_int(seg, "end", spath, minimum=0),
-                stddev_rates=tuple(_float_list(seg["stddev_rates"], f"{spath}.stddev_rates")),
-                weight_rates=tuple(_float_list(seg["weight_rates"], f"{spath}.weight_rates")),
-            )
-        )
+def _build(cls, path: str, **kw):
+    """cls(**kw), with the ValueError of a check it makes reported at path."""
     try:
-        return PdvProfile(
-            initial_stddevs=tuple(stddevs),
-            initial_weights=tuple(weights),
-            rate_schedule=tuple(segments),
-            stddev_floor=_number(obj, "floor", path, default=DEFAULT_STDDEV_FLOOR, positive=True),
-        )
+        return cls(**kw)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
 
-def _parse_thermal(obj: dict, path: str) -> ThermalProfile:
-    _require(obj, {"segments": True, "cooling_constant": False, "initial_temp": False}, path)
-    if not isinstance(obj["segments"], list) or not obj["segments"]:
-        raise ConfigError(f"{path}.segments: expected a non-empty list")
-    segs = []
-    for i, seg in enumerate(obj["segments"]):
-        spath = f"{path}.segments[{i}]"
-        if not isinstance(seg, dict):
-            raise ConfigError(f"{spath}: expected an object")
-        start, end = _int(seg, "start", spath, minimum=0), _int(seg, "end", spath, minimum=0)
-        params = {k: _number(seg, k, spath) for k in seg if k not in ("start", "end", "kind")}
-        try:
-            segs.append(ThermalSegment(start=start, end=end, kind=seg.get("kind"), params=params))
-        except ValueError as exc:
-            raise ConfigError(f"{spath}: {exc}") from None
-    cooling = _number(obj, "cooling_constant", path, default=ThermalProfile.cooling_constant, positive=True)
-    initial = _number(obj, "initial_temp", path, default=ThermalProfile.initial_oscillator_temp)
-    try:
-        return ThermalProfile(segments=tuple(segs), cooling_constant=cooling, initial_oscillator_temp=initial)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+def _read(obj, spec: dict, path: str) -> dict:
+    """The fields an object's keys fill, each value read by its spec entry.
+
+    spec maps each allowed key to (field, reader, required); the entry under
+    None, if any, reads every other key into one dict field. An absent
+    optional key, or one read as None, is left out of the result. path ""
+    is the top level, whose keys are their own paths.
+    """
+    where = path or "top level"
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: expected an object, got {obj!r}")
+    rest = [k for k in obj if k not in spec]
+    if rest and None not in spec:
+        raise ConfigError(f"{where}: unknown key(s) {sorted(rest)}")
+    missing = [k for k, (_, _, required) in spec.items() if required and k not in obj]
+    if missing:
+        raise ConfigError(f"{where}: missing required key(s) {missing}")
+    at = (lambda k: f"{path}.{k}") if path else (lambda k: k)
+    kw = {f: read(obj[k], at(k)) for k, (f, read, _) in spec.items() if k in obj}
+    if None in spec:
+        f, read, _ = spec[None]
+        kw[f] = {k: read(obj[k], at(k)) for k in rest}
+    return {f: v for f, v in kw.items() if v is not None}
 
 
-_TOP_KEYS = {
-    "schema_version": True,
-    "horizon": True,
-    "runs": False,
-    "master_seed": False,
-    "tau": False,
-    "dynamics": True,
-    "link": False,
-    "pdv": False,
-    "empirical": False,
-    "thermal": True,
-    "temp_model": False,
-    "truth": False,
-    "estimators": False,
-    "vb": False,
-    "netcomm_init": False,
-    "kalman_nominal_stddev": False,
-    "fusion": False,
-    "steady_window": False,
-    "workers": False,
-    "output_dir": False,
+def _object(spec: dict, cls=dict) -> Reader:
+    """Reader of a JSON object into cls built from the fields spec reads."""
+    return lambda v, path: _build(cls, path, **_read(v, spec, path))
+
+
+def _block(spec: dict, cls=dict) -> Reader:
+    """_object for an optional top-level block, where null reads as absent."""
+    read = _object(spec, cls)
+    return lambda v, path: None if v is None else read(v, path)
+
+
+_RATE_SEGMENT = {
+    "start": ("start", _min(_int, 0), True),
+    "end": ("end", _min(_int, 0), True),
+    "stddev_rates": ("stddev_rates", _list(_number), True),
+    "weight_rates": ("weight_rates", _list(_number), True),
+}
+_PDV = {
+    "stddevs": ("initial_stddevs", _list(_number), True),
+    "weights": ("initial_weights", _list(_number), True),
+    "schedule": ("rate_schedule", _list(_object(_RATE_SEGMENT, RateSegment)), False),
+    "floor": ("stddev_floor", _number, False),
+}
+_EMPIRICAL = {  # read into EmpiricalSource fields once the table at csv_path is loaded
+    "csv_path": ("csv_path", _str, True),
+    "forward_cell": ("forward_cell", _cell, True),
+    "reverse_cell": ("reverse_cell", _cell, True),
+}
+_THERMAL_SEGMENT = {
+    "start": ("start", _min(_int, 0), True),
+    "end": ("end", _min(_int, 0), True),
+    "kind": ("kind", _str, True),
+    None: ("params", _number, False),  # the kind's curve parameters, checked by ThermalSegment
+}
+_THERMAL = {
+    "segments": ("segments", _list(_object(_THERMAL_SEGMENT, ThermalSegment)), True),
+    "cooling_constant": ("cooling_constant", _number, False),
+    "initial_temp": ("initial_oscillator_temp", _number, False),
+}
+_TEMP_MODEL = {
+    "kappa_ppm": ("kappa", lambda v, path: _number(v, path) * 1e-6, False),
+    "T0": ("T0", _number, False),
+    "theta0": ("theta0", _number, False),
+    "sigma_T_sq": ("sigma_T_sq", _number, False),
+}
+_TRUTH = {
+    "initial_offset": ("initial_offset", _number, False),
+    "initial_skew_residual": ("initial_skew_residual", _number, False),
+    "process_noise_sq": ("process_noise_sq", _min(_number, 0), False),
+    "thermal_coupling": ("thermal_coupling", _bool, False),
+}
+_VB = {
+    "max_iterations": ("max_iterations", _int, False),
+    "convergence_tol": ("convergence_tol", _positive, False),
+    "forgetting_factor": ("forgetting_factor", _number, False),
+}
+_NETCOMM_INIT = {
+    key: (name, _list(_number), False)
+    for key, name in (("x0", "x0"), ("P0_diag", "p0_diag"), ("chi0", "chi0"), ("dof0", "dof0"), ("scale0", "scale0"))
+}
+# the top-level keys the CLI can override
+_RUN = {
+    "runs": ("runs", _min(_int, 1), False),
+    "master_seed": ("master_seed", _min(_int, 0), False),
+    "workers": ("workers", _min(_int, 1), False),
+    "estimators": ("estimators", _estimators, False),
+    "output_dir": ("output_dir", _str, False),
+}
+_TOP = {
+    "schema_version": ("schema_version", _int, True),
+    "horizon": ("horizon", _min(_int, 2), True),
+    "tau": ("tau", _number, False),
+    "dynamics": ("dynamics", _object({"m": ("m", _positive, True), "sigma_u_sq": ("sigma_u_sq", _number, True)}), True),
+    "link": ("link", _block({"d1": ("d1", _number, True), "d2": ("d2", _number, True)}, LinkConfig), False),
+    "pdv": ("pdv", _block(_PDV, PdvProfile), False),
+    "empirical": ("empirical", _block(_EMPIRICAL), False),
+    "thermal": ("thermal", _object(_THERMAL, ThermalProfile), True),
+    "temp_model": ("temp_model", _block(_TEMP_MODEL, TempSkewModel), False),
+    "truth": ("truth", _block(_TRUTH, TruthOptions), False),
+    "vb": ("vb", _block(_VB, VbSettings), False),
+    "netcomm_init": ("netcomm_init", _block(_NETCOMM_INIT, NetcommInit), False),
+    "kalman_nominal_stddev": ("kalman_nominal_stddev", _positive, False),
+    "fusion": ("fusion", _block({"lambda": ("lam", _number, False), "feedback": ("feedback", _bool, False)},
+                                FusionSettings), False),
+    "steady_window": ("steady_window", _min(_int, 1), False),
+    **_RUN,
 }
 
 
-def parse_config(doc: dict, base_dir: Optional[Path] = None) -> RunConfig:
+def _take(fields: dict, *names: str) -> dict:
+    """Remove the named fields that are present and return them."""
+    return {n: fields.pop(n) for n in names if n in fields}
+
+
+def parse_config(doc: Any, base_dir: Optional[Path] = None) -> RunConfig:
     """Validate a parsed JSON document and build the run configuration."""
-    if not isinstance(doc, dict):
-        raise ConfigError("top level: expected an object")
-    _require(doc, _TOP_KEYS, "top level")
-    version = _int(doc, "schema_version", "top level")
+    top = _read(doc, _TOP, "")
+    version = top.pop("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version: expected {SCHEMA_VERSION}, got {version}")
-
-    horizon = _int(doc, "horizon", "top level", minimum=2)
-    runs = _int(doc, "runs", "top level", default=1000, minimum=1)
-    seed = _int(doc, "master_seed", "top level", default=0, minimum=0)
-    tau = _number(doc, "tau", "top level", default=1.0, positive=True)
-
-    dyn_obj = doc["dynamics"]
-    _require(dyn_obj, {"m": True, "sigma_u_sq": True}, "dynamics")
-    try:
-        dynamics = ClockDynamics(
-            m=_number(dyn_obj, "m", "dynamics", positive=True),
-            sigma_u_sq=_number(dyn_obj, "sigma_u_sq", "dynamics", positive=True),
-            tau=tau,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"dynamics: {exc}") from None
-
-    tm_obj = doc.get("temp_model", {})
-    _require(tm_obj, {"kappa_ppm": False, "T0": False, "theta0": False, "sigma_T_sq": False}, "temp_model")
-    temp_model = TempSkewModel(
-        kappa=_number(tm_obj, "kappa_ppm", "temp_model", default=0.04) * 1e-6,
-        T0=_number(tm_obj, "T0", "temp_model", default=25.0),
-        theta0=_number(tm_obj, "theta0", "temp_model", default=0.0),
-        sigma_T_sq=_number(tm_obj, "sigma_T_sq", "temp_model", default=0.1, minimum=0.0),
-    )
-
-    if (doc.get("pdv") is None) == (doc.get("empirical") is None):
+    if ("pdv" in top) == ("empirical" in top):
         raise ConfigError("top level: exactly one of 'pdv' and 'empirical' is required")
-    pdv = link = None
-    if doc.get("pdv") is not None:
-        pdv = _parse_pdv(doc["pdv"], "pdv")
-        if doc.get("link") is None:
-            raise ConfigError("link: required with 'pdv'")
-        _require(doc["link"], {"d1": True, "d2": True}, "link")
-        link = LinkConfig(d1=_number(doc["link"], "d1", "link"), d2=_number(doc["link"], "d2", "link"))
-    elif doc.get("link") is not None:
+    if "pdv" in top and "link" not in top:
+        raise ConfigError("link: required with 'pdv'")
+    if "empirical" in top and "link" in top:
         raise ConfigError("link: not allowed with 'empirical', whose fixed delays are the table cells' minima")
 
-    empirical = None
-    if doc.get("empirical") is not None:
-        e_obj = doc["empirical"]
-        _require(e_obj, {"csv_path": True, "forward_cell": True, "reverse_cell": True}, "empirical")
-        csv_path = Path(e_obj["csv_path"])
+    empirical = top.pop("empirical", None)
+    if empirical is not None:
+        csv_path = Path(empirical.pop("csv_path"))
         if base_dir is not None and not csv_path.is_absolute():
             csv_path = base_dir / csv_path
-        fwd = _float_list(e_obj["forward_cell"], "empirical.forward_cell")
-        rev = _float_list(e_obj["reverse_cell"], "empirical.reverse_cell")
-        if len(fwd) != 2 or len(rev) != 2:
-            raise ConfigError("empirical cells must be [packet_bytes, load_percent] pairs")
-        table = load_delay_csv(csv_path)
-        empirical = EmpiricalSource(
-            table=table,
-            forward_cell=(int(fwd[0]), fwd[1]),
-            reverse_cell=(int(rev[0]), rev[1]),
-        )
+        empirical = EmpiricalSource(table=load_delay_csv(csv_path), **empirical)
 
-    thermal = _parse_thermal(doc["thermal"], "thermal")
-
-    truth_obj = doc.get("truth", {})
-    _require(
-        truth_obj,
-        {"initial_offset": False, "initial_skew_residual": False, "process_noise_sq": False, "thermal_coupling": False},
-        "truth",
-    )
-    coupling = truth_obj.get("thermal_coupling", TruthOptions.thermal_coupling)
-    if not isinstance(coupling, bool):
-        raise ConfigError("truth.thermal_coupling: expected a boolean")
-    truth = TruthOptions(
-        initial_offset=_number(truth_obj, "initial_offset", "truth", default=TruthOptions.initial_offset),
-        initial_skew_residual=_number(
-            truth_obj, "initial_skew_residual", "truth", default=TruthOptions.initial_skew_residual
-        ),
-        process_noise_sq=_number(
-            truth_obj, "process_noise_sq", "truth", default=TruthOptions.process_noise_sq, minimum=0.0
-        ),
-        thermal_coupling=coupling,
-    )
-
-    estimators = _estimator_selection(doc.get("estimators", list(ESTIMATORS)))
-
-    vb_obj = doc.get("vb", {})
-    _require(vb_obj, {"max_iterations": False, "convergence_tol": False, "forgetting_factor": False}, "vb")
-    try:
-        vb = VbSettings(
-            max_iterations=_int(vb_obj, "max_iterations", "vb", default=VbSettings.max_iterations, minimum=1),
-            convergence_tol=_number(vb_obj, "convergence_tol", "vb", default=VbSettings.convergence_tol, positive=True),
-            forgetting_factor=_number(
-                vb_obj, "forgetting_factor", "vb", default=VbSettings.forgetting_factor, positive=True
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"vb: {exc}") from None
-
-    ni_obj = doc.get("netcomm_init", {})
-    ni_fields = {"x0": "x0", "P0_diag": "p0_diag", "chi0": "chi0", "dof0": "dof0", "scale0": "scale0"}
-    _require(ni_obj, dict.fromkeys(ni_fields, False), "netcomm_init")
-    given = {f: tuple(_float_list(ni_obj[k], f"netcomm_init.{k}")) for k, f in ni_fields.items() if k in ni_obj}
-    netcomm_init = NetcommInit(**given)
-    if len(netcomm_init.x0) != 2 or len(netcomm_init.p0_diag) != 2:
-        raise ConfigError("netcomm_init: x0 and P0_diag must have two entries")
-    if not (len(netcomm_init.chi0) == len(netcomm_init.dof0) == len(netcomm_init.scale0)):
-        raise ConfigError("netcomm_init: chi0, dof0, scale0 lengths must agree")
-
-    fusion_obj = doc.get("fusion", {})
-    _require(fusion_obj, {"lambda": False, "feedback": False}, "fusion")
-    feedback = fusion_obj.get("feedback", FusionSettings.feedback)
-    if not isinstance(feedback, bool):
-        raise ConfigError("fusion.feedback: expected a boolean")
-    lam = _number(fusion_obj, "lambda", "fusion", default=FusionSettings.lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError(f"fusion.lambda: must lie in [0, 1], got {lam}")
-    fusion = FusionSettings(lam=lam, feedback=feedback)
-
-    steady_window = _int(doc, "steady_window", "top level", default=10, minimum=1)
-    if steady_window > horizon:
-        raise ConfigError(f"steady_window: must be <= horizon ({horizon}), got {steady_window}")
-
-    workers = _int(doc, "workers", "top level", default=RunConfig.workers, minimum=1)
-    output_dir = doc.get("output_dir", RunConfig.output_dir)
-    if not isinstance(output_dir, str):
-        raise ConfigError("output_dir: expected a string")
-
-    try:
-        scenario = ScenarioConfig(
-            tau=tau,
-            horizon=horizon,
-            link=link,
-            pdv=pdv,
-            thermal=thermal,
-            temp_model=temp_model,
-            truth=truth,
-            gm_coefficient=dynamics.m,
-            empirical=empirical,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from None
-
-    return RunConfig(
-        scenario=scenario,
-        dynamics=dynamics,
-        temp_model=temp_model,
-        estimators=estimators,
-        runs=runs,
-        master_seed=seed,
-        vb=vb,
-        netcomm_init=netcomm_init,
-        kalman_nominal_stddev=_number(doc, "kalman_nominal_stddev", "top level", default=5e-6, positive=True),
-        fusion=fusion,
-        steady_window=steady_window,
-        workers=workers,
-        output_dir=output_dir,
-    )
+    dynamics = _build(ClockDynamics, "dynamics", **top.pop("dynamics"), **_take(top, "tau"))
+    temp_model = top.pop("temp_model", TempSkewModel())
+    scenario = _build(ScenarioConfig, "scenario", tau=dynamics.tau, link=top.pop("link", None),
+                      pdv=top.pop("pdv", None), temp_model=temp_model, gm_coefficient=dynamics.m,
+                      empirical=empirical, **_take(top, "horizon", "thermal", "truth"))
+    cfg = RunConfig(scenario=scenario, dynamics=dynamics, temp_model=temp_model, **top)
+    if cfg.steady_window > scenario.horizon:
+        raise ConfigError(f"steady_window: must be <= horizon ({scenario.horizon}), got {cfg.steady_window}")
+    return cfg
 
 
 def load_config(path) -> RunConfig:

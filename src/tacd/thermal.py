@@ -14,14 +14,15 @@ class TempSkewModel:
     """Quadratic temperature-skew map: skew = kappa*(T - T0)^2 + theta0.
 
     kappa is in fractional units per degC^2 (ppm inputs are converted at
-    configuration load), T0 in degC, theta0 dimensionless (s/s), and
-    sigma_T_sq is the temperature sensor noise variance in degC^2.
+    configuration load; the default is 0.04 ppm), T0 in degC, theta0
+    dimensionless (s/s), and sigma_T_sq is the temperature sensor noise
+    variance in degC^2.
     """
 
-    kappa: float
-    T0: float
-    theta0: float
-    sigma_T_sq: float
+    kappa: float = 4e-8
+    T0: float = 25.0
+    theta0: float = 0.0
+    sigma_T_sq: float = 0.1
 
     def __post_init__(self) -> None:
         if self.sigma_T_sq < 0.0:

@@ -82,6 +82,94 @@ def test_bad_lambda():
         parse_config(doc)
 
 
+def test_required_keys_only_reads_the_documented_defaults():
+    # the defaults of the README's schema table, field by field
+    doc = {k: copy.deepcopy(BASE_DOC[k]) for k in ("schema_version", "horizon", "dynamics", "link")}
+    doc["pdv"] = {k: BASE_DOC["pdv"][k] for k in ("stddevs", "weights")}
+    doc["thermal"] = {"segments": BASE_DOC["thermal"]["segments"]}
+    cfg = parse_config(doc)
+    sc = cfg.scenario
+    assert (cfg.runs, cfg.master_seed, cfg.workers) == (1000, 0, 1)
+    assert cfg.dynamics.tau == sc.tau == 1.0
+    assert sc.gm_coefficient == cfg.dynamics.m and sc.empirical is None
+    assert sc.pdv.rate_schedule == () and sc.pdv.stddev_floor == 1e-7
+    assert (sc.thermal.cooling_constant, sc.thermal.initial_oscillator_temp) == (10.0, 30.0)
+    tm = cfg.temp_model
+    assert sc.temp_model == tm and (tm.kappa, tm.T0, tm.theta0, tm.sigma_T_sq) == (0.04 * 1e-6, 25.0, 0.0, 0.1)
+    tr = sc.truth
+    assert (tr.initial_offset, tr.initial_skew_residual, tr.process_noise_sq, tr.thermal_coupling) == (1e-6, 0.0, 0.0, True)
+    assert cfg.estimators == ("tacd", "gptp", "kalman", "thermal-only", "linear-only")
+    assert (cfg.vb.max_iterations, cfg.vb.convergence_tol, cfg.vb.forgetting_factor) == (5, 1e-6, 0.95)
+    ni = cfg.netcomm_init
+    assert (ni.x0, ni.p0_diag) == ((3e-7, 3.5e-6), (5e-6, 5e-6))
+    assert (ni.chi0, ni.dof0, ni.scale0) == ((1.0, 5.0, 5.0), (4.0, 3.0, 3.0), (1e-7, 2e-7, 2e-7))
+    assert cfg.kalman_nominal_stddev == 5e-6
+    assert (cfg.fusion.lam, cfg.fusion.feedback) == (0.5, True)
+    assert (cfg.steady_window, cfg.output_dir) == (10, "out")
+
+
+def _empirical(doc, tmp_path):
+    """Swap the doc's PDV profile and link for an empirical block; returns it."""
+    (tmp_path / "d.csv").write_text("packet_bytes,load_percent,delay_seconds\n64,5,4e-6\n64,25,2e-6\n")
+    del doc["pdv"], doc["link"]
+    doc["empirical"] = {"csv_path": "d.csv", "forward_cell": [64, 5], "reverse_cell": [64, 25]}
+    return doc["empirical"]
+
+
+def _run_simulate(doc, tmp_path):
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(doc))  # NaN and Infinity are written as JSON's literals
+    return cli_main(["simulate", "--config", str(cfgp), "--runs", "2", "--out", str(tmp_path / "out")])
+
+
+def _negate_last(key):
+    def edit(doc, _):
+        doc["netcomm_init"][key][-1] *= -1
+    return edit
+
+
+_NONPOSITIVE = "netcomm_init: P0_diag, chi0 and scale0 entries must be > 0"
+_MALFORMED = [
+    ("link", lambda doc, _: doc.update(link=5), "link: expected an object"),
+    ("truth", lambda doc, _: doc.update(truth=5), "truth: expected an object"),
+    ("vb", lambda doc, _: doc.update(vb=3), "vb: expected an object"),
+    ("temp_model", lambda doc, _: doc.update(temp_model=1), "temp_model: expected an object"),
+    ("thermal", lambda doc, _: doc.update(thermal=2), "thermal: expected an object"),
+    ("netcomm_init", lambda doc, _: doc.update(netcomm_init="x"), "netcomm_init: expected an object"),
+    ("pdv.schedule", lambda doc, _: doc["pdv"].update(schedule=5), "pdv.schedule: expected a list"),
+    ("empirical.csv_path", lambda doc, tmp: _empirical(doc, tmp).update(csv_path=5),
+     "empirical.csv_path: expected a string"),
+    ("kalman_nominal_stddev", lambda doc, _: doc.update(kalman_nominal_stddev=float("nan")),
+     "kalman_nominal_stddev: expected a finite number, got nan"),
+    ("dynamics.sigma_u_sq", lambda doc, _: doc["dynamics"].update(sigma_u_sq=float("inf")),
+     "dynamics.sigma_u_sq: expected a finite number, got inf"),
+    ("empirical.forward_cell", lambda doc, tmp: _empirical(doc, tmp).update(forward_cell=[64.7, 5]),
+     "empirical.forward_cell: expected a [packet_bytes, load_percent] pair with whole packet_bytes"),
+    ("netcomm_init.P0_diag", _negate_last("P0_diag"), _NONPOSITIVE),
+    ("netcomm_init.chi0", _negate_last("chi0"), _NONPOSITIVE),
+    ("netcomm_init.scale0", _negate_last("scale0"), _NONPOSITIVE),
+]
+
+
+@pytest.mark.parametrize("edit, error", [case[1:] for case in _MALFORMED], ids=[case[0] for case in _MALFORMED])
+def test_cli_rejects_malformed_value_at_its_path(edit, error, tmp_path, capsys):
+    doc = _doc()
+    edit(doc, tmp_path)
+    assert _run_simulate(doc, tmp_path) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {error}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_null_block_reads_as_absent(tmp_path):
+    doc = _doc(vb=None)
+    _empirical(doc, tmp_path)
+    doc["pdv"] = None
+    cfg = parse_config(doc, base_dir=tmp_path)
+    assert cfg.scenario.pdv is None and cfg.scenario.empirical.forward_cell == (64, 5.0)
+    assert cfg.vb == parse_config(_doc(vb={})).vb
+    assert _run_simulate(doc, tmp_path) == 0
+
+
 # --------------------------------------------------------------------- runner
 
 def test_two_period_bootstrap():

@@ -158,14 +158,14 @@ def test_predict_deterministic_when_noise_free():
     )
     belief = GaussianBelief(mean=np.array([1e-6, 2e-6]), cov=np.eye(2) * 1e-30)
     out = gsf_predict(belief, ss)
-    assert np.allclose(out.mean, ss.A @ [1e-6, 2e-6], rtol=1e-15)
+    assert np.allclose(out.mean, ss.A @ [1e-6, 2e-6], rtol=1e-15, atol=0.0)
     assert np.max(out.cov) < 1e-29
 
 
 def test_predict_identity_dynamics():
     ss = build_state_space(ClockDynamics(m=1.0, sigma_u_sq=1e-12, tau=1.0))
     out = gsf_predict(GaussianBelief(np.array([1e-6, 0.0]), np.eye(2) * 1e-12), ss)
-    assert np.allclose(out.mean, [1e-6, 1e-6], rtol=1e-15)
+    assert np.allclose(out.mean, [1e-6, 1e-6], rtol=1e-15, atol=0.0)
 
 
 def test_predict_reference_step():
@@ -173,9 +173,9 @@ def test_predict_reference_step():
     ss = build_state_space(dyn)
     belief = _default_belief()
     out = gsf_predict(belief, ss)
-    assert np.allclose(out.mean, ss.A @ belief.mean, rtol=1e-15)
+    assert np.allclose(out.mean, ss.A @ belief.mean, rtol=1e-15, atol=0.0)
     expect_cov = ss.A @ belief.cov @ ss.A.T + ss.Q_v
-    assert np.allclose(out.cov, 0.5 * (expect_cov + expect_cov.T), rtol=1e-15)
+    assert np.allclose(out.cov, 0.5 * (expect_cov + expect_cov.T), rtol=1e-15, atol=0.0)
 
 
 # ------------------------------------------------------------------- update
@@ -195,8 +195,8 @@ def test_update_single_component_is_kalman(ss):
     z = np.array([2e-6, 3e-6])
     res = gsf_update(belief, z, noise, ss)
     xn, Pn = _manual_kf_update(belief.mean, belief.cov, z, ss.H, noise.point_covariances[0])
-    assert np.allclose(res.belief.mean, xn, rtol=1e-12)
-    assert np.allclose(res.belief.cov, Pn, rtol=1e-12)
+    assert np.allclose(res.belief.mean, xn, rtol=1e-12, atol=0.0)
+    assert np.allclose(res.belief.cov, Pn, rtol=1e-12, atol=0.0)
     assert res.epsilon == res.belief.cov[0, 0]
 
 
@@ -205,8 +205,8 @@ def test_update_identical_components_degenerate(ss):
     z = np.array([2e-6, 3e-6])
     one = gsf_update(belief, z, MixtureNoiseModel.from_point_estimates([1.0], [5e-6]), ss)
     two = gsf_update(belief, z, MixtureNoiseModel.from_point_estimates([0.5, 0.5], [5e-6, 5e-6]), ss)
-    assert np.allclose(one.belief.mean, two.belief.mean, rtol=1e-12)
-    assert np.allclose(one.belief.cov, two.belief.cov, rtol=1e-12)
+    assert np.allclose(one.belief.mean, two.belief.mean, rtol=1e-12, atol=0.0)
+    assert np.allclose(one.belief.cov, two.belief.cov, rtol=1e-12, atol=0.0)
     assert np.allclose(two.responsibilities, [0.5, 0.5], atol=1e-12)
 
 
@@ -262,7 +262,7 @@ def test_update_posterior_spd_randomized(ss):
         vals = np.linalg.eigvalsh(res.belief.cov)
         assert vals[0] > 0.0
         assert abs(res.responsibilities.sum() - 1.0) < 1e-12
-        assert np.allclose(res.belief.cov, res.belief.cov.T)
+        assert np.allclose(res.belief.cov, res.belief.cov.T, atol=0.0)
 
 
 def test_update_underflow_fallback(ss):
@@ -270,7 +270,7 @@ def test_update_underflow_fallback(ss):
     belief = _default_belief()
     res = gsf_update(belief, np.array([1e300, 1e300]), noise, ss)
     assert res.underflow
-    assert np.allclose(res.responsibilities, [0.5, 0.5])
+    assert np.allclose(res.responsibilities, [0.5, 0.5], atol=0.0)
 
 
 # ----------------------------------------------------------------------- VB
@@ -295,7 +295,7 @@ def test_vb_single_component_conjugacy(ss):
         expected_chi += 1.0
         expected_scale = expected_scale + S
         assert noise.dirichlet_concentration[0] == pytest.approx(expected_chi, rel=1e-12)
-        assert np.allclose(noise.iw_scale[0], expected_scale, rtol=1e-12)
+        assert np.allclose(noise.iw_scale[0], expected_scale, rtol=1e-12, atol=0.0)
 
 
 def test_vb_symmetric_components(ss):
@@ -308,7 +308,7 @@ def test_vb_symmetric_components(ss):
     z = np.array([2e-6, -1e-6])
     out = vb_refine(noise, z, belief, ss, VbSettings())
     assert out.point_weights[0] == pytest.approx(0.5, abs=1e-12)
-    assert np.allclose(out.iw_scale[0], out.iw_scale[1])
+    assert np.allclose(out.iw_scale[0], out.iw_scale[1], atol=0.0)
 
 
 def test_vb_dof_clamped_mean(ss):
@@ -316,8 +316,8 @@ def test_vb_dof_clamped_mean(ss):
     noise = isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e-7, 2e-7, 2e-7])
     assert noise.dof_clamped
     covs = noise.point_covariances
-    assert np.allclose(covs[0], np.eye(2) * 1e-7)
-    assert np.allclose(covs[1], np.eye(2) * 2e-7)
+    assert np.allclose(covs[0], np.eye(2) * 1e-7, atol=0.0)
+    assert np.allclose(covs[1], np.eye(2) * 2e-7, atol=0.0)
 
 
 @pytest.mark.slow
