@@ -10,8 +10,8 @@ import pathlib
 import numpy as np
 
 from tacd.config import load_config
-from tacd.report import FUSION_STUDY_COLUMNS, emit_csv, emit_plot_svg
-from tacd.runner import fusion_study, fusion_study_rows
+from tacd.report import emit_plot_svg, emit_table
+from tacd.runner import fusion_study
 
 OUT = pathlib.Path(__file__).parent / "out"
 CONFIG = pathlib.Path(__file__).parent.parent / "configs" / "fusion_study.json"
@@ -25,16 +25,17 @@ print(f"  thermal-model RMSE : {result.steady_rmse_single2:.3e} s/s")
 print(f"  fused RMSE         : {result.steady_rmse_fusion:.3e} s/s")
 print(f"  bound reduction    : {result.steady_bclb_reduction:.1%}")
 
-emit_csv(fusion_study_rows(result), FUSION_STUDY_COLUMNS, OUT / "fusion_study.csv")
+curves = result.table  # one column per curve, one row per period
+emit_table(curves, OUT / "fusion_study.csv")
 
-ks = np.arange(result.horizon)
+ks = curves["k"]
 emit_plot_svg(
     [
-        ("RMSE network model", ks, result.rmse_single1),
-        ("RMSE thermal model", ks, result.rmse_single2),
-        ("RMSE fused", ks, result.rmse_fusion),
-        ("sqrt bound, network", ks, np.sqrt(result.bclb_single)),
-        ("sqrt bound, fused", ks, np.sqrt(result.bclb_fusion)),
+        ("RMSE network model", ks, curves["rmse_single1"]),
+        ("RMSE thermal model", ks, curves["rmse_single2"]),
+        ("RMSE fused", ks, curves["rmse_fusion"]),
+        ("sqrt bound, network", ks, np.sqrt(curves["bclb_single"])),
+        ("sqrt bound, fused", ks, np.sqrt(curves["bclb_fusion"])),
     ],
     OUT / "fusion_study.svg",
     log_y=True,

@@ -20,7 +20,7 @@ CONFIG = pathlib.Path(__file__).parent.parent / "configs" / "fusion_study.json"
 
 cfg = load_config(CONFIG)
 weights, stddevs = pdv_params_table(cfg.scenario.pdv, cfg.scenario.horizon)
-oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs, tau=cfg.scenario.tau)
+oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs)
 dyn = cfg.dynamics
 
 series = []

@@ -10,7 +10,7 @@ are the inverses of the skew information.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class OracleNoiseTruth:
 
     weights: np.ndarray  # (horizon, N_g)
     stddevs: np.ndarray  # (horizon, N_g)
-    tau: float
 
     def __post_init__(self) -> None:
         w = np.asarray(self.weights, dtype=float)
@@ -56,32 +55,31 @@ def _linear_prior(j_prev: float, dyn: ClockDynamics) -> float:
     return 1.0 / s - (m / s) ** 2 / (j_prev + m * m / s)
 
 
-def _fusion_skew_info(j_prev: float, dyn: ClockDynamics, data: float, alpha_prev: float, alpha_now: float) -> float:
-    """Skew information of the fusion recursion.
+def _fusion_skew_info(j_prev: float, dyn: ClockDynamics, data: float, alpha: float) -> float:
+    """Skew information of the fusion recursion at network weight a,
 
-    J_k = 1/(a_{k-1}^2 s) - (m/(a_{k-1} s))^2 / (J_{k-1} + m^2/s)
-          + data / a_k^2
+    J_k = 1/(a^2 s) - (m/(a s))^2 / (J_{k-1} + m^2/s) + data / a^2
 
     which is the linear recursion bit for bit at alpha = 1.
     """
     s = dyn.sigma_u_sq
     m = dyn.m
-    as_ = alpha_prev * s
-    return 1.0 / (alpha_prev * as_) - (m / as_) ** 2 / (j_prev + m * m / s) + data / (alpha_now * alpha_now)
+    as_ = alpha * s
+    return 1.0 / (alpha * as_) - (m / as_) ** 2 / (j_prev + m * m / s) + data / (alpha * alpha)
 
 
 def bclb_trajectory(
     oracle: OracleNoiseTruth,
     dyn: ClockDynamics,
-    alpha: Union[None, float, Sequence[float], np.ndarray],
+    alpha: Optional[float],
     p0_skew: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-period (BCLB_linear, BCLB_fusion) sequences over the oracle's horizon.
 
-    alpha is one fusion weight or a per-period sequence; the fusion sequence
-    is NaN when alpha is None. Information starts at 1/P0_skew at k = 0 (the
-    prior variance is the period-0 bound); each later period applies the
-    recursions with that period's oracle mixture.
+    alpha is the fusion weight; the fusion sequence is NaN when alpha is
+    None. Information starts at 1/P0_skew at k = 0 (the prior variance is
+    the period-0 bound); each later period applies the recursions with that
+    period's oracle mixture.
     """
     if p0_skew <= 0.0:
         raise ValueError("P0 skew variance must be > 0")
@@ -89,13 +87,9 @@ def bclb_trajectory(
     bclb_l = np.empty(h)
     bclb_f = np.full(h, np.nan)
     if alpha is not None:
-        alpha = np.asarray(alpha, dtype=float)
-        if alpha.ndim > 1:
-            raise ValueError(f"alpha must be one weight or a per-period sequence, got shape {alpha.shape}")
-        alpha = np.full(h, float(alpha)) if alpha.ndim == 0 else alpha[:h]
-        if not np.all((alpha > 0.0) & (alpha <= 1.0)):
-            raise ValueError("alpha weights must lie in (0, 1]")
-        alpha = alpha.tolist()
+        alpha = float(alpha)
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
         j_skew = 1.0 / p0_skew
 
     j_lin = 1.0 / p0_skew
@@ -104,7 +98,7 @@ def bclb_trajectory(
             data = _mixture_data_term(oracle.weights[k], oracle.stddevs[k], dyn.tau)
             j_lin = _linear_prior(j_lin, dyn) + data
             if alpha is not None:
-                j_skew = _fusion_skew_info(j_skew, dyn, data, alpha[k - 1], alpha[k])
+                j_skew = _fusion_skew_info(j_skew, dyn, data, alpha)
         bclb_l[k] = 1.0 / j_lin
         if alpha is not None:
             bclb_f[k] = 1.0 / j_skew

@@ -7,148 +7,131 @@ All outputs are deterministic for a given config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .config import ConfigError, load_config
-from .report import (
-    BCLB_COLUMNS,
-    FUSION_STUDY_COLUMNS,
-    SUMMARY_COLUMNS,
-    TRAJECTORY_COLUMNS,
-    emit_csv,
-    emit_plot_svg,
-    load_csv_columns,
-)
+from .config import ConfigError, RunConfig, load_config
+from .report import emit_plot_svg, emit_table, load_csv_columns
 from .runner import (
-    bclb_rows,
+    bclb_table,
     evaluate_rmse,
     fusion_study,
-    fusion_study_rows,
     run_case,
     skew_rmse_per_period,
-    trajectory_rows,
+    trajectory_table,
 )
 
+# Every flag an artifact subcommand can take; the flags that override a
+# config field have that RunConfig.with_overrides keyword as their dest.
+_FLAGS = {
+    "--config": dict(required=True, help="path to the JSON run configuration"),
+    "--runs": dict(type=int, help="override the Monte-Carlo run count"),
+    "--seed": dict(type=int, help="override the master seed"),
+    "--out": dict(dest="output_dir", help="output directory (default from config)"),
+    "--estimators": dict(type=lambda s: tuple(x.strip() for x in s.split(",")),
+                         help="comma-separated estimator selection"),
+    "--workers": dict(type=int, help="worker process count"),
+    "--plot": dict(action="store_true", help="also write an SVG next to the CSV"),
+}
+_OVERRIDES = ("runs", "seed", "estimators", "output_dir", "workers")
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", required=True, help="path to the JSON run configuration")
-    parser.add_argument("--runs", type=int, default=None, help="override the Monte-Carlo run count")
-    parser.add_argument("--seed", type=int, default=None, help="override the master seed")
-    parser.add_argument("--out", default=None, help="output directory (default from config)")
-    parser.add_argument("--estimators", default=None, help="comma-separated estimator selection")
-    parser.add_argument("--workers", type=int, default=None, help="worker process count")
-    parser.add_argument("--plot", action="store_true", help="also write an SVG next to the CSV")
-
-
-def _load(args) -> "RunConfig":
-    cfg = load_config(args.config)
-    estimators = tuple(s.strip() for s in args.estimators.split(",")) if args.estimators else None
-    return cfg.with_overrides(
-        runs=args.runs,
-        seed=args.seed,
-        estimators=estimators,
-        output_dir=args.out,
-        workers=args.workers,
-    )
+# A subcommand's result: its table, the lines it prints, and its plot series
+# (label, x, y), an iterable read only with --plot.
+Output = tuple[dict[str, np.ndarray], list[str], Iterable[tuple]]
 
 
-def _out_path(cfg, name: str) -> Path:
-    return Path(cfg.output_dir) / name
+def _simulate(cfg: RunConfig) -> Output:
+    t = run_case(cfg)
+    table = trajectory_table(cfg, t)
+    k = table["k"]
+    series = [
+        ("true skew", k, table["theta_true"][0]),
+        ("fused skew", k, table["theta_F"][0]),
+        ("network skew", k, table["theta_L"][0]),
+        ("thermal skew", k, table["theta_T"][0]),
+    ]
+    return table, [f"simulated {cfg.runs} runs x {t.horizon} periods"], series
 
 
-def _cmd_simulate(args) -> int:
-    cfg = _load(args)
-    trajs = run_case(cfg)
-    path = emit_csv(trajectory_rows(cfg, trajs), TRAJECTORY_COLUMNS, _out_path(cfg, "trajectory.csv"))
-    print(f"wrote {path} ({cfg.runs} runs x {cfg.scenario.horizon} periods)")
+def _evaluate(cfg: RunConfig) -> Output:
+    t = run_case(cfg)
+    table = evaluate_rmse(t, cfg.steady_window, cfg.estimators)
+    lines = [f"{name:>12s}  skew RMSE {sk:.4e}  offset RMSE {of:.4e}" for name, sk, of in zip(*table.values())]
+    k = np.arange(t.horizon)
+    return table, lines, ((name, k, skew_rmse_per_period(t, name)) for name in cfg.estimators)
+
+
+def _fusion_study(cfg: RunConfig) -> Output:
+    r, _ = fusion_study(cfg)
+    lines = [
+        f"steady-state RMSE: network {r.steady_rmse_single1:.4e}, "
+        f"thermal {r.steady_rmse_single2:.4e}, fused {r.steady_rmse_fusion:.4e}",
+        f"steady-state bound reduction: {r.steady_bclb_reduction:.3f}",
+    ]
+    table = r.table
+    k = table["k"]
+    series = [
+        ("RMSE network model", k, table["rmse_single1"]),
+        ("RMSE thermal model", k, table["rmse_single2"]),
+        ("RMSE fused", k, table["rmse_fusion"]),
+        ("bound network", k, np.sqrt(table["bclb_single"])),
+        ("bound fused", k, np.sqrt(table["bclb_fusion"])),
+    ]
+    return table, lines, series
+
+
+def _bclb(cfg: RunConfig) -> Output:
+    table = bclb_table(cfg)
+    k = table["k"]
+    series = [("bound network", k, table["bclb_L"]), ("bound fused", k, table["bclb_F"])]
+    return table, [f"bounds over {len(k)} periods"], series
+
+
+@dataclass(frozen=True)
+class Subcommand:
+    """One artifact: the flags its command reads, how it is built, and the
+    file names and plot settings it is written under."""
+
+    help: str
+    flags: tuple[str, ...]
+    build: Callable[[RunConfig], Output]
+    csv: str
+    svg: str
+    plot: dict  # emit_plot_svg keywords besides the series and path
+
+
+_RUN_FLAGS = ("--config", "--runs", "--seed", "--out", "--workers", "--plot")
+SUBCOMMANDS = {
+    "simulate": Subcommand(
+        "run one case and write the trajectory CSV", _RUN_FLAGS + ("--estimators",), _simulate,
+        "trajectory.csv", "trajectory.svg", dict(title="run 0 skew trajectories", y_label="skew (s/s)")),
+    "evaluate": Subcommand(
+        "run one case and write the steady-state RMSE summary", _RUN_FLAGS + ("--estimators",), _evaluate,
+        "rmse_summary.csv", "rmse_skew.svg",
+        dict(log_y=True, title="per-period skew RMSE", y_label="skew RMSE (s/s)")),
+    "fusion-study": Subcommand(
+        "run the model-fusion study (RMSE curves and bounds)", _RUN_FLAGS, _fusion_study,
+        "fusion_study.csv", "fusion_study.svg",
+        dict(log_y=True, title="skew estimation and bounds", y_label="RMSE / sqrt(bound) (s/s)")),
+    "bclb": Subcommand(
+        "compute bound curves only", ("--config", "--out", "--plot"), _bclb, "bclb.csv", "bclb.svg",
+        dict(log_y=True, title="skew estimation lower bounds", y_label="bound ((s/s)^2)")),
+}
+
+
+def _run(sub: Subcommand, args) -> int:
+    cfg = load_config(args.config).with_overrides(**{k: getattr(args, k, None) for k in _OVERRIDES})
+    table, lines, series = sub.build(cfg)
+    out = Path(cfg.output_dir)
+    path = emit_table(table, out / sub.csv)
+    print("\n".join(lines + [f"wrote {path}"]))
     if args.plot:
-        ks = np.arange(trajs.horizon)
-        svg = emit_plot_svg(
-            [
-                ("true skew", ks, trajs.theta_true[0]),
-                ("fused skew", ks, trajs.theta_F[0]),
-                ("network skew", ks, trajs.theta_L[0]),
-                ("thermal skew", ks, trajs.theta_T[0]),
-            ],
-            _out_path(cfg, "trajectory.svg"),
-            title="run 0 skew trajectories",
-            y_label="skew (s/s)",
-        )
-        print(f"wrote {svg}")
-    return 0
-
-
-def _cmd_evaluate(args) -> int:
-    cfg = _load(args)
-    trajs = run_case(cfg)
-    summary = evaluate_rmse(trajs, cfg.steady_window, cfg.estimators)
-    path = emit_csv(summary.rows, SUMMARY_COLUMNS, _out_path(cfg, "rmse_summary.csv"))
-    for name, sk, of in summary.rows:
-        print(f"{name:>12s}  skew RMSE {sk:.4e}  offset RMSE {of:.4e}")
-    print(f"wrote {path}")
-    if args.plot:
-        ks = np.arange(trajs.horizon)
-        svg = emit_plot_svg(
-            [(name, ks, skew_rmse_per_period(trajs, name)) for name in cfg.estimators],
-            _out_path(cfg, "rmse_skew.svg"),
-            log_y=True,
-            title="per-period skew RMSE",
-            y_label="skew RMSE (s/s)",
-        )
-        print(f"wrote {svg}")
-    return 0
-
-
-def _cmd_fusion_study(args) -> int:
-    cfg = _load(args)
-    result, _ = fusion_study(cfg)
-    path = emit_csv(fusion_study_rows(result), FUSION_STUDY_COLUMNS, _out_path(cfg, "fusion_study.csv"))
-    print(
-        f"steady-state RMSE: network {result.steady_rmse_single1:.4e}, "
-        f"thermal {result.steady_rmse_single2:.4e}, fused {result.steady_rmse_fusion:.4e}"
-    )
-    print(f"steady-state bound reduction: {result.steady_bclb_reduction:.3f}")
-    print(f"wrote {path}")
-    if args.plot:
-        ks = np.arange(result.horizon)
-        svg = emit_plot_svg(
-            [
-                ("RMSE network model", ks, result.rmse_single1),
-                ("RMSE thermal model", ks, result.rmse_single2),
-                ("RMSE fused", ks, result.rmse_fusion),
-                ("bound network", ks, np.sqrt(result.bclb_single)),
-                ("bound fused", ks, np.sqrt(result.bclb_fusion)),
-            ],
-            _out_path(cfg, "fusion_study.svg"),
-            log_y=True,
-            title="skew estimation and bounds",
-            y_label="RMSE / sqrt(bound) (s/s)",
-        )
-        print(f"wrote {svg}")
-    return 0
-
-
-def _cmd_bclb(args) -> int:
-    cfg = _load(args)
-    rows = bclb_rows(cfg)
-    path = emit_csv(rows, BCLB_COLUMNS, _out_path(cfg, "bclb.csv"))
-    print(f"wrote {path} ({len(rows)} periods)")
-    if args.plot:
-        ks = np.array([r[0] for r in rows], dtype=float)
-        svg = emit_plot_svg(
-            [
-                ("bound network", ks, np.array([r[1] for r in rows])),
-                ("bound fused", ks, np.array([r[2] for r in rows])),
-            ],
-            _out_path(cfg, "bclb.svg"),
-            log_y=True,
-            title="skew estimation lower bounds",
-            y_label="bound ((s/s)^2)",
-        )
-        print(f"wrote {svg}")
+        print(f"wrote {emit_plot_svg(list(series), out / sub.svg, **sub.plot)}")
     return 0
 
 
@@ -172,15 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tacd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, doc in [
-        ("simulate", _cmd_simulate, "run one case and write the trajectory CSV"),
-        ("evaluate", _cmd_evaluate, "run one case and write the steady-state RMSE summary"),
-        ("fusion-study", _cmd_fusion_study, "run the model-fusion study (RMSE curves and bounds)"),
-        ("bclb", _cmd_bclb, "compute bound curves only"),
-    ]:
-        p = sub.add_parser(name, help=doc)
-        _add_common(p)
-        p.set_defaults(fn=fn)
+    for name, spec in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for flag in spec.flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(fn=functools.partial(_run, spec))
 
     p = sub.add_parser("plot", help="render CSV columns to an SVG line chart")
     p.add_argument("csv", help="input CSV path")

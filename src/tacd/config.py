@@ -58,6 +58,9 @@ class NetcommInit:
             raise ValueError("chi0, dof0, scale0 lengths must agree")
         if min(self.p0_diag + self.chi0 + self.scale0) <= 0.0:
             raise ValueError("P0_diag, chi0 and scale0 entries must be > 0")
+        # a 2x2 inverse-Wishart needs dof > 1, and vb_refine takes digamma((dof - 1) / 2)
+        if any(d <= 1.0 for d in self.dof0):
+            raise ValueError("dof0 entries must be > 1")
 
 
 @dataclass(frozen=True)
@@ -306,7 +309,7 @@ def parse_config(doc: Any, base_dir: Optional[Path] = None) -> RunConfig:
         csv_path = Path(empirical.pop("csv_path"))
         if base_dir is not None and not csv_path.is_absolute():
             csv_path = base_dir / csv_path
-        empirical = EmpiricalSource(table=load_delay_csv(csv_path), **empirical)
+        empirical = _build(EmpiricalSource, "empirical", table=load_delay_csv(csv_path), **empirical)
 
     dynamics = _build(ClockDynamics, "dynamics", **top.pop("dynamics"), **_take(top, "tau"))
     temp_model = top.pop("temp_model", TempSkewModel())

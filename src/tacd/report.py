@@ -12,19 +12,22 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-TRAJECTORY_COLUMNS = [
-    "run", "k", "theta_true", "delta_true", "T_osc", "T_meas",
-    "theta_L", "theta_T", "theta_F", "delta_hat", "epsilon",
-    "alpha", "beta", "bclb_L", "bclb_F",
-]
 
-SUMMARY_COLUMNS = ["estimator", "skew_rmse", "offset_rmse"]
+def emit_table(table: dict[str, np.ndarray], path) -> Path:
+    """Write a table of named columns as CSV; returns the written path.
 
-FUSION_STUDY_COLUMNS = [
-    "k", "rmse_single1", "rmse_single2", "rmse_fusion", "bclb_single", "bclb_fusion",
-]
+    The columns broadcast to one shape and the header is list(table). Rows
+    follow the elements of that shape in C order, and one slice of its
+    leading axis at a time is turned into plain cells, so a large table is
+    never held as Python objects all at once.
+    """
+    columns = np.broadcast_arrays(*table.values())
 
-BCLB_COLUMNS = ["k", "bclb_L", "bclb_F"]
+    def rows():
+        for i in range(len(columns[0])):
+            yield from zip(*(c[i : i + 1].reshape(-1).tolist() for c in columns))
+
+    return emit_csv(rows(), list(table), path)
 
 
 def emit_csv(rows: Iterable[Sequence], columns: Sequence[str], path) -> Path:
@@ -32,16 +35,19 @@ def emit_csv(rows: Iterable[Sequence], columns: Sequence[str], path) -> Path:
 
     Cells must be plain str, int or float (the csv module writes a float's
     repr); the first row is checked, so a producer that hands over numpy
-    scalars fails instead of writing their text.
+    scalars, or rows wider or narrower than the header, fails instead of
+    writing a file load_csv_columns refuses.
     """
     out = Path(path)
-    out.parent.mkdir(parents=True, exist_ok=True)
     rows = iter(rows)
     first = next(rows, None)
     if first is not None:
+        if len(first) != len(columns):
+            raise ValueError(f"CSV row has {len(first)} cells, the header {len(columns)}")
         for name, value in zip(columns, first):
             if type(value) not in (str, int, float):
                 raise TypeError(f"CSV column {name!r} holds a {type(value).__name__}, expected str, int or float")
+    out.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             writer = csv.writer(fh, lineterminator="\n")

@@ -7,13 +7,14 @@ each estimator name to one function of a batch's shared inputs
 another's output, so comparisons are paired and adding an estimator never
 changes another's trajectory. Estimators step
 a whole batch of runs per period, and a run's trajectory is bit-identical
-whatever batch it is in. Results are one Trajectories record.
+whatever batch it is in. Results are one Trajectories record. Each CSV
+artifact is one table built here: an ordered dict of named columns that
+broadcast to one shape, a row per element (report.emit_table writes it).
 """
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from itertools import chain
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -96,32 +97,15 @@ class Trajectories:
 
 
 @dataclass
-class RmseSummary:
-    """Per-estimator steady-state RMSEs (offset NaN where undefined)."""
-
-    rows: list[tuple[str, float, float]]
-
-    def as_dict(self) -> dict[str, tuple[float, float]]:
-        return {name: (s, o) for name, s, o in self.rows}
-
-
-@dataclass
 class FusionStudyResult:
-    """Per-period study curves plus the steady-state comparison numbers."""
+    """The study curves as a table, one row per period, and the
+    steady-state comparison numbers."""
 
-    rmse_single1: np.ndarray
-    rmse_single2: np.ndarray
-    rmse_fusion: np.ndarray
-    bclb_single: np.ndarray
-    bclb_fusion: np.ndarray
+    table: dict[str, np.ndarray]
     steady_rmse_single1: float
     steady_rmse_single2: float
     steady_rmse_fusion: float
     steady_bclb_reduction: float
-
-    @property
-    def horizon(self) -> int:
-        return self.rmse_single1.shape[0]
 
 
 def _run_rng(master_seed: int, run_index: int) -> np.random.Generator:
@@ -247,7 +231,7 @@ def case_bounds(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("bounds require a synthetic PDV profile")
     alpha = FUSION_BOUND_ALPHA if cfg.temp_model.sigma_T_sq > 0.0 else None
     weights, stddevs = pdv_params_table(cfg.scenario.pdv, cfg.scenario.horizon)
-    oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs, tau=cfg.scenario.tau)
+    oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs)
     return bclb_trajectory(oracle, cfg.dynamics, alpha, cfg.netcomm_init.p0_diag[0])
 
 
@@ -286,19 +270,18 @@ def run_case(cfg: RunConfig) -> Trajectories:
         return Trajectories.concat(list(pool.map(simulate_run, [cfg] * parts, slices)))
 
 
-def trajectory_rows(cfg: RunConfig, t: Trajectories):
-    """Trajectory CSV rows, run-major, then period. Every run's rows carry
-    the case's bounds (NaN in empirical-delay mode, which has no oracle)."""
+def trajectory_table(cfg: RunConfig, t: Trajectories) -> dict[str, np.ndarray]:
+    """The trajectory artifact: (R, h) columns, one row per run and period,
+    run-major. The bounds are the case's, (h,) on every run's rows (NaN in
+    empirical-delay mode, which has no oracle)."""
     h = t.horizon
-    if cfg.scenario.pdv is None:
-        bounds = [[float("nan")] * h] * 2
-    else:
-        bounds = [b.tolist() for b in case_bounds(cfg)]
-    columns = (t.theta_true, t.delta_true, t.temp_osc, t.temp_meas, t.theta_L, t.theta_T, t.theta_F,
-               t.delta_hat, t.epsilon, t.alpha, t.beta)
-    return chain.from_iterable(
-        zip([run] * h, range(h), *(c[i].tolist() for c in columns), *bounds) for i, run in enumerate(t.runs.tolist())
-    )
+    bclb_l, bclb_f = case_bounds(cfg) if cfg.scenario.pdv is not None else (np.full(h, np.nan),) * 2
+    return {
+        "run": t.runs[:, None], "k": np.arange(h), "theta_true": t.theta_true, "delta_true": t.delta_true,
+        "T_osc": t.temp_osc, "T_meas": t.temp_meas, "theta_L": t.theta_L, "theta_T": t.theta_T,
+        "theta_F": t.theta_F, "delta_hat": t.delta_hat, "epsilon": t.epsilon, "alpha": t.alpha, "beta": t.beta,
+        "bclb_L": bclb_l, "bclb_F": bclb_f,
+    }
 
 
 def _window_slice(horizon: int, window: int) -> slice:
@@ -311,21 +294,21 @@ def evaluate_rmse(
     trajectories: Trajectories,
     window: int,
     estimators: Optional[Sequence[str]] = None,
-) -> RmseSummary:
-    """Steady-state RMSE over the last `window` periods, across all runs."""
+) -> dict[str, np.ndarray]:
+    """Steady-state RMSE over the last `window` periods, across all runs: a
+    table with one row per estimator (offset NaN where undefined)."""
     t = trajectories
     if len(t.runs) == 0:
         raise ValueError("no trajectories to evaluate")
     sl = _window_slice(t.horizon, window)
     names = list(estimators) if estimators is not None else sorted(t.est_skew)
-    rows = []
+    skew, offset = [], []
     for name in names:
         sk = t.est_skew[name][:, sl] - t.theta_true[:, sl]
         of = t.est_offset[name][:, sl] - t.delta_true[:, sl]
-        sk_rmse = float(np.sqrt(np.mean(sk**2)))
-        of_rmse = float(np.sqrt(np.mean(of**2))) if np.any(np.isfinite(of)) else float("nan")
-        rows.append((name, sk_rmse, of_rmse))
-    return RmseSummary(rows=rows)
+        skew.append(np.sqrt(np.mean(sk**2)))
+        offset.append(np.sqrt(np.mean(of**2)) if np.any(np.isfinite(of)) else np.nan)
+    return {"estimator": np.array(names), "skew_rmse": np.array(skew), "offset_rmse": np.array(offset)}
 
 
 def skew_rmse_per_period(t: Trajectories, name: str) -> np.ndarray:
@@ -343,35 +326,32 @@ def fusion_study(cfg: RunConfig) -> tuple[FusionStudyResult, Trajectories]:
     if cfg.scenario.pdv is None:
         raise ValueError("fusion study requires a synthetic PDV profile (oracle bounds)")
     t = run_case(cfg.with_overrides(estimators=("tacd", "linear-only", "thermal-only")))
-    r1 = skew_rmse_per_period(t, "linear-only")
-    r2 = skew_rmse_per_period(t, "thermal-only")
-    rf = skew_rmse_per_period(t, "tacd")
     bclb_l, bclb_f = case_bounds(cfg)
-
+    table = {
+        "k": np.arange(t.horizon),
+        "rmse_single1": skew_rmse_per_period(t, "linear-only"),
+        "rmse_single2": skew_rmse_per_period(t, "thermal-only"),
+        "rmse_fusion": skew_rmse_per_period(t, "tacd"),
+        "bclb_single": bclb_l,
+        "bclb_fusion": bclb_f,
+    }
     sl = _window_slice(t.horizon, cfg.steady_window)
-    reduction = 1.0 - float(np.mean(bclb_f[sl]) / np.mean(bclb_l[sl]))
+
+    def steady(column: str) -> float:
+        return float(np.sqrt(np.mean(table[column][sl] ** 2)))
+
     result = FusionStudyResult(
-        rmse_single1=r1,
-        rmse_single2=r2,
-        rmse_fusion=rf,
-        bclb_single=bclb_l,
-        bclb_fusion=bclb_f,
-        steady_rmse_single1=float(np.sqrt(np.mean(r1[sl] ** 2))),
-        steady_rmse_single2=float(np.sqrt(np.mean(r2[sl] ** 2))),
-        steady_rmse_fusion=float(np.sqrt(np.mean(rf[sl] ** 2))),
-        steady_bclb_reduction=reduction,
+        table=table,
+        steady_rmse_single1=steady("rmse_single1"),
+        steady_rmse_single2=steady("rmse_single2"),
+        steady_rmse_fusion=steady("rmse_fusion"),
+        steady_bclb_reduction=1.0 - float(np.mean(bclb_f[sl]) / np.mean(bclb_l[sl])),
     )
     return result, t
 
 
-def fusion_study_rows(result: FusionStudyResult):
-    """Fusion-study CSV rows, one per period."""
-    r = result
-    columns = (r.rmse_single1, r.rmse_single2, r.rmse_fusion, r.bclb_single, r.bclb_fusion)
-    return zip(range(r.horizon), *(c.tolist() for c in columns))
-
-
-def bclb_rows(cfg: RunConfig) -> list[tuple]:
-    """Bound-only evaluation from the configured scenario (no estimators)."""
+def bclb_table(cfg: RunConfig) -> dict[str, np.ndarray]:
+    """The bound curves of the configured scenario, one row per period; no
+    estimator runs."""
     bclb_l, bclb_f = case_bounds(cfg)
-    return list(zip(range(len(bclb_l)), bclb_l.tolist(), bclb_f.tolist()))
+    return {"k": np.arange(len(bclb_l)), "bclb_L": bclb_l, "bclb_F": bclb_f}

@@ -339,6 +339,12 @@ class EmpiricalSource:
     forward_cell: tuple[int, float]
     reverse_cell: tuple[int, float]
 
+    def __post_init__(self) -> None:
+        for direction, cell in (("forward", self.forward_cell), ("reverse", self.reverse_cell)):
+            if tuple(cell) not in self.table.cells:
+                raise ValueError(f"no delay samples for the {direction} cell {tuple(cell)}; "
+                                 f"the table has {sorted(self.table.cells)}")
+
 
 @dataclass(frozen=True)
 class TruthOptions:

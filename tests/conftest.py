@@ -106,16 +106,21 @@ def run_measurements(data) -> np.ndarray:
     return build_measurement(ex.periods(slice(1, None)), ex.periods(slice(None, -1)), data.d)
 
 
-def constant_oracle(weights, stddevs, horizon: int, tau: float = 1.0) -> OracleNoiseTruth:
+def constant_oracle(weights, stddevs, horizon: int) -> OracleNoiseTruth:
     """Oracle whose noise mixture is the same in every period."""
-    return OracleNoiseTruth(weights=np.tile(weights, (horizon, 1)), stddevs=np.tile(stddevs, (horizon, 1)), tau=tau)
+    return OracleNoiseTruth(weights=np.tile(weights, (horizon, 1)), stddevs=np.tile(stddevs, (horizon, 1)))
 
 
 def information(dyn, weights, stddevs, j0: float, steps: int, alpha=None):
     """Skew information J_0..J_steps from J_0 = j0 under a constant mixture,
     (linear, fusion), read off bclb_trajectory as the inverse bounds."""
-    bl, bf = bclb_trajectory(constant_oracle(weights, stddevs, steps + 1, dyn.tau), dyn, alpha, 1.0 / j0)
+    bl, bf = bclb_trajectory(constant_oracle(weights, stddevs, steps + 1), dyn, alpha, 1.0 / j0)
     return 1.0 / bl, 1.0 / bf
+
+
+def rmse_by_name(table) -> dict[str, tuple[float, float]]:
+    """An evaluate_rmse table as {estimator: (skew RMSE, offset RMSE)}."""
+    return {name: (s, o) for name, s, o in zip(*(table[c].tolist() for c in ("estimator", "skew_rmse", "offset_rmse")))}
 
 
 def toy_trajectories(theta_true, delta_true, est_skew, est_offset) -> Trajectories:

@@ -1,7 +1,8 @@
 """Byte identity of every CLI artifact on the shipped configs.
 
-Each subcommand runs with --runs 3 on each shipped config, and the SHA-256
-digest of every file it writes is compared with tests/artifact_digests.json.
+Each subcommand runs on each shipped config, with --runs 3 where it takes
+--runs (bclb runs no Monte-Carlo runs), and the SHA-256 digest of every
+file it writes is compared with tests/artifact_digests.json.
 A mismatch means the arithmetic or the output format changed. The digests
 hold for the numpy/scipy versions recorded beside them; with other versions
 the last bits of a float may differ for reasons outside this code, so the
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 import scipy
 
-from tacd.cli import main as cli_main
+from tacd import cli
 from tacd.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,7 +35,8 @@ def _versions() -> dict[str, str]:
 
 def _artifact_digests(config: str, sub: str, out: Path) -> dict[str, str]:
     """Run one subcommand into out; {"<config>/<sub>/<file>": sha256}."""
-    rc = cli_main([sub, "--config", str(ROOT / "configs" / f"{config}.json"), "--runs", str(RUNS), "--out", str(out)])
+    runs = ["--runs", str(RUNS)] if "--runs" in cli.SUBCOMMANDS[sub].flags else []
+    rc = cli.main([sub, "--config", str(ROOT / "configs" / f"{config}.json"), "--out", str(out)] + runs)
     assert rc == 0, (config, sub)
     return {
         f"{config}/{sub}/{p.name}": hashlib.sha256(p.read_bytes()).hexdigest()

@@ -151,7 +151,7 @@ def test_case_bounds_match_one_run_recursion():
     # recursion, bit for bit
     cfg = load_config("configs/fusion_study.json")
     weights, stddevs = pdv_params_table(cfg.scenario.pdv, cfg.scenario.horizon)
-    oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs, tau=cfg.scenario.tau)
+    oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs)
     # the oracle's temperature block never enters the skew bound
     params = oracles.FusionBclbParams(alpha=FUSION_BOUND_ALPHA, sigma_m_sq=0.25, sigma_T_sq=cfg.temp_model.sigma_T_sq)
     one_run = oracles.bclb_trajectory(oracle, cfg.dynamics, params, cfg.netcomm_init.p0_diag[0])

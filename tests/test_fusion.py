@@ -16,6 +16,8 @@ from tacd.clock import ClockDynamics, build_state_space
 from tacd.netcomm import GaussianBelief, GsfVbFilter, MixtureNoiseModel
 from tacd.thermal import TempSkewModel
 
+from conftest import rmse_by_name
+
 
 @pytest.fixture
 def model():
@@ -236,7 +238,7 @@ def test_feedback_reduces_offset_rmse():
     from tacd.runner import evaluate_rmse, run_case
 
     cfg = load_config("configs/case2.json").with_overrides(runs=60, estimators=("tacd",))
-    on = evaluate_rmse(run_case(cfg), 10).as_dict()["tacd"]
+    on = rmse_by_name(evaluate_rmse(run_case(cfg), 10))["tacd"]
     off_cfg = dataclasses.replace(cfg, fusion=FusionSettings(lam=0.5, feedback=False))
-    off = evaluate_rmse(run_case(off_cfg), 10).as_dict()["tacd"]
+    off = rmse_by_name(evaluate_rmse(run_case(off_cfg), 10))["tacd"]
     assert on[1] < off[1]

@@ -1,33 +1,31 @@
 import copy
 import json
+import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tacd.cli import SUBCOMMANDS
 from tacd.cli import main as cli_main
 from tacd.config import ConfigError, load_config, parse_config
-from tacd.report import (
-    SUMMARY_COLUMNS,
-    TRAJECTORY_COLUMNS,
-    emit_csv,
-    emit_plot_svg,
-    load_csv_columns,
-)
+from tacd.report import emit_csv, emit_plot_svg, emit_table, load_csv_columns
 from tacd.runner import (
     Trajectories,
-    bclb_rows,
+    bclb_table,
     evaluate_rmse,
     fusion_study,
-    fusion_study_rows,
     run_case,
     simulate_run,
-    trajectory_rows,
+    trajectory_table,
 )
 
-from conftest import toy_trajectories
+from conftest import rmse_by_name, toy_trajectories
 
+ROOT = Path(__file__).resolve().parent.parent
 BASE_DOC = json.loads(open("configs/fusion_study.json", encoding="utf-8").read())
+RMSE_HEADER = ["estimator", "skew_rmse", "offset_rmse"]
 
 
 def _doc(**overrides):
@@ -148,6 +146,10 @@ _MALFORMED = [
     ("netcomm_init.P0_diag", _negate_last("P0_diag"), _NONPOSITIVE),
     ("netcomm_init.chi0", _negate_last("chi0"), _NONPOSITIVE),
     ("netcomm_init.scale0", _negate_last("scale0"), _NONPOSITIVE),
+    ("netcomm_init.dof0", lambda doc, _: doc["netcomm_init"].update(dof0=[-4, 3, 3]),
+     "netcomm_init: dof0 entries must be > 1"),
+    ("empirical.forward_cell-absent", lambda doc, tmp: _empirical(doc, tmp).update(forward_cell=[128, 5]),
+     "empirical: no delay samples for the forward cell (128, 5.0)"),
 ]
 
 
@@ -179,8 +181,8 @@ def test_two_period_bootstrap():
     ]
     cfg = parse_config(doc).with_overrides(estimators=("tacd", "gptp"))
     trajs = run_case(cfg)
-    rows = list(trajectory_rows(cfg, trajs))
-    assert len(rows) == 2
+    table = trajectory_table(cfg, trajs)
+    assert np.broadcast_shapes(*(np.shape(c) for c in table.values())) == (1, 2)
     assert np.isnan(trajs.est_skew["gptp"][0, 0])  # no skew measurement yet
     assert np.isfinite(trajs.est_skew["tacd"][0, 0])  # prior-based output
 
@@ -192,9 +194,9 @@ def test_run_determinism_and_worker_independence(tmp_path):
     import dataclasses
 
     c = run_case(dataclasses.replace(cfg, workers=3))
-    pa = emit_csv(trajectory_rows(cfg, a), TRAJECTORY_COLUMNS, tmp_path / "a.csv")
-    pb = emit_csv(trajectory_rows(cfg, b), TRAJECTORY_COLUMNS, tmp_path / "b.csv")
-    pc = emit_csv(trajectory_rows(cfg, c), TRAJECTORY_COLUMNS, tmp_path / "c.csv")
+    pa = emit_table(trajectory_table(cfg, a), tmp_path / "a.csv")
+    pb = emit_table(trajectory_table(cfg, b), tmp_path / "b.csv")
+    pc = emit_table(trajectory_table(cfg, c), tmp_path / "c.csv")
     assert pa.read_bytes() == pb.read_bytes() == pc.read_bytes()
 
 
@@ -230,7 +232,7 @@ def test_rmse_trivial_values():
     trajs = _toy_trajectories(rng)
     trajs.est_skew["toy"] = trajs.theta_true.copy()
     trajs.est_offset["toy"] = trajs.delta_true + 2.5e-7
-    s = evaluate_rmse(trajs, 10).as_dict()["toy"]
+    s = rmse_by_name(evaluate_rmse(trajs, 10))["toy"]
     assert s[0] == 0.0
     assert s[1] == pytest.approx(2.5e-7, rel=1e-12)
 
@@ -240,7 +242,7 @@ def test_rmse_matches_brute_force():
     for _ in range(100):
         trajs = _toy_trajectories(rng, runs=int(rng.integers(1, 5)))
         window = int(rng.integers(1, 20))
-        got = evaluate_rmse(trajs, window).as_dict()["toy"]
+        got = rmse_by_name(evaluate_rmse(trajs, window))["toy"]
         acc_s, acc_o, count = 0.0, 0.0, 0
         for r in range(len(trajs.runs)):
             for k in range(trajs.horizon - window, trajs.horizon):
@@ -262,8 +264,8 @@ def test_rmse_empty_window_rejected():
 # ----------------------------------------------------------------- CSV / SVG
 
 def test_emit_csv_empty_stream(tmp_path):
-    p = emit_csv([], SUMMARY_COLUMNS, tmp_path / "empty.csv")
-    assert p.read_text().strip() == ",".join(SUMMARY_COLUMNS)
+    p = emit_csv([], RMSE_HEADER, tmp_path / "empty.csv")
+    assert p.read_text().strip() == ",".join(RMSE_HEADER)
 
 
 def test_emit_csv_round_trip(tmp_path):
@@ -275,7 +277,7 @@ def test_emit_csv_round_trip(tmp_path):
 
 
 def test_emit_csv_single_summary_row(tmp_path):
-    p = emit_csv([("tacd", 1e-7, 2e-6)], SUMMARY_COLUMNS, tmp_path / "s.csv")
+    p = emit_csv([("tacd", 1e-7, 2e-6)], RMSE_HEADER, tmp_path / "s.csv")
     lines = p.read_text().strip().split("\n")
     assert len(lines) == 2
     assert lines[1].startswith("tacd,")
@@ -283,23 +285,34 @@ def test_emit_csv_single_summary_row(tmp_path):
 
 def test_emit_csv_rejects_numpy_scalars(tmp_path):
     with pytest.raises(TypeError, match="'skew_rmse'.*float64"):
-        emit_csv([("tacd", np.float64(1e-7), 2e-6)], SUMMARY_COLUMNS, tmp_path / "s.csv")
+        emit_csv([("tacd", np.float64(1e-7), 2e-6)], RMSE_HEADER, tmp_path / "s.csv")
     with pytest.raises(TypeError, match="'k'.*int64"):
         emit_csv([(np.int64(0), 1.0)], ["k", "value"], tmp_path / "k.csv")
 
 
-def test_row_producers_yield_plain_cells():
+def test_emit_csv_rejects_row_of_other_width(tmp_path):
+    with pytest.raises(ValueError, match="3 cells, the header 2"):
+        emit_csv([(1.0, 2.0, 3.0)], ["a", "b"], tmp_path / "w.csv")
+    assert not (tmp_path / "w.csv").exists()
+
+
+def test_tables_round_trip_through_csv(tmp_path):
+    # every artifact table is written as plain cells (emit_csv checks the
+    # first row) and reads back as its columns broadcast and flattened
     cfg = parse_config(_doc(runs=3))
     result, trajs = fusion_study(cfg)
-    producers = {
-        "trajectory_rows": trajectory_rows(cfg, trajs),
-        "fusion_study_rows": fusion_study_rows(result),
-        "bclb_rows": bclb_rows(cfg),
-        "RmseSummary.rows": evaluate_rmse(trajs, cfg.steady_window).rows,
+    tables = {
+        "trajectory": trajectory_table(cfg, trajs),
+        "fusion_study": result.table,
+        "bclb": bclb_table(cfg),
+        "rmse_summary": evaluate_rmse(trajs, cfg.steady_window),
     }
-    for name, rows in producers.items():
-        types = {type(cell) for row in rows for cell in row}
-        assert types and types <= {str, int, float}, (name, types)
+    for name, table in tables.items():
+        cols = load_csv_columns(emit_table(table, tmp_path / f"{name}.csv"))
+        assert list(cols) == list(table), name
+        for col, want in zip(table, np.broadcast_arrays(*table.values())):
+            assert np.array_equal(cols[col], want.reshape(-1), equal_nan=want.dtype.kind == "f"), (name, col)
+
 
 
 def test_svg_flat_series(tmp_path):
@@ -327,6 +340,39 @@ def test_svg_empty_rejected(tmp_path):
 
 
 # ----------------------------------------------------------------------- CLI
+
+# plot series per subcommand; evaluate plots one series per selected estimator
+_PLOT_SERIES = {"simulate": 4, "evaluate": len(BASE_DOC["estimators"]), "fusion-study": 5, "bclb": 2}
+
+
+@pytest.mark.parametrize("sub", sorted(SUBCOMMANDS))
+def test_cli_plot_flag_writes_each_series(sub, tmp_path):
+    runs = ["--runs", "2"] if "--runs" in SUBCOMMANDS[sub].flags else []
+    out = tmp_path / "out"
+    assert cli_main([sub, "--config", "configs/fusion_study.json", "--out", str(out), "--plot"] + runs) == 0
+    svg = out / SUBCOMMANDS[sub].svg
+    root = ET.parse(svg).getroot()
+    # each series has one legend swatch, the only lines drawn 2 px wide
+    swatches = [e for e in root.iter("{http://www.w3.org/2000/svg}line") if e.get("stroke-width") == "2"]
+    assert len(swatches) == _PLOT_SERIES[sub]
+
+
+@pytest.mark.parametrize("sub, flag", [
+    ("bclb", "--runs"), ("bclb", "--seed"), ("bclb", "--estimators"), ("bclb", "--workers"),
+    ("fusion-study", "--estimators"),
+])
+def test_cli_rejects_flag_the_subcommand_ignores(sub, flag, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([sub, "--config", "configs/fusion_study.json", "--out", str(tmp_path), flag, "2"])
+    assert exc.value.code == 2
+    assert not any(tmp_path.iterdir())
+
+
+def test_readme_trajectory_header_is_the_table():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    header = re.search(r"`tacd simulate` writes one row per \(run, period\):\n\n```\n(.*)\n```", readme).group(1)
+    cfg = parse_config(_doc(runs=1))
+    assert header.split(",") == list(trajectory_table(cfg, simulate_run(cfg, [0])))
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
