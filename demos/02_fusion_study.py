@@ -46,5 +46,5 @@ print(f"wrote {OUT / 'fusion_study.csv'} and {OUT / 'fusion_study.svg'}")
 
 # the runtime fusion weights themselves are worth a look: the thermal phase
 # dominates once the filter's own variance dwarfs the thermal error model
-mean_beta = np.mean(trajectories.beta, axis=0)
+mean_beta = np.mean(trajectories.est["tacd"]["beta"], axis=0)
 print("mean fusion weight beta:", " ".join(f"{b:.6f}" for b in mean_beta[-5:]), "(last 5 periods)")

@@ -16,6 +16,7 @@ from typing import Any, Callable, Optional
 
 from .clock import ClockDynamics
 from .scenario import (
+    DelayCsvError,
     EmpiricalSource,
     LinkConfig,
     PdvProfile,
@@ -309,7 +310,11 @@ def parse_config(doc: Any, base_dir: Optional[Path] = None) -> RunConfig:
         csv_path = Path(empirical.pop("csv_path"))
         if base_dir is not None and not csv_path.is_absolute():
             csv_path = base_dir / csv_path
-        empirical = _build(EmpiricalSource, "empirical", table=load_delay_csv(csv_path), **empirical)
+        try:
+            table = load_delay_csv(csv_path)
+        except (OSError, DelayCsvError) as exc:
+            raise ConfigError(f"empirical.csv_path: {exc}") from None
+        empirical = _build(EmpiricalSource, "empirical", table=table, **empirical)
 
     dynamics = _build(ClockDynamics, "dynamics", **top.pop("dynamics"), **_take(top, "tau"))
     temp_model = top.pop("temp_model", TempSkewModel())

@@ -35,7 +35,6 @@ class PhaseErrorStats:
 class FusionWeights:
     alpha: float
     beta: float
-    lam: float
     degenerate: bool = False
 
     def __post_init__(self) -> None:
@@ -44,8 +43,6 @@ class FusionWeights:
             raise ValueError("beta must lie in [0, 1]")
         if np.any(np.abs(self.alpha + beta - 1.0) > 1e-12):
             raise ValueError("alpha + beta must equal 1")
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError("lambda must lie in [0, 1]")
 
 
 def fusion_bias(beta: float, model: TempSkewModel) -> float:
@@ -93,7 +90,7 @@ def pareto_beta(stats: PhaseErrorStats, model: TempSkewModel, lam: float) -> Fus
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = np.divide((1.0 - lam) * eps, denom)
     beta = np.where(degenerate, 0.0, np.clip(eta, 0.0, 1.0))
-    return FusionWeights(alpha=1.0 - beta, beta=beta, lam=lam, degenerate=degenerate)
+    return FusionWeights(alpha=1.0 - beta, beta=beta, degenerate=degenerate)
 
 
 def fuse_skew(theta_linear: float, theta_thermal: float, weights: FusionWeights) -> float:

@@ -3,11 +3,12 @@
 Each run draws its own RNG stream from (master_seed, run_index), and a
 batch's scenarios come from one generate_scenario call. ESTIMATORS maps
 each estimator name to one function of a batch's shared inputs
-(BatchInputs); every estimator reads the same draws and none reads
-another's output, so comparisons are paired and adding an estimator never
-changes another's trajectory. Estimators step
-a whole batch of runs per period, and a run's trajectory is bit-identical
-whatever batch it is in. Results are one Trajectories record. Each CSV
+(BatchInputs) that returns a dict of the (R, h) columns it computes; every
+estimator reads the same draws and none reads another's output, so
+comparisons are paired and adding an estimator never changes another's
+trajectory. Estimators step a whole batch of runs per period, and a run's
+trajectory is bit-identical whatever batch it is in. Results are one
+Trajectories record: the truth plus each estimator's columns. Each CSV
 artifact is one table built here: an ordered dict of named columns that
 broadcast to one shape, a row per element (report.emit_table writes it).
 """
@@ -38,9 +39,6 @@ from .thermal import skew_from_temperature
 if TYPE_CHECKING:
     from .config import RunConfig
 
-# Trajectory columns owned by one estimator; NaN where it is not selected.
-OWNED_COLUMNS = ("theta_L", "theta_T", "epsilon", "alpha", "beta")
-
 # The network-phase fusion weight the fusion bound is evaluated at.
 FUSION_BOUND_ALPHA = 0.5
 
@@ -49,9 +47,8 @@ FUSION_BOUND_ALPHA = 0.5
 class Trajectories:
     """Per-period truth and estimates of a set of runs.
 
-    Every array is (R, h); row i belongs to run runs[i]. theta_L, epsilon,
-    alpha and beta are the fused pipeline's (tacd), theta_T is the thermal
-    phase's (tacd or thermal-only).
+    Every array is (R, h); row i belongs to run runs[i]. est maps each
+    selected estimator, in selection order, to the columns it computes.
     """
 
     runs: np.ndarray
@@ -59,41 +56,30 @@ class Trajectories:
     delta_true: np.ndarray
     temp_osc: np.ndarray
     temp_meas: np.ndarray
-    theta_L: np.ndarray
-    theta_T: np.ndarray
-    epsilon: np.ndarray
-    alpha: np.ndarray
-    beta: np.ndarray
-    est_skew: dict[str, np.ndarray]
-    est_offset: dict[str, np.ndarray]
+    est: dict[str, dict[str, np.ndarray]]
 
     @property
     def horizon(self) -> int:
         return self.theta_true.shape[1]
 
-    @property
-    def theta_F(self) -> np.ndarray:
-        """The fused skew, tacd's estimate (NaN when tacd is not selected)."""
-        return self.est_skew.get("tacd", np.full(self.theta_true.shape, np.nan))
-
-    @property
-    def delta_hat(self) -> np.ndarray:
-        """The fused pipeline's offset estimate (NaN when tacd is not selected)."""
-        return self.est_offset.get("tacd", np.full(self.theta_true.shape, np.nan))
+    def column(self, name: str, estimator: Optional[str] = None) -> np.ndarray:
+        """The estimator's column `name`; with no estimator named, the first
+        selected estimator's that has one. NaN where none computes it."""
+        candidates = self.est.values() if estimator is None else [self.est.get(estimator, {})]
+        for columns in candidates:
+            if name in columns:
+                return columns[name]
+        return np.full(self.theta_true.shape, np.nan)
 
     @classmethod
     def concat(cls, parts: Sequence[Trajectories]) -> Trajectories:
         """Join records along the run axis, in the given order."""
-        arrays = {
-            f.name: np.concatenate([getattr(p, f.name) for p in parts])
-            for f in fields(cls)
-            if f.name not in ("est_skew", "est_offset")
-        }
-        return cls(
-            **arrays,
-            est_skew={name: np.concatenate([p.est_skew[name] for p in parts]) for name in parts[0].est_skew},
-            est_offset={name: np.concatenate([p.est_offset[name] for p in parts]) for name in parts[0].est_offset},
-        )
+        def join(xs):
+            if isinstance(xs[0], dict):
+                return {key: join([x[key] for x in xs]) for key in xs[0]}
+            return np.concatenate(xs)
+
+        return cls(**{f.name: join([getattr(p, f.name) for p in parts]) for f in fields(cls)})
 
 
 @dataclass
@@ -110,11 +96,6 @@ class FusionStudyResult:
 
 def _run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,)))
-
-
-# An estimator's (R, h) skew and offset, k = 0 included, and the
-# trajectory columns it owns, by name.
-Estimate = tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -154,17 +135,17 @@ def _gsf_vb_filter(b: BatchInputs) -> GsfVbFilter:
     return GsfVbFilter(build_state_space(b.cfg.dynamics), noise, _prior(b), vb=b.cfg.vb)
 
 
-def _track(filt, b: BatchInputs) -> Estimate:
+def _track(filt, b: BatchInputs) -> dict[str, np.ndarray]:
     """Step a filter over periods 1..h-1; k = 0 reports the prior mean."""
     skew, offset = b.nans(), b.nans()
     skew[:, 0], offset[:, 0] = b.cfg.netcomm_init.x0
     for k in range(1, skew.shape[1]):
         res = filt.step(b.z[:, k])
         skew[:, k], offset[:, k] = res.skew, res.offset
-    return skew, offset, {}
+    return {"skew": skew, "offset": offset}
 
 
-def _tacd(b: BatchInputs) -> Estimate:
+def _tacd(b: BatchInputs) -> dict[str, np.ndarray]:
     """GSF-VB network phase and thermal phase, Pareto-fused each period; the
     fused skew is fed back into the filter when configured."""
     cfg, model, init = b.cfg, b.cfg.temp_model, b.cfg.netcomm_init
@@ -182,35 +163,37 @@ def _tacd(b: BatchInputs) -> Estimate:
         if cfg.fusion.feedback:
             filt.condition_on_skew(theta_F[:, k])
         alpha[:, k], beta[:, k] = wts.alpha, wts.beta
-    columns = {"theta_L": theta_L, "theta_T": theta_T, "epsilon": epsilon, "alpha": alpha, "beta": beta}
-    return theta_F, delta_hat, columns
+    return {"skew": theta_F, "offset": delta_hat, "theta_L": theta_L, "theta_T": theta_T, "epsilon": epsilon,
+            "alpha": alpha, "beta": beta}
 
 
-def _gptp(b: BatchInputs) -> Estimate:
+def _gptp(b: BatchInputs) -> dict[str, np.ndarray]:
     """Plain two-way arithmetic; skew needs two exchanges, so it is NaN at k = 0."""
     ex = b.exchanges
     skew = b.nans()
     skew[:, 1:] = gptp_skew(ex.periods(slice(1, None)), ex.periods(slice(None, -1)), b.cfg.scenario.tau)
-    return skew, gptp_offset(ex, b.d), {}
+    return {"skew": skew, "offset": gptp_offset(ex, b.d)}
 
 
-def _kalman(b: BatchInputs) -> Estimate:
+def _kalman(b: BatchInputs) -> dict[str, np.ndarray]:
     """Kalman filter with a fixed nominal measurement noise."""
     ss = build_state_space(b.cfg.dynamics)
     return _track(KalmanBaseline(ss, nominal_noise_cov(b.cfg.kalman_nominal_stddev), _prior(b)), b)
 
 
-def _thermal_only(b: BatchInputs) -> Estimate:
+def _thermal_only(b: BatchInputs) -> dict[str, np.ndarray]:
     """The thermal phase alone; it estimates skew only."""
     theta_T = skew_from_temperature(b.temp_meas, b.cfg.temp_model)
-    return theta_T, b.nans(), {"theta_T": theta_T}
+    return {"skew": theta_T, "theta_T": theta_T}
 
 
-def _linear_only(b: BatchInputs) -> Estimate:
+def _linear_only(b: BatchInputs) -> dict[str, np.ndarray]:
     """The GSF-VB network phase alone, without fusion."""
     return _track(_gsf_vb_filter(b), b)
 
 
+# Each estimator returns its (R, h) columns, k = 0 included, by name: "skew"
+# always, "offset" where it estimates one, then any columns of its own.
 ESTIMATORS = {
     "tacd": _tacd,
     "gptp": _gptp,
@@ -244,15 +227,8 @@ def simulate_run(cfg: RunConfig, runs: Sequence[int]) -> Trajectories:
     z = np.full(data.skew_true.shape + (2,), np.nan)
     z[:, 1:] = build_measurement(ex.periods(slice(1, None)), ex.periods(slice(None, -1)), data.d)
     inputs = BatchInputs(cfg=cfg, z=z, exchanges=ex, d=data.d, temp_meas=data.temp_meas)
-
-    columns = {name: inputs.nans() for name in OWNED_COLUMNS}
-    est_skew, est_offset = {}, {}
-    for name in cfg.estimators:
-        est_skew[name], est_offset[name], owned = ESTIMATORS[name](inputs)
-        columns.update(owned)
-
     return Trajectories(runs=runs, theta_true=data.skew_true, delta_true=data.offset_true, temp_osc=data.temp_osc,
-                        temp_meas=data.temp_meas, **columns, est_skew=est_skew, est_offset=est_offset)
+                        temp_meas=data.temp_meas, est={name: ESTIMATORS[name](inputs) for name in cfg.estimators})
 
 
 def run_case(cfg: RunConfig) -> Trajectories:
@@ -272,15 +248,18 @@ def run_case(cfg: RunConfig) -> Trajectories:
 
 def trajectory_table(cfg: RunConfig, t: Trajectories) -> dict[str, np.ndarray]:
     """The trajectory artifact: (R, h) columns, one row per run and period,
-    run-major. The bounds are the case's, (h,) on every run's rows (NaN in
-    empirical-delay mode, which has no oracle)."""
+    run-major. theta_F and delta_hat are tacd's skew and offset; the other
+    estimate columns are the first selected estimator's that computes them.
+    A column no selected estimator computes is NaN. The bounds are the
+    case's, (h,) on every run's rows (NaN in empirical-delay mode, which has
+    no oracle)."""
     h = t.horizon
     bclb_l, bclb_f = case_bounds(cfg) if cfg.scenario.pdv is not None else (np.full(h, np.nan),) * 2
     return {
         "run": t.runs[:, None], "k": np.arange(h), "theta_true": t.theta_true, "delta_true": t.delta_true,
-        "T_osc": t.temp_osc, "T_meas": t.temp_meas, "theta_L": t.theta_L, "theta_T": t.theta_T,
-        "theta_F": t.theta_F, "delta_hat": t.delta_hat, "epsilon": t.epsilon, "alpha": t.alpha, "beta": t.beta,
-        "bclb_L": bclb_l, "bclb_F": bclb_f,
+        "T_osc": t.temp_osc, "T_meas": t.temp_meas, "theta_L": t.column("theta_L"), "theta_T": t.column("theta_T"),
+        "theta_F": t.column("skew", "tacd"), "delta_hat": t.column("offset", "tacd"), "epsilon": t.column("epsilon"),
+        "alpha": t.column("alpha"), "beta": t.column("beta"), "bclb_L": bclb_l, "bclb_F": bclb_f,
     }
 
 
@@ -301,11 +280,11 @@ def evaluate_rmse(
     if len(t.runs) == 0:
         raise ValueError("no trajectories to evaluate")
     sl = _window_slice(t.horizon, window)
-    names = list(estimators) if estimators is not None else sorted(t.est_skew)
+    names = list(estimators) if estimators is not None else sorted(t.est)
     skew, offset = [], []
     for name in names:
-        sk = t.est_skew[name][:, sl] - t.theta_true[:, sl]
-        of = t.est_offset[name][:, sl] - t.delta_true[:, sl]
+        sk = t.est[name]["skew"][:, sl] - t.theta_true[:, sl]
+        of = t.column("offset", name)[:, sl] - t.delta_true[:, sl]
         skew.append(np.sqrt(np.mean(sk**2)))
         offset.append(np.sqrt(np.mean(of**2)) if np.any(np.isfinite(of)) else np.nan)
     return {"estimator": np.array(names), "skew_rmse": np.array(skew), "offset_rmse": np.array(offset)}
@@ -313,7 +292,7 @@ def evaluate_rmse(
 
 def skew_rmse_per_period(t: Trajectories, name: str) -> np.ndarray:
     """One estimator's skew RMSE at each period, across runs."""
-    return np.sqrt(np.mean((t.est_skew[name] - t.theta_true) ** 2, axis=0))
+    return np.sqrt(np.mean((t.est[name]["skew"] - t.theta_true) ** 2, axis=0))
 
 
 def fusion_study(cfg: RunConfig) -> tuple[FusionStudyResult, Trajectories]:

@@ -123,16 +123,10 @@ def rmse_by_name(table) -> dict[str, tuple[float, float]]:
     return {name: (s, o) for name, s, o in zip(*(table[c].tolist() for c in ("estimator", "skew_rmse", "offset_rmse")))}
 
 
-def toy_trajectories(theta_true, delta_true, est_skew, est_offset) -> Trajectories:
-    """A (runs x periods) record holding truth and estimates only; every
-    other column is NaN."""
+def toy_trajectories(theta_true, delta_true, est) -> Trajectories:
+    """A (runs x periods) record holding truth and the given estimator
+    columns only; the temperatures are NaN."""
     theta_true = np.asarray(theta_true, dtype=float)
     nan = np.full(theta_true.shape, np.nan)
-    return Trajectories(
-        runs=np.arange(theta_true.shape[0]),
-        theta_true=theta_true,
-        delta_true=np.asarray(delta_true, dtype=float),
-        temp_osc=nan, temp_meas=nan, theta_L=nan, theta_T=nan, epsilon=nan, alpha=nan, beta=nan,
-        est_skew=est_skew,
-        est_offset=est_offset,
-    )
+    return Trajectories(runs=np.arange(theta_true.shape[0]), theta_true=theta_true,
+                        delta_true=np.asarray(delta_true, dtype=float), temp_osc=nan, temp_meas=nan, est=est)

@@ -359,12 +359,12 @@ def test_criterion_9_property_suites(ss):
         for r in range(runs):
             truth[r] = rng.normal(0, 1e-6, horizon)
             est[r] = truth[r] + rng.normal(0, 1e-7, horizon)
-        trajs = toy_trajectories(truth, truth, {"e": est}, {"e": est})
+        trajs = toy_trajectories(truth, truth, {"e": {"skew": est, "offset": est}})
         got = rmse_by_name(evaluate_rmse(trajs, window))["e"][0]
         acc, cnt = 0.0, 0
         for r in range(runs):
             for k in range(horizon - window, horizon):
-                acc += (trajs.est_skew["e"][r, k] - trajs.theta_true[r, k]) ** 2
+                acc += (trajs.est["e"]["skew"][r, k] - trajs.theta_true[r, k]) ** 2
                 cnt += 1
         rmse_ok &= abs(got - np.sqrt(acc / cnt)) <= 1e-15 * max(got, 1e-30) + 0.0
 

@@ -120,10 +120,8 @@ def test_update_counters_are_python_scalars(ss):
 
 
 def _trajectory_arrays(t):
-    fields = [t.theta_true, t.delta_true, t.temp_osc, t.temp_meas, t.theta_L, t.theta_T, t.theta_F,
-              t.delta_hat, t.epsilon, t.alpha, t.beta]
-    fields += [t.est_skew[name] for name in sorted(t.est_skew)]
-    fields += [t.est_offset[name] for name in sorted(t.est_offset)]
+    fields = [t.theta_true, t.delta_true, t.temp_osc, t.temp_meas]
+    fields += [t.est[name][column] for name in sorted(t.est) for column in sorted(t.est[name])]
     return [(run, [f[i] for f in fields]) for i, run in enumerate(t.runs.tolist())]
 
 

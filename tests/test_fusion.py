@@ -108,11 +108,11 @@ def test_pareto_boundary_beta_one():
 
 
 def test_fuse_skew_values():
-    w = FusionWeights(alpha=1.0, beta=0.0, lam=0.5)
+    w = FusionWeights(alpha=1.0, beta=0.0)
     assert fuse_skew(1e-6, 5e-6, w) == 1e-6
-    w = FusionWeights(alpha=0.3, beta=0.7, lam=0.5)
+    w = FusionWeights(alpha=0.3, beta=0.7)
     assert fuse_skew(2e-6, 2e-6, w) == pytest.approx(2e-6, rel=1e-15, abs=0.0)
-    w = FusionWeights(alpha=0.8, beta=0.2, lam=0.5)
+    w = FusionWeights(alpha=0.8, beta=0.2)
     assert fuse_skew(1e-6, 2e-6, w) == pytest.approx(1.2e-6, rel=1e-12, abs=0.0)
 
 

@@ -1,6 +1,7 @@
 import copy
 import json
 import re
+import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -127,6 +128,13 @@ def _negate_last(key):
 
 
 _NONPOSITIVE = "netcomm_init: P0_diag, chi0 and scale0 entries must be > 0"
+
+
+def _bad_header(doc, tmp_path):
+    _empirical(doc, tmp_path)
+    (tmp_path / "d.csv").write_text("bytes,load,delay\n64,5,4e-6\n")
+
+
 _MALFORMED = [
     ("link", lambda doc, _: doc.update(link=5), "link: expected an object"),
     ("truth", lambda doc, _: doc.update(truth=5), "truth: expected an object"),
@@ -150,15 +158,19 @@ _MALFORMED = [
      "netcomm_init: dof0 entries must be > 1"),
     ("empirical.forward_cell-absent", lambda doc, tmp: _empirical(doc, tmp).update(forward_cell=[128, 5]),
      "empirical: no delay samples for the forward cell (128, 5.0)"),
+    ("empirical.csv_path-missing", lambda doc, tmp: _empirical(doc, tmp).update(csv_path="missing.csv"),
+     "empirical.csv_path: [Errno 2] No such file or directory: '<tmp>/missing.csv'"),
+    ("empirical.csv_path-bad-header", _bad_header, "empirical.csv_path: <tmp>/d.csv: bad header"),
 ]
 
 
 @pytest.mark.parametrize("edit, error", [case[1:] for case in _MALFORMED], ids=[case[0] for case in _MALFORMED])
 def test_cli_rejects_malformed_value_at_its_path(edit, error, tmp_path, capsys):
+    # <tmp> in an expected message stands for the test's directory
     doc = _doc()
     edit(doc, tmp_path)
     assert _run_simulate(doc, tmp_path) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {error}")
+    assert capsys.readouterr().err.startswith(f"config error: {error.replace('<tmp>', str(tmp_path))}")
     assert not (tmp_path / "out").exists()
 
 
@@ -183,8 +195,8 @@ def test_two_period_bootstrap():
     trajs = run_case(cfg)
     table = trajectory_table(cfg, trajs)
     assert np.broadcast_shapes(*(np.shape(c) for c in table.values())) == (1, 2)
-    assert np.isnan(trajs.est_skew["gptp"][0, 0])  # no skew measurement yet
-    assert np.isfinite(trajs.est_skew["tacd"][0, 0])  # prior-based output
+    assert np.isnan(trajs.est["gptp"]["skew"][0, 0])  # no skew measurement yet
+    assert np.isfinite(trajs.est["tacd"]["skew"][0, 0])  # prior-based output
 
 
 def test_run_determinism_and_worker_independence(tmp_path):
@@ -207,14 +219,36 @@ def test_estimator_isolation():
     sub = full.with_overrides(estimators=("kalman", "gptp"))
     t_full = run_case(full)
     t_sub = run_case(sub)
-    for r in range(2):
-        for name in ("kalman", "gptp"):
-            assert np.array_equal(
-                t_full.est_skew[name][r], t_sub.est_skew[name][r], equal_nan=True
-            )
-            assert np.array_equal(
-                t_full.est_offset[name][r], t_sub.est_offset[name][r], equal_nan=True
-            )
+    for name in ("kalman", "gptp"):
+        assert t_full.est[name].keys() == t_sub.est[name].keys() == {"skew", "offset"}
+        for column in ("skew", "offset"):
+            assert np.array_equal(t_full.est[name][column], t_sub.est[name][column], equal_nan=True)
+
+
+# The trajectory columns an estimator pipeline computes, not the truth's.
+_ESTIMATE_COLUMNS = ("theta_L", "theta_T", "theta_F", "delta_hat", "epsilon", "alpha", "beta")
+
+
+def _simulated(tmp_path, estimators: str) -> dict:
+    out = tmp_path / estimators
+    argv = ["simulate", "--config", str(ROOT / "configs" / "fusion_study.json"), "--runs", "2",
+            "--estimators", estimators, "--out", str(out)]
+    assert cli_main(argv) == 0
+    return load_csv_columns(out / "trajectory.csv")
+
+
+def test_trajectory_columns_follow_the_selection_not_its_order(tmp_path):
+    # every shipped config lists tacd first, so the digests cannot tell which
+    # selected estimator a column is read from
+    first, last = _simulated(tmp_path, "tacd,gptp"), _simulated(tmp_path, "gptp,tacd")
+    for c in _ESTIMATE_COLUMNS:
+        assert np.all(np.isfinite(first[c])), c
+        assert np.array_equal(first[c], last[c]), c
+    neither = _simulated(tmp_path, "gptp,kalman")
+    assert all(np.all(np.isnan(neither[c])) for c in _ESTIMATE_COLUMNS)
+    thermal = _simulated(tmp_path, "gptp,thermal-only")
+    assert np.array_equal(thermal["theta_T"], first["theta_T"])
+    assert all(np.all(np.isnan(thermal[c])) for c in _ESTIMATE_COLUMNS if c != "theta_T")
 
 
 def _toy_trajectories(rng, runs=4, horizon=20) -> Trajectories:
@@ -224,14 +258,13 @@ def _toy_trajectories(rng, runs=4, horizon=20) -> Trajectories:
         truth_o.append(rng.normal(0, 1e-6, horizon))
         est_s.append(truth_s[-1] + rng.normal(0, 1e-7, horizon))
         est_o.append(truth_o[-1] + rng.normal(0, 1e-7, horizon))
-    return toy_trajectories(truth_s, truth_o, {"toy": np.array(est_s)}, {"toy": np.array(est_o)})
+    return toy_trajectories(truth_s, truth_o, {"toy": {"skew": np.array(est_s), "offset": np.array(est_o)}})
 
 
 def test_rmse_trivial_values():
     rng = np.random.default_rng(1)
     trajs = _toy_trajectories(rng)
-    trajs.est_skew["toy"] = trajs.theta_true.copy()
-    trajs.est_offset["toy"] = trajs.delta_true + 2.5e-7
+    trajs.est["toy"] = {"skew": trajs.theta_true.copy(), "offset": trajs.delta_true + 2.5e-7}
     s = rmse_by_name(evaluate_rmse(trajs, 10))["toy"]
     assert s[0] == 0.0
     assert s[1] == pytest.approx(2.5e-7, rel=1e-12)
@@ -246,8 +279,8 @@ def test_rmse_matches_brute_force():
         acc_s, acc_o, count = 0.0, 0.0, 0
         for r in range(len(trajs.runs)):
             for k in range(trajs.horizon - window, trajs.horizon):
-                acc_s += (trajs.est_skew["toy"][r, k] - trajs.theta_true[r, k]) ** 2
-                acc_o += (trajs.est_offset["toy"][r, k] - trajs.delta_true[r, k]) ** 2
+                acc_s += (trajs.est["toy"]["skew"][r, k] - trajs.theta_true[r, k]) ** 2
+                acc_o += (trajs.est["toy"]["offset"][r, k] - trajs.delta_true[r, k]) ** 2
                 count += 1
         assert got[0] == pytest.approx(np.sqrt(acc_s / count), rel=1e-12)
         assert got[1] == pytest.approx(np.sqrt(acc_o / count), rel=1e-12)
@@ -373,6 +406,16 @@ def test_readme_trajectory_header_is_the_table():
     header = re.search(r"`tacd simulate` writes one row per \(run, period\):\n\n```\n(.*)\n```", readme).group(1)
     cfg = parse_config(_doc(runs=1))
     assert header.split(",") == list(trajectory_table(cfg, simulate_run(cfg, [0])))
+
+
+def test_readme_python_api_block_runs(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Python API\n\n```python\n(.*?)```", readme, re.S).group(1)
+    shutil.copytree(ROOT / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert (tmp_path / "out" / "trajectory.csv").is_file()
+
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"

@@ -56,6 +56,12 @@ MUTATIONS = {
         "FUSION_BOUND_ALPHA = 0.25",
         [("test_artifact_digests", "test_artifact_digests", {"config": "fusion_study", "sub": "fusion-study"})],
     ),
+    "fused-skew-read-from-first-estimator": (
+        "tacd.runner",
+        '"theta_F": t.column("skew", "tacd")',
+        '"theta_F": t.column("skew")',
+        [("test_harness", "test_trajectory_columns_follow_the_selection_not_its_order", {})],
+    ),
 }
 
 
