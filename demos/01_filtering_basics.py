@@ -21,7 +21,6 @@ from tacd import (
     build_measurement,
     build_state_space,
     generate_scenario,
-    gptp_skew,
 )
 from tacd.netcomm import isotropic_mixture_model, nominal_noise_cov
 from tacd.scenario import PdvProfile, ThermalProfile, ThermalSegment, TruthOptions
@@ -75,15 +74,15 @@ adaptive = GsfVbFilter(
 )
 baseline = KalmanBaseline(ss, nominal_noise_cov(3e-6), belief0)
 
-# every period's exchange against the one before it
-ex = data.exchanges
-cur, prev = ex.periods(slice(1, None)), ex.periods(slice(None, -1))
+# one measurement per period; its skew entry pairs the exchange with the one
+# before it, so the filters start stepping at period 1
+z = build_measurement(data.exchanges, data.d)[0]
 skew_adaptive = [belief0.mean[0]]
 skew_baseline = [belief0.mean[0]]
-for z in build_measurement(cur, prev, data.d)[0]:
-    skew_adaptive.append(adaptive.step(z).skew)
-    skew_baseline.append(baseline.step(z).skew)
-skew_gptp = np.append(np.nan, gptp_skew(cur, prev, scenario.tau)[0])
+for zk in z[1:]:
+    skew_adaptive.append(adaptive.step(zk).belief.mean[0])
+    skew_baseline.append(baseline.step(zk).mean[0])
+skew_gptp = z[:, 0] / scenario.tau  # NaN at period 0
 
 for name, est in [("adaptive", skew_adaptive), ("kalman", skew_baseline), ("gptp", skew_gptp)]:
     err = np.asarray(est[60:]) - skew_true[60:]

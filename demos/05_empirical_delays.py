@@ -12,7 +12,7 @@ import numpy as np
 
 from tacd import ScenarioConfig, TempSkewModel, generate_scenario, load_delay_csv
 from tacd.scenario import EmpiricalSource, TruthOptions
-from tacd.netcomm import gptp_offset
+from tacd.netcomm import build_measurement
 
 OUT = pathlib.Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
@@ -46,7 +46,7 @@ scenario = ScenarioConfig(
 )
 data = generate_scenario(scenario, [np.random.default_rng(3)])
 
-est = gptp_offset(data.exchanges, data.d)
+est = build_measurement(data.exchanges, data.d)[..., 1] / 2.0  # plain two-way offset
 err = (est - data.offset_true)[0]
 print(f"two-way offset estimate error over {data.horizon} periods: "
       f"mean {err.mean():.3e} s, RMS {np.sqrt((err**2).mean()):.3e} s")

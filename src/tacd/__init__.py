@@ -45,8 +45,6 @@ from .netcomm import (
     MixtureNoiseModel,
     VbSettings,
     build_measurement,
-    gptp_offset,
-    gptp_skew,
     gsf_predict,
     gsf_update,
     isotropic_mixture_model,

@@ -3,8 +3,10 @@
 Clock skew and offset are estimated from two-way timestamp exchanges by a
 Gaussian-sum filter whose measurement-noise mixture is refined each period
 with conjugate Dirichlet / inverse-Wishart mean-field updates (partial
-variational Bayes). Plain gPTP arithmetic and a fixed-noise Kalman filter
-are provided as baselines.
+variational Bayes). All of them read one measurement array built from the
+exchanges (build_measurement); plain gPTP arithmetic reads its estimates
+straight off that array, and a fixed-noise Kalman filter is the other
+baseline.
 
 Every estimator takes an optional leading run axis: means are (..., 2),
 covariances (..., 2, 2), mixture weights (..., N_g) and mixture scales
@@ -21,7 +23,7 @@ import numpy as np
 from scipy.special import digamma
 
 from .clock import StateSpace
-from .scenario import ExchangeBatch
+from .scenario import NOISE_CORR, ExchangeBatch
 
 _DIM = 2
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -152,8 +154,7 @@ class MixtureNoiseModel:
     def from_point_estimates(cls, weights, stddevs) -> "MixtureNoiseModel":
         """Sharp model with the given weights and per-component stddevs."""
         w = np.asarray(weights, dtype=float)
-        corr = np.array([[1.0, 0.5], [0.5, 1.0]])
-        scale = np.array([(s * s) * corr for s in np.asarray(stddevs, dtype=float)])
+        scale = np.array([(s * s) * NOISE_CORR for s in np.asarray(stddevs, dtype=float)])
         dof = np.full(w.shape, MIN_IW_DOF)
         return cls(dirichlet_concentration=w * 100.0, iw_dof=dof, iw_scale=scale)
 
@@ -169,38 +170,27 @@ def isotropic_mixture_model(chi, dof, scale_diag) -> MixtureNoiseModel:
     )
 
 
-def _require_consecutive(current: ExchangeBatch, previous: ExchangeBatch) -> None:
-    gap = np.asarray(current.period_index) != np.asarray(previous.period_index) + 1
+def build_measurement(ex: ExchangeBatch, d) -> np.ndarray:
+    """Measurement vectors of consecutive exchanges, shaped (..., h, 2).
+
+    Along the last (period) axis of ex, period k gives
+    z_k = (t2_k - t2_{k-1} - t1_k + t1_{k-1},  t2_k + t3_k - t1_k - t4_k - d).
+    The skew entry needs the previous exchange, so it is NaN at the first
+    period; the offset entry is filled at every period. Plain gPTP reads
+    its estimates off z: skew z[..., 0] / tau, offset z[..., 1] / 2.
+    """
+    k = np.asarray(ex.period_index)
+    gap = k[..., 1:] != k[..., :-1] + 1
     if np.any(gap):
         i = np.unravel_index(np.argmax(gap), gap.shape)
         raise ValueError(
-            f"exchanges must come from consecutive periods, got "
-            f"{np.asarray(previous.period_index)[i]} then {np.asarray(current.period_index)[i]}"
+            f"exchanges must come from consecutive periods, got {k[..., :-1][i]} then {k[..., 1:][i]}"
         )
-
-
-def build_measurement(current: ExchangeBatch, previous: ExchangeBatch, d) -> np.ndarray:
-    """Measurement vector from two consecutive exchanges, shaped (..., 2).
-
-    z = (t2_k - t2_{k-1} - t1_k + t1_{k-1},  t2_k + t3_k - t1_k - t4_k - d)
-
-    The exchanges may have any leading shape; z gains a last axis of 2.
-    """
-    _require_consecutive(current, previous)
-    z1 = current.t2 - previous.t2 - current.t1 + previous.t1
-    z2 = current.t2 + current.t3 - current.t1 - current.t4 - d
-    return np.stack([z1, z2], axis=-1)
-
-
-def gptp_offset(rec: ExchangeBatch, d):
-    """Plain two-way offset estimate: ((t2 + t3 - t1 - t4) - d) / 2."""
-    return ((rec.t2 + rec.t3 - rec.t1 - rec.t4) - d) / 2.0
-
-
-def gptp_skew(current: ExchangeBatch, previous: ExchangeBatch, tau: float):
-    """Plain forward-path skew estimate from consecutive exchanges."""
-    _require_consecutive(current, previous)
-    return (current.t2 - previous.t2 - current.t1 + previous.t1) / tau
+    z = np.empty(np.shape(ex.t2) + (_DIM,))
+    z[..., 0, 0] = np.nan
+    z[..., 1:, 0] = ex.t2[..., 1:] - ex.t2[..., :-1] - ex.t1[..., 1:] + ex.t1[..., :-1]
+    z[..., 1] = ex.t2 + ex.t3 - ex.t1 - ex.t4 - d
+    return z
 
 
 def enforce_spd(cov: np.ndarray, floor: float = SPD_EIGENVALUE_FLOOR) -> tuple[np.ndarray, bool]:
@@ -409,15 +399,6 @@ def vb_refine(
     )
 
 
-@dataclass
-class StepResult:
-    belief: GaussianBelief
-    epsilon: np.ndarray
-    skew: np.ndarray
-    offset: np.ndarray
-    responsibilities: np.ndarray
-
-
 class GsfVbFilter:
     """Alternating state / noise estimator over a stream of exchanges.
 
@@ -441,9 +422,9 @@ class GsfVbFilter:
         self.spd_repairs = np.zeros(belief.mean.shape[:-1], dtype=int)
         self.underflow_periods = np.zeros(belief.mean.shape[:-1], dtype=int)
 
-    def step(self, z) -> StepResult:
-        """Advance one period on the measurement z, shaped (..., 2) (see
-        build_measurement)."""
+    def step(self, z) -> GsfUpdateResult:
+        """Advance one period on the measurement z, shaped (..., 2) (one
+        period of build_measurement's output); returns the update."""
         z = np.asarray(z, dtype=float)
         self.belief = gsf_predict(self.belief, self.ss)
         upd = gsf_update(self.belief, z, self.noise, self.ss)
@@ -452,13 +433,7 @@ class GsfVbFilter:
         self.underflow_periods += upd.underflow_runs
         if self.vb is not None:
             self.noise = vb_refine(self.noise, z, self.belief, self.ss, self.vb)
-        return StepResult(
-            belief=self.belief,
-            epsilon=upd.epsilon,
-            skew=self.belief.mean[..., 0],
-            offset=self.belief.mean[..., 1],
-            responsibilities=upd.responsibilities,
-        )
+        return upd
 
     def condition_on_skew(self, skew) -> None:
         """Replace the belief-mean skew entry, leaving the covariance alone."""
@@ -477,18 +452,18 @@ class KalmanBaseline:
     def __init__(self, ss: StateSpace, r_fixed: np.ndarray, belief: GaussianBelief):
         self.ss = ss
         self.R = np.asarray(r_fixed, dtype=float)
-        self.x = belief.mean.copy()
-        self.P = belief.cov.copy()
+        self.belief = belief
 
-    def step(self, z) -> StepResult:
-        """Advance one period on the measurement z, as GsfVbFilter.step."""
+    def step(self, z) -> GaussianBelief:
+        """Advance one period on the measurement z, as GsfVbFilter.step;
+        returns the posterior."""
         z = np.asarray(z, dtype=float)
         A, H = _general(self.ss.A), _general(self.ss.H)
         q00, q01, q11 = _entries(self.ss.Q_v)
         r00, r01, r11 = _entries(self.R)
-        x0, x1 = self.x[..., 0], self.x[..., 1]
+        x0, x1 = self.belief.mean[..., 0], self.belief.mean[..., 1]
         xp0, xp1 = A[0] * x0 + A[1] * x1, A[2] * x0 + A[3] * x1
-        a, b, c = _congruence(A, *_entries(self.P))
+        a, b, c = _congruence(A, *_entries(self.belief.cov))
         a, b, c = a + q00, b + q01, c + q11
         # S = H P H^T + R; K = P H^T S^-1
         f00, f01, f10, f11 = a * H[0] + b * H[1], a * H[2] + b * H[3], b * H[0] + c * H[1], b * H[2] + c * H[3]
@@ -499,21 +474,15 @@ class KalmanBaseline:
              (f10 * s11 - f11 * s01) / det, (f11 * s00 - f10 * s01) / det)
         y0 = z[..., 0] - (H[0] * xp0 + H[1] * xp1)
         y1 = z[..., 1] - (H[2] * xp0 + H[3] * xp1)
-        self.x = np.stack([xp0 + (K[0] * y0 + K[1] * y1), xp1 + (K[2] * y0 + K[3] * y1)], axis=-1)
+        mean = np.stack([xp0 + (K[0] * y0 + K[1] * y1), xp1 + (K[2] * y0 + K[3] * y1)], axis=-1)
         ikh = (1.0 - (K[0] * H[0] + K[1] * H[2]), -(K[0] * H[1] + K[1] * H[3]),
                -(K[2] * H[0] + K[3] * H[2]), 1.0 - (K[2] * H[1] + K[3] * H[3]))
         j = _congruence(ikh, a, b, c)
         n = _congruence(K, r00, r01, r11)
-        self.P = _matrix(j[0] + n[0], j[1] + n[1], j[2] + n[2])
-        return StepResult(
-            belief=GaussianBelief(mean=self.x.copy(), cov=self.P.copy()),
-            epsilon=self.P[..., 0, 0],
-            skew=self.x[..., 0],
-            offset=self.x[..., 1],
-            responsibilities=np.ones(self.x.shape[:-1] + (1,)),
-        )
+        self.belief = GaussianBelief(mean=mean, cov=_matrix(j[0] + n[0], j[1] + n[1], j[2] + n[2]))
+        return self.belief
 
 
 def nominal_noise_cov(stddev: float) -> np.ndarray:
     """Fixed measurement covariance for the baseline from a nominal stddev."""
-    return stddev**2 * np.array([[1.0, 0.5], [0.5, 1.0]])
+    return stddev**2 * NOISE_CORR

@@ -28,12 +28,10 @@ from .netcomm import (
     GsfVbFilter,
     KalmanBaseline,
     build_measurement,
-    gptp_offset,
-    gptp_skew,
     isotropic_mixture_model,
     nominal_noise_cov,
 )
-from .scenario import ExchangeBatch, generate_scenario, pdv_params_table
+from .scenario import generate_scenario, pdv_params_table
 from .thermal import skew_from_temperature
 
 if TYPE_CHECKING:
@@ -103,9 +101,7 @@ class BatchInputs:
     """What every estimator reads for one batch of R runs over h periods."""
 
     cfg: RunConfig
-    z: np.ndarray  # (R, h, 2); NaN at k = 0, which has no earlier exchange
-    exchanges: ExchangeBatch  # fields (R, h)
-    d: float  # the case's known path asymmetry
+    z: np.ndarray  # (R, h, 2) from build_measurement; skew entry NaN at k = 0
     temp_meas: np.ndarray  # (R, h)
 
     def nans(self) -> np.ndarray:
@@ -140,8 +136,8 @@ def _track(filt, b: BatchInputs) -> dict[str, np.ndarray]:
     skew, offset = b.nans(), b.nans()
     skew[:, 0], offset[:, 0] = b.cfg.netcomm_init.x0
     for k in range(1, skew.shape[1]):
-        res = filt.step(b.z[:, k])
-        skew[:, k], offset[:, k] = res.skew, res.offset
+        filt.step(b.z[:, k])
+        skew[:, k], offset[:, k] = filt.belief.mean.T
     return {"skew": skew, "offset": offset}
 
 
@@ -155,8 +151,8 @@ def _tacd(b: BatchInputs) -> dict[str, np.ndarray]:
     theta_L[:, 0], delta_hat[:, 0], epsilon[:, 0] = init.x0[0], init.x0[1], init.p0_diag[0]
     for k in range(theta_T.shape[1]):
         if k > 0:
-            res = filt.step(b.z[:, k])
-            theta_L[:, k], delta_hat[:, k], epsilon[:, k] = res.skew, res.offset, res.epsilon
+            upd = filt.step(b.z[:, k])
+            (theta_L[:, k], delta_hat[:, k]), epsilon[:, k] = upd.belief.mean.T, upd.epsilon
         stats = PhaseErrorStats(linear_variance=epsilon[:, k], temp_gap=b.temp_meas[:, k] - model.T0)
         wts = pareto_beta(stats, model, cfg.fusion.lam)
         theta_F[:, k] = fuse_skew(theta_L[:, k], theta_T[:, k], wts)
@@ -168,11 +164,9 @@ def _tacd(b: BatchInputs) -> dict[str, np.ndarray]:
 
 
 def _gptp(b: BatchInputs) -> dict[str, np.ndarray]:
-    """Plain two-way arithmetic; skew needs two exchanges, so it is NaN at k = 0."""
-    ex = b.exchanges
-    skew = b.nans()
-    skew[:, 1:] = gptp_skew(ex.periods(slice(1, None)), ex.periods(slice(None, -1)), b.cfg.scenario.tau)
-    return {"skew": skew, "offset": gptp_offset(ex, b.d)}
+    """Plain two-way arithmetic on the measurement; skew needs two exchanges,
+    so it is NaN at k = 0."""
+    return {"skew": b.z[..., 0] / b.cfg.scenario.tau, "offset": b.z[..., 1] / 2.0}
 
 
 def _kalman(b: BatchInputs) -> dict[str, np.ndarray]:
@@ -223,10 +217,7 @@ def simulate_run(cfg: RunConfig, runs: Sequence[int]) -> Trajectories:
     estimator over all runs at once."""
     runs = np.asarray(list(runs), dtype=int)
     data = generate_scenario(cfg.scenario, [_run_rng(cfg.master_seed, r) for r in runs.tolist()])
-    ex = data.exchanges
-    z = np.full(data.skew_true.shape + (2,), np.nan)
-    z[:, 1:] = build_measurement(ex.periods(slice(1, None)), ex.periods(slice(None, -1)), data.d)
-    inputs = BatchInputs(cfg=cfg, z=z, exchanges=ex, d=data.d, temp_meas=data.temp_meas)
+    inputs = BatchInputs(cfg=cfg, z=build_measurement(data.exchanges, data.d), temp_meas=data.temp_meas)
     return Trajectories(runs=runs, theta_true=data.skew_true, delta_true=data.offset_true, temp_osc=data.temp_osc,
                         temp_meas=data.temp_meas, est={name: ESTIMATORS[name](inputs) for name in cfg.estimators})
 

@@ -14,14 +14,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .thermal import TempSkewModel
+from .thermal import TempSkewModel, skew_from_temperature
 
 WEIGHT_TOLERANCE = 0.05
 DEFAULT_STDDEV_FLOOR = 1e-7
 
-# Cholesky factor of [[1, 0.5], [0.5, 1]]: the shared forward-delay term in
-# the measurement noise vector induces cross-correlation Lambda^2/2.
-_NOISE_CORR_CHOL = np.linalg.cholesky(np.array([[1.0, 0.5], [0.5, 1.0]]))
+# Correlation of the measurement noise vector's two entries: the shared
+# forward-delay term induces cross-correlation Lambda^2/2.
+NOISE_CORR = np.array([[1.0, 0.5], [0.5, 1.0]])
+_NOISE_CORR_CHOL = np.linalg.cholesky(NOISE_CORR)
 
 # Each thermal curve kind and the parameters it requires.
 _THERMAL_PARAMS = {
@@ -246,11 +247,6 @@ class ExchangeBatch:
     t4: np.ndarray
     period_index: np.ndarray
 
-    def periods(self, sl: slice) -> "ExchangeBatch":
-        """The exchanges of the periods sl selects on the last axis."""
-        return ExchangeBatch(self.t1[..., sl], self.t2[..., sl], self.t3[..., sl], self.t4[..., sl],
-                             self.period_index[..., sl])
-
 
 def _exchange_times(offset, link: LinkConfig, w1, w2, k, tau: float):
     """Timestamps (t1, t2, t3, t4) of the period-k exchanges, elementwise.
@@ -323,8 +319,10 @@ def load_delay_csv(path) -> EmpiricalDelayTable:
                 delay = float(row[2])
             except ValueError as exc:
                 raise DelayCsvError(f"{path}:{lineno}: {exc}") from None
-            if delay <= 0.0:
-                raise DelayCsvError(f"{path}:{lineno}: delay must be > 0, got {delay}")
+            if not np.isfinite(load):
+                raise DelayCsvError(f"{path}:{lineno}: load_percent must be finite, got {load}")
+            if not 0.0 < delay < np.inf:
+                raise DelayCsvError(f"{path}:{lineno}: delay must be finite and > 0, got {delay}")
             cells.setdefault((packet, load), []).append(delay)
     if not cells:
         raise DelayCsvError(f"{path}: header-only file, no sample rows")
@@ -486,11 +484,7 @@ def generate_scenario(cfg: ScenarioConfig, rngs: Sequence[np.random.Generator]) 
         t_osc[:, k] = t_ext[:, k] + (t_osc[:, k - 1] - t_ext[:, k]) * decay
     t_meas = t_osc + normals[:, sensor] * np.sqrt(model.sigma_T_sq)
 
-    if truth.thermal_coupling:
-        dT = t_osc - model.T0
-        skew = model.theta0 + model.kappa * dT * dT + gamma
-    else:
-        skew = gamma
+    skew = skew_from_temperature(t_osc, model) + gamma if truth.thermal_coupling else gamma
     bad = np.flatnonzero(~(np.abs(skew) < 1.0))
     if bad.size:
         raise ValueError(f"skew must satisfy |skew| < 1, got {skew.flat[bad[0]]}")

@@ -100,10 +100,9 @@ def exchange(offset, link, w1, w2, k, tau) -> ExchangeBatch:
 
 
 def run_measurements(data) -> np.ndarray:
-    """Measurements of a generated batch, (R, h - 1, 2): [i, k - 1] pairs run
-    i's period-k exchange with its period k - 1 exchange."""
-    ex = data.exchanges
-    return build_measurement(ex.periods(slice(1, None)), ex.periods(slice(None, -1)), data.d)
+    """Measurements a filter steps on in a generated batch, (R, h - 1, 2):
+    [i, k - 1] is run i's period-k measurement."""
+    return build_measurement(data.exchanges, data.d)[:, 1:]
 
 
 def constant_oracle(weights, stddevs, horizon: int) -> OracleNoiseTruth:

@@ -138,13 +138,14 @@ def test_criterion_3_kalman_equivalence():
     kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), belief)
     worst = 0.0
     for z in run_measurements(data)[0]:
-        a = gsf.step(z)
-        b = kal.step(z)
+        gsf.step(z)
+        kal.step(z)
+        a, b = gsf.belief, kal.belief
         worst = max(
             worst,
-            abs(a.skew - b.skew) / max(abs(b.skew), 1e-30),
-            abs(a.offset - b.offset) / max(abs(b.offset), 1e-30),
-            float(np.max(np.abs(a.belief.cov - b.belief.cov)) / np.max(np.abs(b.belief.cov))),
+            abs(a.mean[0] - b.mean[0]) / max(abs(b.mean[0]), 1e-30),
+            abs(a.mean[1] - b.mean[1]) / max(abs(b.mean[1]), 1e-30),
+            float(np.max(np.abs(a.cov - b.cov)) / np.max(np.abs(b.cov))),
         )
     _report(3, "single-component filter equals textbook Kalman", worst <= 1e-12,
             f"max per-period relative difference {worst:.2e}")

@@ -14,6 +14,7 @@ from tacd.config import ConfigError, load_config, parse_config
 from tacd.report import emit_csv, emit_plot_svg, emit_table, load_csv_columns
 from tacd.runner import (
     Trajectories,
+    _run_rng,
     bclb_table,
     evaluate_rmse,
     fusion_study,
@@ -21,6 +22,7 @@ from tacd.runner import (
     simulate_run,
     trajectory_table,
 )
+from tacd.scenario import generate_scenario
 
 from conftest import rmse_by_name, toy_trajectories
 
@@ -135,6 +137,15 @@ def _bad_header(doc, tmp_path):
     (tmp_path / "d.csv").write_text("bytes,load,delay\n64,5,4e-6\n")
 
 
+def _appended_row(row):
+    """Edit that swaps in the empirical block and appends one row to its table."""
+    def edit(doc, tmp_path):
+        _empirical(doc, tmp_path)
+        with open(tmp_path / "d.csv", "a", encoding="utf-8") as fh:
+            fh.write(row + "\n")
+    return edit
+
+
 _MALFORMED = [
     ("link", lambda doc, _: doc.update(link=5), "link: expected an object"),
     ("truth", lambda doc, _: doc.update(truth=5), "truth: expected an object"),
@@ -161,6 +172,12 @@ _MALFORMED = [
     ("empirical.csv_path-missing", lambda doc, tmp: _empirical(doc, tmp).update(csv_path="missing.csv"),
      "empirical.csv_path: [Errno 2] No such file or directory: '<tmp>/missing.csv'"),
     ("empirical.csv_path-bad-header", _bad_header, "empirical.csv_path: <tmp>/d.csv: bad header"),
+    ("empirical.csv_path-nan-delay", _appended_row("64,5,nan"),
+     "empirical.csv_path: <tmp>/d.csv:4: delay must be finite and > 0, got nan"),
+    ("empirical.csv_path-inf-delay", _appended_row("64,5,inf"),
+     "empirical.csv_path: <tmp>/d.csv:4: delay must be finite and > 0, got inf"),
+    ("empirical.csv_path-nan-load", _appended_row("64,nan,4e-6"),
+     "empirical.csv_path: <tmp>/d.csv:4: load_percent must be finite, got nan"),
 ]
 
 
@@ -197,6 +214,20 @@ def test_two_period_bootstrap():
     assert np.broadcast_shapes(*(np.shape(c) for c in table.values())) == (1, 2)
     assert np.isnan(trajs.est["gptp"]["skew"][0, 0])  # no skew measurement yet
     assert np.isfinite(trajs.est["tacd"]["skew"][0, 0])  # prior-based output
+
+
+def test_gptp_is_the_two_way_arithmetic_at_every_period():
+    # no artifact holds gPTP at k = 0 (evaluate averages the last periods and
+    # the trajectory CSV has no gPTP columns), so read it off the timestamps
+    cfg = load_config("configs/case1.json").with_overrides(estimators=("gptp",))
+    runs = [0, 1, 2]
+    est = simulate_run(cfg, runs).est["gptp"]
+    ex = generate_scenario(cfg.scenario, [_run_rng(cfg.master_seed, r) for r in runs]).exchanges
+    d = cfg.scenario.link.d
+    assert est["offset"].tobytes() == (((ex.t2 + ex.t3 - ex.t1 - ex.t4) - d) / 2.0).tobytes()
+    assert np.all(np.isnan(est["skew"][:, 0]))
+    pairs = ex.t2[:, 1:] - ex.t2[:, :-1] - ex.t1[:, 1:] + ex.t1[:, :-1]
+    assert est["skew"][:, 1:].tobytes() == (pairs / cfg.scenario.tau).tobytes()
 
 
 def test_run_determinism_and_worker_independence(tmp_path):

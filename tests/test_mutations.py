@@ -56,6 +56,12 @@ MUTATIONS = {
         "FUSION_BOUND_ALPHA = 0.25",
         [("test_artifact_digests", "test_artifact_digests", {"config": "fusion_study", "sub": "fusion-study"})],
     ),
+    "offset-measurement-dropped-at-first-period": (
+        "tacd.netcomm",
+        "z[..., 1] = ex.t2 + ex.t3 - ex.t1 - ex.t4 - d",
+        "z[..., 1] = ex.t2 + ex.t3 - ex.t1 - ex.t4 - d\n    z[..., 0, 1] = np.nan",
+        [("test_harness", "test_gptp_is_the_two_way_arithmetic_at_every_period", {})],
+    ),
     "fused-skew-read-from-first-estimator": (
         "tacd.runner",
         '"theta_F": t.column("skew", "tacd")',

@@ -11,8 +11,6 @@ from tacd.netcomm import (
     MixtureNoiseModel,
     VbSettings,
     build_measurement,
-    gptp_offset,
-    gptp_skew,
     gsf_predict,
     gsf_update,
     isotropic_mixture_model,
@@ -34,6 +32,11 @@ from conftest import M_GM, SIGMA_U_SQ, constant_thermal, exchange, run_measureme
 
 def _rec(t1, t2, t3, t4, k):
     return ExchangeBatch(t1=t1, t2=t2, t3=t3, t4=t4, period_index=k)
+
+
+def _periods(*recs):
+    """Single exchanges stacked along a new last (period) axis."""
+    return ExchangeBatch(*(np.array(field, dtype=float) for field in zip(*map(astuple, recs))))
 
 
 def _stationary_cfg(horizon, stddevs, weights, process_noise_sq=SIGMA_U_SQ, skew0=3e-7):
@@ -79,17 +82,16 @@ def _batch_runs(cfg, seeds):
 def test_measurement_identical_consecutive_records():
     a = _rec(0.0, 1e-5, 2e-2, 2e-2 + 1e-5, 0)
     b = _rec(0.0, 1e-5, 2e-2, 2e-2 + 1e-5, 1)
-    z = build_measurement(b, a, d=0.0)
-    assert z[0] == 0.0
+    z = build_measurement(_periods(a, b), d=0.0)
+    assert np.isnan(z[0, 0])  # no earlier exchange
+    assert z[1, 0] == 0.0
 
 
 def test_measurement_reference_offset():
     link = LinkConfig(5e-6, 1e-6)
-    r0 = exchange(1e-6, link, 0.0, 0.0, 0, tau=1.0)
-    r1 = exchange(1e-6, link, 0.0, 0.0, 1, tau=1.0)
-    z = build_measurement(r1, r0, link.d)
-    assert z[0] == pytest.approx(0.0, abs=1e-18)
-    assert z[1] == pytest.approx(2e-6, rel=1e-9, abs=0.0)
+    z = build_measurement(exchange(1e-6, link, 0.0, 0.0, np.arange(2), tau=1.0), link.d)
+    assert z[1, 0] == pytest.approx(0.0, abs=1e-18)
+    assert z[:, 1] == pytest.approx([2e-6, 2e-6], rel=1e-9, abs=0.0)
 
 
 def test_measurement_consistency_constant_skew():
@@ -101,51 +103,51 @@ def test_measurement_consistency_constant_skew():
         delta0 = rng.uniform(-1e-5, 1e-5)
         tau = rng.uniform(0.1, 4.0)
         d1 = delta0 + tau * theta
-        r0 = exchange(delta0, link, 0.0, 0.0, 0, tau)
-        r1 = exchange(d1, link, 0.0, 0.0, 1, tau)
-        z = build_measurement(r1, r0, link.d)
-        assert z[0] == pytest.approx(tau * theta, rel=1e-9, abs=1e-15)
-        assert z[1] == pytest.approx(2 * d1, rel=1e-9, abs=1e-15)
+        z = build_measurement(exchange(np.array([delta0, d1]), link, 0.0, 0.0, np.arange(2), tau), link.d)
+        assert z[1, 0] == pytest.approx(tau * theta, rel=1e-9, abs=1e-15)
+        assert z[1, 1] == pytest.approx(2 * d1, rel=1e-9, abs=1e-15)
 
 
 def test_measurement_rejects_non_consecutive():
     a = _rec(0.0, 1e-5, 2e-2, 2e-2 + 1e-5, 0)
     b = _rec(0.0, 1e-5, 2e-2, 2e-2 + 1e-5, 2)
     with pytest.raises(ValueError, match="consecutive"):
-        build_measurement(b, a, 0.0)
+        build_measurement(_periods(a, b), 0.0)
     # a gap in one run of a batch is reported with that run's periods
     stamps = np.array([[astuple(a), astuple(_rec(1.0, 1.0, 1.02, 1.02, 1))], [astuple(a), astuple(b)]], dtype=float)
     batch = _rec(*np.moveaxis(stamps, -1, 0))
     with pytest.raises(ValueError, match="got 0.0 then 2.0"):
-        build_measurement(batch.periods(slice(1, None)), batch.periods(slice(None, -1)), 0.0)
+        build_measurement(batch, 0.0)
 
 
-def test_gptp_offset_examples():
-    rec = _rec(0.0, 6e-6, 1e-2, 1e-2, 0)
-    assert gptp_offset(rec, 4e-6) == pytest.approx(1e-6, rel=1e-12, abs=0.0)
-    sym = exchange(0.0, LinkConfig(3e-6, 3e-6), 0.0, 0.0, 0, 1.0)
-    assert gptp_offset(sym, 0.0) == pytest.approx(0.0, abs=1e-18)
+# plain gPTP reads skew z[..., 0] / tau and offset z[..., 1] / 2 off the measurement
+
+def test_gptp_two_way_offset_examples():
+    z = build_measurement(_periods(_rec(0.0, 6e-6, 1e-2, 1e-2, 0)), 4e-6)
+    assert z[0, 1] / 2 == pytest.approx(1e-6, rel=1e-12, abs=0.0)
+    z = build_measurement(exchange(0.0, LinkConfig(3e-6, 3e-6), 0.0, 0.0, np.arange(1), 1.0), 0.0)
+    assert z[0, 1] / 2 == pytest.approx(0.0, abs=1e-18)
 
 
-def test_gptp_offset_error_term():
+def test_gptp_two_way_offset_error_term():
     link = LinkConfig(5e-6, 1e-6)
-    rec = exchange(0.0, link, 2e-6, 0.0, 0, 1.0)
-    assert gptp_offset(rec, link.d) == pytest.approx(1e-6, rel=1e-9, abs=0.0)  # (w1-w2)/2
+    z = build_measurement(exchange(0.0, link, 2e-6, 0.0, np.arange(1), 1.0), link.d)
+    assert z[0, 1] / 2 == pytest.approx(1e-6, rel=1e-9, abs=0.0)  # (w1-w2)/2
 
 
-def test_gptp_skew():
+def test_gptp_forward_path_skew():
     a = _rec(0.0, 1e-5, 2e-2, 2e-2 + 1e-5, 0)
     b = _rec(1.0, 1.0 + 1e-5, 1.02, 1.02 + 1e-5, 1)
-    assert gptp_skew(b, a, tau=1.0) == pytest.approx(0.0, abs=1e-18)
+    assert build_measurement(_periods(a, b), 0.0)[1, 0] / 1.0 == pytest.approx(0.0, abs=1e-18)
 
     link = LinkConfig(5e-6, 1e-6)
     theta = 1e-6
-    r0 = exchange(1e-6, link, 0.0, 0.0, 0, 1.0)
-    r1 = exchange(1e-6 + theta, link, 0.0, 0.0, 1, 1.0)
-    assert gptp_skew(r1, r0, 1.0) == pytest.approx(theta, rel=1e-9, abs=0.0)
+    offsets = np.array([1e-6, 1e-6 + theta])
+    z = build_measurement(exchange(offsets, link, 0.0, 0.0, np.arange(2), 1.0), link.d)
+    assert z[1, 0] / 1.0 == pytest.approx(theta, rel=1e-9, abs=0.0)
     # a forward-delay jump of tau*1e-6 shifts the estimate by exactly 1e-6
-    r1j = exchange(1e-6 + theta, link, 1e-6, 0.0, 1, 1.0)
-    assert gptp_skew(r1j, r0, 1.0) - theta == pytest.approx(1e-6, rel=1e-9, abs=0.0)
+    zj = build_measurement(exchange(offsets, link, np.array([0.0, 1e-6]), 0.0, np.arange(2), 1.0), link.d)
+    assert zj[1, 0] / 1.0 - theta == pytest.approx(1e-6, rel=1e-9, abs=0.0)
 
 
 # ------------------------------------------------------------------ predict
@@ -355,12 +357,8 @@ def test_vb_recovers_mixture_variance():
 def test_step_zero_noise_exact_tracking(ss):
     link = LinkConfig(5e-6, 1e-6)
     theta, delta = 1e-6, 1e-6
-    recs = []
-    d_cur = delta
-    for k in range(40):
-        if k > 0:
-            d_cur += theta
-        recs.append(exchange(d_cur, link, 0.0, 0.0, k, 1.0))
+    offsets = np.cumsum(np.append(delta, np.full(39, theta)))
+    z = build_measurement(exchange(offsets, link, 0.0, 0.0, np.arange(40), 1.0), link.d)
     ss_rw = build_state_space(ClockDynamics(m=1.0, sigma_u_sq=1e-18, tau=1.0))
     filt = GsfVbFilter(
         ss_rw,
@@ -369,9 +367,9 @@ def test_step_zero_noise_exact_tracking(ss):
         vb=None,
     )
     for k in range(1, 40):
-        res = filt.step(build_measurement(recs[k], recs[k - 1], link.d))
-        assert res.skew == pytest.approx(theta, rel=1e-9, abs=0.0)
-        assert res.offset == pytest.approx(delta + k * theta, rel=1e-9, abs=0.0)
+        skew, offset = filt.step(z[k]).belief.mean
+        assert skew == pytest.approx(theta, rel=1e-9, abs=0.0)
+        assert offset == pytest.approx(delta + k * theta, rel=1e-9, abs=0.0)
 
 
 @pytest.mark.slow
@@ -394,7 +392,7 @@ def test_step_skew_estimator_bias_small():
     errs[:, 0] = 3e-7 - skew_true[:, 0]
     for k in range(1, 75):
         res = filt.step(z[:, k - 1])
-        errs[:, k] = res.skew - skew_true[:, k]
+        errs[:, k] = res.belief.mean[:, 0] - skew_true[:, k]
     bias = errs.mean(axis=0)
     rmse = np.sqrt((errs**2).mean(axis=0))
     assert np.all(np.abs(bias[30:]) < 0.2 * rmse[30:])
@@ -410,11 +408,11 @@ def test_step_equals_fixed_noise_kalman_for_single_component():
     )
     kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), _default_belief())
     for z in run_measurements(data)[0]:
-        a = gsf.step(z)
+        a = gsf.step(z).belief
         b = kal.step(z)
-        assert a.skew == pytest.approx(b.skew, rel=1e-12, abs=0.0)
-        assert a.offset == pytest.approx(b.offset, rel=1e-12, abs=0.0)
-        assert np.allclose(a.belief.cov, b.belief.cov, rtol=1e-12, atol=0.0)
+        assert a.mean[0] == pytest.approx(b.mean[0], rel=1e-12, abs=0.0)
+        assert a.mean[1] == pytest.approx(b.mean[1], rel=1e-12, abs=0.0)
+        assert np.allclose(a.cov, b.cov, rtol=1e-12, atol=0.0)
 
 
 def test_kalman_misspecified_noise_still_unbiased():
@@ -427,7 +425,7 @@ def test_kalman_misspecified_noise_still_unbiased():
     errs = np.empty((n, 74))
     for k in range(1, 75):
         res = kal.step(z[:, k - 1])
-        errs[:, k - 1] = res.skew - skew_true[:, k]
+        errs[:, k - 1] = res.mean[:, 0] - skew_true[:, k]
     bias = errs[:, 30:].mean()
     rmse = np.sqrt((errs[:, 30:] ** 2).mean())
     assert abs(bias) < 0.2 * rmse

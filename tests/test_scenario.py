@@ -19,7 +19,7 @@ from tacd.scenario import (
     load_delay_csv,
     pdv_params_table,
 )
-from tacd.netcomm import gptp_offset
+from tacd.netcomm import build_measurement
 from tacd.thermal import TempSkewModel
 
 from conftest import M_GM, constant_thermal, exchange, study_pdv_profile, study_thermal_profile, thermal_run
@@ -227,8 +227,8 @@ def test_exchange_offset_recovery():
     for _ in range(200):
         offset = rng.uniform(-1e-5, 1e-5)
         w = rng.uniform(0.0, 1e-5)
-        rec = exchange(offset, link, w, w, 1, tau=1.0)
-        assert gptp_offset(rec, link.d) == pytest.approx(offset, rel=1e-9, abs=1e-15)
+        rec = exchange(offset, link, w, w, np.arange(1, 2), tau=1.0)
+        assert build_measurement(rec, link.d)[0, 1] / 2 == pytest.approx(offset, rel=1e-9, abs=1e-15)
 
 
 # ------------------------------------------------------------- empirical CSV
