@@ -11,21 +11,23 @@ import numpy as np
 
 from tacd.config import load_config
 from tacd.report import emit_plot_svg, emit_table
-from tacd.runner import fusion_study
+from tacd.runner import bound_reduction, evaluate_rmse, fusion_study
 
 OUT = pathlib.Path(__file__).parent / "out"
 CONFIG = pathlib.Path(__file__).parent.parent / "configs" / "fusion_study.json"
 
 cfg = load_config(CONFIG).with_overrides(runs=200)
-result, trajectories = fusion_study(cfg)
+curves, trajectories = fusion_study(cfg)  # one column per curve, one row per period
+steady = evaluate_rmse(trajectories, cfg.steady_window, ("linear-only", "thermal-only", "tacd"))
+network, thermal, fused = steady["skew_rmse"]
+reduction = bound_reduction(curves["bclb_single"], curves["bclb_fusion"], cfg.steady_window)
 
 print("steady-state (last 10 periods, 200 runs):")
-print(f"  network-model RMSE : {result.steady_rmse_single1:.3e} s/s")
-print(f"  thermal-model RMSE : {result.steady_rmse_single2:.3e} s/s")
-print(f"  fused RMSE         : {result.steady_rmse_fusion:.3e} s/s")
-print(f"  bound reduction    : {result.steady_bclb_reduction:.1%}")
+print(f"  network-model RMSE : {network:.3e} s/s")
+print(f"  thermal-model RMSE : {thermal:.3e} s/s")
+print(f"  fused RMSE         : {fused:.3e} s/s")
+print(f"  bound reduction    : {reduction:.1%}")
 
-curves = result.table  # one column per curve, one row per period
 emit_table(curves, OUT / "fusion_study.csv")
 
 ks = curves["k"]

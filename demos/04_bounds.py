@@ -13,6 +13,7 @@ from tacd.bclb import OracleNoiseTruth, bclb_trajectory
 from tacd.clock import ClockDynamics
 from tacd.config import load_config
 from tacd.report import emit_plot_svg
+from tacd.runner import bound_reduction
 from tacd.scenario import pdv_params_table
 
 OUT = pathlib.Path(__file__).parent / "out"
@@ -34,7 +35,7 @@ for alpha in (1.0, 0.7, 0.5, 0.3):
               f"(steady value {bound_lin[-1]:.3e})")
     else:
         series.append((f"fused, alpha={alpha}", ks, bound_fus))
-        reduction = 1.0 - bound_fus[-10:].mean() / bound_lin[-10:].mean()
+        reduction = bound_reduction(bound_lin, bound_fus, cfg.steady_window)
         print(f"alpha={alpha}: steady bound reduction {reduction:.1%}")
 
 emit_plot_svg(

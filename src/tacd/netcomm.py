@@ -122,7 +122,6 @@ class MixtureNoiseModel:
     dirichlet_concentration: np.ndarray
     iw_dof: np.ndarray
     iw_scale: np.ndarray
-    dof_clamped: bool = False
 
     def __post_init__(self) -> None:
         chi = np.asarray(self.dirichlet_concentration, dtype=float)
@@ -139,6 +138,10 @@ class MixtureNoiseModel:
     @property
     def num_components(self) -> int:
         return self.dirichlet_concentration.shape[-1]
+
+    @property
+    def dof_clamped(self) -> bool:
+        return bool(np.any(self.iw_dof <= _DIM + 1))
 
     @property
     def point_weights(self) -> np.ndarray:
@@ -166,20 +169,21 @@ def isotropic_mixture_model(chi, dof, scale_diag) -> MixtureNoiseModel:
         dirichlet_concentration=np.asarray(chi, dtype=float),
         iw_dof=np.asarray(dof, dtype=float),
         iw_scale=scale,
-        dof_clamped=bool(np.any(np.asarray(dof) <= _DIM + 1)),
     )
 
 
 def build_measurement(ex: ExchangeBatch, d) -> np.ndarray:
     """Measurement vectors of consecutive exchanges, shaped (..., h, 2).
 
-    Along the last (period) axis of ex, period k gives
+    Along the last (period) axis of ex, which must exist, period k gives
     z_k = (t2_k - t2_{k-1} - t1_k + t1_{k-1},  t2_k + t3_k - t1_k - t4_k - d).
     The skew entry needs the previous exchange, so it is NaN at the first
     period; the offset entry is filled at every period. Plain gPTP reads
     its estimates off z: skew z[..., 0] / tau, offset z[..., 1] / 2.
     """
     k = np.asarray(ex.period_index)
+    if k.ndim == 0:
+        raise ValueError("exchanges need a period axis: a measurement pairs consecutive exchanges")
     gap = k[..., 1:] != k[..., :-1] + 1
     if np.any(gap):
         i = np.unravel_index(np.argmax(gap), gap.shape)
@@ -239,7 +243,6 @@ class GsfUpdateResult:
     underflow and spd_repairs count the flagged runs of the batch."""
 
     belief: GaussianBelief
-    epsilon: np.ndarray
     responsibilities: np.ndarray
     underflow_runs: np.ndarray
     repaired_runs: np.ndarray
@@ -259,8 +262,7 @@ def gsf_update(
     """Measurement update: one Kalman update per mixture component, combined
     by posterior component weights and moment-matched to a single Gaussian.
 
-    epsilon is the (skew, skew) entry of the returned covariance. A
-    component whose innovation covariance has a non-positive determinant
+    A component whose innovation covariance has a non-positive determinant
     gets weight zero. In a run where every component likelihood underflows,
     the weights fall back to uniform and the run is flagged.
     """
@@ -328,7 +330,6 @@ def gsf_update(
         )
     return GsfUpdateResult(
         belief=GaussianBelief(mean=np.stack([mean0, mean1], axis=-1), cov=cov),
-        epsilon=cov[..., 0, 0],
         responsibilities=wts,
         underflow_runs=underflow,
         repaired_runs=repaired,
@@ -391,12 +392,7 @@ def vb_refine(
                 break
         q_prev = q
 
-    return MixtureNoiseModel(
-        dirichlet_concentration=chi,
-        iw_dof=dof,
-        iw_scale=_matrix(*scale),
-        dof_clamped=bool(np.any(dof <= _DIM + 1)),
-    )
+    return MixtureNoiseModel(dirichlet_concentration=chi, iw_dof=dof, iw_scale=_matrix(*scale))
 
 
 class GsfVbFilter:
@@ -405,7 +401,8 @@ class GsfVbFilter:
     Each period: predict, Gaussian-sum update, then (when VB settings are
     given) one round of noise-model refinement. With a single component and
     VB disabled the trajectory coincides with a textbook Kalman filter.
-    spd_repairs and underflow_periods count per run.
+    The belief is the prior until the first step; each step's update flags
+    the runs it repaired or whose likelihoods underflowed.
     """
 
     def __init__(
@@ -419,8 +416,6 @@ class GsfVbFilter:
         self.noise = noise
         self.belief = belief
         self.vb = vb
-        self.spd_repairs = np.zeros(belief.mean.shape[:-1], dtype=int)
-        self.underflow_periods = np.zeros(belief.mean.shape[:-1], dtype=int)
 
     def step(self, z) -> GsfUpdateResult:
         """Advance one period on the measurement z, shaped (..., 2) (one
@@ -429,8 +424,6 @@ class GsfVbFilter:
         self.belief = gsf_predict(self.belief, self.ss)
         upd = gsf_update(self.belief, z, self.noise, self.ss)
         self.belief = upd.belief
-        self.spd_repairs += upd.repaired_runs
-        self.underflow_periods += upd.underflow_runs
         if self.vb is not None:
             self.noise = vb_refine(self.noise, z, self.belief, self.ss, self.vb)
         return upd

@@ -11,6 +11,8 @@ trajectory is bit-identical whatever batch it is in. Results are one
 Trajectories record: the truth plus each estimator's columns. Each CSV
 artifact is one table built here: an ordered dict of named columns that
 broadcast to one shape, a row per element (report.emit_table writes it).
+Each reported number has one producer: steady-state RMSEs evaluate_rmse,
+the steady bound reduction bound_reduction, the bounds case_bounds.
 """
 from __future__ import annotations
 
@@ -80,18 +82,6 @@ class Trajectories:
         return cls(**{f.name: join([getattr(p, f.name) for p in parts]) for f in fields(cls)})
 
 
-@dataclass
-class FusionStudyResult:
-    """The study curves as a table, one row per period, and the
-    steady-state comparison numbers."""
-
-    table: dict[str, np.ndarray]
-    steady_rmse_single1: float
-    steady_rmse_single2: float
-    steady_rmse_fusion: float
-    steady_bclb_reduction: float
-
-
 def _run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,)))
 
@@ -132,11 +122,12 @@ def _gsf_vb_filter(b: BatchInputs) -> GsfVbFilter:
 
 
 def _track(filt, b: BatchInputs) -> dict[str, np.ndarray]:
-    """Step a filter over periods 1..h-1; k = 0 reports the prior mean."""
+    """The filter's belief mean at every period: the prior at k = 0, then one
+    step per period."""
     skew, offset = b.nans(), b.nans()
-    skew[:, 0], offset[:, 0] = b.cfg.netcomm_init.x0
-    for k in range(1, skew.shape[1]):
-        filt.step(b.z[:, k])
+    for k in range(skew.shape[1]):
+        if k > 0:
+            filt.step(b.z[:, k])
         skew[:, k], offset[:, k] = filt.belief.mean.T
     return {"skew": skew, "offset": offset}
 
@@ -144,15 +135,14 @@ def _track(filt, b: BatchInputs) -> dict[str, np.ndarray]:
 def _tacd(b: BatchInputs) -> dict[str, np.ndarray]:
     """GSF-VB network phase and thermal phase, Pareto-fused each period; the
     fused skew is fed back into the filter when configured."""
-    cfg, model, init = b.cfg, b.cfg.temp_model, b.cfg.netcomm_init
+    cfg, model = b.cfg, b.cfg.temp_model
     filt = _gsf_vb_filter(b)
     theta_T = skew_from_temperature(b.temp_meas, model)
     theta_L, theta_F, delta_hat, epsilon, alpha, beta = (b.nans() for _ in range(6))
-    theta_L[:, 0], delta_hat[:, 0], epsilon[:, 0] = init.x0[0], init.x0[1], init.p0_diag[0]
     for k in range(theta_T.shape[1]):
         if k > 0:
-            upd = filt.step(b.z[:, k])
-            (theta_L[:, k], delta_hat[:, k]), epsilon[:, k] = upd.belief.mean.T, upd.epsilon
+            filt.step(b.z[:, k])
+        (theta_L[:, k], delta_hat[:, k]), epsilon[:, k] = filt.belief.mean.T, filt.belief.cov[..., 0, 0]
         stats = PhaseErrorStats(linear_variance=epsilon[:, k], temp_gap=b.temp_meas[:, k] - model.T0)
         wts = pareto_beta(stats, model, cfg.fusion.lam)
         theta_F[:, k] = fuse_skew(theta_L[:, k], theta_T[:, k], wts)
@@ -200,12 +190,13 @@ ESTIMATORS = {
 def case_bounds(cfg: RunConfig) -> tuple[np.ndarray, np.ndarray]:
     """(BCLB_linear, BCLB_fusion) over the horizon under the configured PDV
     profile, the fusion bound at the weight FUSION_BOUND_ALPHA. The bound
-    depends on no run's draws, so there is one per case. The fusion bound
-    needs a noisy temperature sensor (temp_model.sigma_T_sq > 0); without
-    one it is NaN.
+    depends on no run's draws, so there is one per case. Empirical delays
+    have no oracle noise profile, so both bounds are NaN there; the fusion
+    bound also needs a noisy temperature sensor (temp_model.sigma_T_sq > 0)
+    and is NaN without one.
     """
     if cfg.scenario.pdv is None:
-        raise ValueError("bounds require a synthetic PDV profile")
+        return np.full(cfg.scenario.horizon, np.nan), np.full(cfg.scenario.horizon, np.nan)
     alpha = FUSION_BOUND_ALPHA if cfg.temp_model.sigma_T_sq > 0.0 else None
     weights, stddevs = pdv_params_table(cfg.scenario.pdv, cfg.scenario.horizon)
     oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs)
@@ -241,13 +232,11 @@ def trajectory_table(cfg: RunConfig, t: Trajectories) -> dict[str, np.ndarray]:
     """The trajectory artifact: (R, h) columns, one row per run and period,
     run-major. theta_F and delta_hat are tacd's skew and offset; the other
     estimate columns are the first selected estimator's that computes them.
-    A column no selected estimator computes is NaN. The bounds are the
-    case's, (h,) on every run's rows (NaN in empirical-delay mode, which has
-    no oracle)."""
-    h = t.horizon
-    bclb_l, bclb_f = case_bounds(cfg) if cfg.scenario.pdv is not None else (np.full(h, np.nan),) * 2
+    A column no selected estimator computes is NaN. The bounds are
+    case_bounds', (h,) on every run's rows."""
+    bclb_l, bclb_f = case_bounds(cfg)
     return {
-        "run": t.runs[:, None], "k": np.arange(h), "theta_true": t.theta_true, "delta_true": t.delta_true,
+        "run": t.runs[:, None], "k": np.arange(t.horizon), "theta_true": t.theta_true, "delta_true": t.delta_true,
         "T_osc": t.temp_osc, "T_meas": t.temp_meas, "theta_L": t.column("theta_L"), "theta_T": t.column("theta_T"),
         "theta_F": t.column("skew", "tacd"), "delta_hat": t.column("offset", "tacd"), "epsilon": t.column("epsilon"),
         "alpha": t.column("alpha"), "beta": t.column("beta"), "bclb_L": bclb_l, "bclb_F": bclb_f,
@@ -286,15 +275,18 @@ def skew_rmse_per_period(t: Trajectories, name: str) -> np.ndarray:
     return np.sqrt(np.mean((t.est[name]["skew"] - t.theta_true) ** 2, axis=0))
 
 
-def fusion_study(cfg: RunConfig) -> tuple[FusionStudyResult, Trajectories]:
-    """Per-period RMSE of the three estimator variants plus both bounds.
+def bound_reduction(bclb_l: np.ndarray, bclb_f: np.ndarray, window: int) -> float:
+    """1 - mean(BCLB_fusion) / mean(BCLB_linear) over the last `window`
+    periods: how far fusion lowers the steady-state bound; NaN where the
+    bounds are."""
+    sl = _window_slice(len(bclb_l), window)
+    return 1.0 - float(np.mean(bclb_f[sl]) / np.mean(bclb_l[sl]))
 
-    Runs the fused pipeline, the isolated network-phase filter, and the
-    thermal phase on shared scenario draws; the bound curves are
-    case_bounds'.
-    """
-    if cfg.scenario.pdv is None:
-        raise ValueError("fusion study requires a synthetic PDV profile (oracle bounds)")
+
+def fusion_study(cfg: RunConfig) -> tuple[dict[str, np.ndarray], Trajectories]:
+    """Per-period skew RMSE of the fused pipeline, the isolated network-phase
+    filter and the thermal phase on shared scenario draws, plus case_bounds'
+    curves: the study table, one row per period, and the trajectories."""
     t = run_case(cfg.with_overrides(estimators=("tacd", "linear-only", "thermal-only")))
     bclb_l, bclb_f = case_bounds(cfg)
     table = {
@@ -305,19 +297,7 @@ def fusion_study(cfg: RunConfig) -> tuple[FusionStudyResult, Trajectories]:
         "bclb_single": bclb_l,
         "bclb_fusion": bclb_f,
     }
-    sl = _window_slice(t.horizon, cfg.steady_window)
-
-    def steady(column: str) -> float:
-        return float(np.sqrt(np.mean(table[column][sl] ** 2)))
-
-    result = FusionStudyResult(
-        table=table,
-        steady_rmse_single1=steady("rmse_single1"),
-        steady_rmse_single2=steady("rmse_single2"),
-        steady_rmse_fusion=steady("rmse_fusion"),
-        steady_bclb_reduction=1.0 - float(np.mean(bclb_f[sl]) / np.mean(bclb_l[sl])),
-    )
-    return result, t
+    return table, t
 
 
 def bclb_table(cfg: RunConfig) -> dict[str, np.ndarray]:

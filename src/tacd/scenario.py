@@ -269,10 +269,10 @@ class EmpiricalDelayTable:
     def __init__(self, cells: dict[tuple[int, float], np.ndarray]):
         if not cells:
             raise DelayCsvError("empty delay table: no sample rows")
-        for key, samples in cells.items():
-            if np.any(np.asarray(samples) <= 0.0):
-                raise DelayCsvError(f"non-positive delay sample in cell {key}")
         self._cells = {k: np.sort(np.asarray(v, dtype=float)) for k, v in cells.items()}
+        for key, samples in self._cells.items():
+            if not np.all(np.isfinite(samples) & (samples > 0.0)):
+                raise DelayCsvError(f"cell {key}: delay samples must be finite and > 0")
 
     @property
     def cells(self) -> dict[tuple[int, float], np.ndarray]:

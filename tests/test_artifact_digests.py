@@ -20,7 +20,6 @@ import pytest
 import scipy
 
 from tacd import cli
-from tacd.config import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = Path(__file__).resolve().parent / "artifact_digests.json"
@@ -50,8 +49,6 @@ def test_artifact_digests(config, sub, tmp_path):
     recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
     if recorded["versions"] != _versions():
         pytest.skip(f"digests recorded with {recorded['versions']}, running {_versions()}")
-    if sub == "bclb" and load_config(ROOT / "configs" / f"{config}.json").scenario.pdv is None:
-        pytest.skip("bclb needs a synthetic PDV profile")
     got = _artifact_digests(config, sub, tmp_path / "out")
     want = {key: value for key, value in recorded["digests"].items() if key.startswith(f"{config}/{sub}/")}
     assert got == want
@@ -64,8 +61,6 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for config in CONFIGS:
             for sub in SUBCOMMANDS:
-                if sub == "bclb" and load_config(ROOT / "configs" / f"{config}.json").scenario.pdv is None:
-                    continue
                 digests.update(_artifact_digests(config, sub, Path(tmp) / config / sub))
     doc = {"runs": RUNS, "versions": _versions(), "digests": digests}
     DIGESTS.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")

@@ -1,4 +1,6 @@
+import contextlib
 import copy
+import io
 import json
 import re
 import shutil
@@ -364,10 +366,10 @@ def test_tables_round_trip_through_csv(tmp_path):
     # every artifact table is written as plain cells (emit_csv checks the
     # first row) and reads back as its columns broadcast and flattened
     cfg = parse_config(_doc(runs=3))
-    result, trajs = fusion_study(cfg)
+    study, trajs = fusion_study(cfg)
     tables = {
         "trajectory": trajectory_table(cfg, trajs),
-        "fusion_study": result.table,
+        "fusion_study": study,
         "bclb": bclb_table(cfg),
         "rmse_summary": evaluate_rmse(trajs, cfg.steady_window),
     }
@@ -446,6 +448,25 @@ def test_readme_python_api_block_runs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(block, "README.md", "exec"), {})
     assert (tmp_path / "out" / "trajectory.csv").is_file()
+
+
+def test_bound_columns_are_nan_without_a_pdv_profile(tmp_path):
+    # empirical delays have no oracle noise profile: the bound commands run
+    # and write NaN bounds next to finite RMSE curves
+    doc = _doc()
+    _empirical(doc, tmp_path)
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(doc))
+    stdout = {}
+    for sub, bounds in (("fusion-study", ("bclb_single", "bclb_fusion")), ("bclb", ("bclb_L", "bclb_F"))):
+        runs = ["--runs", "2"] if "--runs" in SUBCOMMANDS[sub].flags else []
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli_main([sub, "--config", str(cfgp), "--out", str(tmp_path / sub)] + runs) == 0
+        stdout[sub] = out.getvalue()
+        cols = load_csv_columns(tmp_path / sub / SUBCOMMANDS[sub].csv)
+        assert all(np.all(np.isnan(cols[name])) for name in bounds), sub
+        assert all(np.all(np.isfinite(cols[name])) for name in cols if name.startswith("rmse_")), sub
+    assert "steady-state bound reduction: nan\n" in stdout["fusion-study"]
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
@@ -565,6 +586,7 @@ def test_fusion_study_thermal_oracle_collapse():
     doc["temp_model"]["sigma_T_sq"] = 0.0
     doc["truth"]["process_noise_sq"] = 0.0
     cfg = parse_config(doc)
-    result, _ = fusion_study(cfg)
-    assert result.steady_rmse_single2 < 1e-15
-    assert result.steady_rmse_fusion <= result.steady_rmse_single1
+    _, t = fusion_study(cfg)
+    network, thermal, fused = evaluate_rmse(t, cfg.steady_window, ("linear-only", "thermal-only", "tacd"))["skew_rmse"]
+    assert thermal < 1e-15
+    assert fused <= network

@@ -4,8 +4,9 @@ Each entry names a module, a snippet of its source that occurs exactly
 once, the snippet's replacement, and the tier-1 tests (test module,
 function, arguments) that must fail under the change. The mutated source is
 executed as a stand-in module in this process, and every binding of the
-module's functions, in the tacd package and in the test modules (the
-oracles excepted), points at the stand-in's for the duration of the check.
+module's functions and classes, in the tacd package and in the test modules
+(the oracles excepted), points at the stand-in's for the duration of the
+check.
 The same tests must pass under a stand-in built from the unchanged source,
 so a failure comes from the mutation and not from the swap.
 """
@@ -68,6 +69,18 @@ MUTATIONS = {
         '"theta_F": t.column("skew")',
         [("test_harness", "test_trajectory_columns_follow_the_selection_not_its_order", {})],
     ),
+    "empirical-bounds-reported-as-zero": (
+        "tacd.runner",
+        "return np.full(cfg.scenario.horizon, np.nan), np.full(cfg.scenario.horizon, np.nan)",
+        "return np.zeros(cfg.scenario.horizon), np.zeros(cfg.scenario.horizon)",
+        [("test_harness", "test_bound_columns_are_nan_without_a_pdv_profile", {})],
+    ),
+    "dof-at-existence-boundary-not-clamped": (
+        "tacd.netcomm",
+        "return bool(np.any(self.iw_dof <= _DIM + 1))",
+        "return bool(np.any(self.iw_dof < _DIM + 1))",
+        [("test_netcomm", "test_dof_clamped_reads_the_dofs_of_a_directly_built_model", {})],
+    ),
 }
 
 
@@ -81,14 +94,15 @@ def _stand_in(module, snippet: str, replacement: str) -> types.ModuleType:
 
 
 def _rebind(mp, module, stand_in) -> None:
-    """Point every binding of the module's functions at the stand-in's."""
+    """Point every binding of the module's functions and classes at the
+    stand-in's."""
     owners = [
         m for name, m in list(sys.modules.items())
         if name == "tacd" or name.startswith("tacd.")
         or (name != "oracles" and Path(getattr(m, "__file__", None) or "/").parent == TESTS)
     ]
     for name, orig in list(vars(module).items()):
-        if not (isinstance(orig, types.FunctionType) and orig.__module__ == module.__name__):
+        if not (isinstance(orig, (types.FunctionType, type)) and orig.__module__ == module.__name__):
             continue
         for owner in owners:
             for key, value in list(vars(owner).items()):

@@ -120,6 +120,11 @@ def test_measurement_rejects_non_consecutive():
         build_measurement(batch, 0.0)
 
 
+def test_measurement_rejects_exchange_without_period_axis():
+    with pytest.raises(ValueError, match="period axis"):
+        build_measurement(ExchangeBatch(0.0, 1e-5, 2e-2, 2e-2, 0), 0.0)
+
+
 # plain gPTP reads skew z[..., 0] / tau and offset z[..., 1] / 2 off the measurement
 
 def test_gptp_two_way_offset_examples():
@@ -199,7 +204,6 @@ def test_update_single_component_is_kalman(ss):
     xn, Pn = _manual_kf_update(belief.mean, belief.cov, z, ss.H, noise.point_covariances[0])
     assert np.allclose(res.belief.mean, xn, rtol=1e-12, atol=0.0)
     assert np.allclose(res.belief.cov, Pn, rtol=1e-12, atol=0.0)
-    assert res.epsilon == res.belief.cov[0, 0]
 
 
 def test_update_identical_components_degenerate(ss):
@@ -320,6 +324,13 @@ def test_vb_dof_clamped_mean(ss):
     covs = noise.point_covariances
     assert np.allclose(covs[0], np.eye(2) * 1e-7, atol=0.0)
     assert np.allclose(covs[1], np.eye(2) * 2e-7, atol=0.0)
+
+
+def test_dof_clamped_reads_the_dofs_of_a_directly_built_model():
+    # a dof of 3 is at the existence boundary however the model was built
+    scale = np.array([np.eye(2), np.eye(2)]) * 1e-7
+    assert MixtureNoiseModel(np.ones(2), np.array([3.0, 5.0]), scale).dof_clamped
+    assert not MixtureNoiseModel(np.ones(2), np.array([4.0, 5.0]), scale).dof_clamped
 
 
 @pytest.mark.slow

@@ -5,6 +5,7 @@ import pytest
 
 from tacd.scenario import (
     DelayCsvError,
+    EmpiricalDelayTable,
     EmpiricalSource,
     LinkConfig,
     PdvProfile,
@@ -270,6 +271,12 @@ def test_load_bad_header(tmp_path):
     _write_csv(p, ["64,5,1e-6"], header="a,b,c")
     with pytest.raises(DelayCsvError, match="header"):
         load_delay_csv(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1e-6])
+def test_table_rejects_sample_not_finite_and_positive(bad):
+    with pytest.raises(DelayCsvError, match=r"cell \(64, 5.0\): delay samples must be finite and > 0"):
+        EmpiricalDelayTable({(64, 25.0): np.array([2e-6]), (64, 5.0): np.array([bad, 1e-6])})
 
 
 def test_csv_round_trip(tmp_path):
