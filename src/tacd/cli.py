@@ -129,10 +129,11 @@ def _run(sub: Subcommand, args) -> int:
     cfg = load_config(args.config).with_overrides(**{k: getattr(args, k, None) for k in _OVERRIDES})
     table, lines, series = sub.build(cfg)
     out = Path(cfg.output_dir)
+    # the SVG is drawn first: a series with no plottable point fails the
+    # command before either file is written
+    svg = [emit_plot_svg(list(series), out / sub.svg, **sub.plot)] if args.plot else []
     path = emit_table(table, out / sub.csv)
-    print("\n".join(lines + [f"wrote {path}"]))
-    if args.plot:
-        print(f"wrote {emit_plot_svg(list(series), out / sub.svg, **sub.plot)}")
+    print("\n".join(lines + [f"wrote {p}" for p in [path, *svg]]))
     return 0
 
 

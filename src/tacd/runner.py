@@ -24,7 +24,7 @@ import numpy as np
 
 from .bclb import OracleNoiseTruth, bclb_trajectory
 from .clock import build_state_space
-from .fusion import PhaseErrorStats, fuse_skew, pareto_beta
+from .fusion import fuse_skew, pareto_beta
 from .netcomm import (
     GaussianBelief,
     GsfVbFilter,
@@ -138,17 +138,16 @@ def _tacd(b: BatchInputs) -> dict[str, np.ndarray]:
     cfg, model = b.cfg, b.cfg.temp_model
     filt = _gsf_vb_filter(b)
     theta_T = skew_from_temperature(b.temp_meas, model)
-    theta_L, theta_F, delta_hat, epsilon, alpha, beta = (b.nans() for _ in range(6))
+    theta_L, theta_F, delta_hat, epsilon, beta = (b.nans() for _ in range(5))
     for k in range(theta_T.shape[1]):
         if k > 0:
             filt.step(b.z[:, k])
         (theta_L[:, k], delta_hat[:, k]), epsilon[:, k] = filt.belief.mean.T, filt.belief.cov[..., 0, 0]
-        stats = PhaseErrorStats(linear_variance=epsilon[:, k], temp_gap=b.temp_meas[:, k] - model.T0)
-        wts = pareto_beta(stats, model, cfg.fusion.lam)
-        theta_F[:, k] = fuse_skew(theta_L[:, k], theta_T[:, k], wts)
+        beta[:, k] = pareto_beta(epsilon[:, k], b.temp_meas[:, k] - model.T0, model, cfg.fusion.lam)
+        theta_F[:, k] = fuse_skew(theta_L[:, k], theta_T[:, k], beta[:, k])
         if cfg.fusion.feedback:
             filt.condition_on_skew(theta_F[:, k])
-        alpha[:, k], beta[:, k] = wts.alpha, wts.beta
+    alpha = 1.0 - beta
     return {"skew": theta_F, "offset": delta_hat, "theta_L": theta_L, "theta_T": theta_T, "epsilon": epsilon,
             "alpha": alpha, "beta": beta}
 

@@ -469,6 +469,21 @@ def test_bound_columns_are_nan_without_a_pdv_profile(tmp_path):
     assert "steady-state bound reduction: nan\n" in stdout["fusion-study"]
 
 
+def test_failed_plot_leaves_no_artifact(tmp_path, capsys):
+    # bclb on empirical delays has only NaN bounds to plot, so the command
+    # fails and writes neither file; fusion-study's RMSE curves still plot
+    doc = _doc()
+    _empirical(doc, tmp_path)
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(doc))
+    assert cli_main(["bclb", "--config", str(cfgp), "--out", str(tmp_path / "bclb"), "--plot"]) == 1
+    assert capsys.readouterr().err == "error: series contain no plottable points\n"
+    assert not list((tmp_path / "bclb").glob("*"))
+    out = tmp_path / "fusion-study"
+    assert cli_main(["fusion-study", "--config", str(cfgp), "--out", str(out), "--runs", "2", "--plot"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["fusion_study.csv", "fusion_study.svg"]
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(_doc(bogus=1)))

@@ -46,10 +46,16 @@ MUTATIONS = {
     ),
     "fused-skew-scaled": (
         "tacd.fusion",
-        "return weights.alpha * theta_linear + weights.beta * theta_thermal",
-        "return (weights.alpha * theta_linear + weights.beta * theta_thermal) * (1 + 1e-15)",
+        "return (1.0 - beta) * theta_linear + beta * theta_thermal",
+        "return ((1.0 - beta) * theta_linear + beta * theta_thermal) * (1 + 1e-15)",
         [("test_fusion", "test_fuse_skew_values", {}),
          ("test_artifact_digests", "test_artifact_digests", {"config": "fusion_study", "sub": "fusion-study"})],
+    ),
+    "tacd-alpha-column-set-to-beta": (
+        "tacd.runner",
+        "alpha = 1.0 - beta",
+        "alpha = beta",
+        [("test_artifact_digests", "test_artifact_digests", {"config": "fusion_study", "sub": "simulate"})],
     ),
     "fusion-bound-weight-halved": (
         "tacd.runner",
