@@ -155,13 +155,15 @@ def _cell(v, path: str) -> tuple[int, float]:
 
 
 def _estimators(v, path: str) -> tuple[str, ...]:
-    """A non-empty selection of names from the estimator table."""
+    """A non-empty selection of distinct names from the estimator table."""
     names = _list(_str)(v, path)
     if not names:
         raise ConfigError(f"{path}: expected a non-empty list")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in ESTIMATORS:
             raise ConfigError(f"{path}: unknown estimator {name!r}, expected one of {tuple(ESTIMATORS)}")
+        if name in names[:i]:
+            raise ConfigError(f"{path}: estimator {name!r} selected more than once")
     return names
 
 

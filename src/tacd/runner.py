@@ -2,17 +2,19 @@
 
 Each run draws its own RNG stream from (master_seed, run_index), and a
 batch's scenarios come from one generate_scenario call. ESTIMATORS maps
-each estimator name to one function of a batch's shared inputs
-(BatchInputs) that returns a dict of the (R, h) columns it computes; every
-estimator reads the same draws and none reads another's output, so
-comparisons are paired and adding an estimator never changes another's
-trajectory. Estimators step a whole batch of runs per period, and a run's
-trajectory is bit-identical whatever batch it is in. Results are one
-Trajectories record: the truth plus each estimator's columns. Each CSV
-artifact is one table built here: an ordered dict of named columns that
-broadcast to one shape, a row per element (report.emit_table writes it).
-Each reported number has one producer: steady-state RMSEs evaluate_rmse,
-the steady bound reduction bound_reduction, the bounds case_bounds.
+each estimator name to the function of a batch's shared inputs
+(BatchInputs) that computes its (R, h) columns; tacd and linear-only share
+one function, which steps one GSF-VB filter over both names' rows stacked.
+Every estimator reads the same draws and none reads another's output (the
+stacked rows stay independent), so comparisons are paired and adding an
+estimator never changes another's trajectory. Estimators step a whole batch
+of runs per period, and a run's trajectory is bit-identical whatever batch
+it is in. Results are one Trajectories record: the truth plus each
+estimator's columns. Each CSV artifact is one table built here: an ordered
+dict of named columns that broadcast to one shape, a row per element
+(report.emit_table writes it). Each reported number has one producer:
+steady-state RMSEs evaluate_rmse, the steady bound reduction
+bound_reduction, the bounds case_bounds.
 """
 from __future__ import annotations
 
@@ -98,19 +100,23 @@ class BatchInputs:
         return np.full(self.temp_meas.shape, np.nan)
 
 
+# Each selected name's columns, by name.
+Served = dict[str, dict[str, np.ndarray]]
+
+
 def _per_run(x, runs: int) -> np.ndarray:
     """x repeated along a new leading run axis."""
     x = np.asarray(x, dtype=float)
     return np.broadcast_to(x, (runs,) + x.shape).copy()
 
 
-def _prior(b: BatchInputs) -> GaussianBelief:
-    init, n = b.cfg.netcomm_init, len(b.z)
+def _prior(cfg: RunConfig, n: int) -> GaussianBelief:
+    init = cfg.netcomm_init
     return GaussianBelief(mean=_per_run(init.x0, n), cov=_per_run(np.diag(init.p0_diag), n))
 
 
-def _gsf_vb_filter(b: BatchInputs) -> GsfVbFilter:
-    init, n = b.cfg.netcomm_init, len(b.z)
+def _gsf_vb_filter(cfg: RunConfig, n: int) -> GsfVbFilter:
+    init = cfg.netcomm_init
     noise = isotropic_mixture_model(init.chi0, init.dof0, init.scale0)
     noise = replace(
         noise,
@@ -118,12 +124,12 @@ def _gsf_vb_filter(b: BatchInputs) -> GsfVbFilter:
         iw_dof=_per_run(noise.iw_dof, n),
         iw_scale=_per_run(noise.iw_scale, n),
     )
-    return GsfVbFilter(build_state_space(b.cfg.dynamics), noise, _prior(b), vb=b.cfg.vb)
+    return GsfVbFilter(build_state_space(cfg.dynamics), noise, _prior(cfg, n), vb=cfg.vb)
 
 
 def _track(filt, b: BatchInputs) -> dict[str, np.ndarray]:
-    """The filter's belief mean at every period: the prior at k = 0, then one
-    step per period."""
+    """The Kalman baseline's belief mean at every period: the prior at k = 0,
+    then one step per period."""
     skew, offset = b.nans(), b.nans()
     for k in range(skew.shape[1]):
         if k > 0:
@@ -132,57 +138,73 @@ def _track(filt, b: BatchInputs) -> dict[str, np.ndarray]:
     return {"skew": skew, "offset": offset}
 
 
-def _tacd(b: BatchInputs) -> dict[str, np.ndarray]:
-    """GSF-VB network phase and thermal phase, Pareto-fused each period; the
-    fused skew is fed back into the filter when configured."""
-    cfg, model = b.cfg, b.cfg.temp_model
-    filt = _gsf_vb_filter(b)
-    theta_T = skew_from_temperature(b.temp_meas, model)
-    theta_L, theta_F, delta_hat, epsilon, beta = (b.nans() for _ in range(5))
-    for k in range(theta_T.shape[1]):
+def _network_phase(b: BatchInputs, names: tuple[str, ...]) -> Served:
+    """The GSF-VB network phase of tacd and linear-only, stepped once over one
+    block of the batch's rows per selected name, stacked in selection order.
+    tacd's block is Pareto-fused with the thermal phase each period, its
+    fused skew fed back into the filter when configured; linear-only's block
+    is the filter alone and gets its own skew back. The filter is
+    row-independent, so each block's columns are the ones a pass of its own
+    would give."""
+    cfg, model, (runs, horizon) = b.cfg, b.cfg.temp_model, b.temp_meas.shape
+    blocks = {name: slice(i * runs, (i + 1) * runs) for i, name in enumerate(names)}
+    z = np.concatenate([b.z] * len(names))
+    filt = _gsf_vb_filter(cfg, len(z))
+    theta_L, delta_hat = np.full((len(z), horizon), np.nan), np.full((len(z), horizon), np.nan)
+    fused = blocks.get("tacd")
+    if fused is not None:
+        theta_T = skew_from_temperature(b.temp_meas, model)
+        theta_F, epsilon, beta = b.nans(), b.nans(), b.nans()
+    for k in range(horizon):
         if k > 0:
-            filt.step(b.z[:, k])
-        (theta_L[:, k], delta_hat[:, k]), epsilon[:, k] = filt.belief.mean.T, filt.belief.cov[..., 0, 0]
-        beta[:, k] = pareto_beta(epsilon[:, k], b.temp_meas[:, k] - model.T0, model, cfg.fusion.lam)
-        theta_F[:, k] = fuse_skew(theta_L[:, k], theta_T[:, k], beta[:, k])
-        if cfg.fusion.feedback:
-            filt.condition_on_skew(theta_F[:, k])
-    alpha = 1.0 - beta
-    return {"skew": theta_F, "offset": delta_hat, "theta_L": theta_L, "theta_T": theta_T, "epsilon": epsilon,
-            "alpha": alpha, "beta": beta}
+            filt.step(z[:, k])
+        theta_L[:, k], delta_hat[:, k] = filt.belief.mean.T
+        if fused is not None:
+            epsilon[:, k] = filt.belief.cov[fused, 0, 0]
+            beta[:, k] = pareto_beta(epsilon[:, k], b.temp_meas[:, k] - model.T0, model, cfg.fusion.lam)
+            theta_F[:, k] = fuse_skew(theta_L[fused, k], theta_T[:, k], beta[:, k])
+            if cfg.fusion.feedback:
+                skew = theta_L[:, k].copy()
+                skew[fused] = theta_F[:, k]
+                filt.condition_on_skew(skew)
+    served = {name: {"skew": theta_L[rows], "offset": delta_hat[rows]} for name, rows in blocks.items()}
+    if fused is not None:
+        alpha = 1.0 - beta
+        served["tacd"] = {"skew": theta_F, "offset": delta_hat[fused], "theta_L": theta_L[fused], "theta_T": theta_T,
+                          "epsilon": epsilon, "alpha": alpha, "beta": beta}
+    return served
 
 
-def _gptp(b: BatchInputs) -> dict[str, np.ndarray]:
+def _gptp(b: BatchInputs, names: tuple[str, ...]) -> Served:
     """Plain two-way arithmetic on the measurement; skew needs two exchanges,
     so it is NaN at k = 0."""
-    return {"skew": b.z[..., 0] / b.cfg.scenario.tau, "offset": b.z[..., 1] / 2.0}
+    return dict.fromkeys(names, {"skew": b.z[..., 0] / b.cfg.scenario.tau, "offset": b.z[..., 1] / 2.0})
 
 
-def _kalman(b: BatchInputs) -> dict[str, np.ndarray]:
+def _kalman(b: BatchInputs, names: tuple[str, ...]) -> Served:
     """Kalman filter with a fixed nominal measurement noise."""
     ss = build_state_space(b.cfg.dynamics)
-    return _track(KalmanBaseline(ss, nominal_noise_cov(b.cfg.kalman_nominal_stddev), _prior(b)), b)
+    filt = KalmanBaseline(ss, nominal_noise_cov(b.cfg.kalman_nominal_stddev), _prior(b.cfg, len(b.z)))
+    return dict.fromkeys(names, _track(filt, b))
 
 
-def _thermal_only(b: BatchInputs) -> dict[str, np.ndarray]:
+def _thermal_only(b: BatchInputs, names: tuple[str, ...]) -> Served:
     """The thermal phase alone; it estimates skew only."""
     theta_T = skew_from_temperature(b.temp_meas, b.cfg.temp_model)
-    return {"skew": theta_T, "theta_T": theta_T}
+    return dict.fromkeys(names, {"skew": theta_T, "theta_T": theta_T})
 
 
-def _linear_only(b: BatchInputs) -> dict[str, np.ndarray]:
-    """The GSF-VB network phase alone, without fusion."""
-    return _track(_gsf_vb_filter(b), b)
-
-
-# Each estimator returns its (R, h) columns, k = 0 included, by name: "skew"
-# always, "offset" where it estimates one, then any columns of its own.
+# Each estimator name maps to the function that computes it. simulate_run
+# calls each distinct function once, with the selected names it serves in
+# selection order, and it returns each name's (R, h) columns, k = 0
+# included: "skew" always, "offset" where it estimates one, then any columns
+# of its own. A function that serves one name is only ever given that name.
 ESTIMATORS = {
-    "tacd": _tacd,
+    "tacd": _network_phase,
     "gptp": _gptp,
     "kalman": _kalman,
     "thermal-only": _thermal_only,
-    "linear-only": _linear_only,
+    "linear-only": _network_phase,
 }
 
 
@@ -208,8 +230,11 @@ def simulate_run(cfg: RunConfig, runs: Sequence[int]) -> Trajectories:
     runs = np.asarray(list(runs), dtype=int)
     data = generate_scenario(cfg.scenario, [_run_rng(cfg.master_seed, r) for r in runs.tolist()])
     inputs = BatchInputs(cfg=cfg, z=build_measurement(data.exchanges, data.d), temp_meas=data.temp_meas)
+    served: Served = {}
+    for estimate in dict.fromkeys(ESTIMATORS[name] for name in cfg.estimators):
+        served.update(estimate(inputs, tuple(name for name in cfg.estimators if ESTIMATORS[name] is estimate)))
     return Trajectories(runs=runs, theta_true=data.skew_true, delta_true=data.offset_true, temp_osc=data.temp_osc,
-                        temp_meas=data.temp_meas, est={name: ESTIMATORS[name](inputs) for name in cfg.estimators})
+                        temp_meas=data.temp_meas, est={name: served[name] for name in cfg.estimators})
 
 
 def run_case(cfg: RunConfig) -> Trajectories:

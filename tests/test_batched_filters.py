@@ -146,6 +146,20 @@ def test_batch_split_invariance(case):
     assert _same(whole, uneven)
 
 
+@pytest.mark.parametrize("case", ["case3", "fusion_study"])
+def test_network_phase_subset_invariance(case):
+    # tacd and linear-only share one stacked filter pass; each one's columns
+    # are bit-identical alone, together and in either order
+    cfg = load_config(f"configs/{case}.json")
+    bits = {}
+    for names in [("tacd",), ("linear-only",), ("tacd", "linear-only"), ("linear-only", "tacd")]:
+        t = simulate_run(cfg.with_overrides(estimators=names), range(5))
+        assert tuple(t.est) == names
+        for name, columns in t.est.items():
+            got = {column: x.tobytes() for column, x in columns.items()}
+            assert bits.setdefault(name, got) == got
+
+
 def test_case_bounds_match_one_run_recursion():
     # the case's bounds at the fixed fusion weight take the one-run
     # recursion, bit for bit

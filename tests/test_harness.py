@@ -119,10 +119,10 @@ def _empirical(doc, tmp_path):
     return doc["empirical"]
 
 
-def _run_simulate(doc, tmp_path):
+def _run_simulate(doc, tmp_path, *flags):
     cfgp = tmp_path / "c.json"
     cfgp.write_text(json.dumps(doc))  # NaN and Infinity are written as JSON's literals
-    return cli_main(["simulate", "--config", str(cfgp), "--runs", "2", "--out", str(tmp_path / "out")])
+    return cli_main(["simulate", "--config", str(cfgp), "--runs", "2", "--out", str(tmp_path / "out"), *flags])
 
 
 def _negate_last(key):
@@ -180,15 +180,20 @@ _MALFORMED = [
      "empirical.csv_path: <tmp>/d.csv:4: delay must be finite and > 0, got inf"),
     ("empirical.csv_path-nan-load", _appended_row("64,nan,4e-6"),
      "empirical.csv_path: <tmp>/d.csv:4: load_percent must be finite, got nan"),
+    ("estimators-repeated", lambda doc, _: doc.update(estimators=["tacd", "gptp", "tacd"]),
+     "estimators: estimator 'tacd' selected more than once"),
+    ("--estimators-repeated", lambda doc, _: ["--estimators", "linear-only,linear-only"],
+     "estimators: estimator 'linear-only' selected more than once"),
 ]
 
 
 @pytest.mark.parametrize("edit, error", [case[1:] for case in _MALFORMED], ids=[case[0] for case in _MALFORMED])
 def test_cli_rejects_malformed_value_at_its_path(edit, error, tmp_path, capsys):
-    # <tmp> in an expected message stands for the test's directory
+    # <tmp> in an expected message stands for the test's directory; an edit
+    # may return CLI flags to pass
     doc = _doc()
-    edit(doc, tmp_path)
-    assert _run_simulate(doc, tmp_path) == 2
+    flags = edit(doc, tmp_path) or ()
+    assert _run_simulate(doc, tmp_path, *flags) == 2
     assert capsys.readouterr().err.startswith(f"config error: {error.replace('<tmp>', str(tmp_path))}")
     assert not (tmp_path / "out").exists()
 

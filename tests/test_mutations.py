@@ -57,6 +57,13 @@ MUTATIONS = {
         "alpha = beta",
         [("test_artifact_digests", "test_artifact_digests", {"config": "fusion_study", "sub": "simulate"})],
     ),
+    "fused-skew-fed-back-into-linear-only-rows": (
+        "tacd.runner",
+        "skew[fused] = theta_F[:, k]",
+        "skew[:] = np.tile(theta_F[:, k], len(names))",
+        [("test_batched_filters", "test_network_phase_subset_invariance", {"case": "case3"}),
+         ("test_artifact_digests", "test_artifact_digests", {"config": "case3", "sub": "evaluate"})],
+    ),
     "fusion-bound-weight-halved": (
         "tacd.runner",
         "FUSION_BOUND_ALPHA = 0.5",
