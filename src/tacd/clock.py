@@ -8,7 +8,7 @@ state-space form.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,11 +34,32 @@ class ClockDynamics:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Linear state-space matrices for the (skew, offset) state."""
+    """Linear state-space matrices for the (skew, offset) state.
+
+    A must be [[a00, 0], [a10, 1]] and H diagonal, diag(h0, h1), the form
+    build_state_space gives: the Gaussian-sum filter reads only these four
+    entries (as floats) and drops the zero and unit ones from its products,
+    so any other A or H raises.
+    """
 
     A: np.ndarray
     Q_v: np.ndarray
     H: np.ndarray
+    a00: float = field(init=False, repr=False)
+    a10: float = field(init=False, repr=False)
+    h0: float = field(init=False, repr=False)
+    h1: float = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        A, H = np.asarray(self.A, dtype=float), np.asarray(self.H, dtype=float)
+        if A.shape != (2, 2) or H.shape != (2, 2) or np.shape(self.Q_v) != (2, 2):
+            raise ValueError("A, Q_v and H must be 2x2")
+        if A[0, 1] != 0.0 or A[1, 1] != 1.0:
+            raise ValueError(f"A must be [[a00, 0], [a10, 1]], got {A.tolist()}")
+        if H[0, 1] != 0.0 or H[1, 0] != 0.0:
+            raise ValueError(f"H must be diagonal, got {H.tolist()}")
+        for name, value in (("a00", A[0, 0]), ("a10", A[1, 0]), ("h0", H[0, 0]), ("h1", H[1, 1])):
+            object.__setattr__(self, name, float(value))
 
 
 def build_state_space(dyn: ClockDynamics) -> StateSpace:

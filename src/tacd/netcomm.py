@@ -27,6 +27,7 @@ from .scenario import NOISE_CORR, ExchangeBatch
 
 _DIM = 2
 _LOG_2PI = np.log(2.0 * np.pi)
+_DIM_LOG_2 = _DIM * np.log(2.0)
 # Smallest inverse-Wishart dof with a finite mean margin for 2x2 matrices;
 # dofs at or below dim+1 are clamped here when the point covariance is formed.
 MIN_IW_DOF = 4.0
@@ -49,12 +50,20 @@ def _general(M: np.ndarray):
 
 
 def _matrix(a, b, d) -> np.ndarray:
-    """Symmetric (..., 2, 2) array from its entries."""
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(d)) + (_DIM, _DIM))
+    """Symmetric (..., 2, 2) array from its entries; a has the full shape."""
+    out = np.empty(np.shape(a) + (_DIM, _DIM))
     out[..., 0, 0] = a
     out[..., 0, 1] = b
     out[..., 1, 0] = b
     out[..., 1, 1] = d
+    return out
+
+
+def _vector(x0, x1) -> np.ndarray:
+    """(..., 2) array from its entries; x0 has the full shape."""
+    out = np.empty(np.shape(x0) + (_DIM,))
+    out[..., 0] = x0
+    out[..., 1] = x1
     return out
 
 
@@ -76,6 +85,14 @@ def _component_sum(x: np.ndarray):
     return total
 
 
+def _component_max(x: np.ndarray):
+    """Maximum over the last (mixture component) axis; NaN propagates."""
+    top = x[..., 0]
+    for j in range(1, x.shape[-1]):
+        top = np.maximum(top, x[..., j])
+    return top
+
+
 @dataclass(frozen=True)
 class GaussianBelief:
     """Posterior state belief: mean (skew s/s, offset s) and 2x2 covariance."""
@@ -88,7 +105,7 @@ class GaussianBelief:
         cov = np.asarray(self.cov, dtype=float)
         if mean.shape[-1:] != (_DIM,) or cov.shape != mean.shape + (_DIM,):
             raise ValueError("belief must be a 2-vector mean with 2x2 covariance")
-        if np.any(cov[..., 0, 0] <= 0.0) or np.any(cov[..., 1, 1] <= 0.0):
+        if (cov.diagonal(axis1=-2, axis2=-1) <= 0.0).any():
             raise ValueError("covariance diagonal must be positive")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -129,7 +146,7 @@ class MixtureNoiseModel:
         scale = np.asarray(self.iw_scale, dtype=float)
         if dof.shape != chi.shape or scale.shape != chi.shape + (_DIM, _DIM):
             raise ValueError("hyperparameter shapes disagree on the component count")
-        if np.any(chi <= 0.0):
+        if (chi <= 0.0).any():
             raise ValueError("Dirichlet concentrations must be > 0")
         object.__setattr__(self, "dirichlet_concentration", chi)
         object.__setattr__(self, "iw_dof", dof)
@@ -185,7 +202,7 @@ def build_measurement(ex: ExchangeBatch, d) -> np.ndarray:
     if k.ndim == 0:
         raise ValueError("exchanges need a period axis: a measurement pairs consecutive exchanges")
     gap = k[..., 1:] != k[..., :-1] + 1
-    if np.any(gap):
+    if gap.any():
         i = np.unravel_index(np.argmax(gap), gap.shape)
         raise ValueError(
             f"exchanges must come from consecutive periods, got {k[..., :-1][i]} then {k[..., 1:][i]}"
@@ -212,15 +229,16 @@ def _spd_repaired(a, b, d) -> tuple[np.ndarray, np.ndarray]:
     """Covariance from symmetric entries with the eigenvalue floor enforced.
 
     The closed-form minimum eigenvalue det / lambda_max screens the runs;
-    only those near or below the floor go through enforce_spd.
+    only those near or below the floor go through enforce_spd. Callers
+    silence numpy's floating-point warnings: a NaN or zero lambda_max makes
+    the run suspect.
     """
     cov = _matrix(a, b, d)
     repaired = np.zeros(cov.shape[:-2], dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hi = 0.5 * (a + d) + np.sqrt(0.25 * (a - d) * (a - d) + b * b)
-        lo = (a * d - b * b) / hi
-        suspect = ~(lo >= SPD_EIGENVALUE_FLOOR + _EIG_RECHECK * hi)
-    if np.any(suspect):
+    hi = 0.5 * (a + d) + np.sqrt(0.25 * (a - d) * (a - d) + b * b)
+    lo = (a * d - b * b) / hi
+    suspect = ~(lo >= SPD_EIGENVALUE_FLOOR + _EIG_RECHECK * hi)
+    if suspect.any():
         for i in np.ndindex(suspect.shape):
             if suspect[i]:
                 cov[i], repaired[i] = enforce_spd(cov[i])
@@ -228,13 +246,19 @@ def _spd_repaired(a, b, d) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gsf_predict(belief: GaussianBelief, ss: StateSpace) -> GaussianBelief:
-    """Time update: mean' = A mean, P' = A P A^T + Q_v."""
-    a00, a01, a10, a11 = _general(ss.A)
+    """Time update: mean' = A mean, P' = A P A^T + Q_v, with the zero and
+    unit entries of A = [[a00, 0], [a10, 1]] dropped from the products."""
+    a00, a10 = ss.a00, ss.a10
     x0, x1 = belief.mean[..., 0], belief.mean[..., 1]
-    mean = np.stack([a00 * x0 + a01 * x1, a10 * x0 + a11 * x1], axis=-1)
-    c00, c01, c11 = _congruence((a00, a01, a10, a11), *_entries(belief.cov))
+    p00, p01, p11 = _entries(belief.cov)
+    # the rows of A P, then (A P) A^T
+    u00, u01 = a00 * p00, a00 * p01
+    u10, u11 = a10 * p00 + p01, a10 * p01 + p11
     q00, q01, q11 = _entries(ss.Q_v)
-    return GaussianBelief(mean=mean, cov=_matrix(c00 + q00, c01 + q01, c11 + q11))
+    return GaussianBelief(
+        mean=_vector(a00 * x0, a10 * x0 + x1),
+        cov=_matrix(u00 * a00 + q00, u00 * a10 + u01 + q01, u10 * a10 + u11 + q11),
+    )
 
 
 @dataclass
@@ -262,27 +286,25 @@ def gsf_update(
     """Measurement update: one Kalman update per mixture component, combined
     by posterior component weights and moment-matched to a single Gaussian.
 
-    A component whose innovation covariance has a non-positive determinant
+    H = diag(h0, h1): its zero entries are dropped from the products. A
+    component whose innovation covariance has a non-positive determinant
     gets weight zero. In a run where every component likelihood underflows,
     the weights fall back to uniform and the run is flagged.
     """
-    h00, h01, h10, h11 = _general(ss.H)
+    h0, h1 = ss.h0, ss.h1
     x0, x1 = belief.mean[..., 0, None], belief.mean[..., 1, None]
     p00, p01, p11 = (e[..., None] for e in _entries(belief.cov))
     r00, r01, r11 = _entries(noise.point_covariances)
     w = noise.point_weights
     n = noise.num_components
 
-    v0 = z[..., 0, None] - (h00 * x0 + h01 * x1)
-    v1 = z[..., 1, None] - (h10 * x0 + h11 * x1)
+    v0 = z[..., 0, None] - h0 * x0
+    v1 = z[..., 1, None] - h1 * x1
     # G = P H^T, then the innovation covariance H G + R_j of every component
-    g00 = p00 * h00 + p01 * h01
-    g01 = p00 * h10 + p01 * h11
-    g10 = p01 * h00 + p11 * h01
-    g11 = p01 * h10 + p11 * h11
-    s00 = (h00 * g00 + h01 * g10) + r00
-    s01 = (h00 * g01 + h01 * g11) + r01
-    s11 = (h10 * g01 + h11 * g11) + r11
+    g00, g01, g10, g11 = p00 * h0, p01 * h1, p01 * h0, p11 * h1
+    s00 = h0 * g00 + r00
+    s01 = h0 * g01 + r01
+    s11 = h1 * g11 + r11
     det = s00 * s11 - s01 * s01
 
     # a singular component, or a run whose likelihoods all underflow, goes
@@ -298,26 +320,21 @@ def gsf_update(
         m0 = x0 + (k00 * v0 + k01 * v1)
         m1 = x1 + (k10 * v0 + k11 * v1)
         # Joseph form (I - K H) P (I - K H)^T + K R K^T keeps each component PSD
-        ikh = (
-            1.0 - (k00 * h00 + k01 * h10),
-            -(k00 * h01 + k01 * h11),
-            -(k10 * h00 + k11 * h10),
-            1.0 - (k10 * h01 + k11 * h11),
-        )
+        ikh = (1.0 - k00 * h0, -(k01 * h1), -(k10 * h0), 1.0 - k11 * h1)
         j00, j01, j11 = _congruence(ikh, p00, p01, p11)
         n00, n01, n11 = _congruence((k00, k01, k10, k11), r00, r01, r11)
         c00, c01, c11 = j00 + n00, j01 + n01, j11 + n11
 
         singular = det <= 0.0
-        if np.any(singular):
+        if singular.any():
             logw = np.where(singular, -np.inf, logw)
             m0, m1 = np.where(singular, x0, m0), np.where(singular, x1, m1)
             c00, c01, c11 = (np.where(singular, p, c) for p, c in ((p00, c00), (p01, c01), (p11, c11)))
 
-        underflow = ~np.any(np.isfinite(logw), axis=-1)
-        wts = np.exp(logw - np.max(logw, axis=-1, keepdims=True))
+        underflow = ~np.isfinite(logw).any(axis=-1)
+        wts = np.exp(logw - _component_max(logw)[..., None])
         wts = wts / _component_sum(wts)[..., None]
-        if np.any(underflow):
+        if underflow.any():
             wts = np.where(underflow[..., None], 1.0 / n, wts)
 
         mean0 = _component_sum(wts * m0)
@@ -329,7 +346,7 @@ def gsf_update(
             _component_sum(wts * (c11 + e1 * e1)),
         )
     return GsfUpdateResult(
-        belief=GaussianBelief(mean=np.stack([mean0, mean1], axis=-1), cov=cov),
+        belief=GaussianBelief(mean=_vector(mean0, mean1), cov=cov),
         responsibilities=wts,
         underflow_runs=underflow,
         repaired_runs=repaired,
@@ -348,51 +365,58 @@ def vb_refine(
     Hyperparameters are first discounted by the forgetting factor (the
     prediction distribution for the non-stationary noise), then updated with
     the responsibility-weighted residual statistic
-    S = (z - H x)(z - H x)^T + H P H^T built from the current posterior.
-    Convergence is judged per run: a converged run keeps its values while
-    the others iterate on, up to max_iterations.
+    S = (z - H x)(z - H x)^T + H P H^T built from the current posterior,
+    H = diag(h0, h1). Convergence is judged per run: a converged run keeps
+    its values while the others iterate on, up to max_iterations.
+
+    The hyperparameters (chi, dof, V00, V01, V11) are the rows of one
+    array, so an update is pred + q * stat, stat's rows being what each
+    unit of responsibility adds: 1, 1 and the entries of S.
     """
     rho = settings.forgetting_factor
-    chi_pred = rho * noise.dirichlet_concentration
-    dof_pred = rho * noise.iw_dof + (1.0 - rho) * MIN_IW_DOF
-    scale_pred = [rho * e for e in _entries(noise.iw_scale)]
+    h0, h1 = ss.h0, ss.h1
+    r0 = z[..., 0] - h0 * belief.mean[..., 0]
+    r1 = z[..., 1] - h1 * belief.mean[..., 1]
+    p00, p01, p11 = _entries(belief.cov)
+    stat = np.empty((5,) + r0.shape + (1,))
+    stat[:2] = 1.0
+    stat[2, ..., 0] = r0 * r0 + (h0 * p00) * h0
+    stat[3, ..., 0] = r0 * r1 + (h0 * p01) * h1
+    stat[4, ..., 0] = r1 * r1 + (h1 * p11) * h1
+    s00, s01, s11 = stat[2:]
 
-    H = _general(ss.H)
-    x0, x1 = belief.mean[..., 0], belief.mean[..., 1]
-    r0 = z[..., 0] - (H[0] * x0 + H[1] * x1)
-    r1 = z[..., 1] - (H[2] * x0 + H[3] * x1)
-    h00, h01, h11 = _congruence(H, *_entries(belief.cov))
-    s00, s01, s11 = ((r0 * r0 + h00)[..., None], (r0 * r1 + h01)[..., None], (r1 * r1 + h11)[..., None])
-    stat = (s00, s01, s11)
+    pred = np.empty((5,) + noise.dirichlet_concentration.shape)
+    pred[0] = noise.dirichlet_concentration
+    pred[1] = noise.iw_dof
+    pred[2], pred[3], pred[4] = _entries(noise.iw_scale)
+    pred *= rho
+    pred[1] += (1.0 - rho) * MIN_IW_DOF
 
-    chi, dof, scale = chi_pred, dof_pred, scale_pred
-    active = np.ones(chi.shape[:-1], dtype=bool)
+    params = pred
+    active = np.ones(r0.shape, dtype=bool)
+    held = False
     q_prev = None
     for _ in range(settings.max_iterations):
-        v00, v01, v11 = scale
+        chi, dof, v00, v01, v11 = params
         det = v00 * v11 - v01 * v01
-        e_logdet_prec = (
-            digamma(0.5 * dof) + digamma(0.5 * (dof - 1.0)) + _DIM * np.log(2.0) - np.log(np.abs(det))
-        )
+        e_logdet_prec = digamma(0.5 * dof) + digamma(0.5 * (dof - 1.0)) + _DIM_LOG_2 - np.log(np.abs(det))
         e_log_pi = digamma(chi) - digamma(_component_sum(chi))[..., None]
         tr_term = dof * ((v11 * s00 - 2.0 * v01 * s01 + v00 * s11) / det)
         logq = e_log_pi + 0.5 * e_logdet_prec - 0.5 * tr_term
-        q = np.exp(logq - np.max(logq, axis=-1, keepdims=True))
+        q = np.exp(logq - _component_max(logq)[..., None])
         q = q / _component_sum(q)[..., None]
 
-        new_chi, new_dof, new_scale = chi_pred + q, dof_pred + q, [p + q * s for p, s in zip(scale_pred, stat)]
-        if not np.all(active):
-            keep = active[..., None]
-            new_chi, new_dof = np.where(keep, new_chi, chi), np.where(keep, new_dof, dof)
-            new_scale = [np.where(keep, a, b) for a, b in zip(new_scale, scale)]
-        chi, dof, scale = new_chi, new_dof, new_scale
+        update = pred + q * stat
+        params = np.where(active[..., None], update, params) if held else update
         if q_prev is not None:
-            active = active & ~(np.max(np.abs(q - q_prev), axis=-1) < settings.convergence_tol)
-            if not np.any(active):
+            active = active & ~(_component_max(np.abs(q - q_prev)) < settings.convergence_tol)
+            still = np.count_nonzero(active)
+            if not still:
                 break
+            held = still < active.size
         q_prev = q
 
-    return MixtureNoiseModel(dirichlet_concentration=chi, iw_dof=dof, iw_scale=_matrix(*scale))
+    return MixtureNoiseModel(dirichlet_concentration=params[0], iw_dof=params[1], iw_scale=_matrix(*params[2:]))
 
 
 class GsfVbFilter:
@@ -438,14 +462,23 @@ class GsfVbFilter:
 class KalmanBaseline:
     """Textbook Kalman filter with a fixed single-Gaussian measurement noise.
 
-    Written out directly (no mixture machinery) so it doubles as an
-    independent cross-check of the Gaussian-sum path.
+    With R fixed and one prior covariance shared by every run, the
+    covariance and gain recursion is the same for every run, so it runs
+    once per period on scalars and only the (..., 2) means are stepped per
+    run; belief.cov is that one (2, 2) covariance, broadcast read-only over
+    the runs, and per-run prior covariances that differ raise. Written out
+    directly with the general A and H (no mixture machinery, no entry
+    assumed zero or one), so it doubles as an independent cross-check of
+    the Gaussian-sum path.
     """
 
     def __init__(self, ss: StateSpace, r_fixed: np.ndarray, belief: GaussianBelief):
+        priors = belief.cov.reshape((-1, _DIM, _DIM))
+        if (priors != priors[0]).any():
+            raise ValueError("the runs' prior covariances must be equal: the Kalman covariance is shared")
         self.ss = ss
         self.R = np.asarray(r_fixed, dtype=float)
-        self.belief = belief
+        self.belief = GaussianBelief(mean=belief.mean, cov=np.broadcast_to(priors[0], belief.cov.shape))
 
     def step(self, z) -> GaussianBelief:
         """Advance one period on the measurement z, as GsfVbFilter.step;
@@ -454,25 +487,28 @@ class KalmanBaseline:
         A, H = _general(self.ss.A), _general(self.ss.H)
         q00, q01, q11 = _entries(self.ss.Q_v)
         r00, r01, r11 = _entries(self.R)
-        x0, x1 = self.belief.mean[..., 0], self.belief.mean[..., 1]
-        xp0, xp1 = A[0] * x0 + A[1] * x1, A[2] * x0 + A[3] * x1
-        a, b, c = _congruence(A, *_entries(self.belief.cov))
+        # the shared covariance: P' = A P A^T + Q_v, S = H P' H^T + R,
+        # K = P' H^T S^-1, then the Joseph form
+        a, b, c = _congruence(A, *_entries(self.belief.cov.reshape((-1, _DIM, _DIM))[0]))
         a, b, c = a + q00, b + q01, c + q11
-        # S = H P H^T + R; K = P H^T S^-1
         f00, f01, f10, f11 = a * H[0] + b * H[1], a * H[2] + b * H[3], b * H[0] + c * H[1], b * H[2] + c * H[3]
         s00, s01, s11 = _congruence(H, a, b, c)
         s00, s01, s11 = s00 + r00, s01 + r01, s11 + r11
         det = s00 * s11 - s01 * s01
         K = ((f00 * s11 - f01 * s01) / det, (f01 * s00 - f00 * s01) / det,
              (f10 * s11 - f11 * s01) / det, (f11 * s00 - f10 * s01) / det)
-        y0 = z[..., 0] - (H[0] * xp0 + H[1] * xp1)
-        y1 = z[..., 1] - (H[2] * xp0 + H[3] * xp1)
-        mean = np.stack([xp0 + (K[0] * y0 + K[1] * y1), xp1 + (K[2] * y0 + K[3] * y1)], axis=-1)
         ikh = (1.0 - (K[0] * H[0] + K[1] * H[2]), -(K[0] * H[1] + K[1] * H[3]),
                -(K[2] * H[0] + K[3] * H[2]), 1.0 - (K[2] * H[1] + K[3] * H[3]))
         j = _congruence(ikh, a, b, c)
         n = _congruence(K, r00, r01, r11)
-        self.belief = GaussianBelief(mean=mean, cov=_matrix(j[0] + n[0], j[1] + n[1], j[2] + n[2]))
+        cov = _matrix(j[0] + n[0], j[1] + n[1], j[2] + n[2])
+        # the per-run means
+        x0, x1 = self.belief.mean[..., 0], self.belief.mean[..., 1]
+        xp0, xp1 = A[0] * x0 + A[1] * x1, A[2] * x0 + A[3] * x1
+        y0 = z[..., 0] - (H[0] * xp0 + H[1] * xp1)
+        y1 = z[..., 1] - (H[2] * xp0 + H[3] * xp1)
+        mean = _vector(xp0 + (K[0] * y0 + K[1] * y1), xp1 + (K[2] * y0 + K[3] * y1))
+        self.belief = GaussianBelief(mean=mean, cov=np.broadcast_to(cov, self.belief.cov.shape))
         return self.belief
 
 
