@@ -51,15 +51,16 @@ class StateSpace:
     h1: float = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        A, H = np.asarray(self.A, dtype=float), np.asarray(self.H, dtype=float)
-        if A.shape != (2, 2) or H.shape != (2, 2) or np.shape(self.Q_v) != (2, 2):
+        A, Q_v, H = (np.asarray(M, dtype=float) for M in (self.A, self.Q_v, self.H))
+        if A.shape != (2, 2) or Q_v.shape != (2, 2) or H.shape != (2, 2):
             raise ValueError("A, Q_v and H must be 2x2")
         if A[0, 1] != 0.0 or A[1, 1] != 1.0:
             raise ValueError(f"A must be [[a00, 0], [a10, 1]], got {A.tolist()}")
         if H[0, 1] != 0.0 or H[1, 0] != 0.0:
             raise ValueError(f"H must be diagonal, got {H.tolist()}")
-        for name, value in (("a00", A[0, 0]), ("a10", A[1, 0]), ("h0", H[0, 0]), ("h1", H[1, 1])):
-            object.__setattr__(self, name, float(value))
+        for name, value in (("A", A), ("Q_v", Q_v), ("H", H), ("a00", float(A[0, 0])), ("a10", float(A[1, 0])),
+                            ("h0", float(H[0, 0])), ("h1", float(H[1, 1]))):
+            object.__setattr__(self, name, value)
 
 
 def build_state_space(dyn: ClockDynamics) -> StateSpace:

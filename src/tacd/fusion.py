@@ -38,7 +38,7 @@ def pareto_beta(linear_variance, temp_gap, model: TempSkewModel, lam: float) -> 
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
     eps = linear_variance
-    if np.any(np.less_equal(eps, 0.0)):
+    if np.less_equal(eps, 0.0).any():
         raise ValueError("linear_variance must be > 0")
     s2 = model.sigma_T_sq
     k2 = model.kappa**2
@@ -48,7 +48,7 @@ def pareto_beta(linear_variance, temp_gap, model: TempSkewModel, lam: float) -> 
     with np.errstate(divide="ignore", invalid="ignore"):
         eta = np.divide((1.0 - lam) * eps, denom)
     beta = np.where(denom == 0.0, 0.0, np.clip(eta, 0.0, 1.0))
-    if np.any(np.isnan(beta)):
+    if np.isnan(beta).any():
         raise ValueError("beta must lie in [0, 1]")
     return beta
 

@@ -16,7 +16,7 @@ order, so each run's result is bit-identical whatever batch it is in.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -456,7 +456,7 @@ class GsfVbFilter:
         """Replace the belief-mean skew entry, leaving the covariance alone."""
         mean = self.belief.mean.copy()
         mean[..., 0] = skew
-        self.belief = replace(self.belief, mean=mean)
+        self.belief = GaussianBelief(mean=mean, cov=self.belief.cov)
 
 
 class KalmanBaseline:
@@ -484,23 +484,22 @@ class KalmanBaseline:
         """Advance one period on the measurement z, as GsfVbFilter.step;
         returns the posterior."""
         z = np.asarray(z, dtype=float)
-        A, H = _general(self.ss.A), _general(self.ss.H)
-        q00, q01, q11 = _entries(self.ss.Q_v)
-        r00, r01, r11 = _entries(self.R)
-        # the shared covariance: P' = A P A^T + Q_v, S = H P' H^T + R,
-        # K = P' H^T S^-1, then the Joseph form
-        a, b, c = _congruence(A, *_entries(self.belief.cov.reshape((-1, _DIM, _DIM))[0]))
-        a, b, c = a + q00, b + q01, c + q11
+        A, H, Q, R = (tuple(M.flat) for M in (self.ss.A, self.ss.H, self.ss.Q_v, self.R))
+        # the shared covariance, on numpy scalars: P' = A P A^T + Q_v,
+        # S = H P' H^T + R, K = P' H^T S^-1, then the Joseph form
+        P = tuple(self.belief.cov.reshape((-1, _DIM, _DIM))[0].flat)
+        a, b, c = _congruence(A, P[0], P[1], P[3])
+        a, b, c = a + Q[0], b + Q[1], c + Q[3]
         f00, f01, f10, f11 = a * H[0] + b * H[1], a * H[2] + b * H[3], b * H[0] + c * H[1], b * H[2] + c * H[3]
         s00, s01, s11 = _congruence(H, a, b, c)
-        s00, s01, s11 = s00 + r00, s01 + r01, s11 + r11
+        s00, s01, s11 = s00 + R[0], s01 + R[1], s11 + R[3]
         det = s00 * s11 - s01 * s01
         K = ((f00 * s11 - f01 * s01) / det, (f01 * s00 - f00 * s01) / det,
              (f10 * s11 - f11 * s01) / det, (f11 * s00 - f10 * s01) / det)
         ikh = (1.0 - (K[0] * H[0] + K[1] * H[2]), -(K[0] * H[1] + K[1] * H[3]),
                -(K[2] * H[0] + K[3] * H[2]), 1.0 - (K[2] * H[1] + K[3] * H[3]))
         j = _congruence(ikh, a, b, c)
-        n = _congruence(K, r00, r01, r11)
+        n = _congruence(K, R[0], R[1], R[3])
         cov = _matrix(j[0] + n[0], j[1] + n[1], j[2] + n[2])
         # the per-run means
         x0, x1 = self.belief.mean[..., 0], self.belief.mean[..., 1]

@@ -154,6 +154,7 @@ def _network_phase(b: BatchInputs, names: tuple[str, ...]) -> Served:
     fused = blocks.get("tacd")
     if fused is not None:
         theta_T = skew_from_temperature(b.temp_meas, model)
+        temp_gap = b.temp_meas - model.T0
         theta_F, epsilon, beta = b.nans(), b.nans(), b.nans()
     for k in range(horizon):
         if k > 0:
@@ -161,7 +162,7 @@ def _network_phase(b: BatchInputs, names: tuple[str, ...]) -> Served:
         theta_L[:, k], delta_hat[:, k] = filt.belief.mean.T
         if fused is not None:
             epsilon[:, k] = filt.belief.cov[fused, 0, 0]
-            beta[:, k] = pareto_beta(epsilon[:, k], b.temp_meas[:, k] - model.T0, model, cfg.fusion.lam)
+            beta[:, k] = pareto_beta(epsilon[:, k], temp_gap[:, k], model, cfg.fusion.lam)
             theta_F[:, k] = fuse_skew(theta_L[fused, k], theta_T[:, k], beta[:, k])
             if cfg.fusion.feedback:
                 skew = theta_L[:, k].copy()
