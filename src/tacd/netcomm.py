@@ -67,6 +67,16 @@ def _vector(x0, x1) -> np.ndarray:
     return out
 
 
+def _lead(x: np.ndarray) -> np.ndarray:
+    """x with its last axis moved to the front (a view)."""
+    return x.transpose((-1,) + tuple(range(x.ndim - 1)))
+
+
+def _flat(M: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) entries as (..., 4): 00, 01, 10, 11."""
+    return M.reshape(M.shape[:-2] + (_DIM * _DIM,))
+
+
 def _congruence(T, a, b, d):
     """Entries of T M T^T for a general T and a symmetric M = (a, b, d)."""
     t00, t01, t10, t11 = T
@@ -292,14 +302,19 @@ def gsf_update(
     the weights fall back to uniform and the run is flagged.
     """
     h0, h1 = ss.h0, ss.h1
-    x0, x1 = belief.mean[..., 0, None], belief.mean[..., 1, None]
-    p00, p01, p11 = (e[..., None] for e in _entries(belief.cov))
-    r00, r01, r11 = _entries(noise.point_covariances)
     w = noise.point_weights
     n = noise.num_components
+    # the per-run operands, repeated over the components: numpy steps
+    # equal-shape contiguous operands faster than broadcast ones
+    per_run = np.empty((7,) + w.shape)
+    per_run[:2] = _lead(belief.mean)[..., None]
+    per_run[2:4] = _lead(z)[..., None]
+    per_run[4:] = _lead(_flat(belief.cov))[[0, 1, 3], ..., None]
+    x0, x1, z0, z1, p00, p01, p11 = per_run
+    r00, r01, r11 = _entries(noise.point_covariances)
 
-    v0 = z[..., 0, None] - h0 * x0
-    v1 = z[..., 1, None] - h1 * x1
+    v0 = z0 - h0 * x0
+    v1 = z1 - h1 * x1
     # G = P H^T, then the innovation covariance H G + R_j of every component
     g00, g01, g10, g11 = p00 * h0, p01 * h1, p01 * h0, p11 * h1
     s00 = h0 * g00 + r00
@@ -378,14 +393,15 @@ def vb_refine(
     r0 = z[..., 0] - h0 * belief.mean[..., 0]
     r1 = z[..., 1] - h1 * belief.mean[..., 1]
     p00, p01, p11 = _entries(belief.cov)
-    stat = np.empty((5,) + r0.shape + (1,))
+    # repeated over the components, like gsf_update's per-run operands
+    stat = np.empty((5,) + noise.dirichlet_concentration.shape)
     stat[:2] = 1.0
-    stat[2, ..., 0] = r0 * r0 + (h0 * p00) * h0
-    stat[3, ..., 0] = r0 * r1 + (h0 * p01) * h1
-    stat[4, ..., 0] = r1 * r1 + (h1 * p11) * h1
+    stat[2] = (r0 * r0 + (h0 * p00) * h0)[..., None]
+    stat[3] = (r0 * r1 + (h0 * p01) * h1)[..., None]
+    stat[4] = (r1 * r1 + (h1 * p11) * h1)[..., None]
     s00, s01, s11 = stat[2:]
 
-    pred = np.empty((5,) + noise.dirichlet_concentration.shape)
+    pred = np.empty(stat.shape)
     pred[0] = noise.dirichlet_concentration
     pred[1] = noise.iw_dof
     pred[2], pred[3], pred[4] = _entries(noise.iw_scale)
