@@ -12,10 +12,12 @@ from tacd.config import load_config
 from tacd.netcomm import (
     GaussianBelief,
     GsfVbFilter,
+    KalmanBaseline,
     MixtureNoiseModel,
     VbSettings,
     gsf_update,
     isotropic_mixture_model,
+    nominal_noise_cov,
     vb_refine,
 )
 from tacd.report import load_csv_columns
@@ -104,6 +106,46 @@ def test_batched_filter_matches_scalar_oracle(case):
     iters = np.array([[it for it, _ in f.vb_log] for f in scalar])
     converged = np.array([[c for _, c in f.vb_log] for f in scalar])
     assert np.any(np.any(iters < cfg.vb.max_iterations, axis=0) & np.any(~converged, axis=0))
+
+
+def test_poisoned_row_leaves_the_other_rows_alone():
+    # an absurd measurement in row 0 (nothing gates outliers) wrecks that
+    # row only: in every period rows 1-3 of both filters are bit for bit
+    # what a batch without row 0 gives, the VB hold on converged rows and
+    # the shared Kalman covariance included
+    cfg = load_config("configs/case1.json")
+    init = cfg.netcomm_init
+    ss = build_state_space(cfg.dynamics)
+    isotropic = isotropic_mixture_model(init.chi0, init.dof0, init.scale0)
+    z = _measurements(cfg, range(200, 204))
+    z[0, 39] = 1e150
+
+    def filters(rows):
+        tile = lambda x: np.tile(x, (rows,) + (1,) * np.ndim(x))  # noqa: E731
+        belief = GaussianBelief(tile(init.x0), tile(np.diag(init.p0_diag)))
+        noise = MixtureNoiseModel(tile(isotropic.dirichlet_concentration), tile(isotropic.iw_dof),
+                                  tile(isotropic.iw_scale))
+        return (GsfVbFilter(ss, noise, belief, vb=cfg.vb),
+                KalmanBaseline(ss, nominal_noise_cov(cfg.kalman_nominal_stddev), belief))
+
+    (gsf, kalman), (gsf_clean, kalman_clean) = filters(4), filters(3)
+    with np.errstate(all="ignore"):
+        for k in range(z.shape[1]):
+            underflow = gsf.step(z[:, k]).underflow_runs
+            gsf_clean.step(z[1:, k])
+            kalman.step(z[:, k])
+            kalman_clean.step(z[1:, k])
+            assert not underflow[1:].any()
+            pairs = [
+                (gsf.belief.mean, gsf_clean.belief.mean), (gsf.belief.cov, gsf_clean.belief.cov),
+                (gsf.noise.dirichlet_concentration, gsf_clean.noise.dirichlet_concentration),
+                (gsf.noise.iw_dof, gsf_clean.noise.iw_dof), (gsf.noise.iw_scale, gsf_clean.noise.iw_scale),
+                (kalman.belief.mean, kalman_clean.belief.mean), (kalman.belief.cov, kalman_clean.belief.cov),
+            ]
+            for poisoned, clean in pairs:
+                assert poisoned[1:].tobytes() == clean.tobytes(), k
+    # row 0 was wrecked
+    assert not np.isfinite(gsf.belief.mean[0]).any() and underflow[0]
 
 
 def test_update_counters_are_python_scalars(ss):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from tacd.clock import ClockDynamics, build_state_space
+from tacd.clock import ClockDynamics, StateSpace, build_state_space
 from tacd.scenario import LinkConfig, PdvProfile, ScenarioConfig, TruthOptions, generate_scenario
 from tacd.thermal import TempSkewModel
 
@@ -82,6 +82,24 @@ def test_state_space_reference_parameters():
     assert ss.Q_v[0, 1] == ss.Q_v[1, 0] == SIGMA_U_SQ * 1.0
     assert ss.Q_v[1, 1] == SIGMA_U_SQ * 1.0
     assert np.array_equal(ss.H, np.diag([1.0, 2.0]))
+
+
+def test_state_space_reads_the_structured_entries():
+    ss = build_state_space(ClockDynamics(m=0.5, sigma_u_sq=1.0, tau=3.0))
+    assert (ss.a00, ss.a10, ss.h0, ss.h1) == (0.5, 1.5, 3.0, 2.0)
+    assert all(type(x) is float for x in (ss.a00, ss.a10, ss.h0, ss.h1))
+
+
+@pytest.mark.parametrize("entry", [("A", 0, 1, 1e-9), ("A", 1, 1, 0.5), ("H", 0, 1, 1e-9), ("H", 1, 0, -1.0),
+                                   ("H", 1, 0, np.nan)])
+def test_state_space_rejects_unstructured_matrices(entry):
+    # the filters read only a00, a10, h0 and h1, so any other A or H raises
+    name, i, j, value = entry
+    ss = build_state_space(ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0))
+    matrices = {"A": ss.A.copy(), "Q_v": ss.Q_v, "H": ss.H.copy()}
+    matrices[name][i, j] = value
+    with pytest.raises(ValueError, match=name):
+        StateSpace(**matrices)
 
 
 def test_invalid_dynamics_rejected():

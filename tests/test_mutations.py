@@ -88,6 +88,25 @@ MUTATIONS = {
         "return np.zeros(cfg.scenario.horizon), np.zeros(cfg.scenario.horizon)",
         [("test_harness", "test_bound_columns_are_nan_without_a_pdv_profile", {})],
     ),
+    "shared-kalman-covariance-never-advanced": (
+        "tacd.netcomm",
+        "cov=np.broadcast_to(cov, self.belief.cov.shape)",
+        "cov=self.belief.cov",
+        [("test_netcomm", "test_step_equals_fixed_noise_kalman_for_single_component", {})],
+    ),
+    "converged-vb-rows-not-held": (
+        "tacd.netcomm",
+        "params = np.where(active[..., None], update, params) if held else update",
+        "params = update",
+        [("test_batched_filters", "test_batched_filter_matches_scalar_oracle", {"case": "case3"})],
+    ),
+    "offset-innovation-scaled-by-skew-entry-of-h": (
+        "tacd.netcomm",
+        "v1 = z1 - h1 * x1",
+        "v1 = z1 - h0 * x1",
+        [("test_batched_filters", "test_batched_filter_matches_scalar_oracle", {"case": "case1"}),
+         ("test_artifact_digests", "test_artifact_digests", {"config": "case3", "sub": "evaluate"})],
+    ),
     "dof-at-existence-boundary-not-clamped": (
         "tacd.netcomm",
         "return bool(np.any(self.iw_dof <= _DIM + 1))",

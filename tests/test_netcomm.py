@@ -426,6 +426,20 @@ def test_step_equals_fixed_noise_kalman_for_single_component():
         assert np.allclose(a.cov, b.cov, rtol=1e-12, atol=0.0)
 
 
+def test_kalman_shares_one_covariance_across_runs(ss):
+    # the covariance recursion is the same for every run: one read-only
+    # (2, 2) broadcast over the runs, and priors that differ raise
+    kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), _per_run_belief(3))
+    for belief in (kal.belief, kal.step(np.zeros((3, 2)))):
+        assert belief.cov.shape == (3, 2, 2) and belief.cov.strides[0] == 0
+        assert not belief.cov.flags.writeable
+    priors = _per_run_belief(3)
+    cov = priors.cov.copy()
+    cov[2, 1, 1] *= 2.0
+    with pytest.raises(ValueError, match="prior covariances"):
+        KalmanBaseline(ss, nominal_noise_cov(5e-6), GaussianBelief(priors.mean, cov))
+
+
 def test_kalman_misspecified_noise_still_unbiased():
     cfg = _stationary_cfg(75, (5e-6,), (1.0,))
     dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
