@@ -13,6 +13,16 @@ covariances (..., 2, 2), mixture weights (..., N_g) and mixture scales
 (..., N_g, 2, 2). An unbatched call is the () case. The 2x2 algebra is
 written out entry by entry and sums over mixture components run in a fixed
 order, so each run's result is bit-identical whatever batch it is in.
+
+A period is bound by numpy's per-call cost, not by arithmetic, so the
+Gaussian-sum path makes few calls: it reads A = [[a00, 0], [a10, 1]] and
+H = diag(h0, h1) as four floats off the StateSpace and drops the zero and
+unit entries from its products, repeats its per-run operands over the
+mixture components (equal-shape operands are stepped faster than broadcast
+ones), and vb_refine keeps the five hyperparameter rows in one array. The
+Kalman baseline runs its covariance recursion, the same for every run, once
+per period on scalars. For finite operands these give the values of the
+general-form products, which tests/oracles.py keeps as the reference.
 """
 from __future__ import annotations
 
@@ -45,10 +55,6 @@ def _entries(M: np.ndarray):
     return M[..., 0, 0], M[..., 0, 1], M[..., 1, 1]
 
 
-def _general(M: np.ndarray):
-    return M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
-
-
 def _matrix(a, b, d) -> np.ndarray:
     """Symmetric (..., 2, 2) array from its entries; a has the full shape."""
     out = np.empty(np.shape(a) + (_DIM, _DIM))
@@ -65,16 +71,6 @@ def _vector(x0, x1) -> np.ndarray:
     out[..., 0] = x0
     out[..., 1] = x1
     return out
-
-
-def _lead(x: np.ndarray) -> np.ndarray:
-    """x with its last axis moved to the front (a view)."""
-    return x.transpose((-1,) + tuple(range(x.ndim - 1)))
-
-
-def _flat(M: np.ndarray) -> np.ndarray:
-    """(..., 2, 2) entries as (..., 4): 00, 01, 10, 11."""
-    return M.reshape(M.shape[:-2] + (_DIM * _DIM,))
 
 
 def _congruence(T, a, b, d):
@@ -307,9 +303,9 @@ def gsf_update(
     # the per-run operands, repeated over the components: numpy steps
     # equal-shape contiguous operands faster than broadcast ones
     per_run = np.empty((7,) + w.shape)
-    per_run[:2] = _lead(belief.mean)[..., None]
-    per_run[2:4] = _lead(z)[..., None]
-    per_run[4:] = _lead(_flat(belief.cov))[[0, 1, 3], ..., None]
+    operands = (belief.mean[..., 0], belief.mean[..., 1], z[..., 0], z[..., 1], *_entries(belief.cov))
+    for row, x in zip(per_run, operands):
+        row[...] = x[..., None]
     x0, x1, z0, z1, p00, p01, p11 = per_run
     r00, r01, r11 = _entries(noise.point_covariances)
 
@@ -494,6 +490,8 @@ class KalmanBaseline:
             raise ValueError("the runs' prior covariances must be equal: the Kalman covariance is shared")
         self.ss = ss
         self.R = np.asarray(r_fixed, dtype=float)
+        if self.R.shape != (_DIM, _DIM):
+            raise ValueError(f"the fixed measurement covariance must be 2x2, got shape {self.R.shape}")
         self.belief = GaussianBelief(mean=belief.mean, cov=np.broadcast_to(priors[0], belief.cov.shape))
 
     def step(self, z) -> GaussianBelief:

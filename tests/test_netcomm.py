@@ -438,6 +438,8 @@ def test_kalman_shares_one_covariance_across_runs(ss):
     cov[2, 1, 1] *= 2.0
     with pytest.raises(ValueError, match="prior covariances"):
         KalmanBaseline(ss, nominal_noise_cov(5e-6), GaussianBelief(priors.mean, cov))
+    with pytest.raises(ValueError, match="2x2"):
+        KalmanBaseline(ss, np.stack([nominal_noise_cov(5e-6)] * 3), priors)
 
 
 def test_kalman_misspecified_noise_still_unbiased():
