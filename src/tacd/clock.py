@@ -58,8 +58,8 @@ class StateSpace:
             raise ValueError(f"A must be [[a00, 0], [a10, 1]], got {A.tolist()}")
         if H[0, 1] != 0.0 or H[1, 0] != 0.0:
             raise ValueError(f"H must be diagonal, got {H.tolist()}")
-        for name, value in (("A", A), ("Q_v", Q_v), ("H", H), ("a00", float(A[0, 0])), ("a10", float(A[1, 0])),
-                            ("h0", float(H[0, 0])), ("h1", float(H[1, 1]))):
+        values = dict(A=A, Q_v=Q_v, H=H, a00=float(A[0, 0]), a10=float(A[1, 0]), h0=float(H[0, 0]), h1=float(H[1, 1]))
+        for name, value in values.items():
             object.__setattr__(self, name, value)
 
 

@@ -486,6 +486,8 @@ class KalmanBaseline:
 
     def __init__(self, ss: StateSpace, r_fixed: np.ndarray, belief: GaussianBelief):
         priors = belief.cov.reshape((-1, _DIM, _DIM))
+        if len(priors) == 0:
+            raise ValueError("the Kalman baseline needs at least one run's prior")
         if (priors != priors[0]).any():
             raise ValueError("the runs' prior covariances must be equal: the Kalman covariance is shared")
         self.ss = ss

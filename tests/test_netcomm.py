@@ -440,6 +440,8 @@ def test_kalman_shares_one_covariance_across_runs(ss):
         KalmanBaseline(ss, nominal_noise_cov(5e-6), GaussianBelief(priors.mean, cov))
     with pytest.raises(ValueError, match="2x2"):
         KalmanBaseline(ss, np.stack([nominal_noise_cov(5e-6)] * 3), priors)
+    with pytest.raises(ValueError, match="at least one run"):
+        KalmanBaseline(ss, nominal_noise_cov(5e-6), GaussianBelief(np.empty((0, 2)), np.empty((0, 2, 2))))
 
 
 def test_kalman_misspecified_noise_still_unbiased():
