@@ -1,8 +1,9 @@
 """Byte identity of every CLI artifact on the shipped configs.
 
 Each subcommand runs on each shipped config, with --runs 3 where it takes
---runs (bclb runs no Monte-Carlo runs), and evaluate runs again with
---runs 40, where many rows share each filter pass; the SHA-256 digest of
+--runs (bclb runs no Monte-Carlo runs). evaluate runs again with --runs 40,
+where many rows share each filter pass, and simulate with --runs 40, whose
+trajectory table holds many runs of every column; the SHA-256 digest of
 every file written is compared with tests/artifact_digests.json.
 A mismatch means the arithmetic or the output format changed. The digests
 hold for the numpy/scipy versions recorded beside them; with other versions
@@ -28,6 +29,7 @@ CONFIGS = ("case1", "case2", "case3", "fusion_study")
 SUBCOMMANDS = ("simulate", "evaluate", "fusion-study", "bclb")
 RUNS = 3
 LARGE_RUNS = 40
+LARGE_RUN_SUBCOMMANDS = ("evaluate", "simulate")
 
 
 def _versions() -> dict[str, str]:
@@ -72,6 +74,11 @@ def test_evaluate_digests_at_large_runs(config, tmp_path):
     _check(config, "evaluate", tmp_path / "out", LARGE_RUNS)
 
 
+@pytest.mark.parametrize("config", CONFIGS)
+def test_simulate_digests_at_large_runs(config, tmp_path):
+    _check(config, "simulate", tmp_path / "out", LARGE_RUNS)
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -80,7 +87,8 @@ if __name__ == "__main__":
         for config in CONFIGS:
             for sub in SUBCOMMANDS:
                 digests.update(_artifact_digests(config, sub, Path(tmp) / config / sub))
-            digests.update(_artifact_digests(config, "evaluate", Path(tmp) / config / "large", LARGE_RUNS))
+            for sub in LARGE_RUN_SUBCOMMANDS:
+                digests.update(_artifact_digests(config, sub, Path(tmp) / config / f"{sub}@large", LARGE_RUNS))
     doc = {"runs": RUNS, "large_runs": LARGE_RUNS, "versions": _versions(), "digests": digests}
     DIGESTS.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)
