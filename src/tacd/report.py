@@ -2,41 +2,87 @@
 
 Floats are written with repr (shortest round-trip form), so emitted files
 are byte-identical across repeated runs and parse back to full precision.
+The bytes are those of csv.writer (minimal quoting, "\n" line ends), but a
+table's cell text is made once per element of each column's own shape and
+a row that needs no quoting is joined without the csv module.
 The SVG writer is hand-rolled to keep output bytes deterministic.
 """
 from __future__ import annotations
 
 import csv
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+# Rows whose full-shape cells are made into text at a time: a whole number of
+# leading-axis slices, so a large table is never held as text all at once.
+_BLOCK_ROWS = 256
+
 
 def emit_table(table: dict[str, np.ndarray], path) -> Path:
     """Write a table of named columns as CSV; returns the written path.
 
-    The columns broadcast to one shape and the header is list(table). Rows
-    follow the elements of that shape in C order, and one slice of its
-    leading axis at a time is turned into plain cells, so a large table is
-    never held as Python objects all at once.
+    The columns broadcast to one shape of at least one axis and the header
+    is list(table). Rows follow the elements of that shape in C order.
+    Columns hold floats (written as repr), ints or str. Each column's cell
+    text is made at its own shape, a zero-stride axis counting as
+    broadcast, and then broadcast to the table's: an (h,) column costs h
+    conversions however many rows repeat it. A column that varies along the
+    leading axis is converted one block of leading-axis slices at a time.
     """
-    columns = np.broadcast_arrays(*table.values())
+    arrays = [np.asarray(c) for c in table.values()]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    if not shape:
+        raise ValueError("a table needs at least one axis")
+    columns = [_unbroadcast(name, a, len(shape)) for name, a in zip(table, arrays)]
+    step = max(1, _BLOCK_ROWS // max(1, int(np.prod(shape[1:]))))
+    fixed = [_cell_text(c) if len(c) == 1 else None for c in columns]
 
     def rows():
-        for i in range(len(columns[0])):
-            yield from zip(*(c[i : i + 1].reshape(-1).tolist() for c in columns))
+        for i in range(0, shape[0], step):
+            block = (min(step, shape[0] - i),) + shape[1:]
+            cells = [
+                np.broadcast_to(_cell_text(c[i : i + step]) if text is None else text, block).ravel().tolist()
+                for c, text in zip(columns, fixed)
+            ]
+            yield from zip(*cells)
 
     return emit_csv(rows(), list(table), path)
+
+
+def _unbroadcast(name: str, column: np.ndarray, ndim: int) -> np.ndarray:
+    """The column with ndim axes (leading ones added) and each zero-stride
+    (broadcast) axis cut to length 1. Raises TypeError unless it holds
+    floats, ints or str."""
+    if not (column.dtype.kind in "iuU" or column.dtype.kind == "f" and column.dtype.itemsize <= 8):
+        raise TypeError(f"CSV column {name!r} holds {column.dtype} values, expected str, int or float")
+    column = column.reshape((1,) * (ndim - column.ndim) + column.shape)
+    return column[tuple(slice(0, 1) if n > 1 and s == 0 else slice(None)
+                        for n, s in zip(column.shape, column.strides))]
+
+
+def _cell_text(column: np.ndarray) -> np.ndarray:
+    """Each element's CSV cell text, at the column's shape: repr of a float
+    (what csv.writer writes), str of an int, a str as it is."""
+    values = column.ravel().tolist()
+    if column.dtype.kind == "f":
+        values = list(map(repr, values))
+    elif column.dtype.kind != "U":
+        values = list(map(str, values))
+    return np.array(values, dtype=object).reshape(column.shape)
 
 
 def emit_csv(rows: Iterable[Sequence], columns: Sequence[str], path) -> Path:
     """Write rows under a fixed header; returns the written path.
 
-    Cells must be plain str, int or float (the csv module writes a float's
-    repr); the first row is checked, so a producer that hands over numpy
-    scalars, or rows wider or narrower than the header, fails instead of
-    writing a file load_csv_columns refuses.
+    Cells must be plain str, int or float; the first row is checked, so a
+    producer that hands over numpy scalars, or rows wider or narrower than
+    the header, fails instead of writing a file load_csv_columns refuses.
+    The bytes are csv.writer's (minimal quoting, a float's repr): a row is
+    its cells joined with "," unless a cell holds a ",", a '"', "\r" or
+    "\n", or the row is one empty cell; csv.writer writes such a row.
     """
     out = Path(path)
     rows = iter(rows)
@@ -53,8 +99,16 @@ def emit_csv(rows: Iterable[Sequence], columns: Sequence[str], path) -> Path:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             if first is not None:
-                writer.writerow(first)
-                writer.writerows(rows)
+                commas = len(columns) - 1
+                for row in chain((first,), rows):
+                    try:
+                        line = ",".join(row)
+                    except TypeError:  # int or float cells
+                        line = ",".join(map(str, row))
+                    if line.count(",") != commas or '"' in line or "\n" in line or "\r" in line or not line:
+                        writer.writerow(row)
+                    else:
+                        fh.write(line + "\n")
     except OSError as exc:
         raise OSError(f"failed writing CSV to {out}: {exc}") from exc
     return out

@@ -66,12 +66,13 @@ class Trajectories:
 
     def column(self, name: str, estimator: Optional[str] = None) -> np.ndarray:
         """The estimator's column `name`; with no estimator named, the first
-        selected estimator's that has one. NaN where none computes it."""
+        selected estimator's that has one. Where none computes it, a
+        read-only (R, h) broadcast of one NaN."""
         candidates = self.est.values() if estimator is None else [self.est.get(estimator, {})]
         for columns in candidates:
             if name in columns:
                 return columns[name]
-        return np.full(self.theta_true.shape, np.nan)
+        return np.broadcast_to(np.nan, self.theta_true.shape)
 
     @classmethod
     def concat(cls, parts: Sequence[Trajectories]) -> Trajectories:

@@ -1,6 +1,8 @@
 """Independent numerical oracles shared by the unit and acceptance suites."""
+import csv
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Union
+from pathlib import Path
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 from scipy.special import digamma
@@ -643,3 +645,52 @@ def bclb_trajectory(
         if params is not None:
             bclb_f[k] = 1.0 / j_fus[0, 0]
     return bclb_l, bclb_f
+
+
+# --------------------------------------------------------------- CSV output
+
+def reference_emit_table(table: dict[str, np.ndarray], path) -> Path:
+    """Reference table writer: every cell through csv.writer.
+
+    The columns broadcast to one shape and the header is list(table). Rows
+    follow the elements of that shape in C order, and one slice of its
+    leading axis at a time is turned into plain cells, so a large table is
+    never held as Python objects all at once.
+    """
+    columns = np.broadcast_arrays(*table.values())
+
+    def rows():
+        for i in range(len(columns[0])):
+            yield from zip(*(c[i : i + 1].reshape(-1).tolist() for c in columns))
+
+    return reference_emit_csv(rows(), list(table), path)
+
+
+def reference_emit_csv(rows: Iterable[Sequence], columns: Sequence[str], path) -> Path:
+    """Reference row writer: csv.writer.writerows over plain cells.
+
+    Cells must be plain str, int or float (the csv module writes a float's
+    repr); the first row is checked, so a producer that hands over numpy
+    scalars, or rows wider or narrower than the header, fails instead of
+    writing a file load_csv_columns refuses.
+    """
+    out = Path(path)
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        if len(first) != len(columns):
+            raise ValueError(f"CSV row has {len(first)} cells, the header {len(columns)}")
+        for name, value in zip(columns, first):
+            if type(value) not in (str, int, float):
+                raise TypeError(f"CSV column {name!r} holds a {type(value).__name__}, expected str, int or float")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(columns)
+            if first is not None:
+                writer.writerow(first)
+                writer.writerows(rows)
+    except OSError as exc:
+        raise OSError(f"failed writing CSV to {out}: {exc}") from exc
+    return out

@@ -113,6 +113,19 @@ MUTATIONS = {
         "return bool(np.any(self.iw_dof < _DIM + 1))",
         [("test_netcomm", "test_dof_clamped_reads_the_dofs_of_a_directly_built_model", {})],
     ),
+    "csv-rows-always-joined": (
+        "tacd.report",
+        "writer.writerow(row)",
+        'fh.write(line + "\\n")',
+        [("test_csv_output", "test_str_cells_quoted_like_csv_writer", {"cells": ["a,b", 'say "x"', "two\nlines", ""]})],
+    ),
+    "broadcast-axis-found-by-the-wrong-stride": (
+        "tacd.report",
+        "zip(column.shape, column.strides)",
+        "zip(column.shape, column.strides[::-1])",
+        [("test_harness", "test_tables_round_trip_through_csv", {}),
+         ("test_artifact_digests", "test_simulate_digests_at_large_runs", {"config": "case2"})],
+    ),
 }
 
 
