@@ -2,8 +2,8 @@
 
 The fused estimate (1-beta)*theta_L + beta*theta_T trades the network phase's
 variance against the thermal phase's bias; the weight beta minimizing the
-scalarized cost lambda*bias^2 + (1-lambda)*variance has a closed form,
-clamped to [0, 1]. Each period's inputs are two error statistics:
+scalarized cost lambda*bias^2 + (1-lambda)*variance has a closed form in
+[0, 1]. Each period's inputs are two error statistics:
 linear_variance, the network filter's posterior skew variance, and
 temp_gap, the measured temperature minus T0 (the measured temperature being
 the estimator's best knowledge of the operating point). Every function works
@@ -28,17 +28,19 @@ def fusion_variance(beta, linear_variance, temp_gap, model: TempSkewModel):
 
 
 def pareto_beta(linear_variance, temp_gap, model: TempSkewModel, lam: float) -> np.ndarray:
-    """Closed-form minimizer beta of the scalarized cost, clamped to [0, 1].
+    """Closed-form minimizer beta of the scalarized cost, in [0, 1].
 
     beta* = (1-lam)*eps / (lam*kappa^2*sigma^4
             + (1-lam)*(kappa^2*(4*(T-T0)^2*sigma^2 + 2*sigma^4) + eps))
-    A vanishing denominator (all terms zero) degrades to beta = 0; a NaN
-    input, which no clamp can place, raises.
+    Every term is non-negative, so with rounding monotone the computed
+    numerator never exceeds the computed denominator and beta needs no
+    clamp. A vanishing denominator (all terms zero) degrades to beta = 0; a
+    NaN input, which no clamp can place, raises.
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
     eps = linear_variance
-    if np.less_equal(eps, 0.0).any():
+    if np.count_nonzero(np.less_equal(eps, 0.0)):
         raise ValueError("linear_variance must be > 0")
     s2 = model.sigma_T_sq
     k2 = model.kappa**2
@@ -46,10 +48,11 @@ def pareto_beta(linear_variance, temp_gap, model: TempSkewModel, lam: float) -> 
         k2 * (4.0 * temp_gap**2 * s2 + 2.0 * s2 * s2) + eps
     )
     with np.errstate(divide="ignore", invalid="ignore"):
-        eta = np.divide((1.0 - lam) * eps, denom)
-    beta = np.where(denom == 0.0, 0.0, np.clip(eta, 0.0, 1.0))
-    if np.isnan(beta).any():
-        raise ValueError("beta must lie in [0, 1]")
+        beta = np.divide((1.0 - lam) * eps, denom)
+    if np.count_nonzero(np.isnan(beta)):
+        beta = np.where(denom == 0.0, 0.0, beta)
+        if np.isnan(beta).any():
+            raise ValueError("beta must lie in [0, 1]")
     return beta
 
 

@@ -53,6 +53,61 @@ def test_pareto_boundary_beta_one():
     assert pareto_beta(1e-14, 0.0, flat, lam=0.0) == 1.0
 
 
+def test_pareto_beta_lies_in_unit_interval_without_a_clamp():
+    # every term of the denominator is non-negative, so the computed ratio
+    # stays in [0, 1] over extreme magnitudes, lambda at both ends included
+    rng = np.random.default_rng(27)
+    for lam in (0.0, 1e-300, 0.3, 1.0 - 1e-16, 1.0):
+        for _ in range(50):
+            eps = 10.0 ** rng.uniform(-320, 300, 64)
+            gap = rng.uniform(-1.0, 1.0, 64) * 10.0 ** rng.uniform(-300, 50, 64)
+            model = TempSkewModel(kappa=10.0 ** rng.uniform(-100, 50), sigma_T_sq=10.0 ** rng.uniform(-100, 50))
+            with np.errstate(under="ignore"):
+                beta = pareto_beta(eps, gap, model, lam)
+            assert np.all((beta >= 0.0) & (beta <= 1.0))
+
+
+def test_pareto_rejects_lambda_outside_unit_interval(model):
+    for lam in (-0.1, 1.0 + 1e-12, np.nan):
+        with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1\]"):
+            pareto_beta(1e-14, 1.0, model, lam)
+
+
+def test_pareto_rejects_non_positive_linear_variance(model):
+    # checked before any NaN: a NaN beside a zero still names the variance
+    for eps in (0.0, -1e-14, -0.0, np.array([1e-14, 0.0]), np.array([np.nan, -1.0])):
+        with pytest.raises(ValueError, match="linear_variance must be > 0"):
+            pareto_beta(eps, np.ones(np.shape(eps)), model, 0.5)
+
+
+def test_pareto_rejects_a_nan_beta(model):
+    # NaN inputs, and an infinite variance (inf / inf), have no place to clamp to
+    for eps, gap, lam in ((np.nan, 1.0, 0.5), (1e-14, np.nan, 0.5), (1e-14, np.nan, 1.0), (np.inf, 1.0, 0.5),
+                          (np.array([1e-14, np.nan]), np.array([1.0, 2.0]), 0.0)):
+        with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\]"):
+            pareto_beta(eps, gap, model, lam)
+
+
+def test_poisoned_exchange_still_stops_the_batch(monkeypatch):
+    # one exchange with t2 += 1e150 (run 0, k = 39) wrecks run 0's network
+    # phase: its posterior variance turns NaN and fusion refuses it for the
+    # whole 4-run batch (no outlier gate yet)
+    import tacd.runner as runner
+    from tacd.config import load_config
+
+    generate = runner.generate_scenario
+
+    def poisoned(*args, **kwargs):
+        data = generate(*args, **kwargs)
+        data.exchanges.t2[0, 39] += 1e150
+        return data
+
+    monkeypatch.setattr(runner, "generate_scenario", poisoned)
+    cfg = load_config("configs/case1.json").with_overrides(runs=4)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"beta must lie in \[0, 1\]"):
+        runner.simulate_run(cfg, range(4))
+
+
 def test_fuse_skew_values():
     assert fuse_skew(1e-6, 5e-6, 0.0) == 1e-6
     assert fuse_skew(2e-6, 2e-6, 0.7) == pytest.approx(2e-6, rel=1e-15, abs=0.0)
