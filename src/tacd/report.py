@@ -38,6 +38,7 @@ def emit_table(table: dict[str, np.ndarray], path) -> Path:
         raise ValueError("a table needs at least one axis")
     columns = [_unbroadcast(name, a, len(shape)) for name, a in zip(table, arrays)]
     step = max(1, _BLOCK_ROWS // max(1, int(np.prod(shape[1:]))))
+    # the text of a column constant along the leading axis serves every block
     fixed = [_cell_text(c) if len(c) == 1 else None for c in columns]
 
     def rows():
@@ -80,9 +81,10 @@ def emit_csv(rows: Iterable[Sequence], columns: Sequence[str], path) -> Path:
     Cells must be plain str, int or float; the first row is checked, so a
     producer that hands over numpy scalars, or rows wider or narrower than
     the header, fails instead of writing a file load_csv_columns refuses.
-    The bytes are csv.writer's (minimal quoting, a float's repr): a row is
-    its cells joined with "," unless a cell holds a ",", a '"', "\r" or
-    "\n", or the row is one empty cell; csv.writer writes such a row.
+    The bytes are csv.writer's (minimal quoting, a float's repr). A row of
+    str cells is written as its cells joined with ","; csv.writer writes a
+    row with an int or float cell, a cell holding ",", '"', "\r" or "\n",
+    or one empty cell as its only cell.
     """
     out = Path(path)
     rows = iter(rows)
@@ -103,9 +105,10 @@ def emit_csv(rows: Iterable[Sequence], columns: Sequence[str], path) -> Path:
                 for row in chain((first,), rows):
                     try:
                         line = ",".join(row)
-                    except TypeError:  # int or float cells
-                        line = ",".join(map(str, row))
-                    if line.count(",") != commas or '"' in line or "\n" in line or "\r" in line or not line:
+                    except TypeError:  # an int or float cell
+                        line = None
+                    if (line is None or line.count(",") != commas or not line
+                            or '"' in line or "\n" in line or "\r" in line):
                         writer.writerow(row)
                     else:
                         fh.write(line + "\n")
