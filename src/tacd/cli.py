@@ -28,18 +28,18 @@ from .runner import (
 )
 
 # Every flag an artifact subcommand can take; the flags that override a
-# config field have that RunConfig.with_overrides keyword as their dest.
+# config key have that key as their dest.
 _FLAGS = {
     "--config": dict(required=True, help="path to the JSON run configuration"),
     "--runs": dict(type=int, help="override the Monte-Carlo run count"),
-    "--seed": dict(type=int, help="override the master seed"),
+    "--seed": dict(type=int, dest="master_seed", help="override the master seed"),
     "--out": dict(dest="output_dir", help="output directory (default from config)"),
     "--estimators": dict(type=lambda s: tuple(x.strip() for x in s.split(",")),
                          help="comma-separated estimator selection"),
     "--workers": dict(type=int, help="worker process count"),
     "--plot": dict(action="store_true", help="also write an SVG next to the CSV"),
 }
-_OVERRIDES = ("runs", "seed", "estimators", "output_dir", "workers")
+_OVERRIDES = ("runs", "master_seed", "estimators", "output_dir", "workers")
 
 # A subcommand's result: its table, the lines it prints, and its plot series
 # (label, x, y), an iterable read only with --plot.

@@ -90,19 +90,10 @@ class RunConfig:
     workers: int = 1
     output_dir: str = "out"
 
-    def with_overrides(
-        self,
-        runs: Optional[int] = None,
-        seed: Optional[int] = None,
-        estimators: Optional[tuple[str, ...]] = None,
-        output_dir: Optional[str] = None,
-        workers: Optional[int] = None,
-    ) -> "RunConfig":
-        """This config with the given fields replaced, each read as the
-        config file's key of the same name."""
-        given = {"runs": runs, "master_seed": seed, "estimators": estimators, "output_dir": output_dir,
-                 "workers": workers}
-        return replace(self, **_read({k: v for k, v in given.items() if v is not None}, _RUN, ""))
+    def with_overrides(self, **settings) -> "RunConfig":
+        """This config with the given run keys replaced, each read as the
+        config file's key of that name; None leaves a key as it was."""
+        return replace(self, **_read({k: v for k, v in settings.items() if v is not None}, _RUN, ""))
 
 
 def _number(v, path: str) -> float:
@@ -329,11 +320,23 @@ def parse_config(doc: Any, base_dir: Optional[Path] = None) -> RunConfig:
     return cfg
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; json.loads alone would keep the last of two equal keys."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> RunConfig:
     """Load and validate a JSON run configuration file."""
     p = Path(path)
     try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
+        doc = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"{p}: {exc}") from None
     return parse_config(doc, base_dir=p.parent)

@@ -10,14 +10,16 @@ stacked rows stay independent), so comparisons are paired and adding an
 estimator never changes another's trajectory. Estimators step a whole batch
 of runs per period, and a run's trajectory is bit-identical whatever batch
 it is in. Results are one Trajectories record: the truth plus each
-estimator's columns. Each CSV artifact is one table built here: an ordered
-dict of named columns that broadcast to one shape, a row per element
-(report.emit_table writes it). Each reported number has one producer:
-steady-state RMSEs evaluate_rmse, the steady bound reduction
-bound_reduction, the bounds case_bounds.
+estimator's columns, which tables read by estimator name, never by selection
+order. Each CSV artifact is one table built here: an ordered dict of named
+columns that broadcast to one shape, a row per element (report.emit_table
+writes it). Each reported number has one producer: steady-state RMSEs
+evaluate_rmse, the steady bound reduction bound_reduction, the bounds
+case_bounds.
 """
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -63,16 +65,6 @@ class Trajectories:
     @property
     def horizon(self) -> int:
         return self.theta_true.shape[1]
-
-    def column(self, name: str, estimator: Optional[str] = None) -> np.ndarray:
-        """The estimator's column `name`; with no estimator named, the first
-        selected estimator's that has one. Where none computes it, a
-        read-only (R, h) broadcast of one NaN."""
-        candidates = self.est.values() if estimator is None else [self.est.get(estimator, {})]
-        for columns in candidates:
-            if name in columns:
-                return columns[name]
-        return np.broadcast_to(np.nan, self.theta_true.shape)
 
     @classmethod
     def concat(cls, parts: Sequence[Trajectories]) -> Trajectories:
@@ -192,8 +184,7 @@ def _kalman(b: BatchInputs, names: tuple[str, ...]) -> Served:
 
 def _thermal_only(b: BatchInputs, names: tuple[str, ...]) -> Served:
     """The thermal phase alone; it estimates skew only."""
-    theta_T = skew_from_temperature(b.temp_meas, b.cfg.temp_model)
-    return dict.fromkeys(names, {"skew": theta_T, "theta_T": theta_T})
+    return dict.fromkeys(names, {"skew": skew_from_temperature(b.temp_meas, b.cfg.temp_model)})
 
 
 # Each estimator name maps to the function that computes it. simulate_run
@@ -243,11 +234,12 @@ def run_case(cfg: RunConfig) -> Trajectories:
     """Execute all Monte-Carlo runs; output is identical for any worker count.
 
     With several workers each pool worker steps one contiguous slice of run
-    indices as a batch.
+    indices as a batch, at most one per run and per CPU this process may use.
     """
-    if cfg.workers <= 1 or cfg.runs == 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    parts = min(cfg.workers, cfg.runs, cpus)
+    if parts <= 1:
         return simulate_run(cfg, range(cfg.runs))
-    parts = min(cfg.workers, cfg.runs)
     edges = [cfg.runs * p // parts for p in range(parts + 1)]
     with ProcessPoolExecutor(max_workers=parts) as pool:
         slices = [range(a, b) for a, b in zip(edges, edges[1:])]
@@ -256,16 +248,20 @@ def run_case(cfg: RunConfig) -> Trajectories:
 
 def trajectory_table(cfg: RunConfig, t: Trajectories) -> dict[str, np.ndarray]:
     """The trajectory artifact: (R, h) columns, one row per run and period,
-    run-major. theta_F and delta_hat are tacd's skew and offset; the other
-    estimate columns are the first selected estimator's that computes them.
-    A column no selected estimator computes is NaN. The bounds are
+    run-major. The estimate columns are the fused pipeline's, read from
+    tacd's record by name: theta_F and delta_hat are its skew and offset.
+    Without tacd they are a read-only NaN broadcast, except theta_T, which
+    is then thermal-only's skew where that is selected. The bounds are
     case_bounds', (h,) on every run's rows."""
     bclb_l, bclb_f = case_bounds(cfg)
+    nan = np.broadcast_to(np.nan, t.theta_true.shape)
+    tacd = t.est.get("tacd") or {**dict.fromkeys(("skew", "offset", "theta_L", "epsilon", "alpha", "beta"), nan),
+                                 "theta_T": t.est.get("thermal-only", {}).get("skew", nan)}
     return {
         "run": t.runs[:, None], "k": np.arange(t.horizon), "theta_true": t.theta_true, "delta_true": t.delta_true,
-        "T_osc": t.temp_osc, "T_meas": t.temp_meas, "theta_L": t.column("theta_L"), "theta_T": t.column("theta_T"),
-        "theta_F": t.column("skew", "tacd"), "delta_hat": t.column("offset", "tacd"), "epsilon": t.column("epsilon"),
-        "alpha": t.column("alpha"), "beta": t.column("beta"), "bclb_L": bclb_l, "bclb_F": bclb_f,
+        "T_osc": t.temp_osc, "T_meas": t.temp_meas, "theta_L": tacd["theta_L"], "theta_T": tacd["theta_T"],
+        "theta_F": tacd["skew"], "delta_hat": tacd["offset"], "epsilon": tacd["epsilon"], "alpha": tacd["alpha"],
+        "beta": tacd["beta"], "bclb_L": bclb_l, "bclb_F": bclb_f,
     }
 
 
@@ -281,7 +277,7 @@ def evaluate_rmse(
     estimators: Optional[Sequence[str]] = None,
 ) -> dict[str, np.ndarray]:
     """Steady-state RMSE over the last `window` periods, across all runs: a
-    table with one row per estimator (offset NaN where undefined)."""
+    table with one row per estimator (offset NaN where it has no offset)."""
     t = trajectories
     if len(t.runs) == 0:
         raise ValueError("no trajectories to evaluate")
@@ -289,10 +285,10 @@ def evaluate_rmse(
     names = list(estimators) if estimators is not None else sorted(t.est)
     skew, offset = [], []
     for name in names:
-        sk = t.est[name]["skew"][:, sl] - t.theta_true[:, sl]
-        of = t.column("offset", name)[:, sl] - t.delta_true[:, sl]
-        skew.append(np.sqrt(np.mean(sk**2)))
-        offset.append(np.sqrt(np.mean(of**2)) if np.any(np.isfinite(of)) else np.nan)
+        est = t.est[name]
+        of = est["offset"][:, sl] - t.delta_true[:, sl] if "offset" in est else np.nan
+        skew.append(np.sqrt(np.mean((est["skew"][:, sl] - t.theta_true[:, sl]) ** 2)))
+        offset.append(np.sqrt(np.mean(of**2)))
     return {"estimator": np.array(names), "skew_rmse": np.array(skew), "offset_rmse": np.array(offset)}
 
 

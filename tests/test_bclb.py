@@ -80,8 +80,8 @@ def test_trajectory_monotone_convergence_single_component():
     l, f = bclb_trajectory(oracle, dyn, 0.5, 5e-6)
     assert np.all(np.diff(l) <= 1e-18)  # bounds shrink toward the fixed point
     assert np.all(np.diff(f) <= 1e-18)
-    assert l[-1] == pytest.approx(l[-2], rel=1e-9)
-    assert f[-1] == pytest.approx(f[-2], rel=1e-9)
+    assert l[-1] == pytest.approx(l[-2], rel=1e-9, abs=0.0)
+    assert f[-1] == pytest.approx(f[-2], rel=1e-9, abs=0.0)
 
 
 def test_trajectory_dominance_nonstationary():
@@ -107,7 +107,7 @@ def test_fixed_point_matches_scalar_kalman_riccati():
         k = p_pred * dyn.tau / s
         p = (1.0 - k * dyn.tau) * p_pred
     bound = bclb_trajectory(constant_oracle([1.0], [lam], 2001), dyn, None, 5e-6)[0]
-    assert bound[-1] == pytest.approx(p, rel=1e-10)
+    assert bound[-1] == pytest.approx(p, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.slow

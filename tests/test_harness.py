@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tacd import runner
 from tacd.cli import SUBCOMMANDS
 from tacd.cli import main as cli_main
 from tacd.config import ConfigError, load_config, parse_config
@@ -250,6 +251,41 @@ def test_run_determinism_and_worker_independence(tmp_path):
     assert pa.read_bytes() == pb.read_bytes() == pc.read_bytes()
 
 
+@pytest.mark.parametrize("source, cpus, pools", [
+    ("sched_getaffinity", 3, [3]),
+    ("cpu_count", 3, [3]),
+    ("sched_getaffinity", 1, []),
+])
+def test_pool_capped_at_usable_cpus(source, cpus, pools, monkeypatch):
+    # an in-process stand-in for the pool records its size; no process starts
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    if source == "sched_getaffinity":
+        monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    else:
+        monkeypatch.delattr(runner.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
+    cfg = parse_config(_doc(runs=6, workers=1000)).with_overrides(estimators=("gptp",))
+    t = run_case(cfg)
+    assert sizes == pools
+    assert t.runs.tolist() == list(range(6))
+    assert t.est["gptp"]["offset"].tobytes() == simulate_run(cfg, range(6)).est["gptp"]["offset"].tobytes()
+
+
 def test_estimator_isolation():
     full = parse_config(_doc(runs=2)).with_overrides(
         estimators=("tacd", "kalman", "gptp", "thermal-only", "linear-only")
@@ -278,10 +314,13 @@ def _simulated(tmp_path, estimators: str) -> dict:
 def test_trajectory_columns_follow_the_selection_not_its_order(tmp_path):
     # every shipped config lists tacd first, so the digests cannot tell which
     # selected estimator a column is read from
-    first, last = _simulated(tmp_path, "tacd,gptp"), _simulated(tmp_path, "gptp,tacd")
+    first = _simulated(tmp_path, "tacd,gptp")
     for c in _ESTIMATE_COLUMNS:
         assert np.all(np.isfinite(first[c])), c
-        assert np.array_equal(first[c], last[c]), c
+    for estimators in ("gptp,tacd", "linear-only,tacd", "thermal-only,linear-only,tacd"):
+        last = _simulated(tmp_path, estimators)
+        for c in _ESTIMATE_COLUMNS:
+            assert np.array_equal(first[c], last[c]), (estimators, c)
     neither = _simulated(tmp_path, "gptp,kalman")
     assert all(np.all(np.isnan(neither[c])) for c in _ESTIMATE_COLUMNS)
     thermal = _simulated(tmp_path, "gptp,thermal-only")
@@ -305,7 +344,7 @@ def test_rmse_trivial_values():
     trajs.est["toy"] = {"skew": trajs.theta_true.copy(), "offset": trajs.delta_true + 2.5e-7}
     s = rmse_by_name(evaluate_rmse(trajs, 10))["toy"]
     assert s[0] == 0.0
-    assert s[1] == pytest.approx(2.5e-7, rel=1e-12)
+    assert s[1] == pytest.approx(2.5e-7, rel=1e-12, abs=0.0)
 
 
 def test_rmse_matches_brute_force():
@@ -320,8 +359,8 @@ def test_rmse_matches_brute_force():
                 acc_s += (trajs.est["toy"]["skew"][r, k] - trajs.theta_true[r, k]) ** 2
                 acc_o += (trajs.est["toy"]["offset"][r, k] - trajs.delta_true[r, k]) ** 2
                 count += 1
-        assert got[0] == pytest.approx(np.sqrt(acc_s / count), rel=1e-12)
-        assert got[1] == pytest.approx(np.sqrt(acc_o / count), rel=1e-12)
+        assert got[0] == pytest.approx(np.sqrt(acc_s / count), rel=1e-12, abs=0.0)
+        assert got[1] == pytest.approx(np.sqrt(acc_o / count), rel=1e-12, abs=0.0)
 
 
 def test_rmse_empty_window_rejected():
@@ -576,6 +615,26 @@ def test_cli_plot_rejects_malformed_csv(text, where, tmp_path, capsys):
 def test_negative_master_seed_rejected():
     with pytest.raises(ConfigError, match="master_seed"):
         parse_config(_doc(master_seed=-1))
+
+
+def test_overrides_are_read_by_config_key():
+    cfg = parse_config(_doc())
+    assert cfg.with_overrides(master_seed=5, runs=None).master_seed == 5
+    assert cfg.with_overrides(runs=None) == cfg
+    with pytest.raises(ConfigError, match="master_seed: must be >= 0"):
+        cfg.with_overrides(master_seed=-1)
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) \['seed'\]"):
+        cfg.with_overrides(seed=5)
+
+
+def test_cli_rejects_duplicate_key(tmp_path, capsys):
+    # json.loads alone keeps the last of two equal keys: this file would run 7 runs
+    cfgp = tmp_path / "c.json"
+    cfgp.write_text(json.dumps(_doc(runs=1000))[:-1] + ', "runs": 7}')
+    rc = cli_main(["simulate", "--config", str(cfgp), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"config error: {cfgp}: duplicate key 'runs'")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_byte_identical_outputs(tmp_path):

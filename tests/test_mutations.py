@@ -78,8 +78,8 @@ MUTATIONS = {
     ),
     "fused-skew-read-from-first-estimator": (
         "tacd.runner",
-        '"theta_F": t.column("skew", "tacd")',
-        '"theta_F": t.column("skew")',
+        '"theta_F": tacd["skew"]',
+        '"theta_F": next(iter(t.est.values()))["skew"]',
         [("test_harness", "test_trajectory_columns_follow_the_selection_not_its_order", {})],
     ),
     "empirical-bounds-reported-as-zero": (

@@ -52,13 +52,13 @@ def test_pdv_incremental_accumulation():
     w = pdv_params_table(study_pdv_profile(), 16)[0][15]
     expected_b1 = 0.4 + sum(-11.6e-3 for _ in range(1, 16))
     assert expected_b1 == pytest.approx(0.226, abs=1e-12)
-    assert w[0] == pytest.approx(expected_b1, rel=1e-12)
+    assert w[0] == pytest.approx(expected_b1, rel=1e-12, abs=0.0)
 
 
 def test_pdv_stddev_floor_engages():
     # the first component of the reference schedule crosses zero in segment 3
     s = pdv_params_table(study_pdv_profile(), 51)[1][50]
-    assert s[0] == pytest.approx(1e-7)
+    assert s[0] == pytest.approx(1e-7, abs=0.0)
 
 
 def test_pdv_weight_tolerance_rejects():
