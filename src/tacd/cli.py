@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config
+from .config import RUN_KEYS, ConfigError, RunConfig, load_config
 from .report import emit_plot_svg, emit_table, load_csv_columns
 from .runner import (
     bclb_table,
@@ -28,7 +28,7 @@ from .runner import (
 )
 
 # Every flag an artifact subcommand can take; the flags that override a
-# config key have that key as their dest.
+# config run key (config.RUN_KEYS) have that key as their dest.
 _FLAGS = {
     "--config": dict(required=True, help="path to the JSON run configuration"),
     "--runs": dict(type=int, help="override the Monte-Carlo run count"),
@@ -39,7 +39,6 @@ _FLAGS = {
     "--workers": dict(type=int, help="worker process count"),
     "--plot": dict(action="store_true", help="also write an SVG next to the CSV"),
 }
-_OVERRIDES = ("runs", "master_seed", "estimators", "output_dir", "workers")
 
 # A subcommand's result: its table, the lines it prints, and its plot series
 # (label, x, y), an iterable read only with --plot.
@@ -126,7 +125,7 @@ SUBCOMMANDS = {
 
 
 def _run(sub: Subcommand, args) -> int:
-    cfg = load_config(args.config).with_overrides(**{k: getattr(args, k, None) for k in _OVERRIDES})
+    cfg = load_config(args.config).with_overrides(**{k: getattr(args, k, None) for k in RUN_KEYS})
     table, lines, series = sub.build(cfg)
     out = Path(cfg.output_dir)
     # the SVG is drawn first: a series with no plottable point fails the

@@ -259,6 +259,8 @@ _RUN = {
     "estimators": ("estimators", _estimators, False),
     "output_dir": ("output_dir", _str, False),
 }
+# the keys RunConfig.with_overrides takes
+RUN_KEYS = tuple(_RUN)
 _TOP = {
     "schema_version": ("schema_version", _int, True),
     "horizon": ("horizon", _min(_int, 2), True),

@@ -4,13 +4,14 @@ Floats are written with repr (shortest round-trip form), so emitted files
 are byte-identical across repeated runs and parse back to full precision.
 The bytes are those of csv.writer (minimal quoting, "\n" line ends), but a
 table's cell text is made once per element of each column's own shape and
-a row that needs no quoting is joined without the csv module.
+rows that need no quoting are joined and written a chunk at a time without
+the csv module.
 The SVG writer is hand-rolled to keep output bytes deterministic.
 """
 from __future__ import annotations
 
 import csv
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -19,6 +20,8 @@ import numpy as np
 # Rows whose full-shape cells are made into text at a time: a whole number of
 # leading-axis slices, so a large table is never held as text all at once.
 _BLOCK_ROWS = 256
+# Rows emit_csv joins, screens and writes at a time.
+_CHUNK_ROWS = 256
 
 
 def emit_table(table: dict[str, np.ndarray], path) -> Path:
@@ -30,7 +33,8 @@ def emit_table(table: dict[str, np.ndarray], path) -> Path:
     text is made at its own shape, a zero-stride axis counting as
     broadcast, and then broadcast to the table's: an (h,) column costs h
     conversions however many rows repeat it. A column that varies along the
-    leading axis is converted one block of leading-axis slices at a time.
+    leading axis is converted one block of leading-axis slices at a time;
+    the cells of one constant along it are made once per block shape.
     """
     arrays = [np.asarray(c) for c in table.values()]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
@@ -38,17 +42,17 @@ def emit_table(table: dict[str, np.ndarray], path) -> Path:
         raise ValueError("a table needs at least one axis")
     columns = [_unbroadcast(name, a, len(shape)) for name, a in zip(table, arrays)]
     step = max(1, _BLOCK_ROWS // max(1, int(np.prod(shape[1:]))))
-    # the text of a column constant along the leading axis serves every block
-    fixed = [_cell_text(c) if len(c) == 1 else None for c in columns]
+    # each block shape's cells of the columns constant along the leading axis
+    # (None for the others); a table has at most two block shapes
+    fixed: dict[tuple, list] = {}
 
     def rows():
         for i in range(0, shape[0], step):
             block = (min(step, shape[0] - i),) + shape[1:]
-            cells = [
-                np.broadcast_to(_cell_text(c[i : i + step]) if text is None else text, block).ravel().tolist()
-                for c, text in zip(columns, fixed)
-            ]
-            yield from zip(*cells)
+            if block not in fixed:
+                fixed[block] = [_cells(c, block) if len(c) == 1 else None for c in columns]
+            yield from zip(*(_cells(c[i : i + step], block) if cells is None else cells
+                             for c, cells in zip(columns, fixed[block])))
 
     return emit_csv(rows(), list(table), path)
 
@@ -64,15 +68,18 @@ def _unbroadcast(name: str, column: np.ndarray, ndim: int) -> np.ndarray:
                         for n, s in zip(column.shape, column.strides))]
 
 
-def _cell_text(column: np.ndarray) -> np.ndarray:
-    """Each element's CSV cell text, at the column's shape: repr of a float
-    (what csv.writer writes), str of an int, a str as it is."""
+def _cells(column: np.ndarray, shape: tuple) -> list[str]:
+    """Each element's CSV cell text, repr of a float (what csv.writer
+    writes), str of an int, a str as it is, made at the column's shape and
+    listed broadcast to shape in C order."""
     values = column.ravel().tolist()
     if column.dtype.kind == "f":
         values = list(map(repr, values))
     elif column.dtype.kind != "U":
         values = list(map(str, values))
-    return np.array(values, dtype=object).reshape(column.shape)
+    if column.shape == shape:
+        return values
+    return np.broadcast_to(np.array(values, dtype=object).reshape(column.shape), shape).ravel().tolist()
 
 
 def emit_csv(rows: Iterable[Sequence], columns: Sequence[str], path) -> Path:
@@ -81,10 +88,12 @@ def emit_csv(rows: Iterable[Sequence], columns: Sequence[str], path) -> Path:
     Cells must be plain str, int or float; the first row is checked, so a
     producer that hands over numpy scalars, or rows wider or narrower than
     the header, fails instead of writing a file load_csv_columns refuses.
-    The bytes are csv.writer's (minimal quoting, a float's repr). A row of
-    str cells is written as its cells joined with ","; csv.writer writes a
-    row with an int or float cell, a cell holding ",", '"', "\r" or "\n",
-    or one empty cell as its only cell.
+    The bytes are csv.writer's (minimal quoting, a float's repr). Rows are
+    taken a chunk at a time. A chunk of rows of str cells that csv would not
+    quote is written as each row's cells joined with ","; the other chunks
+    go row by row, where csv.writer writes a row with an int or float cell,
+    a cell holding ",", '"', "\r" or "\n", or one empty cell as its only
+    cell, and a row of other str cells is joined with ",".
     """
     out = Path(path)
     rows = iter(rows)
@@ -102,19 +111,41 @@ def emit_csv(rows: Iterable[Sequence], columns: Sequence[str], path) -> Path:
             writer.writerow(columns)
             if first is not None:
                 commas = len(columns) - 1
-                for row in chain((first,), rows):
-                    try:
-                        line = ",".join(row)
-                    except TypeError:  # an int or float cell
-                        line = None
-                    if (line is None or line.count(",") != commas or not line
-                            or '"' in line or "\n" in line or "\r" in line):
-                        writer.writerow(row)
-                    else:
-                        fh.write(line + "\n")
+                rows = chain((first,), rows)
+                while chunk := list(islice(rows, _CHUNK_ROWS)):
+                    text = _plain_text(chunk, len(columns))
+                    if text is not None:
+                        fh.write(text)
+                        continue
+                    for row in chunk:
+                        try:
+                            line = ",".join(row)
+                        except TypeError:  # an int or float cell
+                            line = None
+                        if (line is None or line.count(",") != commas or not line
+                                or '"' in line or "\n" in line or "\r" in line):
+                            writer.writerow(row)
+                        else:
+                            fh.write(line + "\n")
     except OSError as exc:
         raise OSError(f"failed writing CSV to {out}: {exc}") from exc
     return out
+
+
+def _plain_text(chunk: list[Sequence], width: int) -> Optional[str]:
+    """The chunk's rows, each its cells joined with "," and ended by "\n",
+    where every row holds width str cells that csv.writer would not quote;
+    None otherwise. Screened on the joined text: with every row width
+    wide, a comma or a newline beyond the separators is inside a cell."""
+    try:
+        lines = list(map(",".join, chunk))
+    except TypeError:  # an int or float cell
+        return None
+    text = "\n".join(lines) + "\n"
+    if (all(lines) and set(map(len, chunk)) == {width} and text.count(",") == (width - 1) * len(lines)
+            and text.count("\n") == len(lines) and '"' not in text and "\r" not in text):
+        return text
+    return None
 
 
 def load_csv_columns(path) -> dict[str, np.ndarray]:

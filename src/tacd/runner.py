@@ -51,7 +51,9 @@ FUSION_BOUND_ALPHA = 0.5
 class Trajectories:
     """Per-period truth and estimates of a set of runs.
 
-    Every array is (R, h); row i belongs to run runs[i]. est maps each
+    Every array is (R, h); row i belongs to run runs[i]. temp_osc is
+    read-only, and where the thermal path draws nothing it is one row
+    broadcast over the runs until concat joins records. est maps each
     selected estimator, in selection order, to the columns it computes.
     """
 

@@ -388,7 +388,9 @@ class ScenarioConfig:
 class ScenarioBatch:
     """Ground truth of a batch of R runs over h periods: per-period states,
     temperatures and exchanges, each (R, h), and the case's known path
-    asymmetry d = d1 - d2."""
+    asymmetry d = d1 - d2. temp_osc is read-only; without a colored-noise
+    thermal segment it is one row broadcast over the runs (stride 0 on the
+    run axis)."""
 
     skew_true: np.ndarray
     offset_true: np.ndarray
@@ -414,7 +416,9 @@ def generate_scenario(cfg: ScenarioConfig, rngs: Sequence[np.random.Generator]) 
     period's residual), which consumes the stream exactly as one call each.
     Everything else is computed once per batch on (R, h) arrays, elementwise
     per run, so a run's rows do not depend on the batch it is in and a given
-    (config, seed) reproduces bit-identical timestamps.
+    (config, seed) reproduces bit-identical timestamps. A thermal path that
+    draws nothing (no colored-noise segment) is computed once, on one row
+    that every run shares.
     """
     h, n = cfg.horizon, len(rngs)
     model = cfg.temp_model
@@ -471,14 +475,17 @@ def generate_scenario(cfg: ScenarioConfig, rngs: Sequence[np.random.Generator]) 
     for k in range(1, h):
         gamma[:, k] = cfg.gm_coefficient * gamma[:, k - 1] + u[:, k]
 
-    t_ext = np.empty((n, h))
+    # without a colored-noise segment the thermal path is the same in every
+    # run: it is computed on one row, which the runs share
+    paths = n if colored.any() else 1
+    t_ext = np.empty((paths, h))
     for seg in cfg.thermal.segments:
         sl = slice(max(seg.start, 0), min(seg.end, h - 1) + 1)
         draws = normals[:, sensor[sl] - 1] if seg.kind == "colored-noise" else None
         t_ext[:, sl] = _segment_temperature(seg, ks[sl], draws)
     # Newton cooling toward the ambient temperature, one period at a time
     decay = float(np.exp(-1.0 / cfg.thermal.cooling_constant))
-    t_osc = np.empty((n, h))
+    t_osc = np.empty((paths, h))
     t_osc[:, 0] = cfg.thermal.initial_oscillator_temp
     for k in range(1, h):
         t_osc[:, k] = t_ext[:, k] + (t_osc[:, k - 1] - t_ext[:, k]) * decay
@@ -498,5 +505,5 @@ def generate_scenario(cfg: ScenarioConfig, rngs: Sequence[np.random.Generator]) 
     shape = (n, h)
     exchanges = ExchangeBatch(np.broadcast_to(t1, shape), t2, t3, np.broadcast_to(t4, shape),
                               np.broadcast_to(ks.astype(float), shape))
-    return ScenarioBatch(skew_true=skew, offset_true=offset, temp_osc=t_osc, temp_meas=t_meas,
+    return ScenarioBatch(skew_true=skew, offset_true=offset, temp_osc=np.broadcast_to(t_osc, shape), temp_meas=t_meas,
                          exchanges=exchanges, d=link.d)

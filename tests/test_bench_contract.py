@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from tacd import report
 from tacd.cli import main as cli_main
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -50,3 +51,32 @@ def test_workload_command_runs(workload, tmp_path):
     horizon = json.loads(Path(wl.config).read_text())["horizon"]
     summary = bench_run.check.summarize(tmp_path / wl.artifact)
     assert bench_run.check.shape_problems(summary, wl.rows(2, horizon), wl.required, wl.finite) == []
+
+
+def test_trajectory_rows_reach_emit_csv_in_one_call(tmp_path, monkeypatch):
+    # bench/spans.py counts report.emit_csv's rows by wrapping it wherever a
+    # tacd module binds it, so every row of the artifact must pass that name
+    orig, calls = report.emit_csv, []
+
+    def counting(rows, *args, **kwargs):
+        counted = [0]
+
+        def count(it):
+            for row in it:
+                counted[0] += 1
+                yield row
+
+        out = orig(count(rows), *args, **kwargs)
+        calls.append(counted[0])
+        return out
+
+    for name, mod in list(sys.modules.items()):
+        if name == "tacd" or name.startswith("tacd."):
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, counting)
+    wl = bench_run.WORKLOADS["simulate-baselines"]
+    assert cli_main(wl.argv(seed=0, runs=3, out_dir=str(tmp_path))) == 0
+    horizon = json.loads(Path(wl.config).read_text())["horizon"]
+    assert calls == [3 * horizon]
+    assert (tmp_path / wl.artifact).read_bytes().count(b"\n") == 1 + 3 * horizon

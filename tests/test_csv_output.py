@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import reference_emit_table
-from tacd.report import emit_csv, emit_table, load_csv_columns
+from tacd.report import _BLOCK_ROWS, _CHUNK_ROWS, emit_csv, emit_table, load_csv_columns
 
 EDGE_FLOATS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 1e-5, 0.1 + 0.2, 1e22, 123456789012345680.0,
                2.5e-308, 1.7976931348623157e308, 1.0, -1e-7, 1e15, 9999999999999998.0, 0.0001]
@@ -72,6 +72,19 @@ def test_tables_larger_than_one_block(tmp_path):
         table = {"x": rng.standard_normal(shape), "i": np.arange(shape[-1]), "lead": np.arange(shape[0]).reshape(
             (shape[0],) + (1,) * (len(shape) - 1))}
         _same_bytes(table, tmp_path, "x".join(map(str, shape)))
+
+
+def test_cells_csv_quotes_past_the_first_chunk(tmp_path):
+    # emit_csv joins and screens a chunk of rows at a time; each cell csv
+    # quotes, and the lone empty cell, sits in a later chunk of its own
+    n = 4 * max(_CHUNK_ROWS, _BLOCK_ROWS) + 3
+    names = np.array([f"r{i}" for i in range(n)], dtype="U8")
+    for j, cell in enumerate(["a,b", 'q"', "x\ny"], start=1):
+        names[j * _CHUNK_ROWS + j] = cell
+    _same_bytes({"name": names, "value": np.arange(n) * 0.1, "k": np.arange(n) % 7}, tmp_path, "mixed")
+    names[n - 2] = ""
+    text = _same_bytes({"only": names}, tmp_path, "one_column")
+    assert text.endswith(f'\n""\nr{n - 1}\n'.encode()) and b'\n"q"""\n' in text
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 5), (3, 0)])

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 from tacd import runner
-from tacd.cli import SUBCOMMANDS
+from tacd.cli import _FLAGS, SUBCOMMANDS
 from tacd.cli import main as cli_main
-from tacd.config import ConfigError, load_config, parse_config
+from tacd.config import RUN_KEYS, ConfigError, RunConfig, load_config, parse_config
 from tacd.report import emit_csv, emit_plot_svg, emit_table, load_csv_columns
 from tacd.runner import (
     Trajectories,
@@ -209,6 +209,24 @@ def test_null_block_reads_as_absent(tmp_path):
     assert _run_simulate(doc, tmp_path) == 0
 
 
+def test_every_run_key_flag_reaches_with_overrides(tmp_path, monkeypatch):
+    given = {"--runs": ("2", 2), "--seed": ("5", 5), "--workers": ("1", 1), "--estimators": ("gptp", ("gptp",)),
+             "--out": (str(tmp_path), str(tmp_path))}
+    seen, real = {}, RunConfig.with_overrides
+
+    def recording(self, **settings):
+        seen.update(settings)
+        return real(self, **settings)
+
+    monkeypatch.setattr(RunConfig, "with_overrides", recording)
+    dests = {flag: _FLAGS[flag].get("dest", flag[2:]) for flag in SUBCOMMANDS["simulate"].flags}
+    run_flags = [flag for flag, dest in dests.items() if dest in RUN_KEYS]
+    assert run_flags
+    argv = ["simulate", "--config", str(ROOT / "configs" / "case2.json")]
+    assert cli_main(argv + [x for flag in run_flags for x in (flag, given[flag][0])]) == 0
+    assert {k: v for k, v in seen.items() if v is not None} == {dests[flag]: given[flag][1] for flag in run_flags}
+
+
 # --------------------------------------------------------------------- runner
 
 def test_two_period_bootstrap():
@@ -249,6 +267,22 @@ def test_run_determinism_and_worker_independence(tmp_path):
     pb = emit_table(trajectory_table(cfg, b), tmp_path / "b.csv")
     pc = emit_table(trajectory_table(cfg, c), tmp_path / "c.csv")
     assert pa.read_bytes() == pb.read_bytes() == pc.read_bytes()
+
+
+def test_shared_thermal_row_keeps_the_bytes_across_batches(tmp_path):
+    # case2's thermal path draws nothing, so a batch's temp_osc is one row
+    # broadcast over its runs; joining batches materializes it
+    cfg = load_config(ROOT / "configs" / "case2.json").with_overrides(runs=4, estimators=("gptp", "thermal-only"))
+    whole = simulate_run(cfg, range(4))
+    joined = Trajectories.concat([simulate_run(cfg, range(2)), simulate_run(cfg, range(2, 4))])
+    assert whole.temp_osc.strides[0] == 0 and joined.temp_osc.strides[0] != 0
+    a = emit_table(trajectory_table(cfg, whole), tmp_path / "whole.csv").read_bytes()
+    assert emit_table(trajectory_table(cfg, joined), tmp_path / "joined.csv").read_bytes() == a
+    for workers in ("1", "2"):
+        argv = ["simulate", "--config", str(ROOT / "configs" / "case2.json"), "--runs", "4", "--workers", workers,
+                "--out", str(tmp_path / workers)]
+        assert cli_main(argv) == 0
+    assert (tmp_path / "1" / "trajectory.csv").read_bytes() == (tmp_path / "2" / "trajectory.csv").read_bytes()
 
 
 @pytest.mark.parametrize("source, cpus, pools", [

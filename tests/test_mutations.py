@@ -119,6 +119,12 @@ MUTATIONS = {
         'fh.write(line + "\\n")',
         [("test_csv_output", "test_str_cells_quoted_like_csv_writer", {"cells": ["a,b", 'say "x"', "two\nlines", ""]})],
     ),
+    "chunk-screen-lets-quotes-through": (
+        "tacd.report",
+        "and '\"' not in text",
+        "",
+        [("test_csv_output", "test_cells_csv_quotes_past_the_first_chunk", {})],
+    ),
     "broadcast-axis-found-by-the-wrong-stride": (
         "tacd.report",
         "zip(column.shape, column.strides)",

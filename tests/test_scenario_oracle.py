@@ -24,8 +24,9 @@ def _bits(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=float).view(np.uint64)
 
 
-def _assert_same(cfg, seeds) -> None:
-    """All seeds through one batch call; each row against the one-run oracle."""
+def _assert_same(cfg, seeds):
+    """All seeds through one batch call; each row against the one-run oracle.
+    Returns the batch."""
     rngs_new = [np.random.default_rng(seed) for seed in seeds]
     new = generate_scenario(cfg, rngs_new)
     for i, seed in enumerate(seeds):
@@ -39,11 +40,21 @@ def _assert_same(cfg, seeds) -> None:
         assert new.d == old.link.d
         # both leave the stream at the same place
         assert rngs_new[i].random() == rng_old.random(), seed
+    return new
 
 
 @pytest.mark.parametrize("case", SHIPPED)
 def test_shipped_configs_match_oracle(case):
     _assert_same(load_config(f"configs/{case}.json").scenario, range(32))
+
+
+@pytest.mark.parametrize("case, shared", [("case1", True), ("case2", True), ("case3", True), ("fusion_study", False)])
+def test_thermal_path_without_draws_is_one_shared_row(case, shared):
+    # a thermal path without colored noise is the same in every run, so the
+    # runs share one row of it; the values stay the oracle's bit for bit
+    temp = _assert_same(load_config(f"configs/{case}.json").scenario, range(4)).temp_osc
+    assert temp.shape[0] == 4 and not temp.flags.writeable
+    assert (temp.strides[0] == 0) == shared
 
 
 def _colored_ends(h: int) -> ThermalProfile:
