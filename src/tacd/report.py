@@ -4,8 +4,8 @@ Floats are written with repr (shortest round-trip form), so emitted files
 are byte-identical across repeated runs and parse back to full precision.
 The bytes are those of csv.writer (minimal quoting, "\n" line ends), but a
 table's cell text is made once per element of each column's own shape and
-rows that need no quoting are joined and written a chunk at a time without
-the csv module.
+a chunk of rows that needs no quoting is joined and written without the
+csv module.
 The SVG writer is hand-rolled to keep output bytes deterministic.
 """
 from __future__ import annotations
@@ -90,10 +90,8 @@ def emit_csv(rows: Iterable[Sequence], columns: Sequence[str], path) -> Path:
     the header, fails instead of writing a file load_csv_columns refuses.
     The bytes are csv.writer's (minimal quoting, a float's repr). Rows are
     taken a chunk at a time. A chunk of rows of str cells that csv would not
-    quote is written as each row's cells joined with ","; the other chunks
-    go row by row, where csv.writer writes a row with an int or float cell,
-    a cell holding ",", '"', "\r" or "\n", or one empty cell as its only
-    cell, and a row of other str cells is joined with ",".
+    quote is written as each row's cells joined with ","; csv.writer writes
+    the other chunks.
     """
     out = Path(path)
     rows = iter(rows)
@@ -110,23 +108,13 @@ def emit_csv(rows: Iterable[Sequence], columns: Sequence[str], path) -> Path:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(columns)
             if first is not None:
-                commas = len(columns) - 1
                 rows = chain((first,), rows)
                 while chunk := list(islice(rows, _CHUNK_ROWS)):
                     text = _plain_text(chunk, len(columns))
-                    if text is not None:
+                    if text is None:
+                        writer.writerows(chunk)
+                    else:
                         fh.write(text)
-                        continue
-                    for row in chunk:
-                        try:
-                            line = ",".join(row)
-                        except TypeError:  # an int or float cell
-                            line = None
-                        if (line is None or line.count(",") != commas or not line
-                                or '"' in line or "\n" in line or "\r" in line):
-                            writer.writerow(row)
-                        else:
-                            fh.write(line + "\n")
     except OSError as exc:
         raise OSError(f"failed writing CSV to {out}: {exc}") from exc
     return out

@@ -477,7 +477,7 @@ def generate_scenario(cfg: ScenarioConfig, rngs: Sequence[np.random.Generator]) 
 
     # without a colored-noise segment the thermal path is the same in every
     # run: it is computed on one row, which the runs share
-    paths = n if colored.any() else 1
+    paths = n if any(seg.kind == "colored-noise" for seg in cfg.thermal.segments) else 1
     t_ext = np.empty((paths, h))
     for seg in cfg.thermal.segments:
         sl = slice(max(seg.start, 0), min(seg.end, h - 1) + 1)

@@ -271,11 +271,11 @@ def test_run_determinism_and_worker_independence(tmp_path):
 
 def test_shared_thermal_row_keeps_the_bytes_across_batches(tmp_path):
     # case2's thermal path draws nothing, so a batch's temp_osc is one row
-    # broadcast over its runs; joining batches materializes it
+    # broadcast over its runs; joined batches write the same bytes
     cfg = load_config(ROOT / "configs" / "case2.json").with_overrides(runs=4, estimators=("gptp", "thermal-only"))
     whole = simulate_run(cfg, range(4))
     joined = Trajectories.concat([simulate_run(cfg, range(2)), simulate_run(cfg, range(2, 4))])
-    assert whole.temp_osc.strides[0] == 0 and joined.temp_osc.strides[0] != 0
+    assert whole.temp_osc.strides[0] == 0
     a = emit_table(trajectory_table(cfg, whole), tmp_path / "whole.csv").read_bytes()
     assert emit_table(trajectory_table(cfg, joined), tmp_path / "joined.csv").read_bytes() == a
     for workers in ("1", "2"):

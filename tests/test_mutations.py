@@ -115,8 +115,8 @@ MUTATIONS = {
     ),
     "csv-rows-always-joined": (
         "tacd.report",
-        "writer.writerow(row)",
-        'fh.write(line + "\\n")',
+        "writer.writerows(chunk)",
+        'fh.write("".join(",".join(map(str, row)) + "\\n" for row in chunk))',
         [("test_csv_output", "test_str_cells_quoted_like_csv_writer", {"cells": ["a,b", 'say "x"', "two\nlines", ""]})],
     ),
     "chunk-screen-lets-quotes-through": (

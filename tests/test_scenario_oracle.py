@@ -75,6 +75,18 @@ def test_colored_noise_at_both_ends_matches_oracle(horizon):
     _assert_same(cfg, range(8))
 
 
+def test_colored_noise_past_the_horizon_matches_oracle():
+    # the segment covers no period and draws nothing, yet the thermal path
+    # keeps one row per run, as with any colored-noise segment
+    base = load_config("configs/case2.json").scenario
+    h = base.horizon
+    segments = base.thermal.segments + (ThermalSegment(h, h + 5, "colored-noise", {
+        "mean": 22.0, "var_base": 0.05, "var_slope": 0.01, "var_ref_k": 0.0}),)
+    cfg = replace(base, thermal=replace(base.thermal, segments=segments))
+    temp = _assert_same(cfg, range(3)).temp_osc
+    assert temp.shape == (3, h) and temp.strides[0] != 0
+
+
 def test_gauss_markov_residual_matches_oracle():
     base = load_config("configs/case3.json").scenario
     truth = TruthOptions(initial_offset=2e-6, initial_skew_residual=3e-7, process_noise_sq=1e-14)
