@@ -12,9 +12,10 @@ ExchangeBatch, the one exchange type, whose fields have any leading shape:
 () for one exchange, (h,) for one run, (R, h) for a batch.
 The filters step all runs of a batch per period and bclb_trajectory runs
 the bound recursion over the horizon, once per case (runner.case_bounds).
-The fusion stage is three functions of plain arrays: pareto_beta returns
-the thermal weight beta, fuse_skew fuses the two phase estimates at it, and
-fusion_variance gives the fused error's variance.
+The fusion stage is four functions of plain arrays: thermal_variance gives
+the thermal phase's error variance, pareto_beta the thermal weight beta
+from it and the network phase's variance, fuse_skew fuses the two phase
+estimates at beta, and fusion_variance gives the fused error's variance.
 The per-period scalar forms of these stages live only in tests/oracles.py,
 as the reference the array forms are checked against.
 """
@@ -54,5 +55,5 @@ from .netcomm import (
     nominal_noise_cov,
     vb_refine,
 )
-from .fusion import fuse_skew, fusion_variance, pareto_beta
+from .fusion import fuse_skew, fusion_variance, pareto_beta, thermal_variance
 from .bclb import OracleNoiseTruth, bclb_trajectory

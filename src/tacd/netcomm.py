@@ -8,21 +8,26 @@ exchanges (build_measurement); plain gPTP arithmetic reads its estimates
 straight off that array, and a fixed-noise Kalman filter is the other
 baseline.
 
-Every estimator takes an optional leading run axis: means are (..., 2),
-covariances (..., 2, 2), mixture weights (..., N_g) and mixture scales
-(..., N_g, 2, 2). An unbatched call is the () case. The 2x2 algebra is
-written out entry by entry and sums over mixture components run in a fixed
-order, so each run's result is bit-identical whatever batch it is in.
+Every estimator takes an optional leading run axis. The filters step on
+packed rows, the layout their arithmetic uses: a belief is the rows
+(x0, x1, P00, P01, P11) of one (5, ...) array (BeliefRows), a noise model
+the rows (chi, dof, V00, V01, V11) of one (5, ..., N_g) array (NoiseRows).
+The (..., 2) means, (..., 2, 2) covariances and (..., N_g, 2, 2) scales are
+built only where a caller reads them; GaussianBelief and MixtureNoiseModel
+are the validated containers callers build, and give the filters their
+rows. An unbatched call is the () case. The 2x2 algebra is written out
+entry by entry and sums over mixture components run in a fixed order, so
+each run's result is bit-identical whatever batch it is in.
 
 A period is bound by numpy's per-call cost, not by arithmetic, so the
 Gaussian-sum path makes few calls: it reads A = [[a00, 0], [a10, 1]] and
 H = diag(h0, h1) as four floats off the StateSpace and drops the zero and
-unit entries from its products, repeats its per-run operands over the
+unit entries from its products, and repeats its per-run operands over the
 mixture components (equal-shape operands are stepped faster than broadcast
-ones), and vb_refine keeps the five hyperparameter rows in one array. The
-Kalman baseline runs its covariance recursion, the same for every run, once
-per period on scalars. For finite operands these give the values of the
-general-form products, which tests/oracles.py keeps as the reference.
+ones). The Kalman baseline runs its covariance recursion, the same for
+every run, once per period on Python floats and steps only the mean rows.
+For finite operands these give the values of the general-form products,
+which tests/oracles.py keeps as the reference.
 """
 from __future__ import annotations
 
@@ -83,6 +88,16 @@ def _congruence(T, a, b, d):
     return u00 * t00 + u01 * t01, u00 * t10 + u01 * t11, u10 * t10 + u11 * t11
 
 
+def _column_congruence(t0, t1, a, b, d):
+    """Entries ((m00, m01), m11) of T M T^T for a symmetric M = (a, b, d)
+    and T given by its columns t0 = (t00, t10) and t1 = (t01, t11), each
+    stacked on a leading axis of 2: _congruence's products, two entries to
+    a numpy call."""
+    u0 = t0 * a + t1 * b  # (u00, u10), the first column of T M
+    u1 = t0 * b + t1 * d  # (u01, u11)
+    return u0[0] * t0 + u1[0] * t1, u0[1] * t0[1] + u1[1] * t1[1]
+
+
 def _component_sum(x: np.ndarray):
     """Sum over the last (mixture component) axis, in index order."""
     total = x[..., 0]
@@ -98,6 +113,8 @@ def _component_max(x: np.ndarray):
         top = np.maximum(top, x[..., j])
     return top
 
+
+# ----------------------------------------------------------------- beliefs
 
 @dataclass(frozen=True)
 class GaussianBelief:
@@ -116,6 +133,43 @@ class GaussianBelief:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
+    @property
+    def rows(self) -> np.ndarray:
+        """The packed (5, ...) rows (x0, x1, P00, P01, P11) the filters step on."""
+        return np.stack((self.mean[..., 0], self.mean[..., 1], *_entries(self.cov)))
+
+
+class BeliefRows:
+    """A belief as the filters hold it: rows (x0, x1, P00, P01, P11), each
+    of the batch shape. The GSF-VB filter's rows are one (5, ...) array;
+    the Kalman baseline's are a tuple whose covariance entries are floats
+    that every run shares. mean and cov are built on access, a shared
+    covariance as one read-only (2, 2) broadcast over the runs.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    @property
+    def mean(self) -> np.ndarray:
+        return _vector(self.rows[0], self.rows[1])
+
+    @property
+    def cov(self) -> np.ndarray:
+        shape = np.shape(self.rows[0])
+        cov = _matrix(*self.rows[2:])
+        return cov if cov.shape[:-2] == shape else np.broadcast_to(cov, shape + (_DIM, _DIM))
+
+
+def _positive_diagonal(rows: np.ndarray) -> BeliefRows:
+    """rows as a BeliefRows; raises unless every covariance diagonal entry
+    is positive (a NaN passes, as in GaussianBelief)."""
+    if np.count_nonzero(rows[2::2] <= 0.0):
+        raise ValueError("covariance diagonal must be positive")
+    return BeliefRows(rows)
+
 
 @dataclass(frozen=True)
 class VbSettings:
@@ -132,15 +186,49 @@ class VbSettings:
             raise ValueError("forgetting_factor must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class MixtureNoiseModel:
-    """Dirichlet / inverse-Wishart hyperparameters of the GMM measurement noise.
+# ------------------------------------------------------------ noise models
 
-    point_weights and point_covariances are the plug-in values used by the
-    Gaussian-sum filter: the Dirichlet mean and the inverse-Wishart mean
-    V / (dof - 3) with dof clamped at MIN_IW_DOF when the mean would not
-    exist. dof_clamped says whether that clamp applies in any run.
-    """
+def _point_weights(chi):
+    """The Dirichlet mean of concentrations chi, shaped (..., N_g)."""
+    return chi / _component_sum(chi)[..., None]
+
+
+def _point_covariance_rows(rows: np.ndarray) -> np.ndarray:
+    """Entry rows (R00, R01, R11) of the inverse-Wishart means V / (dof - 3)
+    of noise rows (chi, dof, V00, V01, V11), dof clamped at MIN_IW_DOF where
+    the mean would not exist."""
+    return rows[2:] / (np.maximum(rows[1], MIN_IW_DOF) - (_DIM + 1.0))
+
+
+class _NoiseReadout:
+    """The plug-in values the Gaussian-sum filter uses, read off a noise
+    model: point_weights is the Dirichlet mean and point_covariances the
+    inverse-Wishart mean V / (dof - 3) with dof clamped at MIN_IW_DOF when
+    the mean would not exist. dof_clamped says whether that clamp applies
+    in any run."""
+
+    __slots__ = ()
+
+    @property
+    def num_components(self) -> int:
+        return self.dirichlet_concentration.shape[-1]
+
+    @property
+    def dof_clamped(self) -> bool:
+        return bool(np.any(self.iw_dof <= _DIM + 1))
+
+    @property
+    def point_weights(self) -> np.ndarray:
+        return _point_weights(self.dirichlet_concentration)
+
+    @property
+    def point_covariances(self) -> np.ndarray:
+        return _matrix(*_point_covariance_rows(self.rows))
+
+
+@dataclass(frozen=True)
+class MixtureNoiseModel(_NoiseReadout):
+    """Dirichlet / inverse-Wishart hyperparameters of the GMM measurement noise."""
 
     dirichlet_concentration: np.ndarray
     iw_dof: np.ndarray
@@ -159,22 +247,9 @@ class MixtureNoiseModel:
         object.__setattr__(self, "iw_scale", scale)
 
     @property
-    def num_components(self) -> int:
-        return self.dirichlet_concentration.shape[-1]
-
-    @property
-    def dof_clamped(self) -> bool:
-        return bool(np.any(self.iw_dof <= _DIM + 1))
-
-    @property
-    def point_weights(self) -> np.ndarray:
-        chi = self.dirichlet_concentration
-        return chi / _component_sum(chi)[..., None]
-
-    @property
-    def point_covariances(self) -> np.ndarray:
-        dof = np.maximum(self.iw_dof, MIN_IW_DOF)
-        return self.iw_scale / (dof - (_DIM + 1.0))[..., None, None]
+    def rows(self) -> np.ndarray:
+        """The packed (5, ..., N_g) rows (chi, dof, V00, V01, V11) the filter steps on."""
+        return np.stack((self.dirichlet_concentration, self.iw_dof, *_entries(self.iw_scale)))
 
     @classmethod
     def from_point_estimates(cls, weights, stddevs) -> "MixtureNoiseModel":
@@ -183,6 +258,29 @@ class MixtureNoiseModel:
         scale = np.array([(s * s) * NOISE_CORR for s in np.asarray(stddevs, dtype=float)])
         dof = np.full(w.shape, MIN_IW_DOF)
         return cls(dirichlet_concentration=w * 100.0, iw_dof=dof, iw_scale=scale)
+
+
+class NoiseRows(_NoiseReadout):
+    """A noise model as the GSF-VB filter holds it: the rows (chi, dof, V00,
+    V01, V11) of one (5, ..., N_g) array. The hyperparameters read as
+    MixtureNoiseModel's; iw_scale is built on access."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
+        self.rows = rows
+
+    @property
+    def dirichlet_concentration(self) -> np.ndarray:
+        return self.rows[0]
+
+    @property
+    def iw_dof(self) -> np.ndarray:
+        return self.rows[1]
+
+    @property
+    def iw_scale(self) -> np.ndarray:
+        return _matrix(*self.rows[2:])
 
 
 def isotropic_mixture_model(chi, dof, scale_diag) -> MixtureNoiseModel:
@@ -231,40 +329,50 @@ def enforce_spd(cov: np.ndarray, floor: float = SPD_EIGENVALUE_FLOOR) -> tuple[n
     return (vecs * vals) @ vecs.T, True
 
 
-def _spd_repaired(a, b, d) -> tuple[np.ndarray, np.ndarray]:
-    """Covariance from symmetric entries with the eigenvalue floor enforced.
+def _spd_repair(rows: np.ndarray) -> np.ndarray:
+    """Enforce the eigenvalue floor on the covariance rows of belief rows,
+    in place; returns which runs were repaired.
 
     The closed-form minimum eigenvalue det / lambda_max screens the runs;
-    only those near or below the floor go through enforce_spd. Callers
-    silence numpy's floating-point warnings: a NaN or zero lambda_max makes
-    the run suspect.
+    only those near or below the floor go through enforce_spd, whose [0, 1]
+    entry is kept. Callers silence numpy's floating-point warnings: a NaN or
+    zero lambda_max makes the run suspect.
     """
-    cov = _matrix(a, b, d)
-    repaired = np.zeros(cov.shape[:-2], dtype=bool)
+    a, b, d = rows[2:]
     hi = 0.5 * (a + d) + np.sqrt(0.25 * (a - d) * (a - d) + b * b)
     lo = (a * d - b * b) / hi
     suspect = ~(lo >= SPD_EIGENVALUE_FLOOR + _EIG_RECHECK * hi)
-    if suspect.any():
+    repaired = np.zeros(suspect.shape, dtype=bool)
+    if np.count_nonzero(suspect):
         for i in np.ndindex(suspect.shape):
             if suspect[i]:
-                cov[i], repaired[i] = enforce_spd(cov[i])
-    return cov, repaired
+                run = rows[(slice(None),) + i]
+                cov, repaired[i] = enforce_spd(_matrix(*run[2:]))
+                run[2:] = _entries(cov)
+    return repaired
 
 
-def gsf_predict(belief: GaussianBelief, ss: StateSpace) -> GaussianBelief:
+# ------------------------------------------------------------------ GSF-VB
+# The filter functions read a belief's and a noise model's packed rows, so
+# they take the validated containers as well as the filter's own rows.
+
+def gsf_predict(belief, ss: StateSpace) -> BeliefRows:
     """Time update: mean' = A mean, P' = A P A^T + Q_v, with the zero and
     unit entries of A = [[a00, 0], [a10, 1]] dropped from the products."""
     a00, a10 = ss.a00, ss.a10
-    x0, x1 = belief.mean[..., 0], belief.mean[..., 1]
-    p00, p01, p11 = _entries(belief.cov)
+    rows = belief.rows
+    x0, x1, p00, p01, p11 = rows
     # the rows of A P, then (A P) A^T
     u00, u01 = a00 * p00, a00 * p01
     u10, u11 = a10 * p00 + p01, a10 * p01 + p11
     q00, q01, q11 = _entries(ss.Q_v)
-    return GaussianBelief(
-        mean=_vector(a00 * x0, a10 * x0 + x1),
-        cov=_matrix(u00 * a00 + q00, u00 * a10 + u01 + q01, u10 * a10 + u11 + q11),
-    )
+    out = np.empty(rows.shape)
+    out[0] = a00 * x0
+    out[1] = a10 * x0 + x1
+    out[2] = u00 * a00 + q00
+    out[3] = u00 * a10 + u01 + q01
+    out[4] = u10 * a10 + u11 + q11
+    return _positive_diagonal(out)
 
 
 @dataclass
@@ -272,7 +380,7 @@ class GsfUpdateResult:
     """One measurement update. underflow_runs / repaired_runs flag each run;
     underflow and spd_repairs count the flagged runs of the batch."""
 
-    belief: GaussianBelief
+    belief: BeliefRows
     responsibilities: np.ndarray
     underflow_runs: np.ndarray
     repaired_runs: np.ndarray
@@ -286,9 +394,7 @@ class GsfUpdateResult:
         return int(np.count_nonzero(self.repaired_runs))
 
 
-def gsf_update(
-    belief: GaussianBelief, z: np.ndarray, noise: MixtureNoiseModel, ss: StateSpace
-) -> GsfUpdateResult:
+def gsf_update(belief, z: np.ndarray, noise, ss: StateSpace) -> GsfUpdateResult:
     """Measurement update: one Kalman update per mixture component, combined
     by posterior component weights and moment-matched to a single Gaussian.
 
@@ -298,24 +404,26 @@ def gsf_update(
     the weights fall back to uniform and the run is flagged.
     """
     h0, h1 = ss.h0, ss.h1
-    w = noise.point_weights
-    n = noise.num_components
+    rows, noise_rows = belief.rows, noise.rows
+    w = _point_weights(noise_rows[0])
+    r00, r01, r11 = _point_covariance_rows(noise_rows)
+    n = w.shape[-1]
     # the per-run operands, repeated over the components: numpy steps
     # equal-shape contiguous operands faster than broadcast ones
     per_run = np.empty((7,) + w.shape)
-    operands = (belief.mean[..., 0], belief.mean[..., 1], z[..., 0], z[..., 1], *_entries(belief.cov))
-    for row, x in zip(per_run, operands):
-        row[...] = x[..., None]
-    x0, x1, z0, z1, p00, p01, p11 = per_run
-    r00, r01, r11 = _entries(noise.point_covariances)
+    per_run[:5] = rows[..., None]
+    per_run[5] = z[..., 0, None]
+    per_run[6] = z[..., 1, None]
+    x0, x1, p00, p01, p11, z0, z1 = per_run
 
     v0 = z0 - h0 * x0
     v1 = z1 - h1 * x1
-    # G = P H^T, then the innovation covariance H G + R_j of every component
-    g00, g01, g10, g11 = p00 * h0, p01 * h1, p01 * h0, p11 * h1
-    s00 = h0 * g00 + r00
-    s01 = h0 * g01 + r01
-    s11 = h1 * g11 + r11
+    # the columns (g00, g10), (g01, g11) of G = P H^T, then the innovation
+    # covariance H G + R_j of every component
+    g0, g1 = per_run[2:4] * h0, per_run[3:5] * h1
+    s00 = h0 * g0[0] + r00
+    s01 = h0 * g1[0] + r01
+    s11 = h1 * g1[1] + r11
     det = s00 * s11 - s01 * s01
 
     # a singular component, or a run whose likelihoods all underflow, goes
@@ -323,54 +431,51 @@ def gsf_update(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         quad = (s11 * (v0 * v0) - s01 * (2.0 * v0 * v1) + s00 * (v1 * v1)) / det
         logw = np.log(w) - 0.5 * (quad + np.log(det) + _DIM * _LOG_2PI)
-        # gain K = G S^-1 and the component posterior means
-        k00 = (g00 * s11 - g01 * s01) / det
-        k01 = (g01 * s00 - g00 * s01) / det
-        k10 = (g10 * s11 - g11 * s01) / det
-        k11 = (g11 * s00 - g10 * s01) / det
-        m0 = x0 + (k00 * v0 + k01 * v1)
-        m1 = x1 + (k10 * v0 + k11 * v1)
-        # Joseph form (I - K H) P (I - K H)^T + K R K^T keeps each component PSD
-        ikh = (1.0 - k00 * h0, -(k01 * h1), -(k10 * h0), 1.0 - k11 * h1)
-        j00, j01, j11 = _congruence(ikh, p00, p01, p11)
-        n00, n01, n11 = _congruence((k00, k01, k10, k11), r00, r01, r11)
-        c00, c01, c11 = j00 + n00, j01 + n01, j11 + n11
+        # the columns (k00, k10), (k01, k11) of the gain K = G S^-1, and the
+        # component posterior means (m0, m1)
+        k0 = (g0 * s11 - g1 * s01) / det
+        k1 = (g1 * s00 - g0 * s01) / det
+        m = per_run[:2] + (k0 * v0 + k1 * v1)
+        # Joseph form (I - K H) P (I - K H)^T + K R K^T keeps each component
+        # PSD; the columns of I - K H are (1 - k00 h0, -(k10 h0)) and
+        # (-(k01 h1), 1 - k11 h1)
+        ikh0, ikh1 = -(k0 * h0), -(k1 * h1)
+        ikh0[0] += 1.0
+        ikh1[1] += 1.0
+        # each congruence gives ((c00, c01) stacked, c11)
+        j0, j11 = _column_congruence(ikh0, ikh1, p00, p01, p11)
+        n0, n11 = _column_congruence(k0, k1, r00, r01, r11)
+        c0, c11 = j0 + n0, j11 + n11
 
         singular = det <= 0.0
-        if singular.any():
+        if np.count_nonzero(singular):
             logw = np.where(singular, -np.inf, logw)
-            m0, m1 = np.where(singular, x0, m0), np.where(singular, x1, m1)
-            c00, c01, c11 = (np.where(singular, p, c) for p, c in ((p00, c00), (p01, c01), (p11, c11)))
+            m = np.where(singular, per_run[:2], m)
+            c0, c11 = np.where(singular, per_run[2:4], c0), np.where(singular, p11, c11)
 
         underflow = ~np.isfinite(logw).any(axis=-1)
         wts = np.exp(logw - _component_max(logw)[..., None])
         wts = wts / _component_sum(wts)[..., None]
-        if underflow.any():
+        if np.count_nonzero(underflow):
             wts = np.where(underflow[..., None], 1.0 / n, wts)
 
-        mean0 = _component_sum(wts * m0)
-        mean1 = _component_sum(wts * m1)
-        e0, e1 = m0 - mean0[..., None], m1 - mean1[..., None]
-        cov, repaired = _spd_repaired(
-            _component_sum(wts * (c00 + e0 * e0)),
-            _component_sum(wts * (c01 + e0 * e1)),
-            _component_sum(wts * (c11 + e1 * e1)),
-        )
+        # moment matching: the mixture mean, then the covariance entries
+        # (P00, P01) and P11 about it
+        out = np.empty(rows.shape)
+        out[:2] = _component_sum(wts * m)
+        e = m - out[:2, ..., None]
+        out[2:4] = _component_sum(wts * (c0 + e[0] * e))
+        out[4] = _component_sum(wts * (c11 + e[1] * e[1]))
+        repaired = _spd_repair(out)
     return GsfUpdateResult(
-        belief=GaussianBelief(mean=_vector(mean0, mean1), cov=cov),
+        belief=_positive_diagonal(out),
         responsibilities=wts,
         underflow_runs=underflow,
         repaired_runs=repaired,
     )
 
 
-def vb_refine(
-    noise: MixtureNoiseModel,
-    z: np.ndarray,
-    belief: GaussianBelief,
-    ss: StateSpace,
-    settings: VbSettings,
-) -> MixtureNoiseModel:
+def vb_refine(noise, z: np.ndarray, belief, ss: StateSpace, settings: VbSettings) -> NoiseRows:
     """Conjugate mean-field refinement of the noise mixture for one period.
 
     Hyperparameters are first discounted by the forgetting factor (the
@@ -380,29 +485,24 @@ def vb_refine(
     H = diag(h0, h1). Convergence is judged per run: a converged run keeps
     its values while the others iterate on, up to max_iterations.
 
-    The hyperparameters (chi, dof, V00, V01, V11) are the rows of one
-    array, so an update is pred + q * stat, stat's rows being what each
-    unit of responsibility adds: 1, 1 and the entries of S.
+    On the noise rows (chi, dof, V00, V01, V11) an update is
+    pred + q * stat, stat's rows being what each unit of responsibility
+    adds: 1, 1 and the entries of S.
     """
     rho = settings.forgetting_factor
     h0, h1 = ss.h0, ss.h1
-    r0 = z[..., 0] - h0 * belief.mean[..., 0]
-    r1 = z[..., 1] - h1 * belief.mean[..., 1]
-    p00, p01, p11 = _entries(belief.cov)
+    x0, x1, p00, p01, p11 = belief.rows
+    r0 = z[..., 0] - h0 * x0
+    r1 = z[..., 1] - h1 * x1
+    pred = noise.rows * rho
+    pred[1] += (1.0 - rho) * MIN_IW_DOF
     # repeated over the components, like gsf_update's per-run operands
-    stat = np.empty((5,) + noise.dirichlet_concentration.shape)
+    stat = np.empty(pred.shape)
     stat[:2] = 1.0
     stat[2] = (r0 * r0 + (h0 * p00) * h0)[..., None]
     stat[3] = (r0 * r1 + (h0 * p01) * h1)[..., None]
     stat[4] = (r1 * r1 + (h1 * p11) * h1)[..., None]
     s00, s01, s11 = stat[2:]
-
-    pred = np.empty(stat.shape)
-    pred[0] = noise.dirichlet_concentration
-    pred[1] = noise.iw_dof
-    pred[2], pred[3], pred[4] = _entries(noise.iw_scale)
-    pred *= rho
-    pred[1] += (1.0 - rho) * MIN_IW_DOF
 
     params = pred
     active = np.ones(r0.shape, dtype=bool)
@@ -428,7 +528,9 @@ def vb_refine(
             held = still < active.size
         q_prev = q
 
-    return MixtureNoiseModel(dirichlet_concentration=params[0], iw_dof=params[1], iw_scale=_matrix(*params[2:]))
+    if np.count_nonzero(params[0] <= 0.0):
+        raise ValueError("Dirichlet concentrations must be > 0")
+    return NoiseRows(params)
 
 
 class GsfVbFilter:
@@ -437,20 +539,16 @@ class GsfVbFilter:
     Each period: predict, Gaussian-sum update, then (when VB settings are
     given) one round of noise-model refinement. With a single component and
     VB disabled the trajectory coincides with a textbook Kalman filter.
-    The belief is the prior until the first step; each step's update flags
-    the runs it repaired or whose likelihoods underflowed.
+    The filter holds its belief and noise model as packed rows (BeliefRows,
+    NoiseRows), copied from the containers it is given. The belief is the
+    prior until the first step; each step's update flags the runs it
+    repaired or whose likelihoods underflowed.
     """
 
-    def __init__(
-        self,
-        ss: StateSpace,
-        noise: MixtureNoiseModel,
-        belief: GaussianBelief,
-        vb: Optional[VbSettings] = None,
-    ):
+    def __init__(self, ss: StateSpace, noise, belief, vb: Optional[VbSettings] = None):
         self.ss = ss
-        self.noise = noise
-        self.belief = belief
+        self.noise = NoiseRows(np.array(noise.rows, dtype=float))
+        self.belief = BeliefRows(np.array(belief.rows, dtype=float))
         self.vb = vb
 
     def step(self, z) -> GsfUpdateResult:
@@ -465,10 +563,10 @@ class GsfVbFilter:
         return upd
 
     def condition_on_skew(self, skew) -> None:
-        """Replace the belief-mean skew entry, leaving the covariance alone."""
-        mean = self.belief.mean.copy()
-        mean[..., 0] = skew
-        self.belief = GaussianBelief(mean=mean, cov=self.belief.cov)
+        """Replace the belief-mean skew row, leaving the covariance alone."""
+        rows = self.belief.rows.copy()
+        rows[0] = skew
+        self.belief = BeliefRows(rows)
 
 
 class KalmanBaseline:
@@ -476,15 +574,15 @@ class KalmanBaseline:
 
     With R fixed and one prior covariance shared by every run, the
     covariance and gain recursion is the same for every run, so it runs
-    once per period on scalars and only the (..., 2) means are stepped per
-    run; belief.cov is that one (2, 2) covariance, broadcast read-only over
-    the runs, and per-run prior covariances that differ raise. Written out
-    directly with the general A and H (no mixture machinery, no entry
-    assumed zero or one), so it doubles as an independent cross-check of
-    the Gaussian-sum path.
+    once per period on Python floats (the same IEEE arithmetic as numpy
+    scalars) and only the mean rows are stepped per run; belief is a
+    BeliefRows whose covariance entries are those floats, and per-run prior
+    covariances that differ raise. Written out directly with the general A
+    and H (no mixture machinery, no entry assumed zero or one), so it
+    doubles as an independent cross-check of the Gaussian-sum path.
     """
 
-    def __init__(self, ss: StateSpace, r_fixed: np.ndarray, belief: GaussianBelief):
+    def __init__(self, ss: StateSpace, r_fixed: np.ndarray, belief):
         priors = belief.cov.reshape((-1, _DIM, _DIM))
         if len(priors) == 0:
             raise ValueError("the Kalman baseline needs at least one run's prior")
@@ -494,36 +592,41 @@ class KalmanBaseline:
         self.R = np.asarray(r_fixed, dtype=float)
         if self.R.shape != (_DIM, _DIM):
             raise ValueError(f"the fixed measurement covariance must be 2x2, got shape {self.R.shape}")
-        self.belief = GaussianBelief(mean=belief.mean, cov=np.broadcast_to(priors[0], belief.cov.shape))
+        # A, H, Q_v and R, each row-major as Python floats
+        self._matrices = tuple(tuple(np.asarray(M, dtype=float).ravel().tolist()) for M in (ss.A, ss.H, ss.Q_v, self.R))
+        mean = np.asarray(belief.mean, dtype=float)
+        (p00, p01), (_, p11) = priors[0].tolist()
+        self.belief = BeliefRows((mean[..., 0].copy(), mean[..., 1].copy(), p00, p01, p11))
 
-    def step(self, z) -> GaussianBelief:
+    def step(self, z) -> BeliefRows:
         """Advance one period on the measurement z, as GsfVbFilter.step;
         returns the posterior."""
         z = np.asarray(z, dtype=float)
-        A, H, Q, R = (tuple(M.flat) for M in (self.ss.A, self.ss.H, self.ss.Q_v, self.R))
-        # the shared covariance, on numpy scalars: P' = A P A^T + Q_v,
-        # S = H P' H^T + R, K = P' H^T S^-1, then the Joseph form
-        P = tuple(self.belief.cov.reshape((-1, _DIM, _DIM))[0].flat)
-        a, b, c = _congruence(A, P[0], P[1], P[3])
+        A, H, Q, R = self._matrices
+        x0, x1, *P = self.belief.rows
+        # the shared covariance: P' = A P A^T + Q_v, S = H P' H^T + R,
+        # K = P' H^T S^-1, then the Joseph form
+        a, b, c = _congruence(A, *P)
         a, b, c = a + Q[0], b + Q[1], c + Q[3]
         f00, f01, f10, f11 = a * H[0] + b * H[1], a * H[2] + b * H[3], b * H[0] + c * H[1], b * H[2] + c * H[3]
         s00, s01, s11 = _congruence(H, a, b, c)
         s00, s01, s11 = s00 + R[0], s01 + R[1], s11 + R[3]
         det = s00 * s11 - s01 * s01
+        if not det:
+            # a float division by zero raises; numpy's gives IEEE inf / NaN
+            det = np.float64(det)
         K = ((f00 * s11 - f01 * s01) / det, (f01 * s00 - f00 * s01) / det,
              (f10 * s11 - f11 * s01) / det, (f11 * s00 - f10 * s01) / det)
         ikh = (1.0 - (K[0] * H[0] + K[1] * H[2]), -(K[0] * H[1] + K[1] * H[3]),
                -(K[2] * H[0] + K[3] * H[2]), 1.0 - (K[2] * H[1] + K[3] * H[3]))
         j = _congruence(ikh, a, b, c)
         n = _congruence(K, R[0], R[1], R[3])
-        cov = _matrix(j[0] + n[0], j[1] + n[1], j[2] + n[2])
-        # the per-run means
-        x0, x1 = self.belief.mean[..., 0], self.belief.mean[..., 1]
+        cov = (j[0] + n[0], j[1] + n[1], j[2] + n[2])
+        # the per-run mean rows
         xp0, xp1 = A[0] * x0 + A[1] * x1, A[2] * x0 + A[3] * x1
         y0 = z[..., 0] - (H[0] * xp0 + H[1] * xp1)
         y1 = z[..., 1] - (H[2] * xp0 + H[3] * xp1)
-        mean = _vector(xp0 + (K[0] * y0 + K[1] * y1), xp1 + (K[2] * y0 + K[3] * y1))
-        self.belief = GaussianBelief(mean=mean, cov=np.broadcast_to(cov, self.belief.cov.shape))
+        self.belief = BeliefRows((xp0 + (K[0] * y0 + K[1] * y1), xp1 + (K[2] * y0 + K[3] * y1), *cov))
         return self.belief
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .bclb import OracleNoiseTruth, bclb_trajectory
 from .clock import build_state_space
-from .fusion import fuse_skew, pareto_beta
+from .fusion import fuse_skew, pareto_beta, thermal_variance
 from .netcomm import (
     GaussianBelief,
     GsfVbFilter,
@@ -53,8 +53,8 @@ class Trajectories:
 
     Every array is (R, h); row i belongs to run runs[i]. temp_osc is
     read-only, and where the thermal path draws nothing it is one row
-    broadcast over the runs until concat joins records. est maps each
-    selected estimator, in selection order, to the columns it computes.
+    broadcast over the runs. est maps each selected estimator, in selection
+    order, to the columns it computes.
     """
 
     runs: np.ndarray
@@ -70,13 +70,20 @@ class Trajectories:
 
     @classmethod
     def concat(cls, parts: Sequence[Trajectories]) -> Trajectories:
-        """Join records along the run axis, in the given order."""
+        """Join records along the run axis, in the given order. Where all
+        temp_osc rows hold the same bits (a pool worker's broadcast row
+        arrives as a full array), the joined temp_osc is that one row
+        broadcast over the runs, read-only, again."""
         def join(xs):
             if isinstance(xs[0], dict):
                 return {key: join([x[key] for x in xs]) for key in xs[0]}
             return np.concatenate(xs)
 
-        return cls(**{f.name: join([getattr(p, f.name) for p in parts]) for f in fields(cls)})
+        out = cls(**{f.name: join([getattr(p, f.name) for p in parts]) for f in fields(cls)})
+        bits = out.temp_osc.view(np.int64)
+        if len(bits) and (bits == bits[0]).all():
+            out.temp_osc = np.broadcast_to(out.temp_osc[0], out.temp_osc.shape)
+        return out
 
 
 def _run_rng(master_seed: int, run_index: int) -> np.random.Generator:
@@ -122,14 +129,21 @@ def _gsf_vb_filter(cfg: RunConfig, n: int) -> GsfVbFilter:
     return GsfVbFilter(build_state_space(cfg.dynamics), noise, _prior(cfg, n), vb=cfg.vb)
 
 
+def _period_rows(z: np.ndarray) -> np.ndarray:
+    """Measurements (R, h, 2) as (h, 2, R): period k's two rows are z[k],
+    contiguous, and a filter steps on their (R, 2) transpose z[k].T."""
+    return np.ascontiguousarray(z.transpose(1, 2, 0))
+
+
 def _track(filt, b: BatchInputs) -> dict[str, np.ndarray]:
     """The Kalman baseline's belief mean at every period: the prior at k = 0,
     then one step per period."""
     skew, offset = b.nans(), b.nans()
+    z = _period_rows(b.z)
     for k in range(skew.shape[1]):
         if k > 0:
-            filt.step(b.z[:, k])
-        skew[:, k], offset[:, k] = filt.belief.mean.T
+            filt.step(z[k].T)
+        skew[:, k], offset[:, k] = filt.belief.rows[:2]
     return {"skew": skew, "offset": offset}
 
 
@@ -143,24 +157,27 @@ def _network_phase(b: BatchInputs, names: tuple[str, ...]) -> Served:
     would give."""
     cfg, model, (runs, horizon) = b.cfg, b.cfg.temp_model, b.temp_meas.shape
     blocks = {name: slice(i * runs, (i + 1) * runs) for i, name in enumerate(names)}
-    z = np.concatenate([b.z] * len(names))
-    filt = _gsf_vb_filter(cfg, len(z))
-    theta_L, delta_hat = np.full((len(z), horizon), np.nan), np.full((len(z), horizon), np.nan)
+    z = _period_rows(np.concatenate([b.z] * len(names)))
+    n = z.shape[-1]
+    filt = _gsf_vb_filter(cfg, n)
+    theta_L, delta_hat = np.full((n, horizon), np.nan), np.full((n, horizon), np.nan)
     fused = blocks.get("tacd")
     if fused is not None:
         theta_T = skew_from_temperature(b.temp_meas, model)
-        temp_gap = b.temp_meas - model.T0
+        thermal_var = thermal_variance(b.temp_meas - model.T0, model)
         theta_F, epsilon, beta = b.nans(), b.nans(), b.nans()
     for k in range(horizon):
         if k > 0:
-            filt.step(z[:, k])
-        theta_L[:, k], delta_hat[:, k] = filt.belief.mean.T
+            filt.step(z[k].T)
+        # the belief rows (x0, x1, P00, P01, P11)
+        state = filt.belief.rows
+        theta_L[:, k], delta_hat[:, k] = state[:2]
         if fused is not None:
-            epsilon[:, k] = filt.belief.cov[fused, 0, 0]
-            beta[:, k] = pareto_beta(epsilon[:, k], temp_gap[:, k], model, cfg.fusion.lam)
-            theta_F[:, k] = fuse_skew(theta_L[fused, k], theta_T[:, k], beta[:, k])
+            epsilon[:, k] = state[2, fused]
+            beta[:, k] = pareto_beta(state[2, fused], thermal_var[:, k], model, cfg.fusion.lam)
+            theta_F[:, k] = fuse_skew(state[0, fused], theta_T[:, k], beta[:, k])
             if cfg.fusion.feedback:
-                skew = theta_L[:, k].copy()
+                skew = state[0].copy()
                 skew[fused] = theta_F[:, k]
                 filt.condition_on_skew(skew)
     served = {name: {"skew": theta_L[rows], "offset": delta_hat[rows]} for name, rows in blocks.items()}

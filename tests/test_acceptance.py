@@ -13,7 +13,7 @@ from tacd.bclb import OracleNoiseTruth, bclb_trajectory
 from tacd.cli import main as cli_main
 from tacd.clock import ClockDynamics, build_state_space
 from tacd.config import load_config, parse_config
-from tacd.fusion import pareto_beta
+from tacd.fusion import pareto_beta, thermal_variance
 from tacd.netcomm import (
     GaussianBelief,
     GsfVbFilter,
@@ -80,7 +80,7 @@ def test_criterion_1_pareto_closed_form():
     # the library op agrees with the vectorized closed form bit-for-bit
     for i in rng.integers(0, n, 100):
         model = TempSkewModel(kappa=float(kappa[i]), T0=25.0, theta0=0.0, sigma_T_sq=float(s2[i]))
-        ok &= abs(pareto_beta(float(eps[i]), float(gap[i]), model, float(lam[i])) - beta[i]) < 1e-15
+        ok &= abs(pareto_beta(float(eps[i]), thermal_variance(float(gap[i]), model), model, float(lam[i])) - beta[i]) < 1e-15
     _report(
         1,
         "pareto closed form vs golden section",

@@ -80,3 +80,34 @@ def test_trajectory_rows_reach_emit_csv_in_one_call(tmp_path, monkeypatch):
     horizon = json.loads(Path(wl.config).read_text())["horizon"]
     assert calls == [3 * horizon]
     assert (tmp_path / wl.artifact).read_bytes().count(b"\n") == 1 + 3 * horizon
+
+
+def test_traced_filter_counters_are_attributes(tmp_path, monkeypatch):
+    # bench/spans.py reads underflow, spd_repairs and dof_clamped with
+    # getattr(out, name, 0), so a lost attribute would read 0 with no error:
+    # evaluate case3 through counting wrappers bound wherever a tacd module
+    # binds the functions the tracer wraps; tacd and linear-only share one
+    # filter pass, one step per period after the first
+    wrapped = ("netcomm.gsf_predict", "netcomm.gsf_update", "netcomm.vb_refine")
+    outs = {name: [] for name in wrapped}
+    for name, module, attr in bench_run.TARGETS:
+        if name not in outs:
+            continue
+        orig = getattr(importlib.import_module(module), attr)
+
+        def counting(*args, _orig=orig, _out=outs[name], **kwargs):
+            _out.append(_orig(*args, **kwargs))
+            return _out[-1]
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name == "tacd" or mod_name.startswith("tacd."):
+                for key, value in list(vars(mod).items()):
+                    if value is orig:
+                        monkeypatch.setattr(mod, key, counting)
+    config = "configs/case3.json"
+    argv = ["evaluate", "--config", config, "--runs", "2", "--workers", "1", "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    horizon = json.loads(Path(config).read_text())["horizon"]
+    assert [len(outs[name]) for name in wrapped] == [horizon - 1] * 3
+    assert all(type(out.underflow) is int and type(out.spd_repairs) is int for out in outs["netcomm.gsf_update"])
+    assert all(type(out.dof_clamped) is bool for out in outs["netcomm.vb_refine"])

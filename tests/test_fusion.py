@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from tacd.fusion import fuse_skew, fusion_variance, pareto_beta
+from tacd.fusion import fuse_skew, fusion_variance, pareto_beta, thermal_variance
 from tacd.clock import ClockDynamics, build_state_space
 from tacd.netcomm import GaussianBelief, GsfVbFilter, MixtureNoiseModel
 from tacd.thermal import TempSkewModel
@@ -26,11 +26,11 @@ def test_fusion_variance_values(model):
 
 
 def test_pareto_pure_bias_objective(model):
-    assert pareto_beta(1e-12, 5.0, model, lam=1.0) == 0.0
+    assert pareto_beta(1e-12, thermal_variance(5.0, model), model, lam=1.0) == 0.0
 
 
 def test_pareto_reference_value(model):
-    beta = pareto_beta(1e-14, 10.0, model, lam=0.0)
+    beta = pareto_beta(1e-14, thermal_variance(10.0, model), model, lam=0.0)
     assert beta == pytest.approx(0.13507672357899286, rel=1e-12, abs=0.0)
     assert beta == pytest.approx(1e-14 / (6.4032e-14 + 1e-14), rel=1e-4, abs=0.0)
 
@@ -39,18 +39,18 @@ def test_pareto_matches_golden_section(model):
     lams = np.array([0.0, 0.3, 0.5, 0.9])
     beta_num = golden_section_beta_vec(np.full(4, 1e-14), model.kappa, model.sigma_T_sq, np.full(4, 10.0), lams)
     for lam, expected in zip(lams, beta_num):
-        assert abs(pareto_beta(1e-14, 10.0, model, lam) - expected) < 1e-9
+        assert abs(pareto_beta(1e-14, thermal_variance(10.0, model), model, lam) - expected) < 1e-9
 
 
 def test_pareto_degenerate_denominator():
     flat = TempSkewModel(kappa=0.0, T0=25.0, theta0=0.0, sigma_T_sq=0.0)
-    assert pareto_beta(1e-14, 0.0, flat, lam=1.0) == 0.0
+    assert pareto_beta(1e-14, thermal_variance(0.0, flat), flat, lam=1.0) == 0.0
 
 
 def test_pareto_boundary_beta_one():
     # lambda = 0 with a flat thermal error surface drives everything thermal
     flat = TempSkewModel(kappa=0.0, T0=25.0, theta0=0.0, sigma_T_sq=0.0)
-    assert pareto_beta(1e-14, 0.0, flat, lam=0.0) == 1.0
+    assert pareto_beta(1e-14, thermal_variance(0.0, flat), flat, lam=0.0) == 1.0
 
 
 def test_pareto_beta_lies_in_unit_interval_without_a_clamp():
@@ -63,21 +63,21 @@ def test_pareto_beta_lies_in_unit_interval_without_a_clamp():
             gap = rng.uniform(-1.0, 1.0, 64) * 10.0 ** rng.uniform(-300, 50, 64)
             model = TempSkewModel(kappa=10.0 ** rng.uniform(-100, 50), sigma_T_sq=10.0 ** rng.uniform(-100, 50))
             with np.errstate(under="ignore"):
-                beta = pareto_beta(eps, gap, model, lam)
+                beta = pareto_beta(eps, thermal_variance(gap, model), model, lam)
             assert np.all((beta >= 0.0) & (beta <= 1.0))
 
 
 def test_pareto_rejects_lambda_outside_unit_interval(model):
     for lam in (-0.1, 1.0 + 1e-12, np.nan):
         with pytest.raises(ValueError, match=r"lambda must lie in \[0, 1\]"):
-            pareto_beta(1e-14, 1.0, model, lam)
+            pareto_beta(1e-14, thermal_variance(1.0, model), model, lam)
 
 
 def test_pareto_rejects_non_positive_linear_variance(model):
     # checked before any NaN: a NaN beside a zero still names the variance
     for eps in (0.0, -1e-14, -0.0, np.array([1e-14, 0.0]), np.array([np.nan, -1.0])):
         with pytest.raises(ValueError, match="linear_variance must be > 0"):
-            pareto_beta(eps, np.ones(np.shape(eps)), model, 0.5)
+            pareto_beta(eps, thermal_variance(np.ones(np.shape(eps)), model), model, 0.5)
 
 
 def test_pareto_rejects_a_nan_beta(model):
@@ -85,7 +85,71 @@ def test_pareto_rejects_a_nan_beta(model):
     for eps, gap, lam in ((np.nan, 1.0, 0.5), (1e-14, np.nan, 0.5), (1e-14, np.nan, 1.0), (np.inf, 1.0, 0.5),
                           (np.array([1e-14, np.nan]), np.array([1.0, 2.0]), 0.0)):
         with pytest.raises(ValueError, match=r"beta must lie in \[0, 1\]"):
-            pareto_beta(eps, gap, model, lam)
+            pareto_beta(eps, thermal_variance(gap, model), model, lam)
+
+
+def _pareto_beta_on_the_gap(linear_variance, temp_gap, model, lam):
+    """pareto_beta as it was before it took the thermal variance: the closed
+    form on the temperature gap, with its operation order and its errors."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lambda must lie in [0, 1]")
+    eps = linear_variance
+    if np.count_nonzero(np.less_equal(eps, 0.0)):
+        raise ValueError("linear_variance must be > 0")
+    s2 = model.sigma_T_sq
+    k2 = model.kappa**2
+    denom = lam * k2 * s2 * s2 + (1.0 - lam) * (
+        k2 * (4.0 * temp_gap**2 * s2 + 2.0 * s2 * s2) + eps
+    )
+    with np.errstate(divide="ignore", invalid="ignore"):
+        beta = np.divide((1.0 - lam) * eps, denom)
+    if np.count_nonzero(np.isnan(beta)):
+        beta = np.where(denom == 0.0, 0.0, beta)
+        if np.isnan(beta).any():
+            raise ValueError("beta must lie in [0, 1]")
+    return beta
+
+
+def _outcome(fn, *args):
+    """fn's result as its bits, or the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.asarray(fn(*args), dtype=float).view(np.int64).tolist()
+    except (ValueError, OverflowError) as err:
+        return repr(err)
+
+
+def test_pareto_beta_on_the_thermal_variance_is_the_closed_form_bit_for_bit():
+    # 15,000 random inputs over extreme magnitudes, zero and infinite gaps,
+    # degenerate models and lambda at both ends give the same bits as the
+    # closed form on the gap, and every input that raised still raises
+    rng = np.random.default_rng(29)
+    def on_thermal_var(eps, gap, model, lam):
+        return pareto_beta(eps, thermal_variance(gap, model), model, lam)
+
+    cases = []
+    for lam in (0.0, 1e-300, 0.3, 0.5, 1.0 - 1e-16, 1.0):
+        for _ in range(25):
+            eps = 10.0 ** rng.uniform(-320, 300, 100)
+            gap = rng.uniform(-1.0, 1.0, 100) * 10.0 ** rng.uniform(-300, 50, 100)
+            gap[:2] = 0.0, -1e-320
+            model = TempSkewModel(kappa=10.0 ** rng.uniform(-100, 50), sigma_T_sq=10.0 ** rng.uniform(-100, 50))
+            cases.append((eps, gap, model, lam))
+    flat = TempSkewModel(kappa=0.0, T0=25.0, theta0=0.0, sigma_T_sq=0.0)
+    model = TempSkewModel(kappa=4e-8, T0=25.0, theta0=0.0, sigma_T_sq=0.1)
+    cases += [(1e-14, 0.0, flat, 1.0), (1e-14, 0.0, flat, 0.0), (1e-14, 10.0, model, 0.0), (1e-14, np.inf, model, 0.5)]
+    # a float gap whose square overflows, and the three errors: lambda
+    # outside [0, 1], a non-positive variance, a NaN beta
+    errors = [(5e-324, 1e300, model, 0.5)]
+    errors += [(1e-14, 1.0, model, lam) for lam in (-0.1, 1.0 + 1e-12, np.nan)]
+    errors += [(eps, 1.0, model, 0.5) for eps in (0.0, -0.0, -1e-14, np.array([1e-14, 0.0]), np.array([np.nan, -1.0]))]
+    errors += [(np.nan, 1.0, model, 0.5), (1e-14, np.nan, model, 0.5), (1e-14, np.nan, model, 1.0),
+               (1e-14, np.inf, model, 1.0), (np.inf, 1.0, model, 0.5), (np.array([1e-14, np.nan]), np.array([1.0, 2.0]), model, 0.0)]
+    assert sum(np.size(eps) for eps, *_ in cases) >= 15000
+    for i, args in enumerate(cases + errors):
+        got = _outcome(on_thermal_var, *args)
+        assert got == _outcome(_pareto_beta_on_the_gap, *args), args
+        assert isinstance(got, str) == (i >= len(cases)), args
 
 
 def test_poisoned_exchange_still_stops_the_batch(monkeypatch):
@@ -144,7 +208,7 @@ def test_beta_monotone_in_linear_variance(model):
         gap = rng.uniform(-30, 30)
         lam = rng.uniform(0, 1)
         eps_grid = np.sort(10.0 ** rng.uniform(-16, -10, 8))
-        betas = pareto_beta(eps_grid, gap, model, lam)
+        betas = pareto_beta(eps_grid, thermal_variance(gap, model), model, lam)
         assert np.all(np.diff(betas) >= -1e-15)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import pickle
 import re
 import shutil
 import xml.etree.ElementTree as ET
@@ -283,6 +284,24 @@ def test_shared_thermal_row_keeps_the_bytes_across_batches(tmp_path):
                 "--out", str(tmp_path / workers)]
         assert cli_main(argv) == 0
     assert (tmp_path / "1" / "trajectory.csv").read_bytes() == (tmp_path / "2" / "trajectory.csv").read_bytes()
+
+
+def test_pool_slices_keep_the_shared_thermal_row(tmp_path):
+    # a pool worker's broadcast temp_osc arrives pickled as a full array;
+    # joining slices whose rows hold the same bits gives back one read-only
+    # row broadcast over the runs (stride 0), so the trajectory CSV converts
+    # h T_osc values, not R*h; rows that differ are joined as they are
+    for case, shared in (("case2", True), ("fusion_study", False)):
+        cfg = load_config(ROOT / "configs" / f"{case}.json").with_overrides(runs=5, estimators=("gptp",))
+        parts = [pickle.loads(pickle.dumps(simulate_run(cfg, runs))) for runs in (range(2), range(2, 5))]
+        assert all(p.temp_osc.strides[0] != 0 for p in parts)
+        joined, whole = Trajectories.concat(parts), simulate_run(cfg, range(5))
+        assert joined.temp_osc.shape == whole.temp_osc.shape
+        assert (joined.temp_osc.strides[0] == 0) is shared
+        assert not (shared and joined.temp_osc.flags.writeable)
+        assert np.array_equal(joined.temp_osc.view(np.int64), whole.temp_osc.view(np.int64))
+        a = emit_table(trajectory_table(cfg, whole), tmp_path / f"{case}-whole.csv").read_bytes()
+        assert emit_table(trajectory_table(cfg, joined), tmp_path / f"{case}-joined.csv").read_bytes() == a
 
 
 @pytest.mark.parametrize("source, cpus, pools", [

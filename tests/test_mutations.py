@@ -90,8 +90,8 @@ MUTATIONS = {
     ),
     "shared-kalman-covariance-never-advanced": (
         "tacd.netcomm",
-        "cov=np.broadcast_to(cov, self.belief.cov.shape)",
-        "cov=self.belief.cov",
+        "cov = (j[0] + n[0], j[1] + n[1], j[2] + n[2])",
+        "cov = tuple(P)",
         [("test_netcomm", "test_step_equals_fixed_noise_kalman_for_single_component", {})],
     ),
     "converged-vb-rows-not-held": (
@@ -106,6 +106,12 @@ MUTATIONS = {
         "v1 = z1 - h0 * x1",
         [("test_batched_filters", "test_batched_filter_matches_scalar_oracle", {"case": "case1"}),
          ("test_artifact_digests", "test_artifact_digests", {"config": "case3", "sub": "evaluate"})],
+    ),
+    "point-covariances-without-the-dof-clamp": (
+        "tacd.netcomm",
+        "np.maximum(rows[1], MIN_IW_DOF)",
+        "rows[1]",
+        [("test_batched_filters", "test_batched_filter_matches_scalar_oracle", {"case": "case3"})],
     ),
     "dof-at-existence-boundary-not-clamped": (
         "tacd.netcomm",

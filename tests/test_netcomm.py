@@ -426,6 +426,17 @@ def test_step_equals_fixed_noise_kalman_for_single_component():
         assert np.allclose(a.cov, b.cov, rtol=1e-12, atol=0.0)
 
 
+def test_update_keeps_its_belief_when_the_skew_is_conditioned(ss):
+    # the filter steps on packed rows; feeding a skew back replaces the
+    # filter's skew row and leaves the update it returned as it was
+    filt = GsfVbFilter(ss, MixtureNoiseModel.from_point_estimates([1.0], [5e-6]), _default_belief(), vb=VbSettings())
+    res = filt.step(np.zeros(2))
+    mean, cov = res.belief.mean, res.belief.cov
+    filt.condition_on_skew(1.0)
+    assert np.array_equal(res.belief.mean, mean) and np.array_equal(res.belief.cov, cov)
+    assert filt.belief.mean.tolist() == [1.0, mean[1]] and np.array_equal(filt.belief.cov, cov)
+
+
 def test_kalman_shares_one_covariance_across_runs(ss):
     # the covariance recursion is the same for every run: one read-only
     # (2, 2) broadcast over the runs, and priors that differ raise
