@@ -210,10 +210,6 @@ class _NoiseReadout:
     __slots__ = ()
 
     @property
-    def num_components(self) -> int:
-        return self.dirichlet_concentration.shape[-1]
-
-    @property
     def dof_clamped(self) -> bool:
         return bool(np.any(self.iw_dof <= _DIM + 1))
 
