@@ -20,9 +20,10 @@ from .thermal import TempSkewModel
 def thermal_variance(temp_gap, model: TempSkewModel):
     """Variance of the thermal-phase skew error at the temperature gaps
     T - T0: kappa^2*(4*sigma_T_sq*(T-T0)^2 + 2*sigma_T_sq^2); 2*sigma^4
-    (not 3) because the bias is subtracted."""
+    (not 3) because the bias is subtracted. The gap is squared by numpy,
+    so one whose square overflows gives inf, a Python float as well."""
     s2 = model.sigma_T_sq
-    return model.kappa**2 * (4.0 * temp_gap**2 * s2 + 2.0 * s2 * s2)
+    return model.kappa**2 * (4.0 * np.square(temp_gap) * s2 + 2.0 * s2 * s2)
 
 
 def fusion_variance(beta, linear_variance, temp_gap, model: TempSkewModel):

@@ -8,16 +8,18 @@ exchanges (build_measurement); plain gPTP arithmetic reads its estimates
 straight off that array, and a fixed-noise Kalman filter is the other
 baseline.
 
-Every estimator takes an optional leading run axis. The filters step on
-packed rows, the layout their arithmetic uses: a belief is the rows
-(x0, x1, P00, P01, P11) of one (5, ...) array (BeliefRows), a noise model
-the rows (chi, dof, V00, V01, V11) of one (5, ..., N_g) array (NoiseRows).
-The (..., 2) means, (..., 2, 2) covariances and (..., N_g, 2, 2) scales are
-built only where a caller reads them; GaussianBelief and MixtureNoiseModel
-are the validated containers callers build, and give the filters their
-rows. An unbatched call is the () case. The 2x2 algebra is written out
-entry by entry and sums over mixture components run in a fixed order, so
-each run's result is bit-identical whatever batch it is in.
+Every estimator takes an optional leading run axis. A belief
+(GaussianBelief) and a noise model (MixtureNoiseModel) each hold packed
+rows, the layout the filters' arithmetic uses: a belief the rows
+(x0, x1, P00, P01, P11) of one (5, ...) array, a noise model the rows
+(chi, dof, V00, V01, V11) of one (5, ..., N_g) array. Callers build them
+with the validating constructors, from (mean, cov) or (chi, dof, scale),
+where runs=n puts in the run axis; the filters step through from_rows,
+unchecked but for the checks each step makes. The (..., 2) means,
+(..., 2, 2) covariances and (..., N_g, 2, 2) scales are built only where a
+caller reads them. An unbatched call is the () case. The 2x2 algebra is
+written out entry by entry and sums over mixture components run in a fixed
+order, so each run's result is bit-identical whatever batch it is in.
 
 A period is bound by numpy's per-call cost, not by arithmetic, so the
 Gaussian-sum path makes few calls: it reads A = [[a00, 0], [a10, 1]] and
@@ -116,41 +118,42 @@ def _component_max(x: np.ndarray):
 
 # ----------------------------------------------------------------- beliefs
 
-@dataclass(frozen=True)
+def _with_runs(rows, runs: Optional[int]):
+    """rows (5, ...) with a run axis of length runs put in after the row
+    axis, as if every input had been repeated along a new leading axis."""
+    if runs is None:
+        return rows
+    return np.broadcast_to(rows[:, None], (len(rows), runs) + rows.shape[1:]).copy()
+
+
 class GaussianBelief:
-    """Posterior state belief: mean (skew s/s, offset s) and 2x2 covariance."""
+    """Posterior state belief: mean (skew s/s, offset s) and 2x2 covariance,
+    held as its rows (x0, x1, P00, P01, P11).
 
-    mean: np.ndarray
-    cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        mean = np.asarray(self.mean, dtype=float)
-        cov = np.asarray(self.cov, dtype=float)
-        if mean.shape[-1:] != (_DIM,) or cov.shape != mean.shape + (_DIM,):
-            raise ValueError("belief must be a 2-vector mean with 2x2 covariance")
-        if (cov.diagonal(axis1=-2, axis2=-1) <= 0.0).any():
-            raise ValueError("covariance diagonal must be positive")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The packed (5, ...) rows (x0, x1, P00, P01, P11) the filters step on."""
-        return np.stack((self.mean[..., 0], self.mean[..., 1], *_entries(self.cov)))
-
-
-class BeliefRows:
-    """A belief as the filters hold it: rows (x0, x1, P00, P01, P11), each
-    of the batch shape. The GSF-VB filter's rows are one (5, ...) array;
-    the Kalman baseline's are a tuple whose covariance entries are floats
-    that every run shares. mean and cov are built on access, a shared
-    covariance as one read-only (2, 2) broadcast over the runs.
+    The constructor takes (..., 2) means and (..., 2, 2) covariances; runs=n
+    adds a leading run axis of length n. rows is then one (5, ...) array.
+    The Kalman baseline's rows are a tuple whose covariance entries are
+    floats that every run shares. mean and cov are built on access, a
+    shared covariance as one read-only (2, 2) broadcast over the runs.
     """
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows):
-        self.rows = rows
+    def __init__(self, mean, cov, runs: Optional[int] = None):
+        mean = np.asarray(mean, dtype=float)
+        cov = np.asarray(cov, dtype=float)
+        if mean.shape[-1:] != (_DIM,) or cov.shape != mean.shape + (_DIM,):
+            raise ValueError("belief must be a 2-vector mean with 2x2 covariance")
+        if (cov.diagonal(axis1=-2, axis2=-1) <= 0.0).any():
+            raise ValueError("covariance diagonal must be positive")
+        self.rows = _with_runs(np.stack((mean[..., 0], mean[..., 1], *_entries(cov))), runs)
+
+    @classmethod
+    def from_rows(cls, rows) -> "GaussianBelief":
+        """The belief holding rows as they are, unchecked: the filters' path."""
+        belief = object.__new__(cls)
+        belief.rows = rows
+        return belief
 
     @property
     def mean(self) -> np.ndarray:
@@ -163,12 +166,12 @@ class BeliefRows:
         return cov if cov.shape[:-2] == shape else np.broadcast_to(cov, shape + (_DIM, _DIM))
 
 
-def _positive_diagonal(rows: np.ndarray) -> BeliefRows:
-    """rows as a BeliefRows; raises unless every covariance diagonal entry
-    is positive (a NaN passes, as in GaussianBelief)."""
+def _positive_diagonal(rows: np.ndarray) -> GaussianBelief:
+    """The belief holding rows; raises unless every covariance diagonal
+    entry is positive (a NaN passes, as in the constructor)."""
     if np.count_nonzero(rows[2::2] <= 0.0):
         raise ValueError("covariance diagonal must be positive")
-    return BeliefRows(rows)
+    return GaussianBelief.from_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -200,14 +203,58 @@ def _point_covariance_rows(rows: np.ndarray) -> np.ndarray:
     return rows[2:] / (np.maximum(rows[1], MIN_IW_DOF) - (_DIM + 1.0))
 
 
-class _NoiseReadout:
-    """The plug-in values the Gaussian-sum filter uses, read off a noise
-    model: point_weights is the Dirichlet mean and point_covariances the
-    inverse-Wishart mean V / (dof - 3) with dof clamped at MIN_IW_DOF when
-    the mean would not exist. dof_clamped says whether that clamp applies
-    in any run."""
+class MixtureNoiseModel:
+    """Dirichlet / inverse-Wishart hyperparameters of the GMM measurement
+    noise, held as the rows (chi, dof, V00, V01, V11) of one (5, ..., N_g)
+    array.
 
-    __slots__ = ()
+    The constructor takes (..., N_g) concentrations and dofs and
+    (..., N_g, 2, 2) scales; runs=n adds a leading run axis of length n.
+    The filter uses the plug-in values point_weights, the Dirichlet mean,
+    and point_covariances, the inverse-Wishart mean V / (dof - 3) with dof
+    clamped at MIN_IW_DOF when the mean would not exist; dof_clamped says
+    whether that clamp applies in any run. These and iw_scale are built on
+    access.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, dirichlet_concentration, iw_dof, iw_scale, runs: Optional[int] = None):
+        chi = np.asarray(dirichlet_concentration, dtype=float)
+        dof = np.asarray(iw_dof, dtype=float)
+        scale = np.asarray(iw_scale, dtype=float)
+        if dof.shape != chi.shape or scale.shape != chi.shape + (_DIM, _DIM):
+            raise ValueError("hyperparameter shapes disagree on the component count")
+        if (chi <= 0.0).any():
+            raise ValueError("Dirichlet concentrations must be > 0")
+        self.rows = _with_runs(np.stack((chi, dof, *_entries(scale))), runs)
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> "MixtureNoiseModel":
+        """The model holding rows as they are, unchecked: the filter's path."""
+        noise = object.__new__(cls)
+        noise.rows = rows
+        return noise
+
+    @classmethod
+    def from_point_estimates(cls, weights, stddevs, runs: Optional[int] = None) -> "MixtureNoiseModel":
+        """Sharp model with the given weights and per-component stddevs."""
+        w = np.asarray(weights, dtype=float)
+        s = np.asarray(stddevs, dtype=float)
+        scale = (s * s)[..., None, None] * NOISE_CORR
+        return cls(w * 100.0, np.full(w.shape, MIN_IW_DOF), scale, runs=runs)
+
+    @property
+    def dirichlet_concentration(self) -> np.ndarray:
+        return self.rows[0]
+
+    @property
+    def iw_dof(self) -> np.ndarray:
+        return self.rows[1]
+
+    @property
+    def iw_scale(self) -> np.ndarray:
+        return _matrix(*self.rows[2:])
 
     @property
     def dof_clamped(self) -> bool:
@@ -222,71 +269,10 @@ class _NoiseReadout:
         return _matrix(*_point_covariance_rows(self.rows))
 
 
-@dataclass(frozen=True)
-class MixtureNoiseModel(_NoiseReadout):
-    """Dirichlet / inverse-Wishart hyperparameters of the GMM measurement noise."""
-
-    dirichlet_concentration: np.ndarray
-    iw_dof: np.ndarray
-    iw_scale: np.ndarray
-
-    def __post_init__(self) -> None:
-        chi = np.asarray(self.dirichlet_concentration, dtype=float)
-        dof = np.asarray(self.iw_dof, dtype=float)
-        scale = np.asarray(self.iw_scale, dtype=float)
-        if dof.shape != chi.shape or scale.shape != chi.shape + (_DIM, _DIM):
-            raise ValueError("hyperparameter shapes disagree on the component count")
-        if (chi <= 0.0).any():
-            raise ValueError("Dirichlet concentrations must be > 0")
-        object.__setattr__(self, "dirichlet_concentration", chi)
-        object.__setattr__(self, "iw_dof", dof)
-        object.__setattr__(self, "iw_scale", scale)
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The packed (5, ..., N_g) rows (chi, dof, V00, V01, V11) the filter steps on."""
-        return np.stack((self.dirichlet_concentration, self.iw_dof, *_entries(self.iw_scale)))
-
-    @classmethod
-    def from_point_estimates(cls, weights, stddevs) -> "MixtureNoiseModel":
-        """Sharp model with the given weights and per-component stddevs."""
-        w = np.asarray(weights, dtype=float)
-        scale = np.array([(s * s) * NOISE_CORR for s in np.asarray(stddevs, dtype=float)])
-        dof = np.full(w.shape, MIN_IW_DOF)
-        return cls(dirichlet_concentration=w * 100.0, iw_dof=dof, iw_scale=scale)
-
-
-class NoiseRows(_NoiseReadout):
-    """A noise model as the GSF-VB filter holds it: the rows (chi, dof, V00,
-    V01, V11) of one (5, ..., N_g) array. The hyperparameters read as
-    MixtureNoiseModel's; iw_scale is built on access."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-
-    @property
-    def dirichlet_concentration(self) -> np.ndarray:
-        return self.rows[0]
-
-    @property
-    def iw_dof(self) -> np.ndarray:
-        return self.rows[1]
-
-    @property
-    def iw_scale(self) -> np.ndarray:
-        return _matrix(*self.rows[2:])
-
-
-def isotropic_mixture_model(chi, dof, scale_diag) -> MixtureNoiseModel:
+def isotropic_mixture_model(chi, dof, scale_diag, runs: Optional[int] = None) -> MixtureNoiseModel:
     """Model with per-component isotropic scales V_i = s_i * I, s_i in s^2."""
-    scale = np.array([s * np.eye(_DIM) for s in np.asarray(scale_diag, dtype=float)])
-    return MixtureNoiseModel(
-        dirichlet_concentration=np.asarray(chi, dtype=float),
-        iw_dof=np.asarray(dof, dtype=float),
-        iw_scale=scale,
-    )
+    scale = np.asarray(scale_diag, dtype=float)[..., None, None] * np.eye(_DIM)
+    return MixtureNoiseModel(chi, dof, scale, runs=runs)
 
 
 def build_measurement(ex: ExchangeBatch, d) -> np.ndarray:
@@ -349,10 +335,10 @@ def _spd_repair(rows: np.ndarray) -> np.ndarray:
 
 
 # ------------------------------------------------------------------ GSF-VB
-# The filter functions read a belief's and a noise model's packed rows, so
-# they take the validated containers as well as the filter's own rows.
+# The filter functions read a belief's and a noise model's packed rows and
+# return new ones through from_rows, after the checks each step makes.
 
-def gsf_predict(belief, ss: StateSpace) -> BeliefRows:
+def gsf_predict(belief: GaussianBelief, ss: StateSpace) -> GaussianBelief:
     """Time update: mean' = A mean, P' = A P A^T + Q_v, with the zero and
     unit entries of A = [[a00, 0], [a10, 1]] dropped from the products."""
     a00, a10 = ss.a00, ss.a10
@@ -376,7 +362,7 @@ class GsfUpdateResult:
     """One measurement update. underflow_runs / repaired_runs flag each run;
     underflow and spd_repairs count the flagged runs of the batch."""
 
-    belief: BeliefRows
+    belief: GaussianBelief
     responsibilities: np.ndarray
     underflow_runs: np.ndarray
     repaired_runs: np.ndarray
@@ -390,7 +376,7 @@ class GsfUpdateResult:
         return int(np.count_nonzero(self.repaired_runs))
 
 
-def gsf_update(belief, z: np.ndarray, noise, ss: StateSpace) -> GsfUpdateResult:
+def gsf_update(belief: GaussianBelief, z: np.ndarray, noise: MixtureNoiseModel, ss: StateSpace) -> GsfUpdateResult:
     """Measurement update: one Kalman update per mixture component, combined
     by posterior component weights and moment-matched to a single Gaussian.
 
@@ -471,7 +457,9 @@ def gsf_update(belief, z: np.ndarray, noise, ss: StateSpace) -> GsfUpdateResult:
     )
 
 
-def vb_refine(noise, z: np.ndarray, belief, ss: StateSpace, settings: VbSettings) -> NoiseRows:
+def vb_refine(
+    noise: MixtureNoiseModel, z: np.ndarray, belief: GaussianBelief, ss: StateSpace, settings: VbSettings
+) -> MixtureNoiseModel:
     """Conjugate mean-field refinement of the noise mixture for one period.
 
     Hyperparameters are first discounted by the forgetting factor (the
@@ -526,7 +514,7 @@ def vb_refine(noise, z: np.ndarray, belief, ss: StateSpace, settings: VbSettings
 
     if np.count_nonzero(params[0] <= 0.0):
         raise ValueError("Dirichlet concentrations must be > 0")
-    return NoiseRows(params)
+    return MixtureNoiseModel.from_rows(params)
 
 
 class GsfVbFilter:
@@ -535,16 +523,24 @@ class GsfVbFilter:
     Each period: predict, Gaussian-sum update, then (when VB settings are
     given) one round of noise-model refinement. With a single component and
     VB disabled the trajectory coincides with a textbook Kalman filter.
-    The filter holds its belief and noise model as packed rows (BeliefRows,
-    NoiseRows), copied from the containers it is given. The belief is the
-    prior until the first step; each step's update flags the runs it
-    repaired or whose likelihoods underflowed.
+    The filter holds copies of the belief and noise model it is given,
+    whose run shapes must agree. The belief is the prior until the first
+    step; each step's update flags the runs it repaired or whose
+    likelihoods underflowed.
     """
 
-    def __init__(self, ss: StateSpace, noise, belief, vb: Optional[VbSettings] = None):
+    def __init__(
+        self, ss: StateSpace, noise: MixtureNoiseModel, belief: GaussianBelief, vb: Optional[VbSettings] = None
+    ):
+        noise_rows, belief_rows = np.array(noise.rows, dtype=float), np.array(belief.rows, dtype=float)
+        if belief_rows.shape[1:] != noise_rows.shape[1:-1]:
+            raise ValueError(
+                f"the belief's run shape {belief_rows.shape[1:]} and the noise model's run shape "
+                f"{noise_rows.shape[1:-1]} differ"
+            )
         self.ss = ss
-        self.noise = NoiseRows(np.array(noise.rows, dtype=float))
-        self.belief = BeliefRows(np.array(belief.rows, dtype=float))
+        self.noise = MixtureNoiseModel.from_rows(noise_rows)
+        self.belief = GaussianBelief.from_rows(belief_rows)
         self.vb = vb
 
     def step(self, z) -> GsfUpdateResult:
@@ -562,7 +558,7 @@ class GsfVbFilter:
         """Replace the belief-mean skew row, leaving the covariance alone."""
         rows = self.belief.rows.copy()
         rows[0] = skew
-        self.belief = BeliefRows(rows)
+        self.belief = GaussianBelief.from_rows(rows)
 
 
 class KalmanBaseline:
@@ -572,13 +568,13 @@ class KalmanBaseline:
     covariance and gain recursion is the same for every run, so it runs
     once per period on Python floats (the same IEEE arithmetic as numpy
     scalars) and only the mean rows are stepped per run; belief is a
-    BeliefRows whose covariance entries are those floats, and per-run prior
-    covariances that differ raise. Written out directly with the general A
-    and H (no mixture machinery, no entry assumed zero or one), so it
-    doubles as an independent cross-check of the Gaussian-sum path.
+    GaussianBelief whose covariance entries are those floats, and per-run
+    prior covariances that differ raise. Written out directly with the
+    general A and H (no mixture machinery, no entry assumed zero or one),
+    so it doubles as an independent cross-check of the Gaussian-sum path.
     """
 
-    def __init__(self, ss: StateSpace, r_fixed: np.ndarray, belief):
+    def __init__(self, ss: StateSpace, r_fixed: np.ndarray, belief: GaussianBelief):
         priors = belief.cov.reshape((-1, _DIM, _DIM))
         if len(priors) == 0:
             raise ValueError("the Kalman baseline needs at least one run's prior")
@@ -590,11 +586,11 @@ class KalmanBaseline:
             raise ValueError(f"the fixed measurement covariance must be 2x2, got shape {self.R.shape}")
         # A, H, Q_v and R, each row-major as Python floats
         self._matrices = tuple(tuple(np.asarray(M, dtype=float).ravel().tolist()) for M in (ss.A, ss.H, ss.Q_v, self.R))
-        mean = np.asarray(belief.mean, dtype=float)
+        x0, x1 = (np.array(row, dtype=float) for row in belief.rows[:2])
         (p00, p01), (_, p11) = priors[0].tolist()
-        self.belief = BeliefRows((mean[..., 0].copy(), mean[..., 1].copy(), p00, p01, p11))
+        self.belief = GaussianBelief.from_rows((x0, x1, p00, p01, p11))
 
-    def step(self, z) -> BeliefRows:
+    def step(self, z) -> GaussianBelief:
         """Advance one period on the measurement z, as GsfVbFilter.step;
         returns the posterior."""
         z = np.asarray(z, dtype=float)
@@ -622,7 +618,7 @@ class KalmanBaseline:
         xp0, xp1 = A[0] * x0 + A[1] * x1, A[2] * x0 + A[3] * x1
         y0 = z[..., 0] - (H[0] * xp0 + H[1] * xp1)
         y1 = z[..., 1] - (H[2] * xp0 + H[3] * xp1)
-        self.belief = BeliefRows((xp0 + (K[0] * y0 + K[1] * y1), xp1 + (K[2] * y0 + K[3] * y1), *cov))
+        self.belief = GaussianBelief.from_rows((xp0 + (K[0] * y0 + K[1] * y1), xp1 + (K[2] * y0 + K[3] * y1), *cov))
         return self.belief
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -106,26 +106,14 @@ class BatchInputs:
 Served = dict[str, dict[str, np.ndarray]]
 
 
-def _per_run(x, runs: int) -> np.ndarray:
-    """x repeated along a new leading run axis."""
-    x = np.asarray(x, dtype=float)
-    return np.broadcast_to(x, (runs,) + x.shape).copy()
-
-
 def _prior(cfg: RunConfig, n: int) -> GaussianBelief:
     init = cfg.netcomm_init
-    return GaussianBelief(mean=_per_run(init.x0, n), cov=_per_run(np.diag(init.p0_diag), n))
+    return GaussianBelief(init.x0, np.diag(init.p0_diag), runs=n)
 
 
 def _gsf_vb_filter(cfg: RunConfig, n: int) -> GsfVbFilter:
     init = cfg.netcomm_init
-    noise = isotropic_mixture_model(init.chi0, init.dof0, init.scale0)
-    noise = replace(
-        noise,
-        dirichlet_concentration=_per_run(noise.dirichlet_concentration, n),
-        iw_dof=_per_run(noise.iw_dof, n),
-        iw_scale=_per_run(noise.iw_scale, n),
-    )
+    noise = isotropic_mixture_model(init.chi0, init.dof0, init.scale0, runs=n)
     return GsfVbFilter(build_state_space(cfg.dynamics), noise, _prior(cfg, n), vb=cfg.vb)
 
 

@@ -116,15 +116,12 @@ def test_poisoned_row_leaves_the_other_rows_alone():
     cfg = load_config("configs/case1.json")
     init = cfg.netcomm_init
     ss = build_state_space(cfg.dynamics)
-    isotropic = isotropic_mixture_model(init.chi0, init.dof0, init.scale0)
     z = _measurements(cfg, range(200, 204))
     z[0, 39] = 1e150
 
     def filters(rows):
-        tile = lambda x: np.tile(x, (rows,) + (1,) * np.ndim(x))  # noqa: E731
-        belief = GaussianBelief(tile(init.x0), tile(np.diag(init.p0_diag)))
-        noise = MixtureNoiseModel(tile(isotropic.dirichlet_concentration), tile(isotropic.iw_dof),
-                                  tile(isotropic.iw_scale))
+        belief = GaussianBelief(init.x0, np.diag(init.p0_diag), runs=rows)
+        noise = isotropic_mixture_model(init.chi0, init.dof0, init.scale0, runs=rows)
         return (GsfVbFilter(ss, noise, belief, vb=cfg.vb),
                 KalmanBaseline(ss, nominal_noise_cov(cfg.kalman_nominal_stddev), belief))
 
@@ -149,10 +146,8 @@ def test_poisoned_row_leaves_the_other_rows_alone():
 
 
 def test_update_counters_are_python_scalars(ss):
-    noise = MixtureNoiseModel.from_point_estimates([0.5, 0.5], [1e-6, 2e-6])
-    batch = lambda x: np.broadcast_to(x, (3,) + np.shape(x)).copy()  # noqa: E731
-    belief = GaussianBelief(batch([3e-7, 3.5e-6]), batch(np.diag([5e-6, 5e-6])))
-    noise = MixtureNoiseModel(batch(noise.dirichlet_concentration), batch(noise.iw_dof), batch(noise.iw_scale))
+    noise = MixtureNoiseModel.from_point_estimates([0.5, 0.5], [1e-6, 2e-6], runs=3)
+    belief = GaussianBelief([3e-7, 3.5e-6], np.diag([5e-6, 5e-6]), runs=3)
     z = np.array([[2e-6, 3e-6], [1e300, 1e300], [1e300, 1e300]])
     with np.errstate(all="ignore"):
         res = gsf_update(belief, z, noise, ss)

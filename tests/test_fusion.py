@@ -138,10 +138,11 @@ def test_pareto_beta_on_the_thermal_variance_is_the_closed_form_bit_for_bit():
     flat = TempSkewModel(kappa=0.0, T0=25.0, theta0=0.0, sigma_T_sq=0.0)
     model = TempSkewModel(kappa=4e-8, T0=25.0, theta0=0.0, sigma_T_sq=0.1)
     cases += [(1e-14, 0.0, flat, 1.0), (1e-14, 0.0, flat, 0.0), (1e-14, 10.0, model, 0.0), (1e-14, np.inf, model, 0.5)]
-    # a float gap whose square overflows, and the three errors: lambda
-    # outside [0, 1], a non-positive variance, a NaN beta
-    errors = [(5e-324, 1e300, model, 0.5)]
-    errors += [(1e-14, 1.0, model, lam) for lam in (-0.1, 1.0 + 1e-12, np.nan)]
+    # a gap whose square overflows (the closed form raised on a Python float;
+    # see test_thermal_variance_of_an_overflowing_gap_is_inf)
+    cases += [(5e-324, np.float64(1e300), model, 0.5)]
+    # the three errors: lambda outside [0, 1], a non-positive variance, a NaN beta
+    errors = [(1e-14, 1.0, model, lam) for lam in (-0.1, 1.0 + 1e-12, np.nan)]
     errors += [(eps, 1.0, model, 0.5) for eps in (0.0, -0.0, -1e-14, np.array([1e-14, 0.0]), np.array([np.nan, -1.0]))]
     errors += [(np.nan, 1.0, model, 0.5), (1e-14, np.nan, model, 0.5), (1e-14, np.nan, model, 1.0),
                (1e-14, np.inf, model, 1.0), (np.inf, 1.0, model, 0.5), (np.array([1e-14, np.nan]), np.array([1.0, 2.0]), model, 0.0)]
@@ -150,6 +151,16 @@ def test_pareto_beta_on_the_thermal_variance_is_the_closed_form_bit_for_bit():
         got = _outcome(on_thermal_var, *args)
         assert got == _outcome(_pareto_beta_on_the_gap, *args), args
         assert isinstance(got, str) == (i >= len(cases)), args
+
+
+def test_thermal_variance_of_an_overflowing_gap_is_inf(model):
+    # a gap whose square overflows gives inf whether it is a numpy scalar or
+    # a Python float, and the thermal phase then gets no weight
+    for gap in (np.float64(1e300), 1e300):
+        with np.errstate(over="ignore"):
+            var = thermal_variance(gap, model)
+        assert var == np.inf
+        assert pareto_beta(5e-324, var, model, 0.5) == 0.0
 
 
 def test_poisoned_exchange_still_stops_the_batch(monkeypatch):

@@ -119,6 +119,12 @@ MUTATIONS = {
         "return bool(np.any(self.iw_dof < _DIM + 1))",
         [("test_netcomm", "test_dof_clamped_reads_the_dofs_of_a_directly_built_model", {})],
     ),
+    "filter-run-shapes-not-checked": (
+        "tacd.netcomm",
+        "if belief_rows.shape[1:] != noise_rows.shape[1:-1]:",
+        "if False:",
+        [("test_netcomm", "test_filter_rejects_run_shapes_that_differ", {})],
+    ),
     "csv-rows-always-joined": (
         "tacd.report",
         "writer.writerows(chunk)",

@@ -1,4 +1,4 @@
-from dataclasses import astuple, replace
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -57,18 +57,13 @@ def _stationary_cfg(horizon, stddevs, weights, process_noise_sq=SIGMA_U_SQ, skew
     )
 
 
-def _default_belief():
-    return GaussianBelief(mean=np.array([3e-7, 3.5e-6]), cov=np.diag([5e-6, 5e-6]))
+def _default_belief(runs=None):
+    return GaussianBelief(mean=np.array([3e-7, 3.5e-6]), cov=np.diag([5e-6, 5e-6]), runs=runs)
 
 
 def _per_run(x, runs):
     """x repeated along a new leading run axis."""
     return np.broadcast_to(x, (runs,) + np.shape(x)).copy()
-
-
-def _per_run_belief(runs):
-    belief = _default_belief()
-    return GaussianBelief(_per_run(belief.mean, runs), _per_run(belief.cov, runs))
 
 
 def _batch_runs(cfg, seeds):
@@ -391,14 +386,8 @@ def test_step_skew_estimator_bias_small():
     ss = build_state_space(dyn)
     n = 200
     skew_true, z = _batch_runs(cfg, [5000 + r for r in range(n)])
-    noise = isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e-7, 2e-7, 2e-7])
-    noise = replace(
-        noise,
-        dirichlet_concentration=_per_run(noise.dirichlet_concentration, n),
-        iw_dof=_per_run(noise.iw_dof, n),
-        iw_scale=_per_run(noise.iw_scale, n),
-    )
-    filt = GsfVbFilter(ss, noise, _per_run_belief(n), vb=VbSettings())
+    noise = isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e-7, 2e-7, 2e-7], runs=n)
+    filt = GsfVbFilter(ss, noise, _default_belief(n), vb=VbSettings())
     errs = np.empty((n, 75))
     errs[:, 0] = 3e-7 - skew_true[:, 0]
     for k in range(1, 75):
@@ -437,22 +426,58 @@ def test_update_keeps_its_belief_when_the_skew_is_conditioned(ss):
     assert filt.belief.mean.tolist() == [1.0, mean[1]] and np.array_equal(filt.belief.cov, cov)
 
 
+@pytest.mark.parametrize(
+    "build, args",
+    [
+        (GaussianBelief, ([3e-7, 3.5e-6], np.diag([5e-6, 5e-6]))),
+        (MixtureNoiseModel, ([1.0, 5.0], [4.0, 3.0], np.array([np.eye(2), [[2.0, 0.5], [0.5, 1.0]]]) * 1e-7)),
+        (MixtureNoiseModel.from_point_estimates, ([0.25, 0.75], [1e-6, 3e-6])),
+        (isotropic_mixture_model, ([1, 5, 5], [4, 3, 3], [1e-7, 2e-7, 2e-7])),
+    ],
+)
+def test_runs_argument_repeats_the_unbatched_input(build, args):
+    # runs=n gives the rows that inputs repeated along a new leading run
+    # axis give, bit for bit
+    for n in (1, 3):
+        rows = build(*args, runs=n).rows
+        expected = build(*(_per_run(np.asarray(x, dtype=float), n) for x in args)).rows
+        assert rows.shape == expected.shape and rows.shape[1] == n
+        assert rows.tobytes() == expected.tobytes()
+
+
+def test_filter_rejects_run_shapes_that_differ():
+    # an unbatched noise model beside a 3-run belief is named at construction,
+    # not left to numpy's broadcast error in the first step
+    # (caught as an AssertionError, not pytest.raises' Failed, so that the
+    # mutation check that deletes the shape check sees it fail)
+    ss = build_state_space(ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0))
+    noise = MixtureNoiseModel.from_point_estimates([0.5, 0.5], [1e-6, 2e-6])
+    try:
+        GsfVbFilter(ss, noise, _default_belief(3))
+        message = None
+    except ValueError as err:
+        message = str(err)
+    assert message == "the belief's run shape (3,) and the noise model's run shape () differ"
+    GsfVbFilter(ss, MixtureNoiseModel.from_point_estimates([0.5, 0.5], [1e-6, 2e-6], runs=3), _default_belief(3))
+
+
 def test_kalman_shares_one_covariance_across_runs(ss):
     # the covariance recursion is the same for every run: one read-only
     # (2, 2) broadcast over the runs, and priors that differ raise
-    kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), _per_run_belief(3))
+    kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), _default_belief(3))
     for belief in (kal.belief, kal.step(np.zeros((3, 2)))):
         assert belief.cov.shape == (3, 2, 2) and belief.cov.strides[0] == 0
         assert not belief.cov.flags.writeable
-    priors = _per_run_belief(3)
+    priors = _default_belief(3)
     cov = priors.cov.copy()
     cov[2, 1, 1] *= 2.0
     with pytest.raises(ValueError, match="prior covariances"):
         KalmanBaseline(ss, nominal_noise_cov(5e-6), GaussianBelief(priors.mean, cov))
     with pytest.raises(ValueError, match="2x2"):
         KalmanBaseline(ss, np.stack([nominal_noise_cov(5e-6)] * 3), priors)
-    with pytest.raises(ValueError, match="at least one run"):
-        KalmanBaseline(ss, nominal_noise_cov(5e-6), GaussianBelief(np.empty((0, 2)), np.empty((0, 2, 2))))
+    for empty in (GaussianBelief(np.empty((0, 2)), np.empty((0, 2, 2))), _default_belief(0)):
+        with pytest.raises(ValueError, match="at least one run"):
+            KalmanBaseline(ss, nominal_noise_cov(5e-6), empty)
 
 
 def test_kalman_misspecified_noise_still_unbiased():
@@ -461,7 +486,7 @@ def test_kalman_misspecified_noise_still_unbiased():
     ss = build_state_space(dyn)
     n = 300
     skew_true, z = _batch_runs(cfg, [7000 + r for r in range(n)])
-    kal = KalmanBaseline(ss, nominal_noise_cov(5e-5), _per_run_belief(n))  # 10x true
+    kal = KalmanBaseline(ss, nominal_noise_cov(5e-5), _default_belief(n))  # 10x true
     errs = np.empty((n, 74))
     for k in range(1, 75):
         res = kal.step(z[:, k - 1])
