@@ -18,6 +18,7 @@ import numpy as np
 from .config import RUN_KEYS, ConfigError, RunConfig, load_config
 from .report import emit_plot_svg, emit_table, load_csv_columns
 from .runner import (
+    _RUNS_PER_PART,
     bclb_table,
     bound_reduction,
     evaluate_rmse,
@@ -36,7 +37,9 @@ _FLAGS = {
     "--out": dict(dest="output_dir", help="output directory (default from config)"),
     "--estimators": dict(type=lambda s: tuple(x.strip() for x in s.split(",")),
                          help="comma-separated estimator selection"),
-    "--workers": dict(type=int, help="worker process count"),
+    "--workers": dict(type=int, metavar="N",
+                      help=f"at most N worker processes, each a slice of at least {_RUNS_PER_PART} runs "
+                           "and at most one per usable CPU; in-process below two"),
     "--plot": dict(action="store_true", help="also write an SVG next to the CSV"),
 }
 

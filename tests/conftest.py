@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from tacd import runner
 from tacd.bclb import OracleNoiseTruth, bclb_trajectory
 from tacd.clock import ClockDynamics, build_state_space
 from tacd.netcomm import build_measurement
@@ -22,6 +23,19 @@ from tacd.thermal import TempSkewModel
 # Reference oscillator constants used across the suite
 M_GM = (1.0 - 2e-6) ** (1.0 / 30.0)
 SIGMA_U_SQ = (1.0 - M_GM**2) * 1e-3
+
+
+def set_runs_per_part(mp: pytest.MonkeyPatch, runs: int) -> None:
+    """Set the fewest runs of a pool slice where the bound run_case reads it
+    (a mutation check binds a stand-in module's run_case)."""
+    mp.setitem(runner.run_case.__globals__, "_RUNS_PER_PART", runs)
+
+
+@pytest.fixture
+def one_run_per_part(monkeypatch) -> None:
+    """run_case starts its pool from one run per slice, so a test's few runs
+    with several workers go through the pool, not one in-process batch."""
+    set_runs_per_part(monkeypatch, 1)
 
 
 @pytest.fixture

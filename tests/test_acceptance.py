@@ -269,7 +269,7 @@ def test_criterion_7_statistical_bound():
 # ---------------------------------------------------------------- criterion 8
 
 @pytest.mark.acceptance
-def test_criterion_8_determinism(tmp_path):
+def test_criterion_8_determinism(tmp_path, one_run_per_part):
     doc = json.loads(open("configs/fusion_study.json", encoding="utf-8").read())
     doc["runs"] = 4
     cfgp = tmp_path / "cfg.json"

@@ -218,7 +218,7 @@ def _run_cli(tmp_path, doc, sub, tag, *flags):
     return rc, out
 
 
-def test_simulated_bound_is_the_fusion_study_bound(tmp_path, capsys):
+def test_simulated_bound_is_the_fusion_study_bound(tmp_path, capsys, one_run_per_part):
     # the bound is one per case: each simulated run carries the fusion
     # study's bound, whatever the worker count
     doc = json.loads(open("configs/fusion_study.json", encoding="utf-8").read())

@@ -28,7 +28,7 @@ from tacd.runner import (
 )
 from tacd.scenario import generate_scenario
 
-from conftest import rmse_by_name, toy_trajectories
+from conftest import rmse_by_name, set_runs_per_part, toy_trajectories
 
 ROOT = Path(__file__).resolve().parent.parent
 BASE_DOC = json.loads(open("configs/fusion_study.json", encoding="utf-8").read())
@@ -257,7 +257,7 @@ def test_gptp_is_the_two_way_arithmetic_at_every_period():
     assert est["skew"][:, 1:].tobytes() == (pairs / cfg.scenario.tau).tobytes()
 
 
-def test_run_determinism_and_worker_independence(tmp_path):
+def test_run_determinism_and_worker_independence(tmp_path, one_run_per_part):
     cfg = parse_config(_doc(runs=6)).with_overrides(estimators=("tacd", "gptp"))
     a = run_case(cfg)
     b = run_case(cfg)
@@ -270,7 +270,7 @@ def test_run_determinism_and_worker_independence(tmp_path):
     assert pa.read_bytes() == pb.read_bytes() == pc.read_bytes()
 
 
-def test_shared_thermal_row_keeps_the_bytes_across_batches(tmp_path):
+def test_shared_thermal_row_keeps_the_bytes_across_batches(tmp_path, one_run_per_part):
     # case2's thermal path draws nothing, so a batch's temp_osc is one row
     # broadcast over its runs; joined batches write the same bytes
     cfg = load_config(ROOT / "configs" / "case2.json").with_overrides(runs=4, estimators=("gptp", "thermal-only"))
@@ -304,13 +304,23 @@ def test_pool_slices_keep_the_shared_thermal_row(tmp_path):
         assert emit_table(trajectory_table(cfg, joined), tmp_path / f"{case}-joined.csv").read_bytes() == a
 
 
-@pytest.mark.parametrize("source, cpus, pools", [
-    ("sched_getaffinity", 3, [3]),
-    ("cpu_count", 3, [3]),
-    ("sched_getaffinity", 1, []),
+_FLOOR = runner._RUNS_PER_PART
+
+
+@pytest.mark.parametrize("source, cpus, runs, workers, runs_per_part, pools", [
+    # one run per slice, as the one_run_per_part fixture sets: the CPUs cap the pool
+    ("sched_getaffinity", 3, 6, 1000, 1, [3]),
+    ("cpu_count", 3, 6, 1000, 1, [3]),
+    ("sched_getaffinity", 1, 6, 1000, 1, []),
+    # the shipped floor: no slice of fewer than _RUNS_PER_PART runs
+    ("sched_getaffinity", 2, 50, 2, _FLOOR, []),
+    ("sched_getaffinity", 2, 2 * _FLOOR - 1, 2, _FLOOR, []),
+    ("sched_getaffinity", 2, 2 * _FLOOR, 2, _FLOOR, [2]),
+    ("sched_getaffinity", 3, 3 * _FLOOR, 8, _FLOOR, [3]),
 ])
-def test_pool_capped_at_usable_cpus(source, cpus, pools, monkeypatch):
-    # an in-process stand-in for the pool records its size; no process starts
+def test_pool_capped_at_usable_cpus(source, cpus, runs, workers, runs_per_part, pools, monkeypatch):
+    # an in-process stand-in for the pool records its size; no process starts.
+    # Both are set where the bound run_case reads them, as set_runs_per_part does
     sizes = []
 
     class InProcessPool:
@@ -326,17 +336,18 @@ def test_pool_capped_at_usable_cpus(source, cpus, pools, monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setitem(run_case.__globals__, "ProcessPoolExecutor", InProcessPool)
+    set_runs_per_part(monkeypatch, runs_per_part)
     if source == "sched_getaffinity":
         monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     else:
         monkeypatch.delattr(runner.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
-    cfg = parse_config(_doc(runs=6, workers=1000)).with_overrides(estimators=("gptp",))
+    cfg = parse_config(_doc(runs=runs, workers=workers)).with_overrides(estimators=("gptp",))
     t = run_case(cfg)
     assert sizes == pools
-    assert t.runs.tolist() == list(range(6))
-    assert t.est["gptp"]["offset"].tobytes() == simulate_run(cfg, range(6)).est["gptp"]["offset"].tobytes()
+    assert t.runs.tolist() == list(range(runs))
+    assert t.est["gptp"]["offset"].tobytes() == simulate_run(cfg, range(runs)).est["gptp"]["offset"].tobytes()
 
 
 def test_estimator_isolation():

@@ -19,6 +19,9 @@ from pathlib import Path
 import pytest
 
 import tacd.cli  # noqa: F401  (imports every module the CLI reaches)
+from tacd import runner
+
+from conftest import set_runs_per_part
 
 TESTS = Path(__file__).resolve().parent
 
@@ -125,6 +128,21 @@ MUTATIONS = {
         "if False:",
         [("test_netcomm", "test_filter_rejects_run_shapes_that_differ", {})],
     ),
+    "pool-run-floor-ignored": (
+        "tacd.runner",
+        "cfg.runs // _RUNS_PER_PART",
+        "cfg.runs",
+        [("test_harness", "test_pool_capped_at_usable_cpus",
+          {"source": "sched_getaffinity", "cpus": 2, "runs": runs, "workers": 2,
+           "runs_per_part": runner._RUNS_PER_PART, "pools": []})
+         for runs in (50, 2 * runner._RUNS_PER_PART - 1)],
+    ),
+    "pool-slices-joined-in-reverse": (
+        "tacd.runner",
+        "Trajectories.concat(list(pool.map(simulate_run, [cfg] * parts, slices)))",
+        "Trajectories.concat(list(pool.map(simulate_run, [cfg] * parts, slices))[::-1])",
+        [("test_harness", "test_run_determinism_and_worker_independence", {})],
+    ),
     "csv-rows-always-joined": (
         "tacd.report",
         "writer.writerows(chunk)",
@@ -173,10 +191,18 @@ def _rebind(mp, module, stand_in) -> None:
                     mp.setattr(owner, key, getattr(stand_in, name))
 
 
-def _call(test, kwargs, tmp_path: Path) -> None:
-    if "tmp_path" in inspect.signature(test).parameters:
+def _call(test, kwargs, tmp_path: Path, mp) -> None:
+    """Call a test with its arguments and the fixtures it takes, each built
+    on the check's monkeypatch so that it sets the stand-in's bindings."""
+    params = inspect.signature(test).parameters
+    if "tmp_path" in params:
         tmp_path.mkdir()
         kwargs = {**kwargs, "tmp_path": tmp_path}
+    if "monkeypatch" in params:
+        kwargs = {**kwargs, "monkeypatch": mp}
+    if "one_run_per_part" in params:
+        set_runs_per_part(mp, 1)
+        kwargs = {**kwargs, "one_run_per_part": None}
     test(**kwargs)
 
 
@@ -188,9 +214,9 @@ def test_mutation_fails_named_tests(mutation, monkeypatch, tmp_path):
     with monkeypatch.context() as mp:
         _rebind(mp, module, _stand_in(module, snippet, snippet))
         for i, (test, kwargs) in enumerate(tests):
-            _call(test, kwargs, tmp_path / f"control{i}")
+            _call(test, kwargs, tmp_path / f"control{i}", mp)
     with monkeypatch.context() as mp:
         _rebind(mp, module, _stand_in(module, snippet, replacement))
         for i, (test, kwargs) in enumerate(tests):
             with pytest.raises(AssertionError):
-                _call(test, kwargs, tmp_path / f"mutant{i}")
+                _call(test, kwargs, tmp_path / f"mutant{i}", mp)
