@@ -239,10 +239,11 @@ def simulate_run(cfg: RunConfig, runs: Sequence[int]) -> Trajectories:
 
 # The fewest runs a pool slice gets. The filters are bound by numpy's per-call
 # cost, so a slice of half the runs costs nearly what the whole batch does, and
-# the fork, pickling and pool shutdown are paid on top. Measured run_case wall
-# time, two workers against one (2 vCPUs, median of 15 alternating pairs):
-# 50 runs cost 1.2-1.6x, 100 runs 1.0-1.3x; at 200 runs two slices were 8-9%
-# faster on fusion_study and all five estimators on case3, at 800 runs 21-31%.
+# the fork, pickling and pool shutdown come on top. run_case wall time, two
+# workers against one (2 vCPUs, median ratio of 15 alternating pairs): 1.2-1.6x
+# at 50 runs, 1.0-1.3x at 100; at 200, 0.91-0.92x with the GSF-VB filter
+# (fusion_study; case3 with all five estimators) but 1.17x for case2's
+# baselines alone, which break even near 400; at 800, 0.69-0.79x.
 _RUNS_PER_PART = 100
 
 

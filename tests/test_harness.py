@@ -320,7 +320,8 @@ _FLOOR = runner._RUNS_PER_PART
 ])
 def test_pool_capped_at_usable_cpus(source, cpus, runs, workers, runs_per_part, pools, monkeypatch):
     # an in-process stand-in for the pool records its size; no process starts.
-    # Both are set where the bound run_case reads them, as set_runs_per_part does
+    # It goes into the bound run_case's globals, so a mutation check's
+    # stand-in module uses it too
     sizes = []
 
     class InProcessPool:
