@@ -307,21 +307,10 @@ def test_pool_slices_keep_the_shared_thermal_row(tmp_path):
 _FLOOR = runner._RUNS_PER_PART
 
 
-@pytest.mark.parametrize("source, cpus, runs, workers, runs_per_part, pools", [
-    # one run per slice, as the one_run_per_part fixture sets: the CPUs cap the pool
-    ("sched_getaffinity", 3, 6, 1000, 1, [3]),
-    ("cpu_count", 3, 6, 1000, 1, [3]),
-    ("sched_getaffinity", 1, 6, 1000, 1, []),
-    # the shipped floor: no slice of fewer than _RUNS_PER_PART runs
-    ("sched_getaffinity", 2, 50, 2, _FLOOR, []),
-    ("sched_getaffinity", 2, 2 * _FLOOR - 1, 2, _FLOOR, []),
-    ("sched_getaffinity", 2, 2 * _FLOOR, 2, _FLOOR, [2]),
-    ("sched_getaffinity", 3, 3 * _FLOOR, 8, _FLOOR, [3]),
-])
-def test_pool_capped_at_usable_cpus(source, cpus, runs, workers, runs_per_part, pools, monkeypatch):
-    # an in-process stand-in for the pool records its size; no process starts.
-    # It goes into the bound run_case's globals, so a mutation check's
-    # stand-in module uses it too
+def _pool_sizes(monkeypatch, source, cpus, runs, workers, runs_per_part):
+    """Run a case with an in-process stand-in for the pool; return the pool
+    sizes it was asked for. No process starts. The stand-in goes into the
+    bound run_case's globals, so a mutation check's stand-in module uses it too."""
     sizes = []
 
     class InProcessPool:
@@ -346,9 +335,34 @@ def test_pool_capped_at_usable_cpus(source, cpus, runs, workers, runs_per_part, 
         monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
     cfg = parse_config(_doc(runs=runs, workers=workers)).with_overrides(estimators=("gptp",))
     t = run_case(cfg)
-    assert sizes == pools
     assert t.runs.tolist() == list(range(runs))
     assert t.est["gptp"]["offset"].tobytes() == simulate_run(cfg, range(runs)).est["gptp"]["offset"].tobytes()
+    return sizes
+
+
+@pytest.mark.parametrize("source, cpus, pools", [
+    ("sched_getaffinity", 3, [3]),
+    ("cpu_count", 3, [3]),
+    ("sched_getaffinity", 1, []),
+])
+def test_pool_capped_at_usable_cpus(source, cpus, pools, monkeypatch):
+    # one run per slice, as the one_run_per_part fixture sets: the CPUs cap the pool
+    assert _pool_sizes(monkeypatch, source, cpus, runs=6, workers=1000, runs_per_part=1) == pools
+
+
+_FLOOR = runner._RUNS_PER_PART
+
+
+@pytest.mark.parametrize("cpus, runs, workers, pools", [
+    (2, 50, 2, []),
+    (2, 2 * _FLOOR - 1, 2, []),
+    (2, 2 * _FLOOR, 2, [2]),
+    (3, 3 * _FLOOR, 8, [3]),
+])
+def test_pool_slices_hold_at_least_the_run_floor(cpus, runs, workers, pools, monkeypatch):
+    # the shipped floor: no slice of fewer than _RUNS_PER_PART runs
+    sizes = _pool_sizes(monkeypatch, "sched_getaffinity", cpus, runs, workers, runs_per_part=_FLOOR)
+    assert sizes == pools
 
 
 def test_estimator_isolation():

@@ -132,9 +132,8 @@ MUTATIONS = {
         "tacd.runner",
         "cfg.runs // _RUNS_PER_PART",
         "cfg.runs",
-        [("test_harness", "test_pool_capped_at_usable_cpus",
-          {"source": "sched_getaffinity", "cpus": 2, "runs": runs, "workers": 2,
-           "runs_per_part": runner._RUNS_PER_PART, "pools": []})
+        [("test_harness", "test_pool_slices_hold_at_least_the_run_floor",
+          {"cpus": 2, "runs": runs, "workers": 2, "pools": []})
          for runs in (50, 2 * runner._RUNS_PER_PART - 1)],
     ),
     "pool-slices-joined-in-reverse": (
