@@ -30,6 +30,10 @@ ones). The Kalman baseline runs its covariance recursion, the same for
 every run, once per period on Python floats and steps only the mean rows.
 For finite operands these give the values of the general-form products,
 which tests/oracles.py keeps as the reference.
+
+scipy is loaded by vb_refine on its first call, not with this module: its
+digamma is the only thing tacd reads from scipy, so commands that run no
+VB refinement start without scipy's import time and memory.
 """
 from __future__ import annotations
 
@@ -37,7 +41,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import digamma
 
 from .clock import StateSpace
 from .scenario import NOISE_CORR, ExchangeBatch
@@ -473,6 +476,10 @@ def vb_refine(
     pred + q * stat, stat's rows being what each unit of responsibility
     adds: 1, 1 and the entries of S.
     """
+    # Imported here, not with the module: scipy.special adds ~330 ms and
+    # 26 MB to start-up, which only commands with a VB step should pay.
+    from scipy.special import digamma
+
     rho = settings.forgetting_factor
     h0, h1 = ss.h0, ss.h1
     x0, x1, p00, p01, p11 = belief.rows
