@@ -476,8 +476,7 @@ def vb_refine(
     pred + q * stat, stat's rows being what each unit of responsibility
     adds: 1, 1 and the entries of S.
     """
-    # Imported here, not with the module: scipy.special adds ~330 ms and
-    # 26 MB to start-up, which only commands with a VB step should pay.
+    # Not a module import: scipy.special adds ~0.3 s and ~20 MB to start-up.
     from scipy.special import digamma
 
     rho = settings.forgetting_factor
