@@ -141,15 +141,11 @@ def _run(sub: Subcommand, args) -> int:
 
 def _cmd_plot(args) -> int:
     cols = load_csv_columns(args.csv)
-    if args.x not in cols:
-        raise SystemExit(f"column {args.x!r} not in {sorted(cols)}")
-    xs = cols[args.x]
-    series = []
-    for name in args.y.split(","):
-        name = name.strip()
+    names = [name.strip() for name in args.y.split(",")]
+    for name in [args.x, *names]:
         if name not in cols:
-            raise SystemExit(f"column {name!r} not in {sorted(cols)}")
-        series.append((name, xs, cols[name]))
+            raise ValueError(f"{args.csv}: column {name!r} not in {sorted(cols)}")
+    series = [(name, cols[args.x], cols[name]) for name in names]
     path = emit_plot_svg(series, args.out, log_y=args.log_y, title=args.title, x_label=args.x)
     print(f"wrote {path}")
     return 0

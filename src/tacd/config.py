@@ -202,9 +202,9 @@ def _block(spec: dict, cls=dict) -> Reader:
     return lambda v, path: None if v is None else read(v, path)
 
 
+_SPAN = {key: (key, _min(_int, 0), True) for key in ("start", "end")}  # a segment's periods, start..end
 _RATE_SEGMENT = {
-    "start": ("start", _min(_int, 0), True),
-    "end": ("end", _min(_int, 0), True),
+    **_SPAN,
     "stddev_rates": ("stddev_rates", _list(_number), True),
     "weight_rates": ("weight_rates", _list(_number), True),
 }
@@ -220,8 +220,7 @@ _EMPIRICAL = {  # read into EmpiricalSource fields once the table at csv_path is
     "reverse_cell": ("reverse_cell", _cell, True),
 }
 _THERMAL_SEGMENT = {
-    "start": ("start", _min(_int, 0), True),
-    "end": ("end", _min(_int, 0), True),
+    **_SPAN,
     "kind": ("kind", _str, True),
     None: ("params", _number, False),  # the kind's curve parameters, checked by ThermalSegment
 }

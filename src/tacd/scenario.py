@@ -37,6 +37,20 @@ class DelayCsvError(ValueError):
     """Raised for malformed empirical delay CSV input."""
 
 
+def _check_span(seg) -> None:
+    """A segment covers periods start..end, so start may not exceed end."""
+    if seg.start > seg.end:
+        raise ValueError(f"segment start {seg.start} > end {seg.end}")
+
+
+def _check_disjoint(segments, noun: str) -> None:
+    """No period may fall in two of the segments."""
+    spans = sorted((s.start, s.end) for s in segments)
+    for (_, e0), (s1, _) in zip(spans, spans[1:]):
+        if s1 <= e0:
+            raise ValueError(f"overlapping {noun} segments near period {s1}")
+
+
 @dataclass(frozen=True)
 class RateSegment:
     """Per-period parameter changing rates in effect for periods start..end."""
@@ -47,8 +61,7 @@ class RateSegment:
     weight_rates: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise ValueError(f"segment start {self.start} > end {self.end}")
+        _check_span(self)
 
 
 @dataclass(frozen=True)
@@ -79,15 +92,10 @@ class PdvProfile:
             raise ValueError(f"initial weights must lie on the simplex, got {self.initial_weights}")
         if any(s < self.stddev_floor for s in self.initial_stddevs):
             raise ValueError("initial stddevs must be >= stddev_floor")
-        spans = []
         for seg in self.rate_schedule:
             if len(seg.stddev_rates) != n or len(seg.weight_rates) != n - 1:
                 raise ValueError("rate vector lengths must match the component count")
-            spans.append((seg.start, seg.end))
-        spans.sort()
-        for (s0, e0), (s1, _) in zip(spans, spans[1:]):
-            if s1 <= e0:
-                raise ValueError(f"overlapping rate segments near period {s1}")
+        _check_disjoint(self.rate_schedule, "rate")
 
     @property
     def num_components(self) -> int:
@@ -160,8 +168,7 @@ class ThermalSegment:
     params: dict
 
     def __post_init__(self) -> None:
-        if self.start > self.end:
-            raise ValueError(f"segment start {self.start} > end {self.end}")
+        _check_span(self)
         if not isinstance(self.kind, str) or self.kind not in _THERMAL_PARAMS:
             raise ValueError(f"unknown thermal curve kind {self.kind!r}, expected one of {tuple(_THERMAL_PARAMS)}")
         names = _THERMAL_PARAMS[self.kind]
@@ -184,10 +191,7 @@ class ThermalProfile:
     def __post_init__(self) -> None:
         if self.cooling_constant <= 0.0:
             raise ValueError("cooling_constant must be > 0")
-        spans = sorted((s.start, s.end) for s in self.segments)
-        for (s0, e0), (s1, _) in zip(spans, spans[1:]):
-            if s1 <= e0:
-                raise ValueError(f"overlapping thermal segments near period {s1}")
+        _check_disjoint(self.segments, "thermal")
 
     def validate_horizon(self, horizon: int) -> None:
         """Segments must tile 0..horizon-1 with no gaps."""

@@ -1,17 +1,18 @@
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from tacd import runner
 from tacd.bclb import OracleNoiseTruth, bclb_trajectory
 from tacd.clock import ClockDynamics, build_state_space
+from tacd.config import load_config
 from tacd.netcomm import build_measurement
 from tacd.runner import Trajectories
 from tacd.scenario import (
     ExchangeBatch,
-    LinkConfig,
     PdvProfile,
-    RateSegment,
-    ScenarioConfig,
     ThermalProfile,
     ThermalSegment,
     TruthOptions,
@@ -20,9 +21,11 @@ from tacd.scenario import (
 )
 from tacd.thermal import TempSkewModel
 
+# The shipped study case, read once, so the tests named after it follow the file
+STUDY = load_config(Path(__file__).resolve().parent.parent / "configs" / "fusion_study.json")
 # Reference oscillator constants used across the suite
-M_GM = (1.0 - 2e-6) ** (1.0 / 30.0)
-SIGMA_U_SQ = (1.0 - M_GM**2) * 1e-3
+M_GM = STUDY.dynamics.m
+SIGMA_U_SQ = STUDY.dynamics.sigma_u_sq
 
 
 def set_runs_per_part(mp: pytest.MonkeyPatch, runs: int) -> None:
@@ -40,44 +43,12 @@ def one_run_per_part(monkeypatch) -> None:
 
 @pytest.fixture
 def dyn() -> ClockDynamics:
-    return ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
+    return STUDY.dynamics
 
 
 @pytest.fixture
 def ss(dyn):
     return build_state_space(dyn)
-
-
-@pytest.fixture
-def temp_model() -> TempSkewModel:
-    return TempSkewModel(kappa=4e-8, T0=25.0, theta0=0.0, sigma_T_sq=0.1)
-
-
-def study_pdv_profile() -> PdvProfile:
-    return PdvProfile(
-        initial_stddevs=(5e-6, 3e-6, 5e-6),
-        initial_weights=(0.4, 0.3, 0.3),
-        rate_schedule=(
-            RateSegment(1, 15, (-0.6e-7, 2.4e-7, 8e-7), (-11.6e-3, -2.8e-3)),
-            RateSegment(16, 35, (0.0, 0.0, 0.0), (0.0, 0.0)),
-            RateSegment(36, 55, (-7.25e-7, -1.1e-7, -5.5e-7), (11.7e-3, -4e-3)),
-            RateSegment(56, 75, (4.5e-7, -1.3e-7, 7e-7), (-11.5e-3, -3.5e-3)),
-        ),
-    )
-
-
-def study_thermal_profile(horizon: int = 75) -> ThermalProfile:
-    return ThermalProfile(
-        segments=(
-            ThermalSegment(0, 20, "constant", {"value": 30.0}),
-            ThermalSegment(21, 30, "multimodal", {"amp": 1.1, "quad": 0.005, "offset": 40.0}),
-            ThermalSegment(31, 50, "colored-noise", {"mean": 20.0, "var_base": 0.02, "var_slope": 1e-2, "var_ref_k": 30.0}),
-            ThermalSegment(51, 60, "first-order", {"slope": 1.0, "intercept": -30.0}),
-            ThermalSegment(61, max(61, horizon - 1), "constant", {"value": 30.0}),
-        ),
-        cooling_constant=10.0,
-        initial_oscillator_temp=30.0,
-    )
 
 
 def constant_thermal(horizon: int, value: float = 25.0) -> ThermalProfile:
@@ -92,17 +63,16 @@ def thermal_run(t_ext: float, t_osc0: float, cooling_constant: float, horizon: i
                 sigma_T_sq: float = 0.0, seed: int = 0):
     """A generated run (a one-run batch) under a constant ambient t_ext whose
     oscillator starts at t_osc0; by default the sensor is noise-free."""
-    cfg = ScenarioConfig(
-        tau=1.0,
+    cfg = replace(
+        STUDY.scenario,
         horizon=horizon,
-        link=LinkConfig(5e-6, 1e-6),
         pdv=PdvProfile(initial_stddevs=(1e-6,), initial_weights=(1.0,)),
         thermal=ThermalProfile(
             segments=(ThermalSegment(0, horizon - 1, "constant", {"value": t_ext}),),
             cooling_constant=cooling_constant,
             initial_oscillator_temp=t_osc0,
         ),
-        temp_model=TempSkewModel(kappa=4e-8, T0=25.0, theta0=0.0, sigma_T_sq=sigma_T_sq),
+        temp_model=TempSkewModel(sigma_T_sq=sigma_T_sq),
         truth=TruthOptions(thermal_coupling=False),
     )
     return generate_scenario(cfg, [np.random.default_rng(seed)])

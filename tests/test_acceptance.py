@@ -12,7 +12,7 @@ import pytest
 from tacd.bclb import OracleNoiseTruth, bclb_trajectory
 from tacd.cli import main as cli_main
 from tacd.clock import ClockDynamics, build_state_space
-from tacd.config import load_config, parse_config
+from tacd.config import load_config
 from tacd.fusion import pareto_beta, thermal_variance
 from tacd.netcomm import (
     GaussianBelief,
@@ -32,11 +32,12 @@ from tacd.scenario import (
     generate_scenario,
     pdv_params_table,
 )
-from tacd.thermal import TempSkewModel
+from tacd.thermal import TempSkewModel, thermal_bias, thermal_second_moment
 
 from conftest import (
     M_GM,
     SIGMA_U_SQ,
+    STUDY,
     constant_oracle,
     constant_thermal,
     information,
@@ -48,7 +49,6 @@ from conftest import (
 from oracles import (
     brute_force_mixture_update,
     closed_form_beta,
-    fusion_cost_vec,
     golden_section_beta_vec,
     random_fusion_tuples,
 )
@@ -79,7 +79,7 @@ def test_criterion_1_pareto_closed_form():
     ok = worst_int < 1e-9 and worst_bnd < 1e-6 and elapsed < 10.0
     # the library op agrees with the vectorized closed form bit-for-bit
     for i in rng.integers(0, n, 100):
-        model = TempSkewModel(kappa=float(kappa[i]), T0=25.0, theta0=0.0, sigma_T_sq=float(s2[i]))
+        model = TempSkewModel(kappa=float(kappa[i]), sigma_T_sq=float(s2[i]))
         ok &= abs(pareto_beta(float(eps[i]), thermal_variance(float(gap[i]), model), model, float(lam[i])) - beta[i]) < 1e-15
     _report(
         1,
@@ -93,21 +93,22 @@ def test_criterion_1_pareto_closed_form():
 
 def test_criterion_2_thermal_statistics():
     t0 = time.time()
-    model = TempSkewModel(kappa=4e-8, T0=25.0, theta0=0.0, sigma_T_sq=0.1)
+    model = TempSkewModel()
     rng = np.random.default_rng(102)
 
     xi = rng.standard_normal(10**6) * np.sqrt(model.sigma_T_sq)
     t_true = 25.0
     bias = np.mean(model.kappa * (2.0 * (t_true - model.T0) * xi + xi**2))
-    bias_ok = abs(bias - 4e-9) < 0.1 * 4e-9
+    expected = thermal_bias(model)
+    bias_ok = abs(bias - expected) < 0.1 * expected
 
     mom_ok = True
-    details = [f"bias {bias:.3e} vs 4e-9"]
+    details = [f"bias {bias:.3e} vs {expected:.3e}"]
     for t_op in (25.0, 31.0, 35.0):
         xi = rng.standard_normal(10**7) * np.sqrt(model.sigma_T_sq)
         err = model.kappa * (2.0 * (t_op - model.T0) * xi + xi**2)
         emp = float(np.mean(err**2))
-        closed = model.kappa**2 * (4 * model.sigma_T_sq * (t_op - 25.0) ** 2 + 3 * model.sigma_T_sq**2)
+        closed = thermal_second_moment(model, t_op)
         mom_ok &= abs(emp - closed) < 0.05 * closed
         details.append(f"E[e^2]({t_op:g}C) {emp:.3e}/{closed:.3e}")
     elapsed = time.time() - t0
@@ -125,7 +126,7 @@ def test_criterion_3_kalman_equivalence():
         link=LinkConfig(5e-6, 1e-6),
         pdv=PdvProfile(initial_stddevs=(5e-6,), initial_weights=(1.0,)),
         thermal=constant_thermal(horizon),
-        temp_model=TempSkewModel(kappa=4e-8, T0=25.0, theta0=0.0, sigma_T_sq=0.1),
+        temp_model=TempSkewModel(),
         truth=TruthOptions(initial_offset=1e-6, initial_skew_residual=3e-7,
                            process_noise_sq=SIGMA_U_SQ, thermal_coupling=False),
         gm_coefficient=M_GM,
@@ -164,9 +165,7 @@ def test_criterion_4_fisher_sanity():
     bl, bf = bclb_trajectory(constant_oracle(b, lam, 51), dyn, 1.0, 1.0 / 3e10)
     exact_ok = bool(np.array_equal(bf, bl))
 
-    from conftest import study_pdv_profile
-
-    weights, stddevs = pdv_params_table(study_pdv_profile(), 75)
+    weights, stddevs = pdv_params_table(STUDY.scenario.pdv, 75)
     oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs)
     rng = np.random.default_rng(104)
     dom_ok = True

@@ -5,7 +5,7 @@ from tacd.bclb import OracleNoiseTruth, bclb_trajectory
 from tacd.clock import ClockDynamics
 from tacd.scenario import pdv_params_table
 
-from conftest import M_GM, SIGMA_U_SQ, constant_oracle, information, study_pdv_profile
+from conftest import M_GM, SIGMA_U_SQ, STUDY, constant_oracle, information
 
 
 def test_linear_memoryless_decoupling():
@@ -86,7 +86,7 @@ def test_trajectory_monotone_convergence_single_component():
 
 def test_trajectory_dominance_nonstationary():
     h = 75
-    weights, stddevs = pdv_params_table(study_pdv_profile(), h)
+    weights, stddevs = pdv_params_table(STUDY.scenario.pdv, h)
     oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs)
     dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
     rng = np.random.default_rng(31)

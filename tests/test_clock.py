@@ -1,24 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tacd.clock import ClockDynamics, StateSpace, build_state_space
-from tacd.scenario import LinkConfig, PdvProfile, ScenarioConfig, TruthOptions, generate_scenario
-from tacd.thermal import TempSkewModel
+from tacd.scenario import PdvProfile, TruthOptions, generate_scenario
 
-from conftest import M_GM, SIGMA_U_SQ, constant_thermal
+from conftest import M_GM, SIGMA_U_SQ, STUDY, constant_thermal
 
 
 def _truth(dyn, skew0, offset0, horizon=2, process_noise_sq=0.0, seed=0):
     """Skew and offset of a generated run without thermal coupling: the skew
     is the Gauss-Markov residual with coefficient dyn.m, the offset
     integrates it."""
-    cfg = ScenarioConfig(
+    cfg = replace(
+        STUDY.scenario,
         tau=dyn.tau,
         horizon=horizon,
-        link=LinkConfig(5e-6, 1e-6),
         pdv=PdvProfile(initial_stddevs=(1e-6,), initial_weights=(1.0,)),
         thermal=constant_thermal(horizon),
-        temp_model=TempSkewModel(kappa=4e-8, T0=25.0, theta0=0.0, sigma_T_sq=0.1),
         truth=TruthOptions(initial_offset=offset0, initial_skew_residual=skew0,
                            process_noise_sq=process_noise_sq, thermal_coupling=False),
         gm_coefficient=dyn.m,

@@ -14,7 +14,7 @@ from oracles import closed_form_beta, fusion_cost_vec, golden_section_beta_vec, 
 
 @pytest.fixture
 def model():
-    return TempSkewModel(kappa=4e-8, T0=25.0, theta0=0.0, sigma_T_sq=0.1)
+    return TempSkewModel()
 
 
 def test_fusion_variance_values(model):
@@ -43,13 +43,13 @@ def test_pareto_matches_golden_section(model):
 
 
 def test_pareto_degenerate_denominator():
-    flat = TempSkewModel(kappa=0.0, T0=25.0, theta0=0.0, sigma_T_sq=0.0)
+    flat = TempSkewModel(kappa=0.0, sigma_T_sq=0.0)
     assert pareto_beta(1e-14, thermal_variance(0.0, flat), flat, lam=1.0) == 0.0
 
 
 def test_pareto_boundary_beta_one():
     # lambda = 0 with a flat thermal error surface drives everything thermal
-    flat = TempSkewModel(kappa=0.0, T0=25.0, theta0=0.0, sigma_T_sq=0.0)
+    flat = TempSkewModel(kappa=0.0, sigma_T_sq=0.0)
     assert pareto_beta(1e-14, thermal_variance(0.0, flat), flat, lam=0.0) == 1.0
 
 
@@ -135,8 +135,8 @@ def test_pareto_beta_on_the_thermal_variance_is_the_closed_form_bit_for_bit():
             gap[:2] = 0.0, -1e-320
             model = TempSkewModel(kappa=10.0 ** rng.uniform(-100, 50), sigma_T_sq=10.0 ** rng.uniform(-100, 50))
             cases.append((eps, gap, model, lam))
-    flat = TempSkewModel(kappa=0.0, T0=25.0, theta0=0.0, sigma_T_sq=0.0)
-    model = TempSkewModel(kappa=4e-8, T0=25.0, theta0=0.0, sigma_T_sq=0.1)
+    flat = TempSkewModel(kappa=0.0, sigma_T_sq=0.0)
+    model = TempSkewModel()
     cases += [(1e-14, 0.0, flat, 1.0), (1e-14, 0.0, flat, 0.0), (1e-14, 10.0, model, 0.0), (1e-14, np.inf, model, 0.5)]
     # a gap whose square overflows (the closed form raised on a Python float;
     # see test_thermal_variance_of_an_overflowing_gap_is_inf)

@@ -150,6 +150,13 @@ def _appended_row(row):
     return edit
 
 
+def _segment_start(block, key, i, start):
+    """Edit that moves the start of segment i of doc[block][key]."""
+    def edit(doc, _):
+        doc[block][key][i]["start"] = start
+    return edit
+
+
 _MALFORMED = [
     ("link", lambda doc, _: doc.update(link=5), "link: expected an object"),
     ("truth", lambda doc, _: doc.update(truth=5), "truth: expected an object"),
@@ -186,6 +193,12 @@ _MALFORMED = [
      "estimators: estimator 'tacd' selected more than once"),
     ("--estimators-repeated", lambda doc, _: ["--estimators", "linear-only,linear-only"],
      "estimators: estimator 'linear-only' selected more than once"),
+    ("pdv.schedule-overlap", _segment_start("pdv", "schedule", 1, 15), "pdv: overlapping rate segments near period 15"),
+    ("pdv.schedule-reversed", _segment_start("pdv", "schedule", 0, 20), "pdv.schedule[0]: segment start 20 > end 15"),
+    ("thermal.segments-overlap", _segment_start("thermal", "segments", 1, 20),
+     "thermal: overlapping thermal segments near period 20"),
+    ("thermal.segments-reversed", _segment_start("thermal", "segments", 0, 25),
+     "thermal.segments[0]: segment start 25 > end 20"),
 ]
 
 
@@ -680,7 +693,9 @@ def test_cli_overrides_keep_config_bounds(argv, field, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("text, where", [("", "empty"), ("k,a\n0,1\n1\n", "line 3")], ids=["empty", "short-row"])
+@pytest.mark.parametrize("text, where", [("", "empty"), ("k,a\n0,1\n1\n", "line 3"), ("t,a\n0,1\n", "column 'k'"),
+                                         ("k,b\n0,1\n", "column 'a'")],
+                         ids=["empty", "short-row", "no-x-column", "no-y-column"])
 def test_cli_plot_rejects_malformed_csv(text, where, tmp_path, capsys):
     src = tmp_path / "bad.csv"
     src.write_text(text)

@@ -1,4 +1,4 @@
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -21,13 +21,11 @@ from tacd.scenario import (
     ExchangeBatch,
     LinkConfig,
     PdvProfile,
-    ScenarioConfig,
     TruthOptions,
     generate_scenario,
 )
-from tacd.thermal import TempSkewModel
 
-from conftest import M_GM, SIGMA_U_SQ, constant_thermal, exchange, run_measurements
+from conftest import M_GM, SIGMA_U_SQ, STUDY, constant_thermal, exchange, run_measurements
 
 
 def _rec(t1, t2, t3, t4, k):
@@ -40,20 +38,12 @@ def _periods(*recs):
 
 
 def _stationary_cfg(horizon, stddevs, weights, process_noise_sq=SIGMA_U_SQ, skew0=3e-7):
-    return ScenarioConfig(
-        tau=1.0,
+    return replace(
+        STUDY.scenario,
         horizon=horizon,
-        link=LinkConfig(5e-6, 1e-6),
         pdv=PdvProfile(initial_stddevs=stddevs, initial_weights=weights),
         thermal=constant_thermal(horizon),
-        temp_model=TempSkewModel(kappa=4e-8, T0=25.0, theta0=0.0, sigma_T_sq=0.1),
-        truth=TruthOptions(
-            initial_offset=1e-6,
-            initial_skew_residual=skew0,
-            process_noise_sq=process_noise_sq,
-            thermal_coupling=False,
-        ),
-        gm_coefficient=M_GM,
+        truth=TruthOptions(initial_skew_residual=skew0, process_noise_sq=process_noise_sq, thermal_coupling=False),
     )
 
 

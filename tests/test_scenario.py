@@ -23,13 +23,13 @@ from tacd.scenario import (
 from tacd.netcomm import build_measurement
 from tacd.thermal import TempSkewModel
 
-from conftest import M_GM, constant_thermal, exchange, study_pdv_profile, study_thermal_profile, thermal_run
+from conftest import STUDY, constant_thermal, exchange, thermal_run
 
 
 # ---------------------------------------------------------------- PDV profile
 
 def test_pdv_initial_values():
-    weights, stddevs = pdv_params_table(study_pdv_profile(), 1)
+    weights, stddevs = pdv_params_table(STUDY.scenario.pdv, 1)
     w, s = weights[0], stddevs[0]
     assert np.allclose(w, [0.4, 0.3, 0.3], atol=1e-15)
     assert np.allclose(s, [5e-6, 3e-6, 5e-6], atol=1e-18)
@@ -49,7 +49,7 @@ def test_pdv_zero_rates_fixed_point():
 
 def test_pdv_incremental_accumulation():
     # independent oracle: sum the per-period rates over periods 1..15
-    w = pdv_params_table(study_pdv_profile(), 16)[0][15]
+    w = pdv_params_table(STUDY.scenario.pdv, 16)[0][15]
     expected_b1 = 0.4 + sum(-11.6e-3 for _ in range(1, 16))
     assert expected_b1 == pytest.approx(0.226, abs=1e-12)
     assert w[0] == pytest.approx(expected_b1, rel=1e-12, abs=0.0)
@@ -57,7 +57,7 @@ def test_pdv_incremental_accumulation():
 
 def test_pdv_stddev_floor_engages():
     # the first component of the reference schedule crosses zero in segment 3
-    s = pdv_params_table(study_pdv_profile(), 51)[1][50]
+    s = pdv_params_table(STUDY.scenario.pdv, 51)[1][50]
     assert s[0] == pytest.approx(1e-7, abs=0.0)
 
 
@@ -146,7 +146,7 @@ def test_noise_scalar_matches_component_structure():
 # -------------------------------------------------------------- temperatures
 
 def test_temperature_constant_and_first_order():
-    segments = study_thermal_profile().segments
+    segments = STUDY.scenario.thermal.segments
     assert _segment_temperature(segments[0], 5) == 30.0
     assert _segment_temperature(segments[3], 55) == 25.0
 
@@ -156,11 +156,11 @@ def test_temperature_multimodal_curve():
     k = 25
     expected = 1.1 * np.sin(2 * k + np.pi) - 0.005 * (2 * k + 2) ** 2 + 40.0
     assert expected == pytest.approx(26.768612339074316, abs=1e-12)
-    assert _segment_temperature(study_thermal_profile().segments[1], k) == pytest.approx(expected, abs=1e-12)
+    assert _segment_temperature(STUDY.scenario.thermal.segments[1], k) == pytest.approx(expected, abs=1e-12)
 
 
 def test_temperature_colored_noise_stats():
-    colored = study_thermal_profile().segments[2]
+    colored = STUDY.scenario.thermal.segments[2]
     rng = np.random.default_rng(9)
     k = 40
     draws = _segment_temperature(colored, k, rng.standard_normal(20000))
@@ -309,7 +309,7 @@ def test_empirical_scenario_mode(tmp_path):
         link=None,
         pdv=None,
         thermal=constant_thermal(20),
-        temp_model=TempSkewModel(kappa=4e-8, T0=25.0, theta0=0.0, sigma_T_sq=0.1),
+        temp_model=TempSkewModel(),
         truth=TruthOptions(thermal_coupling=False),
         empirical=EmpiricalSource(table=table, forward_cell=(64, 5), reverse_cell=(64, 25)),
     )
@@ -324,28 +324,19 @@ def test_empirical_scenario_mode(tmp_path):
         assert np.all(np.min(np.abs(delay[:, None] - samples[None, :]), axis=1) < 1e-13)
     # a scenario draws its delays from one source: a PDV profile as well is rejected
     with pytest.raises(ValueError, match="exactly one of a PDV profile and an empirical source"):
-        replace(cfg, pdv=study_pdv_profile())
+        replace(cfg, pdv=STUDY.scenario.pdv)
     # the table's minima are the fixed delays: a link as well is rejected, and
     # a PDV profile needs one
     with pytest.raises(ValueError, match="not allowed with an empirical source"):
         replace(cfg, link=LinkConfig(0.0, 0.0))
     with pytest.raises(ValueError, match="a link is required with a PDV profile"):
-        replace(cfg, pdv=study_pdv_profile(), empirical=None)
+        replace(cfg, pdv=STUDY.scenario.pdv, empirical=None)
 
 
 # ------------------------------------------------------------------ scenario
 
 def _scenario_cfg(horizon=50):
-    return ScenarioConfig(
-        tau=1.0,
-        horizon=horizon,
-        link=LinkConfig(5e-6, 1e-6),
-        pdv=study_pdv_profile(),
-        thermal=study_thermal_profile(horizon),
-        temp_model=TempSkewModel(kappa=4e-8, T0=25.0, theta0=0.0, sigma_T_sq=0.1),
-        truth=TruthOptions(initial_offset=1e-6, process_noise_sq=1e-16),
-        gm_coefficient=M_GM,
-    )
+    return replace(STUDY.scenario, horizon=horizon, truth=TruthOptions(process_noise_sq=1e-16))
 
 
 def test_scenario_deterministic():

@@ -15,7 +15,7 @@ from tacd.scenario import (
     generate_scenario,
 )
 
-from conftest import study_pdv_profile
+from conftest import STUDY
 
 SHIPPED = ("case1", "case2", "case3", "fusion_study")
 
@@ -70,8 +70,7 @@ def _colored_ends(h: int) -> ThermalProfile:
 
 @pytest.mark.parametrize("horizon", [1, 2, 40])
 def test_colored_noise_at_both_ends_matches_oracle(horizon):
-    base = load_config("configs/fusion_study.json").scenario
-    cfg = replace(base, horizon=horizon, pdv=study_pdv_profile(), thermal=_colored_ends(horizon))
+    cfg = replace(STUDY.scenario, horizon=horizon, thermal=_colored_ends(horizon))
     _assert_same(cfg, range(8))
 
 
