@@ -338,6 +338,6 @@ def load_config(path) -> RunConfig:
         doc = json.loads(p.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{p}: invalid JSON: {exc}") from None
-    except ConfigError as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{p}: {exc}") from None
     return parse_config(doc, base_dir=p.parent)

@@ -303,14 +303,14 @@ def build_measurement(ex: ExchangeBatch, d) -> np.ndarray:
     return z
 
 
-def enforce_spd(cov: np.ndarray, floor: float = SPD_EIGENVALUE_FLOOR) -> tuple[np.ndarray, bool]:
+def enforce_spd(cov: np.ndarray) -> tuple[np.ndarray, bool]:
     """Symmetrize one 2x2 matrix and floor its eigenvalues; returns (matrix,
     whether flooring fired)."""
     sym = 0.5 * (cov + cov.T)
     vals, vecs = np.linalg.eigh(sym)
-    if vals[0] >= floor:
+    if vals[0] >= SPD_EIGENVALUE_FLOOR:
         return sym, False
-    vals = np.maximum(vals, floor)
+    vals = np.maximum(vals, SPD_EIGENVALUE_FLOOR)
     return (vecs * vals) @ vecs.T, True
 
 

@@ -139,11 +139,14 @@ def _plain_text(chunk: list[Sequence], width: int) -> Optional[str]:
 def load_csv_columns(path) -> dict[str, np.ndarray]:
     """Read a numeric CSV back as named float columns ('estimator' stays str).
 
-    Raises ValueError for a file without a header or a row whose cell count
-    differs from the header's.
+    Raises ValueError for a file that is not UTF-8 text, has no header or
+    has a row whose cell count differs from the header's.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        try:
+            reader = csv.reader(fh.readlines())
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         header = next(reader, None)
         if header is None:
             raise ValueError(f"{path}: empty CSV, no header")
@@ -172,8 +175,6 @@ def emit_plot_svg(
     title: Optional[str] = None,
     x_label: str = "k",
     y_label: str = "",
-    width: int = 720,
-    height: int = 460,
 ) -> Path:
     """Render labeled line series into a standalone SVG file.
 
@@ -182,6 +183,7 @@ def emit_plot_svg(
     """
     if not series:
         raise ValueError("at least one series is required")
+    width, height = 720, 460
     margin_l, margin_r, margin_t, margin_b = 70, 150, 34, 48
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b

@@ -303,7 +303,10 @@ def load_delay_csv(path) -> EmpiricalDelayTable:
     """Parse an empirical delay CSV (header packet_bytes,load_percent,delay_seconds)."""
     cells: dict[tuple[int, float], list[float]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+        try:
+            reader = csv.reader(fh.readlines())
+        except UnicodeDecodeError as exc:
+            raise DelayCsvError(f"{path}: {exc}") from None
         try:
             header = next(reader)
         except StopIteration:

@@ -1,3 +1,5 @@
+import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,7 +10,7 @@ from tacd import runner
 from tacd.bclb import OracleNoiseTruth, bclb_trajectory
 from tacd.clock import ClockDynamics, build_state_space
 from tacd.config import load_config
-from tacd.netcomm import build_measurement
+from tacd.netcomm import GaussianBelief, build_measurement
 from tacd.runner import Trajectories
 from tacd.scenario import (
     ExchangeBatch,
@@ -21,11 +23,35 @@ from tacd.scenario import (
 )
 from tacd.thermal import TempSkewModel
 
+# The repository; every test reaches a shipped file through it, never through
+# the working directory
+ROOT = Path(__file__).resolve().parent.parent
+# The shipped cases: the three comparative cases and the model-fusion study
+SHIPPED = ("case1", "case2", "case3", "fusion_study")
+
+
+def config_path(name: str) -> Path:
+    """The absolute path of the shipped config name ("case1", ...)."""
+    return ROOT / "configs" / f"{name}.json"
+
+
+def study_doc() -> dict:
+    """The study config as parsed JSON, a fresh dict per call for the caller to edit."""
+    return json.loads(config_path("fusion_study").read_text(encoding="utf-8"))
+
+
 # The shipped study case, read once, so the tests named after it follow the file
-STUDY = load_config(Path(__file__).resolve().parent.parent / "configs" / "fusion_study.json")
-# Reference oscillator constants used across the suite
-M_GM = STUDY.dynamics.m
-SIGMA_U_SQ = STUDY.dynamics.sigma_u_sq
+STUDY = load_config(config_path("fusion_study"))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def run_outside_the_repository(tmp_path_factory):
+    """Run the session in an empty directory, so a test that reads a path
+    relative to the working directory fails wherever pytest starts."""
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.mktemp("cwd"))
+    yield
+    os.chdir(cwd)
 
 
 def set_runs_per_part(mp: pytest.MonkeyPatch, runs: int) -> None:
@@ -44,6 +70,11 @@ def one_run_per_part(monkeypatch) -> None:
 @pytest.fixture
 def dyn() -> ClockDynamics:
     return STUDY.dynamics
+
+
+def study_prior(runs=None) -> GaussianBelief:
+    """The study's filter prior (netcomm_init's x0 and P0_diag), as the runner builds it."""
+    return runner._prior(STUDY, runs)
 
 
 @pytest.fixture
@@ -99,6 +130,28 @@ def information(dyn, weights, stddevs, j0: float, steps: int, alpha=None):
     (linear, fusion), read off bclb_trajectory as the inverse bounds."""
     bl, bf = bclb_trajectory(constant_oracle(weights, stddevs, steps + 1), dyn, alpha, 1.0 / j0)
     return 1.0 / bl, 1.0 / bf
+
+
+def matched_filter_window_mse(dyn, lam: float, runs: int, horizon: int, seed: int) -> list[float]:
+    """Skew paths under dyn, each tracked from 3e-7 (variance 5e-6) by the
+    scalar Kalman filter matched to dyn and a measurement noise stddev lam:
+    the mean squared error over the runs in each of the last 10 periods."""
+    rng = np.random.default_rng(seed)
+    theta = np.full(runs, 3e-7)
+    est = np.full(runs, 3e-7)
+    p = 5e-6
+    window = []
+    for k in range(1, horizon):
+        theta = dyn.m * theta + rng.standard_normal(runs) * np.sqrt(dyn.sigma_u_sq)
+        z = dyn.tau * theta + rng.standard_normal(runs) * lam
+        p_pred = dyn.m**2 * p + dyn.sigma_u_sq
+        s = dyn.tau**2 * p_pred + lam**2
+        gain = p_pred * dyn.tau / s
+        est = dyn.m * est + gain * (z - dyn.tau * dyn.m * est)
+        p = (1.0 - gain * dyn.tau) * p_pred
+        if k >= horizon - 10:
+            window.append(np.mean((est - theta) ** 2))
+    return window
 
 
 def rmse_by_name(table) -> dict[str, tuple[float, float]]:

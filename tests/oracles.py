@@ -129,13 +129,13 @@ class MixtureNoiseModel:
         return self.iw_scale / (dof - (_DIM + 1.0))[:, None, None]
 
 
-def enforce_spd(cov: np.ndarray, floor: float = SPD_EIGENVALUE_FLOOR) -> tuple[np.ndarray, bool]:
+def enforce_spd(cov: np.ndarray) -> tuple[np.ndarray, bool]:
     """Symmetrize and floor eigenvalues; returns (matrix, whether flooring fired)."""
     sym = 0.5 * (cov + cov.T)
     vals, vecs = np.linalg.eigh(sym)
-    if vals[0] >= floor:
+    if vals[0] >= SPD_EIGENVALUE_FLOOR:
         return sym, False
-    vals = np.maximum(vals, floor)
+    vals = np.maximum(vals, SPD_EIGENVALUE_FLOOR)
     return (vecs * vals) @ vecs.T, True
 
 

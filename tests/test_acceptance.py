@@ -11,7 +11,6 @@ import pytest
 
 from tacd.bclb import OracleNoiseTruth, bclb_trajectory
 from tacd.cli import main as cli_main
-from tacd.clock import ClockDynamics, build_state_space
 from tacd.config import load_config
 from tacd.fusion import pareto_beta, thermal_variance
 from tacd.netcomm import (
@@ -35,14 +34,16 @@ from tacd.scenario import (
 from tacd.thermal import TempSkewModel, thermal_bias, thermal_second_moment
 
 from conftest import (
-    M_GM,
-    SIGMA_U_SQ,
     STUDY,
+    config_path,
     constant_oracle,
     constant_thermal,
     information,
+    matched_filter_window_mse,
     rmse_by_name,
     run_measurements,
+    study_doc,
+    study_prior,
     thermal_run,
     toy_trajectories,
 )
@@ -118,7 +119,7 @@ def test_criterion_2_thermal_statistics():
 
 # ---------------------------------------------------------------- criterion 3
 
-def test_criterion_3_kalman_equivalence():
+def test_criterion_3_kalman_equivalence(dyn, ss):
     horizon = 200
     cfg = ScenarioConfig(
         tau=1.0,
@@ -128,12 +129,11 @@ def test_criterion_3_kalman_equivalence():
         thermal=constant_thermal(horizon),
         temp_model=TempSkewModel(),
         truth=TruthOptions(initial_offset=1e-6, initial_skew_residual=3e-7,
-                           process_noise_sq=SIGMA_U_SQ, thermal_coupling=False),
-        gm_coefficient=M_GM,
+                           process_noise_sq=dyn.sigma_u_sq, thermal_coupling=False),
+        gm_coefficient=dyn.m,
     )
     data = generate_scenario(cfg, [np.random.default_rng(103)])
-    ss = build_state_space(ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0))
-    belief = GaussianBelief(np.array([3e-7, 3.5e-6]), np.diag([5e-6, 5e-6]))
+    belief = study_prior()
     gsf = GsfVbFilter(ss, MixtureNoiseModel.from_point_estimates([1.0], [5e-6]), belief, vb=None)
     kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), belief)
     worst = 0.0
@@ -153,8 +153,7 @@ def test_criterion_3_kalman_equivalence():
 
 # ---------------------------------------------------------------- criterion 4
 
-def test_criterion_4_fisher_sanity():
-    dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
+def test_criterion_4_fisher_sanity(dyn):
     lam = np.array([5e-6])
     b = np.array([1.0])
 
@@ -181,7 +180,7 @@ def test_criterion_4_fisher_sanity():
 @pytest.mark.acceptance
 def test_criterion_5_fusion_study():
     t0 = time.time()
-    cfg = load_config("configs/fusion_study.json").with_overrides(runs=MC_RUNS)
+    cfg = STUDY.with_overrides(runs=MC_RUNS)
     table, t = fusion_study(cfg)
     elapsed = time.time() - t0
     network, thermal, fused = evaluate_rmse(t, cfg.steady_window, ("linear-only", "thermal-only", "tacd"))["skew_rmse"]
@@ -211,7 +210,7 @@ def test_criterion_6_comparative_ordering():
     details = []
     ok = True
     for idx, case in enumerate(("case1", "case2", "case3")):
-        cfg = load_config(f"configs/{case}.json").with_overrides(runs=MC_RUNS)
+        cfg = load_config(config_path(case)).with_overrides(runs=MC_RUNS)
         summary = rmse_by_name(evaluate_rmse(run_case(cfg), cfg.steady_window))
         tacd, kal, gptp = summary["tacd"], summary["kalman"], summary["gptp"]
         thermal = summary["thermal-only"]
@@ -238,25 +237,9 @@ def test_criterion_6_comparative_ordering():
 
 # ---------------------------------------------------------------- criterion 7
 
-def test_criterion_7_statistical_bound():
-    dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
-    lam = 5e-6
-    runs, horizon = 1000, 150
-    rng = np.random.default_rng(107)
-    theta = np.full(runs, 3e-7)
-    est = np.full(runs, 3e-7)
-    p = 5e-6
-    window = []
-    for k in range(1, horizon):
-        theta = dyn.m * theta + rng.standard_normal(runs) * np.sqrt(dyn.sigma_u_sq)
-        z = dyn.tau * theta + rng.standard_normal(runs) * lam
-        p_pred = dyn.m**2 * p + dyn.sigma_u_sq
-        s = dyn.tau**2 * p_pred + lam**2
-        gain = p_pred * dyn.tau / s
-        est = dyn.m * est + gain * (z - dyn.tau * dyn.m * est)
-        p = (1.0 - gain * dyn.tau) * p_pred
-        if k >= horizon - 10:
-            window.append(np.mean((est - theta) ** 2))
+def test_criterion_7_statistical_bound(dyn):
+    lam, runs, horizon = 5e-6, 1000, 150
+    window = matched_filter_window_mse(dyn, lam, runs, horizon, seed=107)
     bound = bclb_trajectory(constant_oracle([1.0], [lam], horizon), dyn, None, 5e-6)[0][-1]
     mse = float(np.mean(window))
     stderr = max(float(np.std(window, ddof=1) / np.sqrt(len(window))), mse * np.sqrt(2.0 / runs))
@@ -269,7 +252,7 @@ def test_criterion_7_statistical_bound():
 
 @pytest.mark.acceptance
 def test_criterion_8_determinism(tmp_path, one_run_per_part):
-    doc = json.loads(open("configs/fusion_study.json", encoding="utf-8").read())
+    doc = study_doc()
     doc["runs"] = 4
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(doc))

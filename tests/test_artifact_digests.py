@@ -23,9 +23,9 @@ import scipy
 
 from tacd import cli
 
-ROOT = Path(__file__).resolve().parent.parent
-DIGESTS = Path(__file__).resolve().parent / "artifact_digests.json"
-CONFIGS = ("case1", "case2", "case3", "fusion_study")
+from conftest import ROOT, SHIPPED, config_path
+
+DIGESTS = ROOT / "tests" / "artifact_digests.json"
 SUBCOMMANDS = ("simulate", "evaluate", "fusion-study", "bclb")
 RUNS = 3
 LARGE_RUNS = 40
@@ -45,7 +45,7 @@ def _prefix(config: str, sub: str, runs: int) -> str:
 def _artifact_digests(config: str, sub: str, out: Path, runs: int = RUNS) -> dict[str, str]:
     """Run one subcommand into out; {"<prefix><file>": sha256}."""
     flags = ["--runs", str(runs)] if "--runs" in cli.SUBCOMMANDS[sub].flags else []
-    rc = cli.main([sub, "--config", str(ROOT / "configs" / f"{config}.json"), "--out", str(out)] + flags)
+    rc = cli.main([sub, "--config", str(config_path(config)), "--out", str(out)] + flags)
     assert rc == 0, (config, sub, runs)
     return {
         _prefix(config, sub, runs) + p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -64,17 +64,17 @@ def _check(config: str, sub: str, out: Path, runs: int = RUNS) -> None:
 
 
 @pytest.mark.parametrize("sub", SUBCOMMANDS)
-@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("config", SHIPPED)
 def test_artifact_digests(config, sub, tmp_path):
     _check(config, sub, tmp_path / "out")
 
 
-@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("config", SHIPPED)
 def test_evaluate_digests_at_large_runs(config, tmp_path):
     _check(config, "evaluate", tmp_path / "out", LARGE_RUNS)
 
 
-@pytest.mark.parametrize("config", CONFIGS)
+@pytest.mark.parametrize("config", SHIPPED)
 def test_simulate_digests_at_large_runs(config, tmp_path):
     _check(config, "simulate", tmp_path / "out", LARGE_RUNS)
 
@@ -84,7 +84,7 @@ if __name__ == "__main__":
 
     digests: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
-        for config in CONFIGS:
+        for config in SHIPPED:
             for sub in SUBCOMMANDS:
                 digests.update(_artifact_digests(config, sub, Path(tmp) / config / sub))
             for sub in LARGE_RUN_SUBCOMMANDS:

@@ -24,9 +24,7 @@ from tacd.report import load_csv_columns
 from tacd.runner import FUSION_BOUND_ALPHA, Trajectories, case_bounds, simulate_run
 from tacd.scenario import generate_scenario, pdv_params_table
 
-from conftest import run_measurements
-
-SHIPPED = ("case1", "case2", "case3", "fusion_study")
+from conftest import SHIPPED, STUDY, config_path, run_measurements, study_doc, study_prior
 
 
 def _measurements(cfg, seeds) -> np.ndarray:
@@ -39,7 +37,7 @@ def _rel(a, b) -> float:
 
 @pytest.mark.parametrize("case", SHIPPED)
 def test_batched_filter_matches_scalar_oracle(case):
-    cfg = load_config(f"configs/{case}.json")
+    cfg = load_config(config_path(case))
     init = cfg.netcomm_init
     ss = build_state_space(cfg.dynamics)
     isotropic = isotropic_mixture_model(init.chi0, init.dof0, init.scale0)
@@ -113,7 +111,7 @@ def test_poisoned_row_leaves_the_other_rows_alone():
     # row only: in every period rows 1-3 of both filters are bit for bit
     # what a batch without row 0 gives, the VB hold on converged rows and
     # the shared Kalman covariance included
-    cfg = load_config("configs/case1.json")
+    cfg = load_config(config_path("case1"))
     init = cfg.netcomm_init
     ss = build_state_space(cfg.dynamics)
     z = _measurements(cfg, range(200, 204))
@@ -147,7 +145,7 @@ def test_poisoned_row_leaves_the_other_rows_alone():
 
 def test_update_counters_are_python_scalars(ss):
     noise = MixtureNoiseModel.from_point_estimates([0.5, 0.5], [1e-6, 2e-6], runs=3)
-    belief = GaussianBelief([3e-7, 3.5e-6], np.diag([5e-6, 5e-6]), runs=3)
+    belief = study_prior(3)
     z = np.array([[2e-6, 3e-6], [1e300, 1e300], [1e300, 1e300]])
     with np.errstate(all="ignore"):
         res = gsf_update(belief, z, noise, ss)
@@ -173,7 +171,7 @@ def _same(a, b) -> bool:
 
 @pytest.mark.parametrize("case", ["fusion_study", "case3"])
 def test_batch_split_invariance(case):
-    cfg = load_config(f"configs/{case}.json")
+    cfg = load_config(config_path(case))
     cfg = cfg.with_overrides(estimators=("tacd", "gptp", "kalman", "thermal-only", "linear-only"))
     n = 6
     whole = _trajectory_arrays(simulate_run(cfg, range(n)))
@@ -187,7 +185,7 @@ def test_batch_split_invariance(case):
 def test_network_phase_subset_invariance(case):
     # tacd and linear-only share one stacked filter pass; each one's columns
     # are bit-identical alone, together and in either order
-    cfg = load_config(f"configs/{case}.json")
+    cfg = load_config(config_path(case))
     bits = {}
     for names in [("tacd",), ("linear-only",), ("tacd", "linear-only"), ("linear-only", "tacd")]:
         t = simulate_run(cfg.with_overrides(estimators=names), range(5))
@@ -200,7 +198,7 @@ def test_network_phase_subset_invariance(case):
 def test_case_bounds_match_one_run_recursion():
     # the case's bounds at the fixed fusion weight take the one-run
     # recursion, bit for bit
-    cfg = load_config("configs/fusion_study.json")
+    cfg = STUDY
     weights, stddevs = pdv_params_table(cfg.scenario.pdv, cfg.scenario.horizon)
     oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs)
     # the oracle's temperature block never enters the skew bound
@@ -221,7 +219,7 @@ def _run_cli(tmp_path, doc, sub, tag, *flags):
 def test_simulated_bound_is_the_fusion_study_bound(tmp_path, capsys, one_run_per_part):
     # the bound is one per case: each simulated run carries the fusion
     # study's bound, whatever the worker count
-    doc = json.loads(open("configs/fusion_study.json", encoding="utf-8").read())
+    doc = study_doc()
     runs, h = 6, doc["horizon"]
     for workers in ("1", "2"):
         flags = ("--runs", str(runs), "--workers", workers)
@@ -239,7 +237,7 @@ def test_simulated_bound_is_the_fusion_study_bound(tmp_path, capsys, one_run_per
 def test_fusion_bound_guard_agrees_across_commands(tmp_path, capsys):
     # without sensor noise the fusion bound is undefined: every command
     # reports it as NaN next to a finite linear bound
-    base = json.loads(open("configs/fusion_study.json", encoding="utf-8").read())
+    base = study_doc()
     base.update(runs=2, horizon=30, steady_window=5)
     base["thermal"]["segments"] = [{"start": 0, "end": 29, "kind": "constant", "value": 30.0}]
     base["temp_model"]["sigma_T_sq"] = 0.0

@@ -5,7 +5,7 @@ from tacd.bclb import OracleNoiseTruth, bclb_trajectory
 from tacd.clock import ClockDynamics
 from tacd.scenario import pdv_params_table
 
-from conftest import M_GM, SIGMA_U_SQ, STUDY, constant_oracle, information
+from conftest import STUDY, constant_oracle, information, matched_filter_window_mse
 
 
 def test_linear_memoryless_decoupling():
@@ -14,9 +14,8 @@ def test_linear_memoryless_decoupling():
     assert j == pytest.approx(1e10 + 1.0 / 25e-12, rel=1e-12)
 
 
-def test_linear_equals_information_filter_form():
+def test_linear_equals_information_filter_form(dyn):
     # single component: recursion matches J = tau^2/L^2 + 1/(s + m^2/J_prev)
-    dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
     lam = np.array([5e-6])
     b = np.array([1.0])
     j = information(dyn, b, lam, 2e5, 201)[0]
@@ -27,14 +26,13 @@ def test_linear_equals_information_filter_form():
     assert j[201] == pytest.approx(j[200], rel=1e-12)
 
 
-def test_linear_mixture_data_term():
-    dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
+def test_linear_mixture_data_term(dyn):
     b = np.array([0.4, 0.3, 0.3])
     lam = np.array([5e-6, 3e-6, 5e-6])
     expected_data = float(np.sum(b / lam**3) / np.sum(b / lam))
     j_prev = 2e5
     j = information(dyn, b, lam, j_prev, 1)[0][1]
-    prior_part = 1.0 / SIGMA_U_SQ - (M_GM / SIGMA_U_SQ) ** 2 / (j_prev + M_GM**2 / SIGMA_U_SQ)
+    prior_part = 1.0 / dyn.sigma_u_sq - (dyn.m / dyn.sigma_u_sq) ** 2 / (j_prev + dyn.m**2 / dyn.sigma_u_sq)
     assert j == pytest.approx(prior_part + expected_data, rel=1e-12)
 
 
@@ -46,8 +44,7 @@ def test_linear_rejects_bad_inputs():
         information(dyn, [1.0], [0.0], 1e5, 1)
 
 
-def test_fusion_reduces_to_linear_at_alpha_one():
-    dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
+def test_fusion_reduces_to_linear_at_alpha_one(dyn):
     b = np.array([0.4, 0.3, 0.3])
     lam = np.array([5e-6, 3e-6, 5e-6])
     j_lin, j_fus = information(dyn, b, lam, 3e10, 1, 1.0)
@@ -73,10 +70,9 @@ def test_trajectory_zero_horizon():
     assert l.size == 0 and f.size == 0
 
 
-def test_trajectory_monotone_convergence_single_component():
+def test_trajectory_monotone_convergence_single_component(dyn):
     h = 300
     oracle = OracleNoiseTruth(weights=np.ones((h, 1)), stddevs=np.full((h, 1), 5e-6))
-    dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
     l, f = bclb_trajectory(oracle, dyn, 0.5, 5e-6)
     assert np.all(np.diff(l) <= 1e-18)  # bounds shrink toward the fixed point
     assert np.all(np.diff(f) <= 1e-18)
@@ -84,11 +80,10 @@ def test_trajectory_monotone_convergence_single_component():
     assert f[-1] == pytest.approx(f[-2], rel=1e-9, abs=0.0)
 
 
-def test_trajectory_dominance_nonstationary():
+def test_trajectory_dominance_nonstationary(dyn):
     h = 75
     weights, stddevs = pdv_params_table(STUDY.scenario.pdv, h)
     oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs)
-    dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
     rng = np.random.default_rng(31)
     for alpha in rng.uniform(0.05, 0.999, 20):
         l, f = bclb_trajectory(oracle, dyn, alpha, 5e-6)
@@ -96,9 +91,8 @@ def test_trajectory_dominance_nonstationary():
         assert np.all(f > 0) and np.all(l > 0)
 
 
-def test_fixed_point_matches_scalar_kalman_riccati():
+def test_fixed_point_matches_scalar_kalman_riccati(dyn):
     # steady-state posterior variance of the matched scalar filter
-    dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
     lam = 5e-6
     p = 5e-6
     for _ in range(2000):
@@ -111,29 +105,12 @@ def test_fixed_point_matches_scalar_kalman_riccati():
 
 
 @pytest.mark.slow
-def test_statistical_bound_holds():
+def test_statistical_bound_holds(dyn):
     # matched scalar Kalman filter on the exact single-component model:
     # empirical steady-state MSE cannot beat the bound by more than MC noise
-    dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
-    lam = 5e-6
-    runs, horizon = 1000, 150
-    rng = np.random.default_rng(32)
-    theta = np.full(runs, 3e-7)
-    p0 = 5e-6
-    est = np.full(runs, 3e-7)
-    p = p0
-    mse_window = []
-    for k in range(1, horizon):
-        theta = dyn.m * theta + rng.standard_normal(runs) * np.sqrt(dyn.sigma_u_sq)
-        z = dyn.tau * theta + rng.standard_normal(runs) * lam
-        p_pred = dyn.m**2 * p + dyn.sigma_u_sq
-        s = dyn.tau**2 * p_pred + lam**2
-        gain = p_pred * dyn.tau / s
-        est = dyn.m * est + gain * (z - dyn.tau * dyn.m * est)
-        p = (1.0 - gain * dyn.tau) * p_pred
-        if k >= horizon - 10:
-            mse_window.append(np.mean((est - theta) ** 2))
-    bound = bclb_trajectory(constant_oracle([1.0], [lam], horizon), dyn, None, p0)[0][-1]
+    lam, runs, horizon = 5e-6, 1000, 150
+    mse_window = matched_filter_window_mse(dyn, lam, runs, horizon, seed=32)
+    bound = bclb_trajectory(constant_oracle([1.0], [lam], horizon), dyn, None, 5e-6)[0][-1]
     mse = float(np.mean(mse_window))
     stderr = float(np.std(mse_window, ddof=1) / np.sqrt(len(mse_window)))
     assert mse >= bound - 3 * max(stderr, mse * np.sqrt(2.0 / runs))

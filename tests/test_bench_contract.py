@@ -16,7 +16,9 @@ import pytest
 from tacd import report
 from tacd.cli import main as cli_main
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+from conftest import ROOT, config_path
+
+BENCH = ROOT / "bench"
 
 
 def _load_bench_run():
@@ -43,7 +45,8 @@ def test_span_target_resolves(name, module, attr):
 
 
 @pytest.mark.parametrize("workload", sorted(bench_run.WORKLOADS))
-def test_workload_command_runs(workload, tmp_path):
+def test_workload_command_runs(workload, tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)  # a workload's argv is relative to the repository, as bench/run.py runs it
     wl = bench_run.WORKLOADS[workload]
     argv = wl.argv(seed=0, runs=2, out_dir=str(tmp_path))
     assert "--workers" in argv
@@ -75,6 +78,7 @@ def test_trajectory_rows_reach_emit_csv_in_one_call(tmp_path, monkeypatch):
             for key, value in list(vars(mod).items()):
                 if value is orig:
                     monkeypatch.setattr(mod, key, counting)
+    monkeypatch.chdir(ROOT)  # a workload's argv is relative to the repository, as bench/run.py runs it
     wl = bench_run.WORKLOADS["simulate-baselines"]
     assert cli_main(wl.argv(seed=0, runs=3, out_dir=str(tmp_path))) == 0
     horizon = json.loads(Path(wl.config).read_text())["horizon"]
@@ -104,10 +108,10 @@ def test_traced_filter_counters_are_attributes(tmp_path, monkeypatch):
                 for key, value in list(vars(mod).items()):
                     if value is orig:
                         monkeypatch.setattr(mod, key, counting)
-    config = "configs/case3.json"
-    argv = ["evaluate", "--config", config, "--runs", "2", "--workers", "1", "--out", str(tmp_path)]
+    config = config_path("case3")
+    argv = ["evaluate", "--config", str(config), "--runs", "2", "--workers", "1", "--out", str(tmp_path)]
     assert cli_main(argv) == 0
-    horizon = json.loads(Path(config).read_text())["horizon"]
+    horizon = json.loads(config.read_text())["horizon"]
     assert [len(outs[name]) for name in wrapped] == [horizon - 1] * 3
     assert all(type(out.underflow) is int and type(out.spd_repairs) is int for out in outs["netcomm.gsf_update"])
     assert all(type(out.dof_clamped) is bool for out in outs["netcomm.vb_refine"])

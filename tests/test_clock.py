@@ -6,7 +6,7 @@ import pytest
 from tacd.clock import ClockDynamics, StateSpace, build_state_space
 from tacd.scenario import PdvProfile, TruthOptions, generate_scenario
 
-from conftest import M_GM, SIGMA_U_SQ, STUDY, constant_thermal
+from conftest import STUDY, constant_thermal
 
 
 def _truth(dyn, skew0, offset0, horizon=2, process_noise_sq=0.0, seed=0):
@@ -41,10 +41,10 @@ def test_advance_identity_transfer():
 
 
 def test_advance_reference_parameters():
-    dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
+    dyn = STUDY.dynamics
     skew, offset = _truth(dyn, 3e-7, 2e-6)
     # abs=0: approx's default absolute tolerance of 1e-12 exceeds these values
-    assert skew[1] == pytest.approx(3e-7 * M_GM, rel=1e-15, abs=0.0)
+    assert skew[1] == pytest.approx(3e-7 * dyn.m, rel=1e-15, abs=0.0)
     assert offset[1] == pytest.approx(2e-6 + 1.0 * skew[1], rel=1e-15, abs=0.0)
 
 
@@ -54,12 +54,11 @@ def test_advance_noise_free_offset_accumulation():
     assert offset[100] == pytest.approx(100 * dyn.tau * 2e-7, rel=1e-12, abs=0.0)
 
 
-def test_advance_reproducible_under_recorded_noise():
-    dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
+def test_advance_reproducible_under_recorded_noise(dyn):
     def run():
         return _truth(dyn, 1e-7, 1e-6, horizon=51, process_noise_sq=1e-14, seed=3)
     (skew_a, offset_a), (skew_b, offset_b) = run(), run()
-    assert np.any(skew_a[1:] != M_GM * skew_a[:-1])  # the noise enters
+    assert np.any(skew_a[1:] != dyn.m * skew_a[:-1])  # the noise enters
     assert np.array_equal(skew_a, skew_b) and np.array_equal(offset_a, offset_b)
 
 
@@ -75,12 +74,11 @@ def test_state_space_memoryless_skew():
     assert np.array_equal(ss.A, [[0.0, 0.0], [0.0, 1.0]])
 
 
-def test_state_space_reference_parameters():
-    ss = build_state_space(ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0))
-    assert ss.A[0, 0] == M_GM and ss.A[1, 0] == M_GM * 1.0 and ss.A[1, 1] == 1.0
-    assert ss.Q_v[0, 0] == SIGMA_U_SQ
-    assert ss.Q_v[0, 1] == ss.Q_v[1, 0] == SIGMA_U_SQ * 1.0
-    assert ss.Q_v[1, 1] == SIGMA_U_SQ * 1.0
+def test_state_space_reference_parameters(dyn, ss):
+    assert ss.A[0, 0] == dyn.m and ss.A[1, 0] == dyn.m * 1.0 and ss.A[1, 1] == 1.0
+    assert ss.Q_v[0, 0] == dyn.sigma_u_sq
+    assert ss.Q_v[0, 1] == ss.Q_v[1, 0] == dyn.sigma_u_sq * 1.0
+    assert ss.Q_v[1, 1] == dyn.sigma_u_sq * 1.0
     assert np.array_equal(ss.H, np.diag([1.0, 2.0]))
 
 
@@ -92,10 +90,9 @@ def test_state_space_reads_the_structured_entries():
 
 @pytest.mark.parametrize("entry", [("A", 0, 1, 1e-9), ("A", 1, 1, 0.5), ("H", 0, 1, 1e-9), ("H", 1, 0, -1.0),
                                    ("H", 1, 0, np.nan)])
-def test_state_space_rejects_unstructured_matrices(entry):
+def test_state_space_rejects_unstructured_matrices(entry, ss):
     # the filters read only a00, a10, h0 and h1, so any other A or H raises
     name, i, j, value = entry
-    ss = build_state_space(ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0))
     matrices = {"A": ss.A.copy(), "Q_v": ss.Q_v, "H": ss.H.copy()}
     matrices[name][i, j] = value
     with pytest.raises(ValueError, match=name):

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT
+
 DEMOS = sorted(p.name for p in (ROOT / "demos").glob("*.py"))
 
 

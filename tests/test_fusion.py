@@ -8,7 +8,7 @@ from tacd.clock import ClockDynamics, build_state_space
 from tacd.netcomm import GaussianBelief, GsfVbFilter, MixtureNoiseModel
 from tacd.thermal import TempSkewModel
 
-from conftest import rmse_by_name
+from conftest import config_path, rmse_by_name
 from oracles import closed_form_beta, fusion_cost_vec, golden_section_beta_vec, random_fusion_tuples
 
 
@@ -178,7 +178,7 @@ def test_poisoned_exchange_still_stops_the_batch(monkeypatch):
         return data
 
     monkeypatch.setattr(runner, "generate_scenario", poisoned)
-    cfg = load_config("configs/case1.json").with_overrides(runs=4)
+    cfg = load_config(config_path("case1")).with_overrides(runs=4)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"beta must lie in \[0, 1\]"):
         runner.simulate_run(cfg, range(4))
 
@@ -249,7 +249,7 @@ def test_feedback_reduces_offset_rmse():
     from tacd.config import FusionSettings, load_config
     from tacd.runner import evaluate_rmse, run_case
 
-    cfg = load_config("configs/case2.json").with_overrides(runs=60, estimators=("tacd",))
+    cfg = load_config(config_path("case2")).with_overrides(runs=60, estimators=("tacd",))
     on = rmse_by_name(evaluate_rmse(run_case(cfg), 10))["tacd"]
     off_cfg = dataclasses.replace(cfg, fusion=FusionSettings(lam=0.5, feedback=False))
     off = rmse_by_name(evaluate_rmse(run_case(off_cfg), 10))["tacd"]

@@ -1,12 +1,10 @@
 import contextlib
-import copy
 import io
 import json
 import pickle
 import re
 import shutil
 import xml.etree.ElementTree as ET
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,15 +26,13 @@ from tacd.runner import (
 )
 from tacd.scenario import generate_scenario
 
-from conftest import rmse_by_name, set_runs_per_part, toy_trajectories
+from conftest import ROOT, STUDY, config_path, rmse_by_name, set_runs_per_part, study_doc, toy_trajectories
 
-ROOT = Path(__file__).resolve().parent.parent
-BASE_DOC = json.loads(open("configs/fusion_study.json", encoding="utf-8").read())
 RMSE_HEADER = ["estimator", "skew_rmse", "offset_rmse"]
 
 
 def _doc(**overrides):
-    doc = copy.deepcopy(BASE_DOC)
+    doc = study_doc()
     doc.update(overrides)
     return doc
 
@@ -89,9 +85,10 @@ def test_bad_lambda():
 
 def test_required_keys_only_reads_the_documented_defaults():
     # the defaults of the README's schema table, field by field
-    doc = {k: copy.deepcopy(BASE_DOC[k]) for k in ("schema_version", "horizon", "dynamics", "link")}
-    doc["pdv"] = {k: BASE_DOC["pdv"][k] for k in ("stddevs", "weights")}
-    doc["thermal"] = {"segments": BASE_DOC["thermal"]["segments"]}
+    base = study_doc()
+    doc = {k: base[k] for k in ("schema_version", "horizon", "dynamics", "link")}
+    doc["pdv"] = {k: base["pdv"][k] for k in ("stddevs", "weights")}
+    doc["thermal"] = {"segments": base["thermal"]["segments"]}
     cfg = parse_config(doc)
     sc = cfg.scenario
     assert (cfg.runs, cfg.master_seed, cfg.workers) == (1000, 0, 1)
@@ -113,9 +110,13 @@ def test_required_keys_only_reads_the_documented_defaults():
     assert (cfg.steady_window, cfg.output_dir) == (10, "out")
 
 
-def _empirical(doc, tmp_path):
-    """Swap the doc's PDV profile and link for an empirical block; returns it."""
-    (tmp_path / "d.csv").write_text("packet_bytes,load_percent,delay_seconds\n64,5,4e-6\n64,25,2e-6\n")
+_DELAYS = b"packet_bytes,load_percent,delay_seconds\n64,5,4e-6\n64,25,2e-6\n"
+
+
+def _empirical(doc, tmp_path, delays=_DELAYS):
+    """Swap the doc's PDV profile and link for an empirical block over a delay
+    file holding delays; returns the block."""
+    (tmp_path / "d.csv").write_bytes(delays)
     del doc["pdv"], doc["link"]
     doc["empirical"] = {"csv_path": "d.csv", "forward_cell": [64, 5], "reverse_cell": [64, 25]}
     return doc["empirical"]
@@ -136,17 +137,10 @@ def _negate_last(key):
 _NONPOSITIVE = "netcomm_init: P0_diag, chi0 and scale0 entries must be > 0"
 
 
-def _bad_header(doc, tmp_path):
-    _empirical(doc, tmp_path)
-    (tmp_path / "d.csv").write_text("bytes,load,delay\n64,5,4e-6\n")
-
-
-def _appended_row(row):
-    """Edit that swaps in the empirical block and appends one row to its table."""
+def _with_delays(delays: bytes):
+    """Edit that swaps in the empirical block over a delay file holding delays."""
     def edit(doc, tmp_path):
-        _empirical(doc, tmp_path)
-        with open(tmp_path / "d.csv", "a", encoding="utf-8") as fh:
-            fh.write(row + "\n")
+        _empirical(doc, tmp_path, delays)
     return edit
 
 
@@ -182,13 +176,16 @@ _MALFORMED = [
      "empirical: no delay samples for the forward cell (128, 5.0)"),
     ("empirical.csv_path-missing", lambda doc, tmp: _empirical(doc, tmp).update(csv_path="missing.csv"),
      "empirical.csv_path: [Errno 2] No such file or directory: '<tmp>/missing.csv'"),
-    ("empirical.csv_path-bad-header", _bad_header, "empirical.csv_path: <tmp>/d.csv: bad header"),
-    ("empirical.csv_path-nan-delay", _appended_row("64,5,nan"),
+    ("empirical.csv_path-bad-header", _with_delays(b"bytes,load,delay\n64,5,4e-6\n"),
+     "empirical.csv_path: <tmp>/d.csv: bad header"),
+    ("empirical.csv_path-nan-delay", _with_delays(_DELAYS + b"64,5,nan\n"),
      "empirical.csv_path: <tmp>/d.csv:4: delay must be finite and > 0, got nan"),
-    ("empirical.csv_path-inf-delay", _appended_row("64,5,inf"),
+    ("empirical.csv_path-inf-delay", _with_delays(_DELAYS + b"64,5,inf\n"),
      "empirical.csv_path: <tmp>/d.csv:4: delay must be finite and > 0, got inf"),
-    ("empirical.csv_path-nan-load", _appended_row("64,nan,4e-6"),
+    ("empirical.csv_path-nan-load", _with_delays(_DELAYS + b"64,nan,4e-6\n"),
      "empirical.csv_path: <tmp>/d.csv:4: load_percent must be finite, got nan"),
+    ("empirical.csv_path-not-utf-8", _with_delays(_DELAYS + b"64,5,4e-6\xff\n"),
+     "empirical.csv_path: <tmp>/d.csv: 'utf-8' codec can't decode byte 0xff"),
     ("estimators-repeated", lambda doc, _: doc.update(estimators=["tacd", "gptp", "tacd"]),
      "estimators: estimator 'tacd' selected more than once"),
     ("--estimators-repeated", lambda doc, _: ["--estimators", "linear-only,linear-only"],
@@ -236,7 +233,7 @@ def test_every_run_key_flag_reaches_with_overrides(tmp_path, monkeypatch):
     dests = {flag: _FLAGS[flag].get("dest", flag[2:]) for flag in SUBCOMMANDS["simulate"].flags}
     run_flags = [flag for flag, dest in dests.items() if dest in RUN_KEYS]
     assert run_flags
-    argv = ["simulate", "--config", str(ROOT / "configs" / "case2.json")]
+    argv = ["simulate", "--config", str(config_path("case2"))]
     assert cli_main(argv + [x for flag in run_flags for x in (flag, given[flag][0])]) == 0
     assert {k: v for k, v in seen.items() if v is not None} == {dests[flag]: given[flag][1] for flag in run_flags}
 
@@ -259,7 +256,7 @@ def test_two_period_bootstrap():
 def test_gptp_is_the_two_way_arithmetic_at_every_period():
     # no artifact holds gPTP at k = 0 (evaluate averages the last periods and
     # the trajectory CSV has no gPTP columns), so read it off the timestamps
-    cfg = load_config("configs/case1.json").with_overrides(estimators=("gptp",))
+    cfg = load_config(config_path("case1")).with_overrides(estimators=("gptp",))
     runs = [0, 1, 2]
     est = simulate_run(cfg, runs).est["gptp"]
     ex = generate_scenario(cfg.scenario, [_run_rng(cfg.master_seed, r) for r in runs]).exchanges
@@ -286,14 +283,14 @@ def test_run_determinism_and_worker_independence(tmp_path, one_run_per_part):
 def test_shared_thermal_row_keeps_the_bytes_across_batches(tmp_path, one_run_per_part):
     # case2's thermal path draws nothing, so a batch's temp_osc is one row
     # broadcast over its runs; joined batches write the same bytes
-    cfg = load_config(ROOT / "configs" / "case2.json").with_overrides(runs=4, estimators=("gptp", "thermal-only"))
+    cfg = load_config(config_path("case2")).with_overrides(runs=4, estimators=("gptp", "thermal-only"))
     whole = simulate_run(cfg, range(4))
     joined = Trajectories.concat([simulate_run(cfg, range(2)), simulate_run(cfg, range(2, 4))])
     assert whole.temp_osc.strides[0] == 0
     a = emit_table(trajectory_table(cfg, whole), tmp_path / "whole.csv").read_bytes()
     assert emit_table(trajectory_table(cfg, joined), tmp_path / "joined.csv").read_bytes() == a
     for workers in ("1", "2"):
-        argv = ["simulate", "--config", str(ROOT / "configs" / "case2.json"), "--runs", "4", "--workers", workers,
+        argv = ["simulate", "--config", str(config_path("case2")), "--runs", "4", "--workers", workers,
                 "--out", str(tmp_path / workers)]
         assert cli_main(argv) == 0
     assert (tmp_path / "1" / "trajectory.csv").read_bytes() == (tmp_path / "2" / "trajectory.csv").read_bytes()
@@ -305,7 +302,7 @@ def test_pool_slices_keep_the_shared_thermal_row(tmp_path):
     # row broadcast over the runs (stride 0), so the trajectory CSV converts
     # h T_osc values, not R*h; rows that differ are joined as they are
     for case, shared in (("case2", True), ("fusion_study", False)):
-        cfg = load_config(ROOT / "configs" / f"{case}.json").with_overrides(runs=5, estimators=("gptp",))
+        cfg = load_config(config_path(case)).with_overrides(runs=5, estimators=("gptp",))
         parts = [pickle.loads(pickle.dumps(simulate_run(cfg, runs))) for runs in (range(2), range(2, 5))]
         assert all(p.temp_osc.strides[0] != 0 for p in parts)
         joined, whole = Trajectories.concat(parts), simulate_run(cfg, range(5))
@@ -315,9 +312,6 @@ def test_pool_slices_keep_the_shared_thermal_row(tmp_path):
         assert np.array_equal(joined.temp_osc.view(np.int64), whole.temp_osc.view(np.int64))
         a = emit_table(trajectory_table(cfg, whole), tmp_path / f"{case}-whole.csv").read_bytes()
         assert emit_table(trajectory_table(cfg, joined), tmp_path / f"{case}-joined.csv").read_bytes() == a
-
-
-_FLOOR = runner._RUNS_PER_PART
 
 
 def _pool_sizes(monkeypatch, source, cpus, runs, workers, runs_per_part):
@@ -397,7 +391,7 @@ _ESTIMATE_COLUMNS = ("theta_L", "theta_T", "theta_F", "delta_hat", "epsilon", "a
 
 def _simulated(tmp_path, estimators: str) -> dict:
     out = tmp_path / estimators
-    argv = ["simulate", "--config", str(ROOT / "configs" / "fusion_study.json"), "--runs", "2",
+    argv = ["simulate", "--config", str(config_path("fusion_study")), "--runs", "2",
             "--estimators", estimators, "--out", str(out)]
     assert cli_main(argv) == 0
     return load_csv_columns(out / "trajectory.csv")
@@ -544,14 +538,14 @@ def test_svg_empty_rejected(tmp_path):
 # ----------------------------------------------------------------------- CLI
 
 # plot series per subcommand; evaluate plots one series per selected estimator
-_PLOT_SERIES = {"simulate": 4, "evaluate": len(BASE_DOC["estimators"]), "fusion-study": 5, "bclb": 2}
+_PLOT_SERIES = {"simulate": 4, "evaluate": len(STUDY.estimators), "fusion-study": 5, "bclb": 2}
 
 
 @pytest.mark.parametrize("sub", sorted(SUBCOMMANDS))
 def test_cli_plot_flag_writes_each_series(sub, tmp_path):
     runs = ["--runs", "2"] if "--runs" in SUBCOMMANDS[sub].flags else []
     out = tmp_path / "out"
-    assert cli_main([sub, "--config", "configs/fusion_study.json", "--out", str(out), "--plot"] + runs) == 0
+    assert cli_main([sub, "--config", str(config_path("fusion_study")), "--out", str(out), "--plot"] + runs) == 0
     svg = out / SUBCOMMANDS[sub].svg
     root = ET.parse(svg).getroot()
     # each series has one legend swatch, the only lines drawn 2 px wide
@@ -565,7 +559,7 @@ def test_cli_plot_flag_writes_each_series(sub, tmp_path):
 ])
 def test_cli_rejects_flag_the_subcommand_ignores(sub, flag, tmp_path):
     with pytest.raises(SystemExit) as exc:
-        cli_main([sub, "--config", "configs/fusion_study.json", "--out", str(tmp_path), flag, "2"])
+        cli_main([sub, "--config", str(config_path("fusion_study")), "--out", str(tmp_path), flag, "2"])
     assert exc.value.code == 2
     assert not any(tmp_path.iterdir())
 
@@ -626,12 +620,15 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     rc = cli_main(["simulate", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 2
     assert "bogus" in capsys.readouterr().err
+    bad.write_bytes(b"\xff" + bad.read_bytes())  # not UTF-8: the file is named, as for invalid JSON
+    assert cli_main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {bad}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_cli_rejects_two_delay_sources(tmp_path, capsys):
     # a PDV profile and an empirical table would each claim the delays; the
     # bound would describe the one the runs do not draw from
-    (tmp_path / "d.csv").write_text("packet_bytes,load_percent,delay_seconds\n64,5,4e-6\n64,25,2e-6\n")
+    (tmp_path / "d.csv").write_bytes(_DELAYS)
     doc = _doc(empirical={"csv_path": "d.csv", "forward_cell": [64, 5], "reverse_cell": [64, 25]})
     with pytest.raises(ConfigError, match="exactly one of 'pdv' and 'empirical'"):
         parse_config(doc, base_dir=tmp_path)
@@ -644,7 +641,7 @@ def test_cli_rejects_two_delay_sources(tmp_path, capsys):
 
 
 def _empirical_next_to_link(doc, tmp_path):
-    (tmp_path / "d.csv").write_text("packet_bytes,load_percent,delay_seconds\n64,5,4e-6\n64,25,2e-6\n")
+    (tmp_path / "d.csv").write_bytes(_DELAYS)
     del doc["pdv"]  # the shipped doc's link block stays
     doc["empirical"] = {"csv_path": "d.csv", "forward_cell": [64, 5], "reverse_cell": [64, 25]}
 
@@ -687,18 +684,18 @@ def test_cli_rejects_missing_segment_parameter(tmp_path, capsys):
     (["simulate", "--seed", "-1"], "master_seed"),
 ])
 def test_cli_overrides_keep_config_bounds(argv, field, tmp_path, capsys):
-    rc = cli_main(argv + ["--config", "configs/case1.json", "--out", str(tmp_path)])
+    rc = cli_main(argv + ["--config", str(config_path("case1")), "--out", str(tmp_path)])
     assert rc == 2
     assert f"{field}: must be >=" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("text, where", [("", "empty"), ("k,a\n0,1\n1\n", "line 3"), ("t,a\n0,1\n", "column 'k'"),
-                                         ("k,b\n0,1\n", "column 'a'")],
-                         ids=["empty", "short-row", "no-x-column", "no-y-column"])
+@pytest.mark.parametrize("text, where", [(b"", "empty"), (b"k,a\n0,1\n1\n", "line 3"), (b"t,a\n0,1\n", "column 'k'"),
+                                         (b"k,b\n0,1\n", "column 'a'"), (b"k,a\n0,\xff\n", "byte 0xff")],
+                         ids=["empty", "short-row", "no-x-column", "no-y-column", "not-utf-8"])
 def test_cli_plot_rejects_malformed_csv(text, where, tmp_path, capsys):
     src = tmp_path / "bad.csv"
-    src.write_text(text)
+    src.write_bytes(text)
     rc = cli_main(["plot", str(src), "--y", "a", "--out", str(tmp_path / "bad.svg")])
     assert rc == 1
     err = capsys.readouterr().err

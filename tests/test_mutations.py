@@ -21,9 +21,9 @@ import pytest
 import tacd.cli  # noqa: F401  (imports every module the CLI reaches)
 from tacd import runner
 
-from conftest import set_runs_per_part
+from conftest import ROOT, set_runs_per_part
 
-TESTS = Path(__file__).resolve().parent
+TESTS = ROOT / "tests"
 
 MUTATIONS = {
     "cooling-decay-doubled": (

@@ -25,7 +25,7 @@ from tacd.scenario import (
     generate_scenario,
 )
 
-from conftest import M_GM, SIGMA_U_SQ, STUDY, constant_thermal, exchange, run_measurements
+from conftest import STUDY, constant_thermal, exchange, run_measurements, study_prior
 
 
 def _rec(t1, t2, t3, t4, k):
@@ -37,7 +37,7 @@ def _periods(*recs):
     return ExchangeBatch(*(np.array(field, dtype=float) for field in zip(*map(astuple, recs))))
 
 
-def _stationary_cfg(horizon, stddevs, weights, process_noise_sq=SIGMA_U_SQ, skew0=3e-7):
+def _stationary_cfg(horizon, stddevs, weights, process_noise_sq=STUDY.dynamics.sigma_u_sq, skew0=3e-7):
     return replace(
         STUDY.scenario,
         horizon=horizon,
@@ -45,10 +45,6 @@ def _stationary_cfg(horizon, stddevs, weights, process_noise_sq=SIGMA_U_SQ, skew
         thermal=constant_thermal(horizon),
         truth=TruthOptions(initial_skew_residual=skew0, process_noise_sq=process_noise_sq, thermal_coupling=False),
     )
-
-
-def _default_belief(runs=None):
-    return GaussianBelief(mean=np.array([3e-7, 3.5e-6]), cov=np.diag([5e-6, 5e-6]), runs=runs)
 
 
 def _per_run(x, runs):
@@ -160,10 +156,8 @@ def test_predict_identity_dynamics():
     assert np.allclose(out.mean, [1e-6, 1e-6], rtol=1e-15, atol=0.0)
 
 
-def test_predict_reference_step():
-    dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
-    ss = build_state_space(dyn)
-    belief = _default_belief()
+def test_predict_reference_step(ss):
+    belief = study_prior()
     out = gsf_predict(belief, ss)
     assert np.allclose(out.mean, ss.A @ belief.mean, rtol=1e-15, atol=0.0)
     expect_cov = ss.A @ belief.cov @ ss.A.T + ss.Q_v
@@ -183,7 +177,7 @@ def _manual_kf_update(x, P, z, H, R):
 
 def test_update_single_component_is_kalman(ss):
     noise = MixtureNoiseModel.from_point_estimates([1.0], [5e-6])
-    belief = _default_belief()
+    belief = study_prior()
     z = np.array([2e-6, 3e-6])
     res = gsf_update(belief, z, noise, ss)
     xn, Pn = _manual_kf_update(belief.mean, belief.cov, z, ss.H, noise.point_covariances[0])
@@ -192,7 +186,7 @@ def test_update_single_component_is_kalman(ss):
 
 
 def test_update_identical_components_degenerate(ss):
-    belief = _default_belief()
+    belief = study_prior()
     z = np.array([2e-6, 3e-6])
     one = gsf_update(belief, z, MixtureNoiseModel.from_point_estimates([1.0], [5e-6]), ss)
     two = gsf_update(belief, z, MixtureNoiseModel.from_point_estimates([0.5, 0.5], [5e-6, 5e-6]), ss)
@@ -258,7 +252,7 @@ def test_update_posterior_spd_randomized(ss):
 
 def test_update_underflow_fallback(ss):
     noise = MixtureNoiseModel.from_point_estimates([0.5, 0.5], [1e-6, 2e-6])
-    belief = _default_belief()
+    belief = study_prior()
     res = gsf_update(belief, np.array([1e300, 1e300]), noise, ss)
     assert res.underflow
     assert np.allclose(res.responsibilities, [0.5, 0.5], atol=0.0)
@@ -274,7 +268,7 @@ def test_vb_single_component_conjugacy(ss):
         iw_dof=np.array([5.0]),
         iw_scale=np.array([np.eye(2) * 1e-11]),
     )
-    belief = _default_belief()
+    belief = study_prior()
     rng = np.random.default_rng(16)
     expected_chi = 2.0
     expected_scale = np.eye(2) * 1e-11
@@ -295,7 +289,7 @@ def test_vb_symmetric_components(ss):
         iw_dof=np.array([6.0, 6.0]),
         iw_scale=np.array([np.eye(2) * 1e-11, np.eye(2) * 1e-11]),
     )
-    belief = _default_belief()
+    belief = study_prior()
     z = np.array([2e-6, -1e-6])
     out = vb_refine(noise, z, belief, ss, VbSettings())
     assert out.point_weights[0] == pytest.approx(0.5, abs=1e-12)
@@ -322,19 +316,14 @@ def test_dof_clamped_reads_the_dofs_of_a_directly_built_model():
 def test_vb_recovers_mixture_variance():
     # stationary mixture, 500 periods; seed-averaged recovered covariance
     # within 25% of the true mixture variance
-    dyn = ClockDynamics(m=M_GM, sigma_u_sq=1e-16, tau=1.0)
-    ss = build_state_space(dyn)
+    ss = build_state_space(replace(STUDY.dynamics, sigma_u_sq=1e-16))
     cfg = _stationary_cfg(500, (5e-6, 3e-6, 5e-6), (0.4, 0.3, 0.3), process_noise_sq=1e-16)
     true_var = float(np.sum(np.array([0.4, 0.3, 0.3]) * np.array([5e-6, 3e-6, 5e-6]) ** 2))
     acc = []
     for seed in range(6):
         z = run_measurements(generate_scenario(cfg, [np.random.default_rng(100 + seed)]))[0]
-        filt = GsfVbFilter(
-            ss,
-            isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e-7, 2e-7, 2e-7]),
-            _default_belief(),
-            vb=VbSettings(),
-        )
+        noise = isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e-7, 2e-7, 2e-7])
+        filt = GsfVbFilter(ss, noise, study_prior(), vb=VbSettings())
         effs = []
         for k in range(1, 500):
             filt.step(z[k - 1])
@@ -369,15 +358,13 @@ def test_step_zero_noise_exact_tracking(ss):
 
 
 @pytest.mark.slow
-def test_step_skew_estimator_bias_small():
+def test_step_skew_estimator_bias_small(ss):
     # stationary mixture, 200 paired runs: skew bias under 0.2x RMSE per period
     cfg = _stationary_cfg(75, (5e-6, 3e-6, 5e-6), (0.4, 0.3, 0.3))
-    dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
-    ss = build_state_space(dyn)
     n = 200
     skew_true, z = _batch_runs(cfg, [5000 + r for r in range(n)])
     noise = isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e-7, 2e-7, 2e-7], runs=n)
-    filt = GsfVbFilter(ss, noise, _default_belief(n), vb=VbSettings())
+    filt = GsfVbFilter(ss, noise, study_prior(n), vb=VbSettings())
     errs = np.empty((n, 75))
     errs[:, 0] = 3e-7 - skew_true[:, 0]
     for k in range(1, 75):
@@ -391,12 +378,9 @@ def test_step_skew_estimator_bias_small():
 def test_step_equals_fixed_noise_kalman_for_single_component():
     cfg = _stationary_cfg(200, (5e-6,), (1.0,))
     data = generate_scenario(cfg, [np.random.default_rng(99)])
-    dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
-    ss = build_state_space(dyn)
-    gsf = GsfVbFilter(
-        ss, MixtureNoiseModel.from_point_estimates([1.0], [5e-6]), _default_belief(), vb=None
-    )
-    kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), _default_belief())
+    ss = build_state_space(STUDY.dynamics)
+    gsf = GsfVbFilter(ss, MixtureNoiseModel.from_point_estimates([1.0], [5e-6]), study_prior(), vb=None)
+    kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), study_prior())
     for z in run_measurements(data)[0]:
         a = gsf.step(z).belief
         b = kal.step(z)
@@ -408,7 +392,7 @@ def test_step_equals_fixed_noise_kalman_for_single_component():
 def test_update_keeps_its_belief_when_the_skew_is_conditioned(ss):
     # the filter steps on packed rows; feeding a skew back replaces the
     # filter's skew row and leaves the update it returned as it was
-    filt = GsfVbFilter(ss, MixtureNoiseModel.from_point_estimates([1.0], [5e-6]), _default_belief(), vb=VbSettings())
+    filt = GsfVbFilter(ss, MixtureNoiseModel.from_point_estimates([1.0], [5e-6]), study_prior(), vb=VbSettings())
     res = filt.step(np.zeros(2))
     mean, cov = res.belief.mean, res.belief.cov
     filt.condition_on_skew(1.0)
@@ -419,7 +403,7 @@ def test_update_keeps_its_belief_when_the_skew_is_conditioned(ss):
 @pytest.mark.parametrize(
     "build, args",
     [
-        (GaussianBelief, ([3e-7, 3.5e-6], np.diag([5e-6, 5e-6]))),
+        (GaussianBelief, (STUDY.netcomm_init.x0, np.diag(STUDY.netcomm_init.p0_diag))),
         (MixtureNoiseModel, ([1.0, 5.0], [4.0, 3.0], np.array([np.eye(2), [[2.0, 0.5], [0.5, 1.0]]]) * 1e-7)),
         (MixtureNoiseModel.from_point_estimates, ([0.25, 0.75], [1e-6, 3e-6])),
         (isotropic_mixture_model, ([1, 5, 5], [4, 3, 3], [1e-7, 2e-7, 2e-7])),
@@ -440,43 +424,41 @@ def test_filter_rejects_run_shapes_that_differ():
     # not left to numpy's broadcast error in the first step
     # (caught as an AssertionError, not pytest.raises' Failed, so that the
     # mutation check that deletes the shape check sees it fail)
-    ss = build_state_space(ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0))
+    ss = build_state_space(STUDY.dynamics)
     noise = MixtureNoiseModel.from_point_estimates([0.5, 0.5], [1e-6, 2e-6])
     try:
-        GsfVbFilter(ss, noise, _default_belief(3))
+        GsfVbFilter(ss, noise, study_prior(3))
         message = None
     except ValueError as err:
         message = str(err)
     assert message == "the belief's run shape (3,) and the noise model's run shape () differ"
-    GsfVbFilter(ss, MixtureNoiseModel.from_point_estimates([0.5, 0.5], [1e-6, 2e-6], runs=3), _default_belief(3))
+    GsfVbFilter(ss, MixtureNoiseModel.from_point_estimates([0.5, 0.5], [1e-6, 2e-6], runs=3), study_prior(3))
 
 
 def test_kalman_shares_one_covariance_across_runs(ss):
     # the covariance recursion is the same for every run: one read-only
     # (2, 2) broadcast over the runs, and priors that differ raise
-    kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), _default_belief(3))
+    kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), study_prior(3))
     for belief in (kal.belief, kal.step(np.zeros((3, 2)))):
         assert belief.cov.shape == (3, 2, 2) and belief.cov.strides[0] == 0
         assert not belief.cov.flags.writeable
-    priors = _default_belief(3)
+    priors = study_prior(3)
     cov = priors.cov.copy()
     cov[2, 1, 1] *= 2.0
     with pytest.raises(ValueError, match="prior covariances"):
         KalmanBaseline(ss, nominal_noise_cov(5e-6), GaussianBelief(priors.mean, cov))
     with pytest.raises(ValueError, match="2x2"):
         KalmanBaseline(ss, np.stack([nominal_noise_cov(5e-6)] * 3), priors)
-    for empty in (GaussianBelief(np.empty((0, 2)), np.empty((0, 2, 2))), _default_belief(0)):
+    for empty in (GaussianBelief(np.empty((0, 2)), np.empty((0, 2, 2))), study_prior(0)):
         with pytest.raises(ValueError, match="at least one run"):
             KalmanBaseline(ss, nominal_noise_cov(5e-6), empty)
 
 
-def test_kalman_misspecified_noise_still_unbiased():
+def test_kalman_misspecified_noise_still_unbiased(ss):
     cfg = _stationary_cfg(75, (5e-6,), (1.0,))
-    dyn = ClockDynamics(m=M_GM, sigma_u_sq=SIGMA_U_SQ, tau=1.0)
-    ss = build_state_space(dyn)
     n = 300
     skew_true, z = _batch_runs(cfg, [7000 + r for r in range(n)])
-    kal = KalmanBaseline(ss, nominal_noise_cov(5e-5), _default_belief(n))  # 10x true
+    kal = KalmanBaseline(ss, nominal_noise_cov(5e-5), study_prior(n))  # 10x true
     errs = np.empty((n, 74))
     for k in range(1, 75):
         res = kal.step(z[:, k - 1])

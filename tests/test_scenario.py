@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -270,6 +271,13 @@ def test_load_bad_header(tmp_path):
     p = tmp_path / "d.csv"
     _write_csv(p, ["64,5,1e-6"], header="a,b,c")
     with pytest.raises(DelayCsvError, match="header"):
+        load_delay_csv(p)
+
+
+def test_load_not_utf8_names_file(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"packet_bytes,load_percent,delay_seconds\n64,5,1e-6\xff\n")
+    with pytest.raises(DelayCsvError, match=f"^{re.escape(str(p))}: 'utf-8' codec can't decode byte 0xff"):
         load_delay_csv(p)
 
 

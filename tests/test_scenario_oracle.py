@@ -15,9 +15,7 @@ from tacd.scenario import (
     generate_scenario,
 )
 
-from conftest import STUDY
-
-SHIPPED = ("case1", "case2", "case3", "fusion_study")
+from conftest import SHIPPED, STUDY, config_path
 
 
 def _bits(x) -> np.ndarray:
@@ -45,14 +43,14 @@ def _assert_same(cfg, seeds):
 
 @pytest.mark.parametrize("case", SHIPPED)
 def test_shipped_configs_match_oracle(case):
-    _assert_same(load_config(f"configs/{case}.json").scenario, range(32))
+    _assert_same(load_config(config_path(case)).scenario, range(32))
 
 
 @pytest.mark.parametrize("case, shared", [("case1", True), ("case2", True), ("case3", True), ("fusion_study", False)])
 def test_thermal_path_without_draws_is_one_shared_row(case, shared):
     # a thermal path without colored noise is the same in every run, so the
     # runs share one row of it; the values stay the oracle's bit for bit
-    temp = _assert_same(load_config(f"configs/{case}.json").scenario, range(4)).temp_osc
+    temp = _assert_same(load_config(config_path(case)).scenario, range(4)).temp_osc
     assert temp.shape[0] == 4 and not temp.flags.writeable
     assert (temp.strides[0] == 0) == shared
 
@@ -77,7 +75,7 @@ def test_colored_noise_at_both_ends_matches_oracle(horizon):
 def test_colored_noise_past_the_horizon_matches_oracle():
     # the segment covers no period and draws nothing, yet the thermal path
     # keeps one row per run, as with any colored-noise segment
-    base = load_config("configs/case2.json").scenario
+    base = load_config(config_path("case2")).scenario
     h = base.horizon
     segments = base.thermal.segments + (ThermalSegment(h, h + 5, "colored-noise", {
         "mean": 22.0, "var_base": 0.05, "var_slope": 0.01, "var_ref_k": 0.0}),)
@@ -87,7 +85,7 @@ def test_colored_noise_past_the_horizon_matches_oracle():
 
 
 def test_gauss_markov_residual_matches_oracle():
-    base = load_config("configs/case3.json").scenario
+    base = load_config(config_path("case3")).scenario
     truth = TruthOptions(initial_offset=2e-6, initial_skew_residual=3e-7, process_noise_sq=1e-14)
     _assert_same(replace(base, truth=truth, gm_coefficient=0.97), range(8))
     uncoupled = replace(truth, thermal_coupling=False)
@@ -97,7 +95,7 @@ def test_gauss_markov_residual_matches_oracle():
 def test_empirical_mode_matches_oracle():
     rng = np.random.default_rng(4)
     table = EmpiricalDelayTable({(64, 5.0): rng.uniform(4e-6, 9e-6, 300), (64, 25.0): rng.uniform(2e-6, 5e-6, 200)})
-    base = load_config("configs/fusion_study.json").scenario
+    base = STUDY.scenario
     cfg = replace(
         base,
         pdv=None,
@@ -119,7 +117,7 @@ def _error(gen, cfg) -> str:
 
 
 def test_checks_keep_their_messages():
-    base = load_config("configs/fusion_study.json").scenario
+    base = STUDY.scenario
     bad_var = {"mean": 20.0, "var_base": 0.02, "var_slope": 0.01, "var_ref_k": 30.0}
     segs = (ThermalSegment(0, 9, "colored-noise", bad_var), ThermalSegment(10, 74, "constant", {"value": 30.0}))
     cfg = replace(base, thermal=ThermalProfile(segs))

@@ -11,9 +11,8 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, config_path
 
 CHILD = """
 import json, sys
@@ -41,7 +40,7 @@ print(json.dumps(seen))
 def test_only_the_vb_refinement_loads_scipy(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(tmp_path), str(ROOT / "configs" / "case2.json")],
+        [sys.executable, "-c", CHILD, str(tmp_path), str(config_path("case2"))],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
