@@ -10,7 +10,7 @@ from tacd import runner
 from tacd.bclb import OracleNoiseTruth, bclb_trajectory
 from tacd.clock import ClockDynamics, build_state_space
 from tacd.config import load_config
-from tacd.netcomm import GaussianBelief, build_measurement
+from tacd.netcomm import GaussianBelief, MixtureNoiseModel, build_measurement, isotropic_mixture_model
 from tacd.runner import Trajectories
 from tacd.scenario import (
     ExchangeBatch,
@@ -75,6 +75,13 @@ def dyn() -> ClockDynamics:
 def study_prior(runs=None) -> GaussianBelief:
     """The study's filter prior (netcomm_init's x0 and P0_diag), as the runner builds it."""
     return runner._prior(STUDY, runs)
+
+
+def study_noise(runs=None) -> MixtureNoiseModel:
+    """The study's VB noise hyperprior (netcomm_init's chi0, dof0 and scale0),
+    as the runner builds it."""
+    init = STUDY.netcomm_init
+    return isotropic_mixture_model(init.chi0, init.dof0, init.scale0, runs=runs)
 
 
 @pytest.fixture

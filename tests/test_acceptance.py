@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from tacd.bclb import OracleNoiseTruth, bclb_trajectory
+from tacd.clock import build_state_space
 from tacd.cli import main as cli_main
 from tacd.config import load_config
 from tacd.fusion import pareto_beta, thermal_variance
@@ -31,7 +32,7 @@ from tacd.scenario import (
     generate_scenario,
     pdv_params_table,
 )
-from tacd.thermal import TempSkewModel, thermal_bias, thermal_second_moment
+from tacd.thermal import TempSkewModel, skew_from_temperature, thermal_bias, thermal_second_moment
 
 from conftest import (
     STUDY,
@@ -97,14 +98,20 @@ def test_criterion_2_thermal_statistics():
     model = TempSkewModel()
     rng = np.random.default_rng(102)
 
-    xi = rng.standard_normal(10**6) * np.sqrt(model.sigma_T_sq)
-    t_true = 25.0
-    bias = np.mean(model.kappa * (2.0 * (t_true - model.T0) * xi + xi**2))
+    # the bias at several operating points: antithetic pairs (xi, -xi) cancel
+    # the term linear in xi, which would otherwise dominate the Monte-Carlo
+    # error far from T0
     expected = thermal_bias(model)
-    bias_ok = abs(bias - expected) < 0.1 * expected
+    bias_ok = True
+    details = []
+    for t_true in (-10.0, 0.0, 25.0, 40.0):
+        xi = rng.standard_normal(10**6) * np.sqrt(model.sigma_T_sq)
+        reading = t_true + np.concatenate([xi, -xi])
+        bias = float(np.mean(skew_from_temperature(reading, model) - skew_from_temperature(t_true, model)))
+        bias_ok &= abs(bias - expected) < 0.01 * expected
+        details.append(f"bias({t_true:g}C) {bias:.3e}/{expected:.3e}")
 
     mom_ok = True
-    details = [f"bias {bias:.3e} vs {expected:.3e}"]
     for t_op in (25.0, 31.0, 35.0):
         xi = rng.standard_normal(10**7) * np.sqrt(model.sigma_T_sq)
         err = model.kappa * (2.0 * (t_op - model.T0) * xi + xi**2)
@@ -119,7 +126,9 @@ def test_criterion_2_thermal_statistics():
 
 # ---------------------------------------------------------------- criterion 3
 
-def test_criterion_3_kalman_equivalence(dyn, ss):
+def test_criterion_3_kalman_equivalence():
+    dyn = STUDY.dynamics
+    ss = build_state_space(dyn)
     horizon = 200
     cfg = ScenarioConfig(
         tau=1.0,
@@ -138,17 +147,12 @@ def test_criterion_3_kalman_equivalence(dyn, ss):
     kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), belief)
     worst = 0.0
     for z in run_measurements(data)[0]:
-        gsf.step(z)
-        kal.step(z)
-        a, b = gsf.belief, kal.belief
-        worst = max(
-            worst,
-            abs(a.mean[0] - b.mean[0]) / max(abs(b.mean[0]), 1e-30),
-            abs(a.mean[1] - b.mean[1]) / max(abs(b.mean[1]), 1e-30),
-            float(np.max(np.abs(a.cov - b.cov)) / np.max(np.abs(b.cov))),
-        )
+        a, b = gsf.step(z).belief, kal.step(z)
+        # relative to each entry of the textbook filter's mean and covariance
+        for got, ref in ((a.mean, b.mean), (a.cov, b.cov)):
+            worst = max(worst, float(np.max(np.abs(got - ref) / np.maximum(np.abs(ref), 1e-30))))
     _report(3, "single-component filter equals textbook Kalman", worst <= 1e-12,
-            f"max per-period relative difference {worst:.2e}")
+            f"max per-period, per-entry relative difference {worst:.2e}")
 
 
 # ---------------------------------------------------------------- criterion 4
@@ -161,16 +165,20 @@ def test_criterion_4_fisher_sanity(dyn):
     j_ref = dyn.tau**2 / lam[0] ** 2 + 1.0 / (dyn.sigma_u_sq + dyn.m**2 / j)
     fixed_ok = abs(j - j_ref) / j_ref <= 1e-10
 
-    bl, bf = bclb_trajectory(constant_oracle(b, lam, 51), dyn, 1.0, 1.0 / 3e10)
-    exact_ok = bool(np.array_equal(bf, bl))
-
+    # alpha = 1 gives the linear bound bit for bit, on one component and on
+    # the study's non-stationary three-component mixture
     weights, stddevs = pdv_params_table(STUDY.scenario.pdv, 75)
     oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs)
+    exact_ok = True
+    for truth, p0 in ((constant_oracle(b, lam, 51), 1.0 / 3e10), (oracle, 5e-6)):
+        bl, bf = bclb_trajectory(truth, dyn, 1.0, p0)
+        exact_ok &= bool(np.array_equal(bf, bl))
+
     rng = np.random.default_rng(104)
     dom_ok = True
-    for alpha in rng.uniform(0.05, 0.999, 10):
+    for alpha in rng.uniform(0.05, 0.999, 20):
         bl, bf = bclb_trajectory(oracle, dyn, alpha, 5e-6)
-        dom_ok &= bool(np.all(bf[1:] <= bl[1:] * (1 + 1e-12)))
+        dom_ok &= bool(np.all(bf[1:] <= bl[1:] * (1 + 1e-12)) and np.all(bf > 0) and np.all(bl > 0))
     _report(4, "Fisher recursion sanity", fixed_ok and exact_ok and dom_ok,
             f"fixed point rel err {(abs(j - j_ref) / j_ref):.2e}, alpha=1 exact {exact_ok}, dominance {dom_ok}")
 
@@ -275,26 +283,31 @@ def test_criterion_8_determinism(tmp_path, one_run_per_part):
 
 # ---------------------------------------------------------------- criterion 9
 
-def test_criterion_9_property_suites(ss):
+def test_criterion_9_property_suites():
+    ss = build_state_space(STUDY.dynamics)
     rng = np.random.default_rng(109)
     n_cases = 1000
 
-    # weight simplex under random incremental schedules
+    # weight simplex under random schedules of one to three incremental segments
     simplex_ok = True
     for _ in range(n_cases):
         n = int(rng.integers(2, 5))
+        segments, start = [], 1
+        for _ in range(rng.integers(1, 4)):
+            end = start + int(rng.integers(1, 10))
+            segments.append(RateSegment(start, end, tuple(rng.normal(0, 2e-8, n)), tuple(rng.normal(0, 1e-4, n - 1))))
+            start = end + 1
         prof = PdvProfile(
             initial_stddevs=tuple(rng.uniform(1e-6, 1e-5, n)),
             initial_weights=tuple(rng.dirichlet(np.ones(n))),
-            rate_schedule=(
-                RateSegment(1, 12, tuple(rng.normal(0, 2e-8, n)), tuple(rng.normal(0, 1e-4, n - 1))),
-            ),
+            rate_schedule=tuple(segments),
         )
-        w, s = pdv_params_table(prof, 13)
+        w, s = pdv_params_table(prof, start)
         simplex_ok &= bool(np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-12))
         simplex_ok &= bool(np.all((w >= 0) & (w <= 1)) and np.all(s >= prof.stddev_floor))
 
-    # SPD posterior covariance and brute-force moment matching
+    # SPD, symmetric posterior covariance, responsibilities summing to one,
+    # and brute-force moment matching
     spd_ok, match_ok = True, True
     for _ in range(n_cases):
         d = rng.uniform(1e-13, 1e-9, 2)
@@ -305,7 +318,9 @@ def test_criterion_9_property_suites(ss):
         noise = MixtureNoiseModel.from_point_estimates(wts, rng.uniform(5e-7, 2e-5, nc))
         z = np.array(ss.H @ belief.mean + rng.normal(0, 1e-5, 2))
         res = gsf_update(belief, z, noise, ss)
-        spd_ok &= bool(np.linalg.eigvalsh(res.belief.cov)[0] > 0)
+        cov = res.belief.cov
+        spd_ok &= bool(np.linalg.eigvalsh(cov)[0] > 0 and np.allclose(cov, cov.T, atol=0.0))
+        spd_ok &= bool(abs(res.responsibilities.sum() - 1.0) < 1e-12)
         w_ref, mean_ref, cov_ref = brute_force_mixture_update(
             belief.mean, belief.cov, z, ss.H, noise.point_weights, noise.point_covariances
         )
@@ -315,8 +330,7 @@ def test_criterion_9_property_suites(ss):
             np.allclose(res.responsibilities, w_ref, atol=1e-12)
             and np.allclose(res.belief.mean, mean_ref, rtol=1e-12,
                             atol=1e-12 * np.linalg.norm(mean_ref))
-            and np.allclose(res.belief.cov, cov_ref, rtol=1e-12,
-                            atol=1e-12 * np.abs(cov_ref).max())
+            and np.allclose(cov, cov_ref, rtol=1e-12, atol=1e-12 * np.abs(cov_ref).max())
         )
 
     # cooling monotonicity
@@ -325,29 +339,28 @@ def test_criterion_9_property_suites(ss):
         t_ext = rng.uniform(-20, 60)
         t = t_ext + rng.uniform(0.5, 30) * rng.choice([-1.0, 1.0])
         c = rng.uniform(0.5, 50)
-        gaps = np.abs(thermal_run(t_ext, t, c, 4).temp_osc - t_ext)
+        gaps = np.abs(thermal_run(t_ext, t, c, 6).temp_osc[0] - t_ext)
         cool_ok &= bool(np.all(gaps[1:] < gaps[:-1]))
         # each period keeps the share exp(-1/c) of the gap
         cool_ok &= bool(np.allclose(gaps[1:] / gaps[:-1], np.exp(-1.0 / c), rtol=1e-6, atol=0.0))
 
-    # RMSE aggregation equals brute-force recomputation
+    # RMSE aggregation, skew and offset, equals brute-force recomputation
     rmse_ok = True
     for _ in range(n_cases):
-        horizon = int(rng.integers(3, 12))
-        runs = int(rng.integers(1, 4))
+        horizon = int(rng.integers(3, 21))
+        runs = int(rng.integers(1, 5))
         window = int(rng.integers(1, horizon + 1))
-        truth, est = np.empty((runs, horizon)), np.empty((runs, horizon))
-        for r in range(runs):
-            truth[r] = rng.normal(0, 1e-6, horizon)
-            est[r] = truth[r] + rng.normal(0, 1e-7, horizon)
-        trajs = toy_trajectories(truth, truth, {"e": {"skew": est, "offset": est}})
-        got = rmse_by_name(evaluate_rmse(trajs, window))["e"][0]
-        acc, cnt = 0.0, 0
-        for r in range(runs):
-            for k in range(horizon - window, horizon):
-                acc += (trajs.est["e"]["skew"][r, k] - trajs.theta_true[r, k]) ** 2
-                cnt += 1
-        rmse_ok &= abs(got - np.sqrt(acc / cnt)) <= 1e-15 * max(got, 1e-30) + 0.0
+        truth = rng.normal(0, 1e-6, (2, runs, horizon))
+        est = truth + rng.normal(0, 1e-7, (2, runs, horizon))
+        trajs = toy_trajectories(truth[0], truth[1], {"e": {"skew": est[0], "offset": est[1]}})
+        got = rmse_by_name(evaluate_rmse(trajs, window))["e"]
+        for q in (0, 1):
+            acc, cnt = 0.0, 0
+            for r in range(runs):
+                for k in range(horizon - window, horizon):
+                    acc += (est[q, r, k] - truth[q, r, k]) ** 2
+                    cnt += 1
+            rmse_ok &= abs(got[q] - np.sqrt(acc / cnt)) <= 1e-15 * max(got[q], 1e-30)
 
     ok = simplex_ok and spd_ok and match_ok and cool_ok and rmse_ok
     _report(

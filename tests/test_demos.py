@@ -1,9 +1,11 @@
-"""Smoke test: every narrative script under demos/ runs to completion.
+"""Smoke test: every narrative script under demos/ runs to completion, and
+README's demo block lists exactly those scripts.
 
 Each demo runs in a subprocess on a copy of demos/ and configs/ under
 tmp_path, so whatever it writes next to itself stays out of the repository.
 """
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -32,3 +34,9 @@ def test_demo_runs(demo, demo_tree):
         cwd=demo_tree, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_lists_every_demo():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Demos\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    assert re.findall(r"^python demos/(\S+\.py)", block, re.M) == DEMOS

@@ -31,7 +31,8 @@ MUTATIONS = {
         "np.exp(-1.0 / cfg.thermal.cooling_constant)",
         "np.exp(-2.0 / cfg.thermal.cooling_constant)",
         [("test_scenario", "test_cooling_step", {}),
-         ("test_scenario_oracle", "test_shipped_configs_match_oracle", {"case": "fusion_study"})],
+         ("test_scenario_oracle", "test_shipped_configs_match_oracle", {"case": "fusion_study"}),
+         ("test_acceptance", "test_criterion_9_property_suites", {})],
     ),
     "gauss-markov-coefficient-dropped": (
         "tacd.scenario",
@@ -95,7 +96,7 @@ MUTATIONS = {
         "tacd.netcomm",
         "cov = (j[0] + n[0], j[1] + n[1], j[2] + n[2])",
         "cov = tuple(P)",
-        [("test_netcomm", "test_step_equals_fixed_noise_kalman_for_single_component", {})],
+        [("test_acceptance", "test_criterion_3_kalman_equivalence", {})],
     ),
     "converged-vb-rows-not-held": (
         "tacd.netcomm",
@@ -140,7 +141,7 @@ MUTATIONS = {
         "tacd.runner",
         "Trajectories.concat(list(pool.map(simulate_run, [cfg] * parts, slices)))",
         "Trajectories.concat(list(pool.map(simulate_run, [cfg] * parts, slices))[::-1])",
-        [("test_harness", "test_run_determinism_and_worker_independence", {})],
+        [("test_acceptance", "test_criterion_8_determinism", {})],
     ),
     "csv-rows-always-joined": (
         "tacd.report",

@@ -25,7 +25,7 @@ from tacd.scenario import (
     generate_scenario,
 )
 
-from conftest import STUDY, constant_thermal, exchange, run_measurements, study_prior
+from conftest import STUDY, constant_thermal, exchange, run_measurements, study_noise, study_prior
 
 
 def _rec(t1, t2, t3, t4, k):
@@ -298,7 +298,7 @@ def test_vb_symmetric_components(ss):
 
 def test_vb_dof_clamped_mean(ss):
     # the shipped init puts two dofs at the existence boundary; the mean clamps
-    noise = isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e-7, 2e-7, 2e-7])
+    noise = study_noise()
     assert noise.dof_clamped
     covs = noise.point_covariances
     assert np.allclose(covs[0], np.eye(2) * 1e-7, atol=0.0)
@@ -322,8 +322,7 @@ def test_vb_recovers_mixture_variance():
     acc = []
     for seed in range(6):
         z = run_measurements(generate_scenario(cfg, [np.random.default_rng(100 + seed)]))[0]
-        noise = isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e-7, 2e-7, 2e-7])
-        filt = GsfVbFilter(ss, noise, study_prior(), vb=VbSettings())
+        filt = GsfVbFilter(ss, study_noise(), study_prior(), vb=VbSettings())
         effs = []
         for k in range(1, 500):
             filt.step(z[k - 1])
@@ -363,8 +362,7 @@ def test_step_skew_estimator_bias_small(ss):
     cfg = _stationary_cfg(75, (5e-6, 3e-6, 5e-6), (0.4, 0.3, 0.3))
     n = 200
     skew_true, z = _batch_runs(cfg, [5000 + r for r in range(n)])
-    noise = isotropic_mixture_model([1, 5, 5], [4, 3, 3], [1e-7, 2e-7, 2e-7], runs=n)
-    filt = GsfVbFilter(ss, noise, study_prior(n), vb=VbSettings())
+    filt = GsfVbFilter(ss, study_noise(n), study_prior(n), vb=VbSettings())
     errs = np.empty((n, 75))
     errs[:, 0] = 3e-7 - skew_true[:, 0]
     for k in range(1, 75):
@@ -406,7 +404,7 @@ def test_update_keeps_its_belief_when_the_skew_is_conditioned(ss):
         (GaussianBelief, (STUDY.netcomm_init.x0, np.diag(STUDY.netcomm_init.p0_diag))),
         (MixtureNoiseModel, ([1.0, 5.0], [4.0, 3.0], np.array([np.eye(2), [[2.0, 0.5], [0.5, 1.0]]]) * 1e-7)),
         (MixtureNoiseModel.from_point_estimates, ([0.25, 0.75], [1e-6, 3e-6])),
-        (isotropic_mixture_model, ([1, 5, 5], [4, 3, 3], [1e-7, 2e-7, 2e-7])),
+        (isotropic_mixture_model, (STUDY.netcomm_init.chi0, STUDY.netcomm_init.dof0, STUDY.netcomm_init.scale0)),
     ],
 )
 def test_runs_argument_repeats_the_unbatched_input(build, args):
