@@ -20,7 +20,6 @@ case_bounds.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -253,13 +252,17 @@ def run_case(cfg: RunConfig) -> Trajectories:
     With several workers each pool worker steps one contiguous slice of run
     indices as a batch: at most one slice per CPU this process may use, and
     none of fewer than _RUNS_PER_PART runs. Below two slices every run is
-    stepped in-process as one batch.
+    stepped in-process as one batch. The pool's modules (multiprocessing,
+    concurrent.futures.process) are imported only where a pool starts, so
+    a process that never starts one never loads them.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     parts = min(cfg.workers, cpus, cfg.runs // _RUNS_PER_PART)
     if parts <= 1:
         return simulate_run(cfg, range(cfg.runs))
     edges = [cfg.runs * p // parts for p in range(parts + 1)]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=parts) as pool:
         slices = [range(a, b) for a, b in zip(edges, edges[1:])]
         return Trajectories.concat(list(pool.map(simulate_run, [cfg] * parts, slices)))

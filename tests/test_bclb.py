@@ -5,7 +5,7 @@ from tacd.bclb import OracleNoiseTruth, bclb_trajectory
 from tacd.clock import ClockDynamics
 from tacd.scenario import pdv_params_table
 
-from conftest import STUDY, constant_oracle, information, matched_filter_window_mse
+from conftest import STUDY, constant_oracle, information
 
 
 def test_linear_memoryless_decoupling():
@@ -102,15 +102,3 @@ def test_fixed_point_matches_scalar_kalman_riccati(dyn):
         p = (1.0 - k * dyn.tau) * p_pred
     bound = bclb_trajectory(constant_oracle([1.0], [lam], 2001), dyn, None, 5e-6)[0]
     assert bound[-1] == pytest.approx(p, rel=1e-10, abs=0.0)
-
-
-@pytest.mark.slow
-def test_statistical_bound_holds(dyn):
-    # matched scalar Kalman filter on the exact single-component model:
-    # empirical steady-state MSE cannot beat the bound by more than MC noise
-    lam, runs, horizon = 5e-6, 1000, 150
-    mse_window = matched_filter_window_mse(dyn, lam, runs, horizon, seed=32)
-    bound = bclb_trajectory(constant_oracle([1.0], [lam], horizon), dyn, None, 5e-6)[0][-1]
-    mse = float(np.mean(mse_window))
-    stderr = float(np.std(mse_window, ddof=1) / np.sqrt(len(mse_window)))
-    assert mse >= bound - 3 * max(stderr, mse * np.sqrt(2.0 / runs))
