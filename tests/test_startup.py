@@ -50,19 +50,22 @@ steps = {
     "fusion-study": ["fusion-study", "--config", config, "--runs", "50", "--workers", "2",
                      "--out", out + "/fusion-study"],
 }
-cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-if cpus >= 2:
-    steps["pool"] = simulate("pool", "2")
-for name, argv in steps.items():
-    if name == "pool":
-        tacd.runner._RUNS_PER_PART = 1  # four runs in two slices
+
+
+def run(name, argv):
     if tacd.cli.main(argv) != 0:
         raise SystemExit(f"{name} failed")
     seen[name] = loaded()
+
+
+for name, argv in steps.items():
+    run(name, argv)
+cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+if cpus >= 2:
+    tacd.runner._RUNS_PER_PART = 1  # four runs in two slices
+    run("pool", simulate("pool", "2"))
 print(json.dumps(seen))
 """
-
-POOL_MODULES = ["multiprocessing", "concurrent.futures.process"]
 
 
 @pytest.fixture(scope="module")
@@ -96,5 +99,5 @@ def test_a_started_pool_loads_the_pool_modules(child):
     out, seen = child
     if "pool" not in seen:
         pytest.skip("fewer than two usable CPUs: run_case starts no pool")
-    assert seen["pool"]["pool"] == POOL_MODULES
+    assert seen["pool"]["pool"] == ["multiprocessing", "concurrent.futures.process"]
     assert (out / "pool" / "trajectory.csv").read_bytes() == (out / "simulate" / "trajectory.csv").read_bytes()
