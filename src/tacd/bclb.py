@@ -29,7 +29,8 @@ class OracleNoiseTruth:
         s = np.asarray(self.stddevs, dtype=float)
         if w.shape != s.shape:
             raise ValueError("weights and stddevs shapes differ")
-        if np.any(np.abs(w.sum(axis=1) - 1.0) > 1e-9) or np.any(w < 0.0):
+        # written so that a NaN or infinite weight fails
+        if not (np.all(np.abs(w.sum(axis=1) - 1.0) <= 1e-9) and np.all(w >= 0.0)):
             raise ValueError("oracle weights must lie on the simplex")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "stddevs", s)
@@ -39,13 +40,14 @@ class OracleNoiseTruth:
         return self.weights.shape[0]
 
 
-def _mixture_data_term(weights: np.ndarray, stddevs: np.ndarray, tau: float) -> float:
-    """Measurement information term tau^2 * (sum b/Lambda^3) / (sum b/Lambda)."""
-    lam = np.asarray(stddevs, dtype=float)
-    if np.any(lam <= 0.0):
-        raise ValueError("mixture stddevs must be > 0")
-    b = np.asarray(weights, dtype=float)
-    return tau**2 * float(np.sum(b / lam**3) / np.sum(b / lam))
+def _mixture_data_terms(weights: np.ndarray, stddevs: np.ndarray, tau: float) -> list[float]:
+    """Measurement information terms tau^2 * (sum b/Lambda^3) / (sum b/Lambda),
+    one per row of the (periods, N_g) arrays."""
+    lam = stddevs
+    if not np.all((lam > 0.0) & (lam < np.inf)):
+        raise ValueError("mixture stddevs must be finite and > 0")
+    b = weights
+    return (tau**2 * (np.sum(b / lam**3, axis=1) / np.sum(b / lam, axis=1))).tolist()
 
 
 def _linear_prior(j_prev: float, dyn: ClockDynamics) -> float:
@@ -79,7 +81,8 @@ def bclb_trajectory(
     alpha is the fusion weight; the fusion sequence is NaN when alpha is
     None. Information starts at 1/P0_skew at k = 0 (the prior variance is
     the period-0 bound); each later period applies the recursions with that
-    period's oracle mixture.
+    period's oracle mixture, whose data term is computed for every period
+    in one call before the recursion starts.
     """
     if p0_skew <= 0.0:
         raise ValueError("P0 skew variance must be > 0")
@@ -93,9 +96,10 @@ def bclb_trajectory(
         j_skew = 1.0 / p0_skew
 
     j_lin = 1.0 / p0_skew
+    terms = _mixture_data_terms(oracle.weights[1:], oracle.stddevs[1:], dyn.tau)
     for k in range(h):
         if k > 0:
-            data = _mixture_data_term(oracle.weights[k], oracle.stddevs[k], dyn.tau)
+            data = terms[k - 1]
             j_lin = _linear_prior(j_lin, dyn) + data
             if alpha is not None:
                 j_skew = _fusion_skew_info(j_skew, dyn, data, alpha)

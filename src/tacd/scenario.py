@@ -421,7 +421,10 @@ def generate_scenario(cfg: ScenarioConfig, rngs: Sequence[np.random.Generator]) 
     The period loop makes only these draws; consecutive normal draws share
     one call (a period's pair, colored draw and sensor draw with the next
     period's residual), which consumes the stream exactly as one call each.
-    Everything else is computed once per batch on (R, h) arrays, elementwise
+    The component uniform comes from the bit generator's next_double, the C
+    function Generator.random() calls, so it takes the same value and leaves
+    the stream at the same place; the normals go into views of one scratch
+    row, made once per batch. Everything else is computed once per batch on (R, h) arrays, elementwise
     per run, so a run's rows do not depend on the batch it is in and a given
     (config, seed) reproduces bit-identical timestamps. A thermal path that
     draws nothing (no colored-noise segment) is computed once, on one row
@@ -446,27 +449,37 @@ def generate_scenario(cfg: ScenarioConfig, rngs: Sequence[np.random.Generator]) 
     spans = list(zip(start.tolist(), (start + counts).tolist()))
 
     normals = np.empty((n, counts.sum() + 1))
+    # each run's normals are drawn into one scratch row through views made
+    # once per batch, then copied into the run's row
+    scratch = np.empty(normals.shape[1])
+    views = [scratch[a:b] for a, b in spans]
     picks = []
     if cfg.empirical is not None:
         src = cfg.empirical
         fwd = src.table.samples(*src.forward_cell)
         rev = src.table.samples(*src.reverse_cell)
         for rng, row in zip(rngs, normals):
-            row[0] = rng.standard_normal()
-            for a, b in spans:
+            scratch[0] = rng.standard_normal()
+            for view in views:
                 picks.append(rng.integers(len(fwd)))
                 picks.append(rng.integers(len(rev)))
-                rng.standard_normal(out=row[a:b])
+                rng.standard_normal(out=view)
+            row[:] = scratch
         picks = np.array(picks, dtype=np.intp).reshape(n, h, 2)
         link = LinkConfig(d1=src.table.fixed_delay(*src.forward_cell), d2=src.table.fixed_delay(*src.reverse_cell))
         w1 = fwd[picks[..., 0]] - link.d1
         w2 = rev[picks[..., 1]] - link.d2
     else:
         for rng, row in zip(rngs, normals):
-            row[0] = rng.standard_normal()
-            for a, b in spans:
-                picks.append(rng.random())
-                rng.standard_normal(out=row[a:b])
+            # the C function Generator.random() calls, without its wrapper:
+            # the same values and stream position for every bit generator
+            lib = rng.bit_generator.ctypes
+            next_double, state = lib.next_double, lib.state
+            scratch[0] = rng.standard_normal()
+            for view in views:
+                picks.append(next_double(state))
+                rng.standard_normal(out=view)
+            row[:] = scratch
         link = cfg.link
         weights, stddevs = pdv_params_table(cfg.pdv, h)
         noise = _mixture_noise(weights, stddevs, np.reshape(picks, (n, h)), normals[:, start[:, None] + [0, 1]])

@@ -195,10 +195,11 @@ def test_network_phase_subset_invariance(case):
             assert bits.setdefault(name, got) == got
 
 
-def test_case_bounds_match_one_run_recursion():
+@pytest.mark.parametrize("case", SHIPPED)
+def test_case_bounds_match_one_run_recursion(case):
     # the case's bounds at the fixed fusion weight take the one-run
     # recursion, bit for bit
-    cfg = STUDY
+    cfg = load_config(config_path(case))
     weights, stddevs = pdv_params_table(cfg.scenario.pdv, cfg.scenario.horizon)
     oracle = OracleNoiseTruth(weights=weights, stddevs=stddevs)
     # the oracle's temperature block never enters the skew bound

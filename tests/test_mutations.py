@@ -48,6 +48,18 @@ MUTATIONS = {
         [("test_scenario_oracle", "test_colored_noise_at_both_ends_matches_oracle", {"horizon": 40}),
          ("test_scenario_oracle", "test_empirical_mode_matches_oracle", {})],
     ),
+    "pdv-pick-drawn-after-its-normals": (
+        "tacd.scenario",
+        "picks.append(next_double(state))\n                rng.standard_normal(out=view)",
+        "rng.standard_normal(out=view)\n                picks.append(next_double(state))",
+        [("test_scenario_oracle", "test_shipped_configs_match_oracle", {"case": "case2"})],
+    ),
+    "bound-data-terms-one-period-early": (
+        "tacd.bclb",
+        "oracle.weights[1:], oracle.stddevs[1:]",
+        "oracle.weights[:-1], oracle.stddevs[:-1]",
+        [("test_batched_filters", "test_case_bounds_match_one_run_recursion", {"case": "case3"})],
+    ),
     "fused-skew-scaled": (
         "tacd.fusion",
         "return (1.0 - beta) * theta_linear + beta * theta_thermal",

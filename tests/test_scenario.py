@@ -72,35 +72,6 @@ def test_pdv_weight_tolerance_rejects():
         pdv_params_table(prof, 61)
 
 
-def test_pdv_simplex_property_randomized():
-    rng = np.random.default_rng(5)
-    for _ in range(1000):
-        n = rng.integers(2, 5)
-        w0 = rng.dirichlet(np.ones(n))
-        segs = []
-        start = 1
-        for _ in range(rng.integers(1, 4)):
-            end = start + int(rng.integers(1, 10))
-            segs.append(
-                RateSegment(
-                    start,
-                    end,
-                    tuple(rng.normal(0, 2e-8, n)),
-                    tuple(rng.normal(0, 1e-4, n - 1)),
-                )
-            )
-            start = end + 1
-        prof = PdvProfile(
-            initial_stddevs=tuple(rng.uniform(1e-6, 1e-5, n)),
-            initial_weights=tuple(w0),
-            rate_schedule=tuple(segs),
-        )
-        weights, stddevs = pdv_params_table(prof, start)
-        assert np.all(np.abs(weights.sum(axis=1) - 1.0) <= 1e-12)
-        assert np.all((weights >= 0.0) & (weights <= 1.0))
-        assert np.all(stddevs >= prof.stddev_floor)
-
-
 def test_profile_validation():
     with pytest.raises(ValueError):
         PdvProfile(initial_stddevs=(1e-6,), initial_weights=(0.9,))
@@ -193,18 +164,6 @@ def test_cooling_step():
     assert thermal_run(20.0, 30.0, 10.0, 1000).temp_osc[0, -1] == pytest.approx(20.0)
     # ten periods with cooling constant 10 keep exp(-1) of the gap
     assert thermal_run(20.0, 30.0, 10.0, 11).temp_osc[0, 10] == pytest.approx(23.678794411714423, abs=1e-12)
-
-
-def test_cooling_monotone_approach():
-    rng = np.random.default_rng(21)
-    for _ in range(1000):
-        t_ext = rng.uniform(-20, 60)
-        t = t_ext + rng.uniform(0.5, 30) * rng.choice([-1.0, 1.0])
-        c = rng.uniform(0.5, 50)
-        gaps = np.abs(thermal_run(t_ext, t, c, 6).temp_osc[0] - t_ext)
-        assert np.all(gaps[1:] < gaps[:-1])
-        # each period keeps the share exp(-1/c) of the gap
-        assert np.allclose(gaps[1:] / gaps[:-1], np.exp(-1.0 / c), rtol=1e-6, atol=0.0)
 
 
 # ----------------------------------------------------------------- exchanges

@@ -22,13 +22,13 @@ def _bits(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=float).view(np.uint64)
 
 
-def _assert_same(cfg, seeds):
+def _assert_same(cfg, seeds, bit_generator=np.random.PCG64):
     """All seeds through one batch call; each row against the one-run oracle.
     Returns the batch."""
-    rngs_new = [np.random.default_rng(seed) for seed in seeds]
+    rngs_new = [np.random.Generator(bit_generator(seed)) for seed in seeds]
     new = generate_scenario(cfg, rngs_new)
     for i, seed in enumerate(seeds):
-        rng_old = np.random.default_rng(seed)
+        rng_old = np.random.Generator(bit_generator(seed))
         old = oracles.generate_scenario(cfg, rng_old)
         for name in ("skew_true", "offset_true", "temp_osc", "temp_meas"):
             assert np.array_equal(_bits(getattr(new, name)[i]), _bits(getattr(old, name))), (seed, name)
@@ -44,6 +44,15 @@ def _assert_same(cfg, seeds):
 @pytest.mark.parametrize("case", SHIPPED)
 def test_shipped_configs_match_oracle(case):
     _assert_same(load_config(config_path(case)).scenario, range(32))
+
+
+@pytest.mark.parametrize("case", SHIPPED)
+@pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM],
+                         ids=lambda b: b.__name__)
+def test_shipped_configs_match_oracle_on_other_bit_generators(bit_generator, case):
+    # the uniforms come from the bit generator's own next_double, whatever
+    # its kind, and the stream ends where Generator.random() leaves it
+    _assert_same(load_config(config_path(case)).scenario, range(4), bit_generator)
 
 
 @pytest.mark.parametrize("case, shared", [("case1", True), ("case2", True), ("case3", True), ("fusion_study", False)])
