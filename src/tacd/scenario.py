@@ -424,7 +424,8 @@ def generate_scenario(cfg: ScenarioConfig, rngs: Sequence[np.random.Generator]) 
     The component uniform comes from the bit generator's next_double, the C
     function Generator.random() calls, so it takes the same value and leaves
     the stream at the same place; the normals go into views of one scratch
-    row, made once per batch. Everything else is computed once per batch on (R, h) arrays, elementwise
+    row, made once per batch and copied into the run's row once per run.
+    Everything else is computed once per batch on (R, h) arrays, elementwise
     per run, so a run's rows do not depend on the batch it is in and a given
     (config, seed) reproduces bit-identical timestamps. A thermal path that
     draws nothing (no colored-noise segment) is computed once, on one row
@@ -449,8 +450,6 @@ def generate_scenario(cfg: ScenarioConfig, rngs: Sequence[np.random.Generator]) 
     spans = list(zip(start.tolist(), (start + counts).tolist()))
 
     normals = np.empty((n, counts.sum() + 1))
-    # each run's normals are drawn into one scratch row through views made
-    # once per batch, then copied into the run's row
     scratch = np.empty(normals.shape[1])
     views = [scratch[a:b] for a, b in spans]
     picks = []
