@@ -93,16 +93,6 @@ def _congruence(T, a, b, d):
     return u00 * t00 + u01 * t01, u00 * t10 + u01 * t11, u10 * t10 + u11 * t11
 
 
-def _column_congruence(t0, t1, a, b, d):
-    """Entries ((m00, m01), m11) of T M T^T for a symmetric M = (a, b, d)
-    and T given by its columns t0 = (t00, t10) and t1 = (t01, t11), each
-    stacked on a leading axis of 2: _congruence's products, two entries to
-    a numpy call."""
-    u0 = t0 * a + t1 * b  # (u00, u10), the first column of T M
-    u1 = t0 * b + t1 * d  # (u01, u11)
-    return u0[0] * t0 + u1[0] * t1, u0[1] * t0[1] + u1[1] * t1[1]
-
-
 def _component_sum(x: np.ndarray):
     """Sum over the last (mixture component) axis, in index order."""
     total = x[..., 0]
@@ -422,21 +412,16 @@ def gsf_update(belief: GaussianBelief, z: np.ndarray, noise: MixtureNoiseModel, 
         k1 = (g1 * s00 - g0 * s01) / det
         m = per_run[:2] + (k0 * v0 + k1 * v1)
         # Joseph form (I - K H) P (I - K H)^T + K R K^T keeps each component
-        # PSD; the columns of I - K H are (1 - k00 h0, -(k10 h0)) and
-        # (-(k01 h1), 1 - k11 h1)
-        ikh0, ikh1 = -(k0 * h0), -(k1 * h1)
-        ikh0[0] += 1.0
-        ikh1[1] += 1.0
-        # each congruence gives ((c00, c01) stacked, c11)
-        j0, j11 = _column_congruence(ikh0, ikh1, p00, p01, p11)
-        n0, n11 = _column_congruence(k0, k1, r00, r01, r11)
-        c0, c11 = j0 + n0, j11 + n11
+        # PSD; c stacks its entries (C00, C01, C11)
+        K = (k0[0], k1[0], k0[1], k1[1])
+        ikh = (1.0 - K[0] * h0, -(K[1] * h1), -(K[2] * h0), 1.0 - K[3] * h1)
+        c = np.add(_congruence(ikh, p00, p01, p11), _congruence(K, r00, r01, r11))
 
         singular = det <= 0.0
         if np.count_nonzero(singular):
             logw = np.where(singular, -np.inf, logw)
             m = np.where(singular, per_run[:2], m)
-            c0, c11 = np.where(singular, per_run[2:4], c0), np.where(singular, p11, c11)
+            c = np.where(singular, per_run[2:5], c)
 
         underflow = ~np.isfinite(logw).any(axis=-1)
         wts = np.exp(logw - _component_max(logw)[..., None])
@@ -449,8 +434,8 @@ def gsf_update(belief: GaussianBelief, z: np.ndarray, noise: MixtureNoiseModel, 
         out = np.empty(rows.shape)
         out[:2] = _component_sum(wts * m)
         e = m - out[:2, ..., None]
-        out[2:4] = _component_sum(wts * (c0 + e[0] * e))
-        out[4] = _component_sum(wts * (c11 + e[1] * e[1]))
+        out[2:4] = _component_sum(wts * (c[:2] + e[0] * e))
+        out[4] = _component_sum(wts * (c[2] + e[1] * e[1]))
         repaired = _spd_repair(out)
     return GsfUpdateResult(
         belief=_positive_diagonal(out),

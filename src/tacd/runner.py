@@ -116,20 +116,13 @@ def _gsf_vb_filter(cfg: RunConfig, n: int) -> GsfVbFilter:
     return GsfVbFilter(build_state_space(cfg.dynamics), noise, _prior(cfg, n), vb=cfg.vb)
 
 
-def _period_rows(z: np.ndarray) -> np.ndarray:
-    """Measurements (R, h, 2) as (h, 2, R): period k's two rows are z[k],
-    contiguous, and a filter steps on their (R, 2) transpose z[k].T."""
-    return np.ascontiguousarray(z.transpose(1, 2, 0))
-
-
 def _track(filt, b: BatchInputs) -> dict[str, np.ndarray]:
     """The Kalman baseline's belief mean at every period: the prior at k = 0,
     then one step per period."""
     skew, offset = b.nans(), b.nans()
-    z = _period_rows(b.z)
     for k in range(skew.shape[1]):
         if k > 0:
-            filt.step(z[k].T)
+            filt.step(b.z[:, k])
         skew[:, k], offset[:, k] = filt.belief.rows[:2]
     return {"skew": skew, "offset": offset}
 
@@ -144,8 +137,8 @@ def _network_phase(b: BatchInputs, names: tuple[str, ...]) -> Served:
     would give."""
     cfg, model, (runs, horizon) = b.cfg, b.cfg.temp_model, b.temp_meas.shape
     blocks = {name: slice(i * runs, (i + 1) * runs) for i, name in enumerate(names)}
-    z = _period_rows(np.concatenate([b.z] * len(names)))
-    n = z.shape[-1]
+    z = np.concatenate([b.z] * len(names))
+    n = len(z)
     filt = _gsf_vb_filter(cfg, n)
     theta_L, delta_hat = np.full((n, horizon), np.nan), np.full((n, horizon), np.nan)
     fused = blocks.get("tacd")
@@ -155,7 +148,7 @@ def _network_phase(b: BatchInputs, names: tuple[str, ...]) -> Served:
         theta_F, epsilon, beta = b.nans(), b.nans(), b.nans()
     for k in range(horizon):
         if k > 0:
-            filt.step(z[k].T)
+            filt.step(z[:, k])
         # the belief rows (x0, x1, P00, P01, P11)
         state = filt.belief.rows
         theta_L[:, k], delta_hat[:, k] = state[:2]

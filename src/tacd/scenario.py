@@ -421,10 +421,9 @@ def generate_scenario(cfg: ScenarioConfig, rngs: Sequence[np.random.Generator]) 
     The period loop makes only these draws; consecutive normal draws share
     one call (a period's pair, colored draw and sensor draw with the next
     period's residual), which consumes the stream exactly as one call each.
-    The component uniform comes from the bit generator's next_double, the C
-    function Generator.random() calls, so it takes the same value and leaves
-    the stream at the same place; the normals go into views of one scratch
-    row, made once per batch and copied into the run's row once per run.
+    The component uniform is one Generator.random() call, bound once per run;
+    the normals go into views of one scratch row, made once per batch and
+    copied into the run's row once per run.
     Everything else is computed once per batch on (R, h) arrays, elementwise
     per run, so a run's rows do not depend on the batch it is in and a given
     (config, seed) reproduces bit-identical timestamps. A thermal path that
@@ -470,13 +469,10 @@ def generate_scenario(cfg: ScenarioConfig, rngs: Sequence[np.random.Generator]) 
         w2 = rev[picks[..., 1]] - link.d2
     else:
         for rng, row in zip(rngs, normals):
-            # the C function Generator.random() calls, without its wrapper:
-            # the same values and stream position for every bit generator
-            lib = rng.bit_generator.ctypes
-            next_double, state = lib.next_double, lib.state
+            random = rng.random
             scratch[0] = rng.standard_normal()
             for view in views:
-                picks.append(next_double(state))
+                picks.append(random())
                 rng.standard_normal(out=view)
             row[:] = scratch
         link = cfg.link

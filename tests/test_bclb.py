@@ -55,13 +55,6 @@ def test_trajectory_rejects_a_nan_or_infinite_mixture(dyn, weights, stddevs, mat
         bclb_trajectory(constant_oracle(weights, stddevs, 3), dyn, 0.5, 5e-6)
 
 
-def test_fusion_reduces_to_linear_at_alpha_one(dyn):
-    b = np.array([0.4, 0.3, 0.3])
-    lam = np.array([5e-6, 3e-6, 5e-6])
-    j_lin, j_fus = information(dyn, b, lam, 3e10, 1, 1.0)
-    assert j_fus[1] == pytest.approx(j_lin[1], rel=1e-12)
-
-
 def test_fusion_half_alpha_memoryless():
     dyn = ClockDynamics(m=0.0, sigma_u_sq=1e-10, tau=1.0)
     j_fus = information(dyn, [1.0], [5e-6], 1e5, 1, 0.5)[1]

@@ -50,8 +50,8 @@ MUTATIONS = {
     ),
     "pdv-pick-drawn-after-its-normals": (
         "tacd.scenario",
-        "picks.append(next_double(state))\n                rng.standard_normal(out=view)",
-        "rng.standard_normal(out=view)\n                picks.append(next_double(state))",
+        "picks.append(random())\n                rng.standard_normal(out=view)",
+        "rng.standard_normal(out=view)\n                picks.append(random())",
         [("test_scenario_oracle", "test_shipped_configs_match_oracle", {"case": "case2"})],
     ),
     "bound-data-terms-one-period-early": (
@@ -122,6 +122,12 @@ MUTATIONS = {
         "v1 = z1 - h0 * x1",
         [("test_batched_filters", "test_batched_filter_matches_scalar_oracle", {"case": "case1"}),
          ("test_artifact_digests", "test_artifact_digests", {"config": "case3", "sub": "evaluate"})],
+    ),
+    "joseph-factor-transposed": (
+        "tacd.netcomm",
+        "_congruence(ikh, p00, p01, p11)",
+        "_congruence((ikh[0], ikh[2], ikh[1], ikh[3]), p00, p01, p11)",
+        [("test_batched_filters", "test_batched_filter_matches_scalar_oracle", {"case": "case3"})],
     ),
     "point-covariances-without-the-dof-clamp": (
         "tacd.netcomm",

@@ -50,8 +50,9 @@ def test_shipped_configs_match_oracle(case):
 @pytest.mark.parametrize("bit_generator", [np.random.MT19937, np.random.Philox, np.random.SFC64, np.random.PCG64DXSM],
                          ids=lambda b: b.__name__)
 def test_shipped_configs_match_oracle_on_other_bit_generators(bit_generator, case):
-    # the uniforms come from the bit generator's own next_double, whatever
-    # its kind, and the stream ends where Generator.random() leaves it
+    # the per-run Generator.random() uniforms and the shared normal calls
+    # give the oracle's values and leave the stream where its scalar calls
+    # do, whatever the bit generator's kind
     _assert_same(load_config(config_path(case)).scenario, range(4), bit_generator)
 
 
