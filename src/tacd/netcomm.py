@@ -560,7 +560,8 @@ class KalmanBaseline:
     once per period on Python floats (the same IEEE arithmetic as numpy
     scalars) and only the mean rows are stepped per run; belief is a
     GaussianBelief whose covariance entries are those floats, and per-run
-    prior covariances that differ raise. Written out directly with the
+    prior covariances that differ raise, as does an R that is not symmetric
+    positive definite. Written out directly with the
     general A and H (no mixture machinery, no entry assumed zero or one),
     so it doubles as an independent cross-check of the Gaussian-sum path.
     """
@@ -575,6 +576,10 @@ class KalmanBaseline:
         self.R = np.asarray(r_fixed, dtype=float)
         if self.R.shape != (_DIM, _DIM):
             raise ValueError(f"the fixed measurement covariance must be 2x2, got shape {self.R.shape}")
+        # step reads R[0, 1] for both off-diagonal entries
+        (r00, r01), (r10, r11) = self.R.tolist()
+        if not (r01 == r10 and r00 > 0.0 and r11 > 0.0 and r00 * r11 - r01 * r10 > 0.0):
+            raise ValueError(f"the fixed measurement covariance must be symmetric positive definite, got {self.R.tolist()}")
         # A, H, Q_v and R, each row-major as Python floats
         self._matrices = tuple(tuple(np.asarray(M, dtype=float).ravel().tolist()) for M in (ss.A, ss.H, ss.Q_v, self.R))
         x0, x1 = (np.array(row, dtype=float) for row in belief.rows[:2])

@@ -2,10 +2,11 @@
 
 Floats are written with repr (shortest round-trip form), so emitted files
 are byte-identical across repeated runs and parse back to full precision.
-The bytes are those of csv.writer (minimal quoting, "\n" line ends), but a
-table's cell text is made once per element of each column's own shape and
-a chunk of rows that needs no quoting is joined and written without the
-csv module.
+No cell of a tacd table needs CSV quoting: a float's repr and an int's str
+never do, and emit_table refuses a str cell or column name that would.
+So each row is written as its cells joined with ",", and the bytes are
+those csv.writer writes ("\n" line ends). A table's cell text is made
+once per element of each column's own shape.
 The SVG writer is hand-rolled to keep output bytes deterministic.
 """
 from __future__ import annotations
@@ -17,11 +18,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-# Rows whose full-shape cells are made into text at a time: a whole number of
-# leading-axis slices, so a large table is never held as text all at once.
+# Rows made into text and written at a time: a whole number of leading-axis
+# slices, so a large table is never held as text all at once.
 _BLOCK_ROWS = 256
-# Rows emit_csv joins, screens and writes at a time.
-_CHUNK_ROWS = 256
 
 
 def emit_table(table: dict[str, np.ndarray], path) -> Path:
@@ -29,18 +28,26 @@ def emit_table(table: dict[str, np.ndarray], path) -> Path:
 
     The columns broadcast to one shape of at least one axis and the header
     is list(table). Rows follow the elements of that shape in C order.
-    Columns hold floats (written as repr), ints or str. Each column's cell
-    text is made at its own shape, a zero-stride axis counting as
-    broadcast, and then broadcast to the table's: an (h,) column costs h
-    conversions however many rows repeat it. A column that varies along the
-    leading axis is converted one block of leading-axis slices at a time;
-    the cells of one constant along it are made once per block shape.
+    Columns hold floats (written as repr), ints or str. A str cell or a
+    column name that csv would quote (one holding a comma, a double quote,
+    CR or LF, or the empty cell of a one-column row) raises ValueError
+    naming the column; each str column's distinct cells are checked once,
+    before any file is opened. Each column's cell text is made at its own
+    shape, a zero-stride axis counting as broadcast, and then broadcast to
+    the table's: an (h,) column costs h conversions however many rows
+    repeat it. A column that varies along the leading axis is converted one
+    block of leading-axis slices at a time; the cells of one constant along
+    it are made once per block shape.
     """
     arrays = [np.asarray(c) for c in table.values()]
     shape = np.broadcast_shapes(*(a.shape for a in arrays))
     if not shape:
         raise ValueError("a table needs at least one axis")
     columns = [_unbroadcast(name, a, len(shape)) for name, a in zip(table, arrays)]
+    for name, column in zip(table, columns):
+        _check_plain(name, [name], len(table))
+        if column.dtype.kind == "U":
+            _check_plain(name, set(column.ravel().tolist()), len(table))
     step = max(1, _BLOCK_ROWS // max(1, int(np.prod(shape[1:]))))
     # each block shape's cells of the columns constant along the leading axis
     # (None for the others); a table has at most two block shapes
@@ -55,6 +62,16 @@ def emit_table(table: dict[str, np.ndarray], path) -> Path:
                              for c, cells in zip(columns, fixed[block])))
 
     return emit_csv(rows(), list(table), path)
+
+
+def _check_plain(name: str, cells: Iterable[str], width: int) -> None:
+    """Raise ValueError naming the column if csv would quote one of cells
+    in a row of width cells. csv.writer quotes a comma, a double quote, LF
+    and the lone empty cell; a bare CR, which csv.reader reads as a line
+    end, is refused as well."""
+    for cell in cells:
+        if not set(cell).isdisjoint(',"\r\n') or (width == 1 and not cell):
+            raise ValueError(f"CSV column {name!r}: {cell!r} would need quoting, which tacd tables do not use")
 
 
 def _unbroadcast(name: str, column: np.ndarray, ndim: int) -> np.ndarray:
@@ -82,16 +99,15 @@ def _cells(column: np.ndarray, shape: tuple) -> list[str]:
     return np.broadcast_to(np.array(values, dtype=object).reshape(column.shape), shape).ravel().tolist()
 
 
-def emit_csv(rows: Iterable[Sequence], columns: Sequence[str], path) -> Path:
-    """Write rows under a fixed header; returns the written path.
+def emit_csv(rows: Iterable[Sequence[str]], columns: Sequence[str], path) -> Path:
+    """Write rows of str cells under a fixed header; returns the written path.
 
-    Cells must be plain str, int or float; the first row is checked, so a
-    producer that hands over numpy scalars, or rows wider or narrower than
-    the header, fails instead of writing a file load_csv_columns refuses.
-    The bytes are csv.writer's (minimal quoting, a float's repr). Rows are
-    taken a chunk at a time. A chunk of rows of str cells that csv would not
-    quote is written as each row's cells joined with ","; csv.writer writes
-    the other chunks.
+    Each row is written as its cells joined with "," and the header as the
+    column names joined, so no cell or name may need CSV quoting (emit_table
+    checks that). The first row is checked: a cell that is not a str, such
+    as a float or a numpy scalar, raises TypeError naming its column, and a
+    row wider or narrower than the header ValueError, instead of writing a
+    file load_csv_columns refuses. Rows are written a block at a time.
     """
     out = Path(path)
     rows = iter(rows)
@@ -100,40 +116,19 @@ def emit_csv(rows: Iterable[Sequence], columns: Sequence[str], path) -> Path:
         if len(first) != len(columns):
             raise ValueError(f"CSV row has {len(first)} cells, the header {len(columns)}")
         for name, value in zip(columns, first):
-            if type(value) not in (str, int, float):
-                raise TypeError(f"CSV column {name!r} holds a {type(value).__name__}, expected str, int or float")
+            if type(value) is not str:
+                raise TypeError(f"CSV column {name!r} holds a {type(value).__name__}, expected str")
     out.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
+            fh.write(",".join(columns) + "\n")
             if first is not None:
                 rows = chain((first,), rows)
-                while chunk := list(islice(rows, _CHUNK_ROWS)):
-                    text = _plain_text(chunk, len(columns))
-                    if text is None:
-                        writer.writerows(chunk)
-                    else:
-                        fh.write(text)
+                while chunk := list(islice(rows, _BLOCK_ROWS)):
+                    fh.write("\n".join(map(",".join, chunk)) + "\n")
     except OSError as exc:
         raise OSError(f"failed writing CSV to {out}: {exc}") from exc
     return out
-
-
-def _plain_text(chunk: list[Sequence], width: int) -> Optional[str]:
-    """The chunk's rows, each its cells joined with "," and ended by "\n",
-    where every row holds width str cells that csv.writer would not quote;
-    None otherwise. Screened on the joined text: with every row width
-    wide, a comma or a newline beyond the separators is inside a cell."""
-    try:
-        lines = list(map(",".join, chunk))
-    except TypeError:  # an int or float cell
-        return None
-    text = "\n".join(lines) + "\n"
-    if (all(lines) and set(map(len, chunk)) == {width} and text.count(",") == (width - 1) * len(lines)
-            and text.count("\n") == len(lines) and '"' not in text and "\r" not in text):
-        return text
-    return None
 
 
 def load_csv_columns(path) -> dict[str, np.ndarray]:

@@ -1,15 +1,16 @@
-"""emit_table and emit_csv write the bytes csv.writer writes.
+"""emit_table writes the bytes csv.writer writes, and refuses what it would quote.
 
 The reference is the plain writer kept in tests/oracles.py: every cell of
 the broadcast table through csv.writer. Each table here is written by both
-and the files must be equal byte for byte.
+and the files must be equal byte for byte. A str cell or column name that
+csv would quote is refused before any file is written.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import reference_emit_table
-from tacd.report import _BLOCK_ROWS, _CHUNK_ROWS, emit_csv, emit_table, load_csv_columns
+from tacd.report import _BLOCK_ROWS, emit_table, load_csv_columns
 
 EDGE_FLOATS = [-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e16, 1e-5, 0.1 + 0.2, 1e22, 123456789012345680.0,
                2.5e-308, 1.7976931348623157e308, 1.0, -1e-7, 1e15, 9999999999999998.0, 0.0001]
@@ -37,15 +38,42 @@ def test_int_columns(tmp_path):
 
 
 @pytest.mark.parametrize("cells", [
-    ["a,b", 'say "x"', "two\nlines", "cr\rhere", "", "plain", ",", '"', "\r\n", " lead", "é"],
+    ["", "plain", " lead", "é", "tab\there", "'single'", "trailing "],
     ["", "", ""],
     ["x", "", "y"],
 ])
-def test_str_cells_quoted_like_csv_writer(cells, tmp_path):
+def test_plain_str_cells_match_csv_writer(cells, tmp_path):
+    # empty cells are plain in a row of two or more cells
     names = np.array(cells)
-    _same_bytes({"only": names}, tmp_path, "one_column")
     _same_bytes({"name": names, "value": np.arange(len(cells)) * 0.1, "again": names[::-1]}, tmp_path, "mixed")
-    _same_bytes({'a,"b"': names, "c\nd": np.arange(len(cells))}, tmp_path, "quoted_header")
+    _same_bytes({" lead": names, "é": np.arange(len(cells))}, tmp_path, "plain_header")
+    _same_bytes({"only": names[names != ""]}, tmp_path, "one_column")
+
+
+@pytest.mark.parametrize("header, cell", [
+    (("name", "value"), "a,b"),
+    (("name", "value"), 'say "x"'),
+    (("name", "value"), "cr\rhere"),
+    (("name", "value"), "two\nlines"),
+    (("name",), ""),
+    (("a,b", "value"), "plain"),
+    (("",), "plain"),
+], ids=["comma", "double-quote", "cr", "lf", "one-column-empty", "name-comma", "one-column-empty-name"])
+def test_cells_csv_would_quote_are_refused(header, cell, tmp_path):
+    # the cell sits past the first block; the check names the column and
+    # comes before any file is opened
+    n = 2 * _BLOCK_ROWS + 3
+    names = np.array([f"r{i}" for i in range(n)], dtype="U16")
+    names[_BLOCK_ROWS + 1] = cell
+    table = dict(zip(header, (names, np.arange(n) * 0.1)))
+    try:
+        emit_table(table, tmp_path / "out" / "t.csv")
+        message = None
+    except ValueError as err:
+        message = str(err)
+    assert message is not None and message.startswith(f"CSV column {header[0]!r}: ")
+    assert "would need quoting" in message
+    assert not list(tmp_path.iterdir())
 
 
 def test_broadcast_and_zero_stride_columns(tmp_path):
@@ -60,7 +88,7 @@ def test_broadcast_and_zero_stride_columns(tmp_path):
         "per_run": np.broadcast_to(rng.standard_normal((runs, 1)), (runs, horizon)),
         "scalar": np.float64(2.5),
         "one": np.ones((1, 1)),
-        "label": np.array(["a", "b,c", "d", "e"])[:, None],
+        "label": np.array(["a", "b c", "d", "e"])[:, None],
     }
     _same_bytes(table, tmp_path)
 
@@ -72,19 +100,6 @@ def test_tables_larger_than_one_block(tmp_path):
         table = {"x": rng.standard_normal(shape), "i": np.arange(shape[-1]), "lead": np.arange(shape[0]).reshape(
             (shape[0],) + (1,) * (len(shape) - 1))}
         _same_bytes(table, tmp_path, "x".join(map(str, shape)))
-
-
-def test_cells_csv_quotes_past_the_first_chunk(tmp_path):
-    # emit_csv joins and screens a chunk of rows at a time; each cell csv
-    # quotes, and the lone empty cell, sits in a later chunk of its own
-    n = 4 * max(_CHUNK_ROWS, _BLOCK_ROWS) + 3
-    names = np.array([f"r{i}" for i in range(n)], dtype="U8")
-    for j, cell in enumerate(["a,b", 'q"', "x\ny"], start=1):
-        names[j * _CHUNK_ROWS + j] = cell
-    _same_bytes({"name": names, "value": np.arange(n) * 0.1, "k": np.arange(n) % 7}, tmp_path, "mixed")
-    names[n - 2] = ""
-    text = _same_bytes({"only": names}, tmp_path, "one_column")
-    assert text.endswith(f'\n""\nr{n - 1}\n'.encode()) and b'\n"q"""\n' in text
 
 
 @pytest.mark.parametrize("shape", [(0,), (0, 5), (3, 0)])
@@ -101,14 +116,6 @@ def test_unwritable_column_types_rejected(tmp_path):
     with pytest.raises(ValueError, match="at least one axis"):
         emit_table({"x": np.float64(1.0)}, tmp_path / "scalar.csv")
     assert not list(tmp_path.iterdir())
-
-
-def test_emit_csv_numeric_and_quoted_rows(tmp_path):
-    # plain cells of any of the three types, with and without quoting
-    rows = [("a", 1, 0.1 + 0.2), ("b,c", -0, -0.0), ("", 2**70, float("nan")), ('q"', 3, 5e-324)]
-    got = emit_csv(rows, ["name", "i", "x"], tmp_path / "r.csv").read_bytes()
-    assert got == b'name,i,x\na,1,0.30000000000000004\n"b,c",0,-0.0\n,1180591620717411303424,nan\n"q""",3,5e-324\n'
-    assert emit_csv([("",)], ["only"], tmp_path / "e.csv").read_bytes() == b'only\n""\n'
 
 
 _column_shapes = st.sampled_from(["full", "per_run", "per_period", "scalar", "zero_stride"])

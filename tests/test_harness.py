@@ -467,30 +467,35 @@ def test_emit_csv_empty_stream(tmp_path):
 
 
 def test_emit_csv_round_trip(tmp_path):
+    # emit_csv writes str cells as they are; a float's repr reads back exactly
     rng = np.random.default_rng(4)
-    rows = [(i, float(v)) for i, v in enumerate(rng.uniform(-1e-5, 1e-5, 200))]
+    values = rng.uniform(-1e-5, 1e-5, 200).tolist()
+    rows = [(str(i), repr(v)) for i, v in enumerate(values)]
     p = emit_csv(rows, ["k", "value"], tmp_path / "r.csv")
+    assert p.read_text().split("\n")[:2] == ["k,value", "0," + repr(values[0])]
     cols = load_csv_columns(p)
-    assert np.array_equal(cols["value"], [v for _, v in rows])  # exact round-trip
+    assert np.array_equal(cols["value"], values) and np.array_equal(cols["k"], np.arange(200))
 
 
 def test_emit_csv_single_summary_row(tmp_path):
-    p = emit_csv([("tacd", 1e-7, 2e-6)], RMSE_HEADER, tmp_path / "s.csv")
-    lines = p.read_text().strip().split("\n")
-    assert len(lines) == 2
-    assert lines[1].startswith("tacd,")
+    p = emit_csv([("tacd", "1e-07", "2e-06")], RMSE_HEADER, tmp_path / "s.csv")
+    assert p.read_text() == "estimator,skew_rmse,offset_rmse\ntacd,1e-07,2e-06\n"
 
 
 def test_emit_csv_rejects_numpy_scalars(tmp_path):
+    # and every other cell that is not a str
     with pytest.raises(TypeError, match="'skew_rmse'.*float64"):
-        emit_csv([("tacd", np.float64(1e-7), 2e-6)], RMSE_HEADER, tmp_path / "s.csv")
+        emit_csv([("tacd", np.float64(1e-7), "2e-06")], RMSE_HEADER, tmp_path / "s.csv")
     with pytest.raises(TypeError, match="'k'.*int64"):
-        emit_csv([(np.int64(0), 1.0)], ["k", "value"], tmp_path / "k.csv")
+        emit_csv([(np.int64(0), "1.0")], ["k", "value"], tmp_path / "k.csv")
+    with pytest.raises(TypeError, match="'skew_rmse' holds a float, expected str"):
+        emit_csv([("tacd", 1e-7, 2e-6)], RMSE_HEADER, tmp_path / "f.csv")
+    assert not list(tmp_path.iterdir())
 
 
 def test_emit_csv_rejects_row_of_other_width(tmp_path):
     with pytest.raises(ValueError, match="3 cells, the header 2"):
-        emit_csv([(1.0, 2.0, 3.0)], ["a", "b"], tmp_path / "w.csv")
+        emit_csv([("1.0", "2.0", "3.0")], ["a", "b"], tmp_path / "w.csv")
     assert not (tmp_path / "w.csv").exists()
 
 

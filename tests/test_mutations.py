@@ -161,17 +161,11 @@ MUTATIONS = {
         "Trajectories.concat(list(pool.map(simulate_run, [cfg] * parts, slices))[::-1])",
         [("test_acceptance", "test_criterion_8_determinism", {})],
     ),
-    "csv-rows-always-joined": (
+    "plain-cell-check-lets-commas-through": (
         "tacd.report",
-        "writer.writerows(chunk)",
-        'fh.write("".join(",".join(map(str, row)) + "\\n" for row in chunk))',
-        [("test_csv_output", "test_str_cells_quoted_like_csv_writer", {"cells": ["a,b", 'say "x"', "two\nlines", ""]})],
-    ),
-    "chunk-screen-lets-quotes-through": (
-        "tacd.report",
-        "and '\"' not in text",
-        "",
-        [("test_csv_output", "test_cells_csv_quotes_past_the_first_chunk", {})],
+        "',\"\\r\\n'",
+        "'\"\\r\\n'",
+        [("test_csv_output", "test_cells_csv_would_quote_are_refused", {"header": ("name", "value"), "cell": "a,b"})],
     ),
     "broadcast-axis-found-by-the-wrong-stride": (
         "tacd.report",

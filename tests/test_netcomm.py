@@ -452,6 +452,18 @@ def test_kalman_shares_one_covariance_across_runs(ss):
             KalmanBaseline(ss, nominal_noise_cov(5e-6), empty)
 
 
+def test_kalman_rejects_a_fixed_noise_that_is_not_positive_definite(ss):
+    # step reads R[0, 1] for both off-diagonal entries, so R must be
+    # symmetric; the indefinite [[1, 2], [2, 1]] and a zero or NaN variance
+    # are no covariance either
+    priors = study_prior(3)
+    for r in ([[1.0, 0.5], [0.4, 1.0]], [[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 1.0]],
+              [[-1.0, 0.0], [0.0, -1.0]], [[np.nan, 0.0], [0.0, 1.0]]):
+        with pytest.raises(ValueError, match="symmetric positive definite"):
+            KalmanBaseline(ss, np.array(r) * 1e-12, priors)
+    KalmanBaseline(ss, np.diag([1e-12, 2e-12]), priors)
+
+
 def test_kalman_misspecified_noise_still_unbiased(ss):
     cfg = _stationary_cfg(75, (5e-6,), (1.0,))
     n = 300

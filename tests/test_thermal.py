@@ -56,33 +56,9 @@ def test_bias_values(model):
     assert thermal_bias(model) == pytest.approx(4e-9, rel=1e-12, abs=0.0)
 
 
-def test_bias_monte_carlo(model):
-    # truth follows the quadratic map exactly; estimate uses the noisy reading
-    rng = np.random.default_rng(3)
-    t_true = 30.0
-    truth = skew_from_temperature(t_true, model)
-    meas = t_true + rng.standard_normal(10**6) * np.sqrt(model.sigma_T_sq)
-    est = model.kappa * (meas - model.T0) ** 2 + model.theta0
-    bias = (est - truth).mean()
-    assert bias == pytest.approx(4e-9, rel=0.1, abs=0.0)
-
-
 def test_second_moment_values(model):
     assert thermal_second_moment(TempSkewModel(sigma_T_sq=0.0), 35.0) == 0.0
     at_vertex = thermal_second_moment(model, 25.0)
     assert at_vertex == pytest.approx(3 * model.kappa**2 * 0.1**2, rel=1e-12, abs=0.0)
     assert at_vertex == pytest.approx(4.8e-17, rel=1e-9, abs=0.0)
     assert thermal_second_moment(model, 35.0) == pytest.approx(6.4048e-14, rel=1e-6, abs=0.0)
-
-
-def test_bias_independent_of_temperature(model):
-    # antithetic pairs (xi, -xi) cancel the term linear in xi, which would
-    # otherwise dominate the Monte-Carlo error far from T0
-    rng = np.random.default_rng(5)
-    biases = []
-    for t_true in (-10.0, 0.0, 25.0, 40.0):
-        xi = rng.standard_normal(10**6) * np.sqrt(model.sigma_T_sq)
-        reading = t_true + np.concatenate([xi, -xi])
-        err = skew_from_temperature(reading, model) - skew_from_temperature(t_true, model)
-        biases.append(err.mean())
-    assert np.allclose(biases, 4e-9, rtol=0.01, atol=0.0)
