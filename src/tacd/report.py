@@ -44,10 +44,13 @@ def emit_table(table: dict[str, np.ndarray], path) -> Path:
     if not shape:
         raise ValueError("a table needs at least one axis")
     columns = [_unbroadcast(name, a, len(shape)) for name, a in zip(table, arrays)]
+    # csv.writer quotes a comma, a double quote, LF and the lone empty cell;
+    # a bare CR, which csv.reader reads as a line end, is refused as well
     for name, column in zip(table, columns):
-        _check_plain(name, [name], len(table))
-        if column.dtype.kind == "U":
-            _check_plain(name, set(column.ravel().tolist()), len(table))
+        cells = set(column.ravel().tolist()) if column.dtype.kind == "U" else set()
+        for cell in cells | {name}:
+            if not set(cell).isdisjoint(',"\r\n') or (len(table) == 1 and not cell):
+                raise ValueError(f"CSV column {name!r}: {cell!r} would need quoting, which tacd tables do not use")
     step = max(1, _BLOCK_ROWS // max(1, int(np.prod(shape[1:]))))
     # each block shape's cells of the columns constant along the leading axis
     # (None for the others); a table has at most two block shapes
@@ -62,16 +65,6 @@ def emit_table(table: dict[str, np.ndarray], path) -> Path:
                              for c, cells in zip(columns, fixed[block])))
 
     return emit_csv(rows(), list(table), path)
-
-
-def _check_plain(name: str, cells: Iterable[str], width: int) -> None:
-    """Raise ValueError naming the column if csv would quote one of cells
-    in a row of width cells. csv.writer quotes a comma, a double quote, LF
-    and the lone empty cell; a bare CR, which csv.reader reads as a line
-    end, is refused as well."""
-    for cell in cells:
-        if not set(cell).isdisjoint(',"\r\n') or (width == 1 and not cell):
-            raise ValueError(f"CSV column {name!r}: {cell!r} would need quoting, which tacd tables do not use")
 
 
 def _unbroadcast(name: str, column: np.ndarray, ndim: int) -> np.ndarray:
