@@ -66,13 +66,14 @@ def test_cells_csv_would_quote_are_refused(header, cell, tmp_path):
     names = np.array([f"r{i}" for i in range(n)], dtype="U16")
     names[_BLOCK_ROWS + 1] = cell
     table = dict(zip(header, (names, np.arange(n) * 0.1)))
+    # caught by hand, not with pytest.raises: a missed refusal must fail as
+    # an AssertionError, which is what tests/test_mutations.py expects
+    message = ""
     try:
         emit_table(table, tmp_path / "out" / "t.csv")
-        message = None
     except ValueError as err:
         message = str(err)
-    assert message is not None and message.startswith(f"CSV column {header[0]!r}: ")
-    assert "would need quoting" in message
+    assert message.startswith(f"CSV column {header[0]!r}: ") and "would need quoting" in message
     assert not list(tmp_path.iterdir())
 
 
