@@ -32,14 +32,15 @@ class ClockDynamics:
             raise ValueError(f"tau must be > 0, got {self.tau}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpace:
     """Linear state-space matrices for the (skew, offset) state.
 
     A must be [[a00, 0], [a10, 1]] and H diagonal, diag(h0, h1), the form
     build_state_space gives: the Gaussian-sum filter reads only these four
     entries (as floats) and drops the zero and unit ones from its products,
-    so any other A or H raises.
+    so any other A or H raises. Instances compare and hash by identity, as
+    the arrays they hold cannot.
     """
 
     A: np.ndarray

@@ -123,8 +123,10 @@ class GaussianBelief:
     """Posterior state belief: mean (skew s/s, offset s) and 2x2 covariance,
     held as its rows (x0, x1, P00, P01, P11).
 
-    The constructor takes (..., 2) means and (..., 2, 2) covariances; runs=n
-    adds a leading run axis of length n. rows is then one (5, ...) array.
+    The constructor takes (..., 2) means and (..., 2, 2) covariances, each
+    symmetric with a positive diagonal and no negative determinant (a NaN
+    diagonal entry passes); runs=n adds a leading run axis of length n.
+    rows is then one (5, ...) array.
     The Kalman baseline's rows are a tuple whose covariance entries are
     floats that every run shares. mean and cov are built on access, a
     shared covariance as one read-only (2, 2) broadcast over the runs.
@@ -137,9 +139,14 @@ class GaussianBelief:
         cov = np.asarray(cov, dtype=float)
         if mean.shape[-1:] != (_DIM,) or cov.shape != mean.shape + (_DIM,):
             raise ValueError("belief must be a 2-vector mean with 2x2 covariance")
+        a, b, d = _entries(cov)
+        if np.count_nonzero(b != cov[..., 1, 0]):
+            raise ValueError("covariance must be symmetric")
         if (cov.diagonal(axis1=-2, axis2=-1) <= 0.0).any():
             raise ValueError("covariance diagonal must be positive")
-        self.rows = _with_runs(np.stack((mean[..., 0], mean[..., 1], *_entries(cov))), runs)
+        if np.count_nonzero(a * d - b * b < 0.0):
+            raise ValueError("covariance must not be indefinite (negative determinant)")
+        self.rows = _with_runs(np.stack((mean[..., 0], mean[..., 1], a, b, d)), runs)
 
     @classmethod
     def from_rows(cls, rows) -> "GaussianBelief":
@@ -201,8 +208,9 @@ class MixtureNoiseModel:
     noise, held as the rows (chi, dof, V00, V01, V11) of one (5, ..., N_g)
     array.
 
-    The constructor takes (..., N_g) concentrations and dofs and
-    (..., N_g, 2, 2) scales; runs=n adds a leading run axis of length n.
+    The constructor takes (..., N_g) positive concentrations, dofs and
+    (..., N_g, 2, 2) symmetric positive definite scales; runs=n adds a
+    leading run axis of length n.
     The filter uses the plug-in values point_weights, the Dirichlet mean,
     and point_covariances, the inverse-Wishart mean V / (dof - 3) with dof
     clamped at MIN_IW_DOF when the mean would not exist; dof_clamped says
@@ -220,7 +228,10 @@ class MixtureNoiseModel:
             raise ValueError("hyperparameter shapes disagree on the component count")
         if (chi <= 0.0).any():
             raise ValueError("Dirichlet concentrations must be > 0")
-        self.rows = _with_runs(np.stack((chi, dof, *_entries(scale))), runs)
+        v00, v01, v11 = _entries(scale)
+        if np.count_nonzero(~((v01 == scale[..., 1, 0]) & (v00 > 0.0) & (v11 > 0.0) & (v00 * v11 - v01 * v01 > 0.0))):
+            raise ValueError("inverse-Wishart scales must be symmetric positive definite")
+        self.rows = _with_runs(np.stack((chi, dof, v00, v01, v11)), runs)
 
     @classmethod
     def from_rows(cls, rows: np.ndarray) -> "MixtureNoiseModel":

@@ -2,20 +2,20 @@
 
 Each run draws its own RNG stream from (master_seed, run_index), and a
 batch's scenarios come from one generate_scenario call. ESTIMATORS maps
-each estimator name to the function of a batch's shared inputs
-(BatchInputs) that computes its (R, h) columns; tacd and linear-only share
-one function, which steps one GSF-VB filter over both names' rows stacked.
-Every estimator reads the same draws and none reads another's output (the
-stacked rows stay independent), so comparisons are paired and adding an
-estimator never changes another's trajectory. Estimators step a whole batch
-of runs per period, and a run's trajectory is bit-identical whatever batch
-it is in. Results are one Trajectories record: the truth plus each
-estimator's columns, which tables read by estimator name, never by selection
-order. Each CSV artifact is one table built here: an ordered dict of named
-columns that broadcast to one shape, a row per element (report.emit_table
-writes it). Each reported number has one producer: steady-state RMSEs
-evaluate_rmse, the steady bound reduction bound_reduction, the bounds
-case_bounds.
+each estimator name to a function of the batch's config, measurements and
+measured temperatures that returns the (R, h) columns of every estimator it
+computes; tacd and linear-only share one function, which steps one GSF-VB
+filter over both estimators' rows stacked. Every estimator reads the same
+draws and none reads another's output (the stacked rows stay independent),
+so comparisons are paired and adding an estimator never changes another's
+trajectory. Estimators step a whole batch of runs per period, and a run's
+trajectory is bit-identical whatever batch it is in. Results are one
+Trajectories record: the truth plus each estimator's columns, which tables
+read by estimator name, never by selection order. Each CSV artifact is one
+table built here: an ordered dict of named columns that broadcast to one
+shape, a row per element (report.emit_table writes it). Each reported
+number has one producer: steady-state RMSEs evaluate_rmse, the steady bound
+reduction bound_reduction, the bounds case_bounds.
 """
 from __future__ import annotations
 
@@ -89,22 +89,6 @@ def _run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,)))
 
 
-@dataclass(frozen=True)
-class BatchInputs:
-    """What every estimator reads for one batch of R runs over h periods."""
-
-    cfg: RunConfig
-    z: np.ndarray  # (R, h, 2) from build_measurement; skew entry NaN at k = 0
-    temp_meas: np.ndarray  # (R, h)
-
-    def nans(self) -> np.ndarray:
-        return np.full(self.temp_meas.shape, np.nan)
-
-
-# Each selected name's columns, by name.
-Served = dict[str, dict[str, np.ndarray]]
-
-
 def _prior(cfg: RunConfig, n: int) -> GaussianBelief:
     init = cfg.netcomm_init
     return GaussianBelief(init.x0, np.diag(init.p0_diag), runs=n)
@@ -116,81 +100,70 @@ def _gsf_vb_filter(cfg: RunConfig, n: int) -> GsfVbFilter:
     return GsfVbFilter(build_state_space(cfg.dynamics), noise, _prior(cfg, n), vb=cfg.vb)
 
 
-def _track(filt, b: BatchInputs) -> dict[str, np.ndarray]:
-    """The Kalman baseline's belief mean at every period: the prior at k = 0,
-    then one step per period."""
-    skew, offset = b.nans(), b.nans()
-    for k in range(skew.shape[1]):
-        if k > 0:
-            filt.step(b.z[:, k])
-        skew[:, k], offset[:, k] = filt.belief.rows[:2]
-    return {"skew": skew, "offset": offset}
-
-
-def _network_phase(b: BatchInputs, names: tuple[str, ...]) -> Served:
-    """The GSF-VB network phase of tacd and linear-only, stepped once over one
-    block of the batch's rows per selected name, stacked in selection order.
-    tacd's block is Pareto-fused with the thermal phase each period, its
-    fused skew fed back into the filter when configured; linear-only's block
-    is the filter alone and gets its own skew back. The filter is
-    row-independent, so each block's columns are the ones a pass of its own
-    would give."""
-    cfg, model, (runs, horizon) = b.cfg, b.cfg.temp_model, b.temp_meas.shape
-    blocks = {name: slice(i * runs, (i + 1) * runs) for i, name in enumerate(names)}
-    z = np.concatenate([b.z] * len(names))
-    n = len(z)
-    filt = _gsf_vb_filter(cfg, n)
-    theta_L, delta_hat = np.full((n, horizon), np.nan), np.full((n, horizon), np.nan)
-    fused = blocks.get("tacd")
-    if fused is not None:
-        theta_T = skew_from_temperature(b.temp_meas, model)
-        thermal_var = thermal_variance(b.temp_meas - model.T0, model)
-        theta_F, epsilon, beta = b.nans(), b.nans(), b.nans()
+def _network_phase(cfg: RunConfig, z: np.ndarray, temp_meas: np.ndarray) -> dict:
+    """tacd and linear-only: one GSF-VB filter stepped over 2R rows, tacd's
+    R rows first, then linear-only's. tacd's rows are Pareto-fused with the
+    thermal phase each period, their fused skew fed back into the filter
+    when configured; linear-only's rows are the filter alone and get their
+    own skew back. The filter is row-independent, so each half's columns
+    are the ones a pass of its own would give."""
+    model, (runs, horizon) = cfg.temp_model, temp_meas.shape
+    z = np.concatenate([z, z])
+    filt = _gsf_vb_filter(cfg, 2 * runs)
+    theta_L, delta_hat = np.full((2 * runs, horizon), np.nan), np.full((2 * runs, horizon), np.nan)
+    theta_T = skew_from_temperature(temp_meas, model)
+    thermal_var = thermal_variance(temp_meas - model.T0, model)
+    theta_F, epsilon, beta = (np.full((runs, horizon), np.nan) for _ in range(3))
     for k in range(horizon):
         if k > 0:
             filt.step(z[:, k])
         # the belief rows (x0, x1, P00, P01, P11)
         state = filt.belief.rows
         theta_L[:, k], delta_hat[:, k] = state[:2]
-        if fused is not None:
-            epsilon[:, k] = state[2, fused]
-            beta[:, k] = pareto_beta(state[2, fused], thermal_var[:, k], model, cfg.fusion.lam)
-            theta_F[:, k] = fuse_skew(state[0, fused], theta_T[:, k], beta[:, k])
-            if cfg.fusion.feedback:
-                skew = state[0].copy()
-                skew[fused] = theta_F[:, k]
-                filt.condition_on_skew(skew)
-    served = {name: {"skew": theta_L[rows], "offset": delta_hat[rows]} for name, rows in blocks.items()}
-    if fused is not None:
-        alpha = 1.0 - beta
-        served["tacd"] = {"skew": theta_F, "offset": delta_hat[fused], "theta_L": theta_L[fused], "theta_T": theta_T,
-                          "epsilon": epsilon, "alpha": alpha, "beta": beta}
-    return served
+        epsilon[:, k] = state[2, :runs]
+        beta[:, k] = pareto_beta(state[2, :runs], thermal_var[:, k], model, cfg.fusion.lam)
+        theta_F[:, k] = fuse_skew(state[0, :runs], theta_T[:, k], beta[:, k])
+        if cfg.fusion.feedback:
+            skew = state[0].copy()
+            skew[:runs] = theta_F[:, k]
+            filt.condition_on_skew(skew)
+    tacd = {"skew": theta_F, "offset": delta_hat[:runs], "theta_L": theta_L[:runs], "theta_T": theta_T,
+            "epsilon": epsilon, "alpha": 1.0 - beta, "beta": beta}
+    return {"tacd": tacd, "linear-only": {"skew": theta_L[runs:], "offset": delta_hat[runs:]}}
 
 
-def _gptp(b: BatchInputs, names: tuple[str, ...]) -> Served:
+def _gptp(cfg: RunConfig, z: np.ndarray, temp_meas: np.ndarray) -> dict:
     """Plain two-way arithmetic on the measurement; skew needs two exchanges,
     so it is NaN at k = 0."""
-    return dict.fromkeys(names, {"skew": b.z[..., 0] / b.cfg.scenario.tau, "offset": b.z[..., 1] / 2.0})
+    return {"gptp": {"skew": z[..., 0] / cfg.scenario.tau, "offset": z[..., 1] / 2.0}}
 
 
-def _kalman(b: BatchInputs, names: tuple[str, ...]) -> Served:
-    """Kalman filter with a fixed nominal measurement noise."""
-    ss = build_state_space(b.cfg.dynamics)
-    filt = KalmanBaseline(ss, nominal_noise_cov(b.cfg.kalman_nominal_stddev), _prior(b.cfg, len(b.z)))
-    return dict.fromkeys(names, _track(filt, b))
+def _kalman(cfg: RunConfig, z: np.ndarray, temp_meas: np.ndarray) -> dict:
+    """Kalman filter with a fixed nominal measurement noise; its estimate is
+    the belief mean at every period: the prior at k = 0, then one step per
+    period."""
+    ss = build_state_space(cfg.dynamics)
+    filt = KalmanBaseline(ss, nominal_noise_cov(cfg.kalman_nominal_stddev), _prior(cfg, len(z)))
+    skew, offset = np.full(temp_meas.shape, np.nan), np.full(temp_meas.shape, np.nan)
+    for k in range(skew.shape[1]):
+        if k > 0:
+            filt.step(z[:, k])
+        skew[:, k], offset[:, k] = filt.belief.rows[:2]
+    return {"kalman": {"skew": skew, "offset": offset}}
 
 
-def _thermal_only(b: BatchInputs, names: tuple[str, ...]) -> Served:
+def _thermal_only(cfg: RunConfig, z: np.ndarray, temp_meas: np.ndarray) -> dict:
     """The thermal phase alone; it estimates skew only."""
-    return dict.fromkeys(names, {"skew": skew_from_temperature(b.temp_meas, b.cfg.temp_model)})
+    return {"thermal-only": {"skew": skew_from_temperature(temp_meas, cfg.temp_model)}}
 
 
-# Each estimator name maps to the function that computes it. simulate_run
-# calls each distinct function once, with the selected names it serves in
-# selection order, and it returns each name's (R, h) columns, k = 0
-# included: "skew" always, "offset" where it estimates one, then any columns
-# of its own. A function that serves one name is only ever given that name.
+# Each estimator name maps to the function that computes it. A function
+# reads the batch's config, its measurements z, (R, h, 2) from
+# build_measurement, and its measured temperatures, (R, h), and returns the
+# (R, h) columns of every estimator it computes, by name, k = 0 included:
+# "skew" always, "offset" where it estimates one, then any columns of its
+# own. simulate_run calls each distinct function of the selection once and
+# keeps the selected names.
 ESTIMATORS = {
     "tacd": _network_phase,
     "gptp": _gptp,
@@ -221,12 +194,12 @@ def simulate_run(cfg: RunConfig, runs: Sequence[int]) -> Trajectories:
     estimator over all runs at once."""
     runs = np.asarray(list(runs), dtype=int)
     data = generate_scenario(cfg.scenario, [_run_rng(cfg.master_seed, r) for r in runs.tolist()])
-    inputs = BatchInputs(cfg=cfg, z=build_measurement(data.exchanges, data.d), temp_meas=data.temp_meas)
-    served: Served = {}
+    z = build_measurement(data.exchanges, data.d)
+    est = {}
     for estimate in dict.fromkeys(ESTIMATORS[name] for name in cfg.estimators):
-        served.update(estimate(inputs, tuple(name for name in cfg.estimators if ESTIMATORS[name] is estimate)))
+        est.update(estimate(cfg, z, data.temp_meas))
     return Trajectories(runs=runs, theta_true=data.skew_true, delta_true=data.offset_true, temp_osc=data.temp_osc,
-                        temp_meas=data.temp_meas, est={name: served[name] for name in cfg.estimators})
+                        temp_meas=data.temp_meas, est={name: est[name] for name in cfg.estimators})
 
 
 # The fewest runs a pool slice gets. The filters are bound by numpy's per-call

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
+from tacd import runner
 from tacd.bclb import OracleNoiseTruth
 from tacd.cli import main as cli_main
 from tacd.clock import build_state_space
@@ -15,6 +16,7 @@ from tacd.netcomm import (
     KalmanBaseline,
     MixtureNoiseModel,
     VbSettings,
+    build_measurement,
     gsf_update,
     isotropic_mixture_model,
     nominal_noise_cov,
@@ -57,7 +59,11 @@ def test_batched_filter_matches_scalar_oracle(case):
     # run 3: indefinite noise scales make every innovation covariance
     # singular-signed: weight -inf for every component, uniform fallback
     scale[3] = np.diag([1.0, -1.0]) * 1e3
-    batched = GsfVbFilter(ss, MixtureNoiseModel(chi, dof, scale), GaussianBelief(x0, p0), vb=cfg.vb)
+    # the constructors refuse runs 2 and 3: they go in through from_rows, the
+    # filters' unchecked path
+    belief = GaussianBelief.from_rows(np.stack((x0[:, 0], x0[:, 1], p0[:, 0, 0], p0[:, 0, 1], p0[:, 1, 1])))
+    noise = MixtureNoiseModel.from_rows(np.stack((chi, dof, scale[..., 0, 0], scale[..., 0, 1], scale[..., 1, 1])))
+    batched = GsfVbFilter(ss, noise, belief, vb=cfg.vb)
     scalar = [
         oracles.ScalarGsfVbFilter(
             ss,
@@ -184,11 +190,21 @@ def test_batch_split_invariance(case):
 @pytest.mark.parametrize("case", ["case3", "fusion_study"])
 def test_network_phase_subset_invariance(case):
     # tacd and linear-only share one stacked filter pass; each one's columns
-    # are bit-identical alone, together and in either order
+    # are bit-identical alone, together and in either order, and
+    # linear-only's are a lone filter pass's, with no fusion or feedback
     cfg = load_config(config_path(case))
-    bits = {}
+    runs = range(5)
+    data = generate_scenario(cfg.scenario, [runner._run_rng(cfg.master_seed, r) for r in runs])
+    z = build_measurement(data.exchanges, data.d)
+    filt = runner._gsf_vb_filter(cfg, len(runs))
+    lone = {"skew": np.full(z.shape[:2], np.nan), "offset": np.full(z.shape[:2], np.nan)}
+    for k in range(z.shape[1]):
+        if k > 0:
+            filt.step(z[:, k])
+        lone["skew"][:, k], lone["offset"][:, k] = filt.belief.rows[:2]
+    bits = {"linear-only": {column: x.tobytes() for column, x in lone.items()}}
     for names in [("tacd",), ("linear-only",), ("tacd", "linear-only"), ("linear-only", "tacd")]:
-        t = simulate_run(cfg.with_overrides(estimators=names), range(5))
+        t = simulate_run(cfg.with_overrides(estimators=names), runs)
         assert tuple(t.est) == names
         for name, columns in t.est.items():
             got = {column: x.tobytes() for column, x in columns.items()}

@@ -88,6 +88,14 @@ def test_state_space_reads_the_structured_entries():
     assert all(type(x) is float for x in (ss.a00, ss.a10, ss.h0, ss.h1))
 
 
+def test_state_space_compares_by_identity(dyn):
+    # a dataclass over arrays: equal but distinct state spaces compare
+    # unequal and hash, where array-wise == would raise
+    a, b = build_state_space(dyn), build_state_space(dyn)
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
 @pytest.mark.parametrize("entry", [("A", 0, 1, 1e-9), ("A", 1, 1, 0.5), ("H", 0, 1, 1e-9), ("H", 1, 0, -1.0),
                                    ("H", 1, 0, np.nan)])
 def test_state_space_rejects_unstructured_matrices(entry, ss):

@@ -69,14 +69,14 @@ MUTATIONS = {
     ),
     "tacd-alpha-column-set-to-beta": (
         "tacd.runner",
-        "alpha = 1.0 - beta",
-        "alpha = beta",
+        '"alpha": 1.0 - beta',
+        '"alpha": beta',
         [("test_artifact_digests", "test_artifact_digests", {"config": "fusion_study", "sub": "simulate"})],
     ),
     "fused-skew-fed-back-into-linear-only-rows": (
         "tacd.runner",
-        "skew[fused] = theta_F[:, k]",
-        "skew[:] = np.tile(theta_F[:, k], len(names))",
+        "skew[:runs] = theta_F[:, k]",
+        "skew[:] = np.tile(theta_F[:, k], 2)",
         [("test_batched_filters", "test_network_phase_subset_invariance", {"case": "case3"}),
          ("test_artifact_digests", "test_artifact_digests", {"config": "case3", "sub": "evaluate"})],
     ),

@@ -18,6 +18,7 @@ from tacd.netcomm import (
     vb_refine,
 )
 from tacd.scenario import (
+    NOISE_CORR,
     ExchangeBatch,
     LinkConfig,
     PdvProfile,
@@ -195,61 +196,6 @@ def test_update_identical_components_degenerate(ss):
     assert np.allclose(two.responsibilities, [0.5, 0.5], atol=1e-12)
 
 
-def test_update_matches_brute_force_mixture_moments(ss):
-    rng = np.random.default_rng(14)
-    for _ in range(50):
-        p = rng.uniform(1e-12, 1e-10, 2)
-        cov = np.diag(p) + np.array([[0.0, 1.0], [1.0, 0.0]]) * np.sqrt(p.prod()) * 0.3
-        belief = GaussianBelief(rng.normal(0, 1e-6, 2), cov)
-        w0 = rng.uniform(0.2, 0.8)
-        noise = MixtureNoiseModel.from_point_estimates(
-            [w0, 1.0 - w0], rng.uniform(1e-6, 1e-5, 2)
-        )
-        z = np.array(ss.H @ belief.mean + rng.normal(0, 5e-6, 2))
-        res = gsf_update(belief, z, noise, ss)
-
-        # brute force: explicit per-component posteriors and log weights
-        logw = np.empty(2)
-        means, covs = [], []
-        for j in range(2):
-            R = noise.point_covariances[j]
-            S = ss.H @ belief.cov @ ss.H.T + R
-            v = z - ss.H @ belief.mean
-            logw[j] = (
-                np.log(noise.point_weights[j])
-                - 0.5 * (v @ np.linalg.solve(S, v) + np.linalg.slogdet(S)[1] + 2 * np.log(2 * np.pi))
-            )
-            xn, Pn = _manual_kf_update(belief.mean, belief.cov, z, ss.H, R)
-            means.append(xn)
-            covs.append(Pn)
-        w = np.exp(logw - logw.max())
-        w /= w.sum()
-        mean = w[0] * means[0] + w[1] * means[1]
-        cov = sum(
-            w[j] * (covs[j] + np.outer(means[j] - mean, means[j] - mean)) for j in range(2)
-        )
-        assert np.allclose(res.responsibilities, w, atol=1e-12)
-        assert np.allclose(res.belief.mean, mean, rtol=1e-12, atol=1e-12 * np.linalg.norm(mean))
-        assert np.allclose(res.belief.cov, cov, rtol=1e-12, atol=1e-12 * np.abs(cov).max())
-
-
-def test_update_posterior_spd_randomized(ss):
-    rng = np.random.default_rng(15)
-    for _ in range(1000):
-        d = rng.uniform(1e-13, 1e-9, 2)
-        off = rng.uniform(-0.9, 0.9) * np.sqrt(d.prod())
-        belief = GaussianBelief(rng.normal(0, 1e-5, 2), np.array([[d[0], off], [off, d[1]]]))
-        n = int(rng.integers(1, 4))
-        wts = rng.dirichlet(np.ones(n))
-        noise = MixtureNoiseModel.from_point_estimates(wts, rng.uniform(5e-7, 2e-5, n))
-        z = np.array(ss.H @ belief.mean + rng.normal(0, 1e-5, 2))
-        res = gsf_update(belief, z, noise, ss)
-        vals = np.linalg.eigvalsh(res.belief.cov)
-        assert vals[0] > 0.0
-        assert abs(res.responsibilities.sum() - 1.0) < 1e-12
-        assert np.allclose(res.belief.cov, res.belief.cov.T, atol=0.0)
-
-
 def test_update_underflow_fallback(ss):
     noise = MixtureNoiseModel.from_point_estimates([0.5, 0.5], [1e-6, 2e-6])
     belief = study_prior()
@@ -373,20 +319,6 @@ def test_step_skew_estimator_bias_small(ss):
     assert np.all(np.abs(bias[30:]) < 0.2 * rmse[30:])
 
 
-def test_step_equals_fixed_noise_kalman_for_single_component():
-    cfg = _stationary_cfg(200, (5e-6,), (1.0,))
-    data = generate_scenario(cfg, [np.random.default_rng(99)])
-    ss = build_state_space(STUDY.dynamics)
-    gsf = GsfVbFilter(ss, MixtureNoiseModel.from_point_estimates([1.0], [5e-6]), study_prior(), vb=None)
-    kal = KalmanBaseline(ss, nominal_noise_cov(5e-6), study_prior())
-    for z in run_measurements(data)[0]:
-        a = gsf.step(z).belief
-        b = kal.step(z)
-        assert a.mean[0] == pytest.approx(b.mean[0], rel=1e-12, abs=0.0)
-        assert a.mean[1] == pytest.approx(b.mean[1], rel=1e-12, abs=0.0)
-        assert np.allclose(a.cov, b.cov, rtol=1e-12, atol=0.0)
-
-
 def test_update_keeps_its_belief_when_the_skew_is_conditioned(ss):
     # the filter steps on packed rows; feeding a skew back replaces the
     # filter's skew row and leaves the update it returned as it was
@@ -415,6 +347,31 @@ def test_runs_argument_repeats_the_unbatched_input(build, args):
         expected = build(*(_per_run(np.asarray(x, dtype=float), n) for x in args)).rows
         assert rows.shape == expected.shape and rows.shape[1] == n
         assert rows.tobytes() == expected.tobytes()
+
+
+def test_belief_rejects_a_covariance_that_is_asymmetric_or_indefinite():
+    # the belief keeps the upper off-diagonal entry only, so the covariance
+    # must be symmetric; [[1, 5], [5, 1]] (eigenvalues -4 and 6) has a
+    # positive diagonal and is no covariance either; one bad run of three
+    # is enough
+    for cov, message in (([[1.0, 0.5], [0.4, 1.0]], "symmetric"), ([[1.0, 5.0], [5.0, 1.0]], "indefinite"),
+                         ([[0.0, 0.0], [0.0, 1.0]], "diagonal")):
+        batch = np.stack([np.eye(2), np.eye(2), cov]) * 1e-12
+        with pytest.raises(ValueError, match=message):
+            GaussianBelief(np.zeros((3, 2)), batch)
+    # a singular covariance is positive semi-definite: a belief
+    GaussianBelief([0.0, 0.0], np.ones((2, 2)) * 1e-12)
+
+
+def test_noise_model_rejects_a_scale_that_is_not_symmetric_positive_definite():
+    # the model keeps the upper off-diagonal entry only, as the Kalman
+    # baseline's R does; a singular, indefinite or NaN scale is refused too
+    for v in ([[1.0, 0.5], [0.1, 1.0]], [[1.0, 5.0], [5.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]],
+              [[0.0, 0.0], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]):
+        scale = np.stack([np.eye(2), v]) * 1e-7
+        with pytest.raises(ValueError, match="symmetric positive definite"):
+            MixtureNoiseModel(np.ones(2), np.full(2, 5.0), scale)
+    MixtureNoiseModel(np.ones(2), np.full(2, 5.0), np.stack([np.eye(2), NOISE_CORR]) * 1e-7)
 
 
 def test_filter_rejects_run_shapes_that_differ():
