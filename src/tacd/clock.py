@@ -13,6 +13,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def operand(value) -> np.ndarray:
+    """value as a read-only 0-d float64 array. The filters' scalar operands
+    are these: numpy steps a ufunc on one faster than on a Python float or
+    a numpy scalar, with the same float64 arithmetic."""
+    out = np.array(value, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class ClockDynamics:
     """Gauss-Markov skew dynamics: state-transfer coefficient, process-noise
@@ -38,18 +47,22 @@ class StateSpace:
 
     A must be [[a00, 0], [a10, 1]] and H diagonal, diag(h0, h1), the form
     build_state_space gives: the Gaussian-sum filter reads only these four
-    entries (as floats) and drops the zero and unit ones from its products,
-    so any other A or H raises. Instances compare and hash by identity, as
-    the arrays they hold cannot.
+    entries and drops the zero and unit ones from its products, so any other
+    A or H raises. It reads them and the entries q00, q01, q11 of Q_v as
+    operands (read-only 0-d arrays). Instances compare and hash by identity,
+    as the arrays they hold cannot.
     """
 
     A: np.ndarray
     Q_v: np.ndarray
     H: np.ndarray
-    a00: float = field(init=False, repr=False)
-    a10: float = field(init=False, repr=False)
-    h0: float = field(init=False, repr=False)
-    h1: float = field(init=False, repr=False)
+    a00: np.ndarray = field(init=False, repr=False)
+    a10: np.ndarray = field(init=False, repr=False)
+    h0: np.ndarray = field(init=False, repr=False)
+    h1: np.ndarray = field(init=False, repr=False)
+    q00: np.ndarray = field(init=False, repr=False)
+    q01: np.ndarray = field(init=False, repr=False)
+    q11: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         A, Q_v, H = (np.asarray(M, dtype=float) for M in (self.A, self.Q_v, self.H))
@@ -59,7 +72,8 @@ class StateSpace:
             raise ValueError(f"A must be [[a00, 0], [a10, 1]], got {A.tolist()}")
         if H[0, 1] != 0.0 or H[1, 0] != 0.0:
             raise ValueError(f"H must be diagonal, got {H.tolist()}")
-        values = dict(A=A, Q_v=Q_v, H=H, a00=float(A[0, 0]), a10=float(A[1, 0]), h0=float(H[0, 0]), h1=float(H[1, 1]))
+        entries = dict(a00=A[0, 0], a10=A[1, 0], h0=H[0, 0], h1=H[1, 1], q00=Q_v[0, 0], q01=Q_v[0, 1], q11=Q_v[1, 1])
+        values = dict(A=A, Q_v=Q_v, H=H, **{name: operand(x) for name, x in entries.items()})
         for name, value in values.items():
             object.__setattr__(self, name, value)
 

@@ -23,11 +23,15 @@ order, so each run's result is bit-identical whatever batch it is in.
 
 A period is bound by numpy's per-call cost, not by arithmetic, so the
 Gaussian-sum path makes few calls: it reads A = [[a00, 0], [a10, 1]] and
-H = diag(h0, h1) as four floats off the StateSpace and drops the zero and
+H = diag(h0, h1) as four entries off the StateSpace and drops the zero and
 unit entries from its products, and repeats its per-run operands over the
 mixture components (equal-shape operands are stepped faster than broadcast
-ones). The Kalman baseline runs its covariance recursion, the same for
-every run, once per period on Python floats and steps only the mean rows.
+ones). Every scalar operand of its arithmetic (the StateSpace entries,
+the VbSettings controls and the constants below) is a read-only 0-d
+float64 array built once, clock.operand: numpy steps a ufunc on one faster
+than on a Python float or a numpy scalar, with the same arithmetic. The
+Kalman baseline runs its covariance recursion, the same for every run,
+once per period on Python floats and steps only the mean rows.
 For finite operands these give the values of the general-form products,
 which tests/oracles.py keeps as the reference.
 
@@ -37,24 +41,30 @@ VB refinement start without scipy's import time and memory.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .clock import StateSpace
+from .clock import StateSpace, operand
 from .scenario import NOISE_CORR, ExchangeBatch
 
 _DIM = 2
-_LOG_2PI = np.log(2.0 * np.pi)
-_DIM_LOG_2 = _DIM * np.log(2.0)
 # Smallest inverse-Wishart dof with a finite mean margin for 2x2 matrices;
 # dofs at or below dim+1 are clamped here when the point covariance is formed.
 MIN_IW_DOF = 4.0
 SPD_EIGENVALUE_FLOOR = 1e-30
 # A closed-form minimum eigenvalue this close to the floor (relative to the
 # largest eigenvalue) is re-checked with eigh, which makes the final call.
-_EIG_RECHECK = 1e-12
+_EIG_RECHECK = operand(1e-12)
+
+# the filters' scalar operands
+_ZERO, _QUARTER, _HALF, _ONE, _TWO = (operand(x) for x in (0.0, 0.25, 0.5, 1.0, 2.0))
+_DIM_LOG_2PI = operand(_DIM * np.log(2.0 * np.pi))
+_DIM_LOG_2 = operand(_DIM * np.log(2.0))
+_DOF_CLAMP = operand(MIN_IW_DOF)
+_DIM_PLUS_1 = operand(_DIM + 1.0)
+_SPD_FLOOR = operand(SPD_EIGENVALUE_FLOOR)
 
 
 # ------------------------------------------------------------- 2x2 algebra
@@ -123,9 +133,9 @@ class GaussianBelief:
     """Posterior state belief: mean (skew s/s, offset s) and 2x2 covariance,
     held as its rows (x0, x1, P00, P01, P11).
 
-    The constructor takes (..., 2) means and (..., 2, 2) covariances, each
-    symmetric with a positive diagonal and no negative determinant (a NaN
-    diagonal entry passes); runs=n adds a leading run axis of length n.
+    The constructor takes finite (..., 2) means and (..., 2, 2) covariances,
+    each symmetric with a positive diagonal and no negative determinant;
+    runs=n adds a leading run axis of length n.
     rows is then one (5, ...) array.
     The Kalman baseline's rows are a tuple whose covariance entries are
     floats that every run shares. mean and cov are built on access, a
@@ -139,6 +149,8 @@ class GaussianBelief:
         cov = np.asarray(cov, dtype=float)
         if mean.shape[-1:] != (_DIM,) or cov.shape != mean.shape + (_DIM,):
             raise ValueError("belief must be a 2-vector mean with 2x2 covariance")
+        if np.count_nonzero(~np.isfinite(mean)) or np.count_nonzero(~np.isfinite(cov)):
+            raise ValueError("belief mean and covariance must be finite")
         a, b, d = _entries(cov)
         if np.count_nonzero(b != cov[..., 1, 0]):
             raise ValueError("covariance must be symmetric")
@@ -168,25 +180,36 @@ class GaussianBelief:
 
 def _positive_diagonal(rows: np.ndarray) -> GaussianBelief:
     """The belief holding rows; raises unless every covariance diagonal
-    entry is positive (a NaN passes, as in the constructor)."""
-    if np.count_nonzero(rows[2::2] <= 0.0):
+    entry is positive (a NaN passes: the filters' path is unchecked)."""
+    if np.count_nonzero(rows[2::2] <= _ZERO):
         raise ValueError("covariance diagonal must be positive")
     return GaussianBelief.from_rows(rows)
 
 
 @dataclass(frozen=True)
 class VbSettings:
-    """Mean-field iteration controls for the noise-model refinement."""
+    """Mean-field iteration controls for the noise-model refinement.
+
+    vb_refine reads them as operands (read-only 0-d arrays) built here: rho
+    (the forgetting factor), dof_inflow ((1 - rho) * MIN_IW_DOF, the dof the
+    discount adds back) and tol (the convergence tolerance).
+    """
 
     max_iterations: int = 5
     convergence_tol: float = 1e-6
     forgetting_factor: float = 0.95
+    rho: np.ndarray = field(init=False, repr=False, compare=False)
+    dof_inflow: np.ndarray = field(init=False, repr=False, compare=False)
+    tol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.forgetting_factor <= 1.0:
             raise ValueError("forgetting_factor must be in (0, 1]")
+        rho = self.forgetting_factor
+        for name, value in dict(rho=rho, dof_inflow=(1.0 - rho) * MIN_IW_DOF, tol=self.convergence_tol).items():
+            object.__setattr__(self, name, operand(value))
 
 
 # ------------------------------------------------------------ noise models
@@ -200,7 +223,7 @@ def _point_covariance_rows(rows: np.ndarray) -> np.ndarray:
     """Entry rows (R00, R01, R11) of the inverse-Wishart means V / (dof - 3)
     of noise rows (chi, dof, V00, V01, V11), dof clamped at MIN_IW_DOF where
     the mean would not exist."""
-    return rows[2:] / (np.maximum(rows[1], MIN_IW_DOF) - (_DIM + 1.0))
+    return rows[2:] / (np.maximum(rows[1], _DOF_CLAMP) - _DIM_PLUS_1)
 
 
 class MixtureNoiseModel:
@@ -325,9 +348,9 @@ def _spd_repair(rows: np.ndarray) -> np.ndarray:
     zero lambda_max makes the run suspect.
     """
     a, b, d = rows[2:]
-    hi = 0.5 * (a + d) + np.sqrt(0.25 * (a - d) * (a - d) + b * b)
+    hi = _HALF * (a + d) + np.sqrt(_QUARTER * (a - d) * (a - d) + b * b)
     lo = (a * d - b * b) / hi
-    suspect = ~(lo >= SPD_EIGENVALUE_FLOOR + _EIG_RECHECK * hi)
+    suspect = ~(lo >= _SPD_FLOOR + _EIG_RECHECK * hi)
     repaired = np.zeros(suspect.shape, dtype=bool)
     if np.count_nonzero(suspect):
         for i in np.ndindex(suspect.shape):
@@ -345,13 +368,12 @@ def _spd_repair(rows: np.ndarray) -> np.ndarray:
 def gsf_predict(belief: GaussianBelief, ss: StateSpace) -> GaussianBelief:
     """Time update: mean' = A mean, P' = A P A^T + Q_v, with the zero and
     unit entries of A = [[a00, 0], [a10, 1]] dropped from the products."""
-    a00, a10 = ss.a00, ss.a10
+    a00, a10, q00, q01, q11 = ss.a00, ss.a10, ss.q00, ss.q01, ss.q11
     rows = belief.rows
     x0, x1, p00, p01, p11 = rows
     # the rows of A P, then (A P) A^T
     u00, u01 = a00 * p00, a00 * p01
     u10, u11 = a10 * p00 + p01, a10 * p01 + p11
-    q00, q01, q11 = _entries(ss.Q_v)
     out = np.empty(rows.shape)
     out[0] = a00 * x0
     out[1] = a10 * x0 + x1
@@ -415,8 +437,8 @@ def gsf_update(belief: GaussianBelief, z: np.ndarray, noise: MixtureNoiseModel, 
     # a singular component, or a run whose likelihoods all underflow, goes
     # through the same arithmetic and is overwritten below
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        quad = (s11 * (v0 * v0) - s01 * (2.0 * v0 * v1) + s00 * (v1 * v1)) / det
-        logw = np.log(w) - 0.5 * (quad + np.log(det) + _DIM * _LOG_2PI)
+        quad = (s11 * (v0 * v0) - s01 * (_TWO * v0 * v1) + s00 * (v1 * v1)) / det
+        logw = np.log(w) - _HALF * (quad + np.log(det) + _DIM_LOG_2PI)
         # the columns (k00, k10), (k01, k11) of the gain K = G S^-1, and the
         # component posterior means (m0, m1)
         k0 = (g0 * s11 - g1 * s01) / det
@@ -425,10 +447,10 @@ def gsf_update(belief: GaussianBelief, z: np.ndarray, noise: MixtureNoiseModel, 
         # Joseph form (I - K H) P (I - K H)^T + K R K^T keeps each component
         # PSD; c stacks its entries (C00, C01, C11)
         K = (k0[0], k1[0], k0[1], k1[1])
-        ikh = (1.0 - K[0] * h0, -(K[1] * h1), -(K[2] * h0), 1.0 - K[3] * h1)
+        ikh = (_ONE - K[0] * h0, -(K[1] * h1), -(K[2] * h0), _ONE - K[3] * h1)
         c = np.add(_congruence(ikh, p00, p01, p11), _congruence(K, r00, r01, r11))
 
-        singular = det <= 0.0
+        singular = det <= _ZERO
         if np.count_nonzero(singular):
             logw = np.where(singular, -np.inf, logw)
             m = np.where(singular, per_run[:2], m)
@@ -475,13 +497,12 @@ def vb_refine(
     # Not a module import: scipy.special adds ~0.3 s and ~20 MB to start-up.
     from scipy.special import digamma
 
-    rho = settings.forgetting_factor
     h0, h1 = ss.h0, ss.h1
     x0, x1, p00, p01, p11 = belief.rows
     r0 = z[..., 0] - h0 * x0
     r1 = z[..., 1] - h1 * x1
-    pred = noise.rows * rho
-    pred[1] += (1.0 - rho) * MIN_IW_DOF
+    pred = noise.rows * settings.rho
+    pred[1] += settings.dof_inflow
     # repeated over the components, like gsf_update's per-run operands
     stat = np.empty(pred.shape)
     stat[:2] = 1.0
@@ -497,24 +518,24 @@ def vb_refine(
     for _ in range(settings.max_iterations):
         chi, dof, v00, v01, v11 = params
         det = v00 * v11 - v01 * v01
-        e_logdet_prec = digamma(0.5 * dof) + digamma(0.5 * (dof - 1.0)) + _DIM_LOG_2 - np.log(np.abs(det))
+        e_logdet_prec = digamma(_HALF * dof) + digamma(_HALF * (dof - _ONE)) + _DIM_LOG_2 - np.log(np.abs(det))
         e_log_pi = digamma(chi) - digamma(_component_sum(chi))[..., None]
-        tr_term = dof * ((v11 * s00 - 2.0 * v01 * s01 + v00 * s11) / det)
-        logq = e_log_pi + 0.5 * e_logdet_prec - 0.5 * tr_term
+        tr_term = dof * ((v11 * s00 - _TWO * v01 * s01 + v00 * s11) / det)
+        logq = e_log_pi + _HALF * e_logdet_prec - _HALF * tr_term
         q = np.exp(logq - _component_max(logq)[..., None])
         q = q / _component_sum(q)[..., None]
 
         update = pred + q * stat
         params = np.where(active[..., None], update, params) if held else update
         if q_prev is not None:
-            active = active & ~(_component_max(np.abs(q - q_prev)) < settings.convergence_tol)
+            active = active & ~(_component_max(np.abs(q - q_prev)) < settings.tol)
             still = np.count_nonzero(active)
             if not still:
                 break
             held = still < active.size
         q_prev = q
 
-    if np.count_nonzero(params[0] <= 0.0):
+    if np.count_nonzero(params[0] <= _ZERO):
         raise ValueError("Dirichlet concentrations must be > 0")
     return MixtureNoiseModel.from_rows(params)
 

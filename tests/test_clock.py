@@ -83,9 +83,16 @@ def test_state_space_reference_parameters(dyn, ss):
 
 
 def test_state_space_reads_the_structured_entries():
+    # the filters' operands: read-only 0-d float64 arrays equal to the A, H
+    # and Q_v entries they stand for
     ss = build_state_space(ClockDynamics(m=0.5, sigma_u_sq=1.0, tau=3.0))
-    assert (ss.a00, ss.a10, ss.h0, ss.h1) == (0.5, 1.5, 3.0, 2.0)
-    assert all(type(x) is float for x in (ss.a00, ss.a10, ss.h0, ss.h1))
+    entries = {"a00": ss.A[0, 0], "a10": ss.A[1, 0], "h0": ss.H[0, 0], "h1": ss.H[1, 1],
+               "q00": ss.Q_v[0, 0], "q01": ss.Q_v[0, 1], "q11": ss.Q_v[1, 1]}
+    assert (ss.a00, ss.a10, ss.h0, ss.h1, ss.q01, ss.q11) == (0.5, 1.5, 3.0, 2.0, 3.0, 9.0)
+    for name, value in entries.items():
+        x = getattr(ss, name)
+        assert type(x) is np.ndarray and x.shape == () and x.dtype == np.float64, name
+        assert not x.flags.writeable and x == value, name
 
 
 def test_state_space_compares_by_identity(dyn):

@@ -268,19 +268,6 @@ def test_gptp_is_the_two_way_arithmetic_at_every_period():
     assert est["skew"][:, 1:].tobytes() == (pairs / cfg.scenario.tau).tobytes()
 
 
-def test_run_determinism_and_worker_independence(tmp_path, one_run_per_part):
-    cfg = parse_config(_doc(runs=6)).with_overrides(estimators=("tacd", "gptp"))
-    a = run_case(cfg)
-    b = run_case(cfg)
-    import dataclasses
-
-    c = run_case(dataclasses.replace(cfg, workers=3))
-    pa = emit_table(trajectory_table(cfg, a), tmp_path / "a.csv")
-    pb = emit_table(trajectory_table(cfg, b), tmp_path / "b.csv")
-    pc = emit_table(trajectory_table(cfg, c), tmp_path / "c.csv")
-    assert pa.read_bytes() == pb.read_bytes() == pc.read_bytes()
-
-
 def test_shared_thermal_row_keeps_the_bytes_across_batches(tmp_path, one_run_per_part):
     # case2's thermal path draws nothing, so a batch's temp_osc is one row
     # broadcast over its runs; joined batches write the same bytes
@@ -433,22 +420,6 @@ def test_rmse_trivial_values():
     s = rmse_by_name(evaluate_rmse(trajs, 10))["toy"]
     assert s[0] == 0.0
     assert s[1] == pytest.approx(2.5e-7, rel=1e-12, abs=0.0)
-
-
-def test_rmse_matches_brute_force():
-    rng = np.random.default_rng(2)
-    for _ in range(100):
-        trajs = _toy_trajectories(rng, runs=int(rng.integers(1, 5)))
-        window = int(rng.integers(1, 20))
-        got = rmse_by_name(evaluate_rmse(trajs, window))["toy"]
-        acc_s, acc_o, count = 0.0, 0.0, 0
-        for r in range(len(trajs.runs)):
-            for k in range(trajs.horizon - window, trajs.horizon):
-                acc_s += (trajs.est["toy"]["skew"][r, k] - trajs.theta_true[r, k]) ** 2
-                acc_o += (trajs.est["toy"]["offset"][r, k] - trajs.delta_true[r, k]) ** 2
-                count += 1
-        assert got[0] == pytest.approx(np.sqrt(acc_s / count), rel=1e-12, abs=0.0)
-        assert got[1] == pytest.approx(np.sqrt(acc_o / count), rel=1e-12, abs=0.0)
 
 
 def test_rmse_empty_window_rejected():

@@ -123,6 +123,12 @@ MUTATIONS = {
         [("test_batched_filters", "test_batched_filter_matches_scalar_oracle", {"case": "case1"}),
          ("test_artifact_digests", "test_artifact_digests", {"config": "case3", "sub": "evaluate"})],
     ),
+    "offset-entry-of-h-read-from-its-skew-entry": (
+        "tacd.clock",
+        "h1=H[1, 1]",
+        "h1=H[0, 0]",
+        [("test_batched_filters", "test_batched_filter_matches_scalar_oracle", {"case": "case3"})],
+    ),
     "joseph-factor-transposed": (
         "tacd.netcomm",
         "_congruence(ikh, p00, p01, p11)",
@@ -131,7 +137,7 @@ MUTATIONS = {
     ),
     "point-covariances-without-the-dof-clamp": (
         "tacd.netcomm",
-        "np.maximum(rows[1], MIN_IW_DOF)",
+        "np.maximum(rows[1], _DOF_CLAMP)",
         "rows[1]",
         [("test_batched_filters", "test_batched_filter_matches_scalar_oracle", {"case": "case3"})],
     ),

@@ -359,6 +359,17 @@ def test_belief_rejects_a_covariance_that_is_asymmetric_or_indefinite():
         batch = np.stack([np.eye(2), np.eye(2), cov]) * 1e-12
         with pytest.raises(ValueError, match=message):
             GaussianBelief(np.zeros((3, 2)), batch)
+    # a NaN or infinite entry of the covariance or of the mean is refused
+    # too, as the noise model and the Kalman baseline refuse theirs
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianBelief(np.zeros((3, 2)), np.stack([np.eye(2), np.eye(2), [[bad, 0.0], [0.0, 1.0]]]) * 1e-12)
+        with pytest.raises(ValueError, match="finite"):
+            GaussianBelief(np.zeros((3, 2)), np.stack([np.eye(2), np.eye(2), [[1.0, bad], [bad, 1.0]]]) * 1e-12)
+        with pytest.raises(ValueError, match="finite"):
+            GaussianBelief([[0.0, 0.0], [0.0, 0.0], [bad, 0.0]], np.stack([np.eye(2)] * 3) * 1e-12)
+        with pytest.raises(ValueError, match="finite"):
+            GaussianBelief([0.0, -bad], np.eye(2) * 1e-12)
     # a singular covariance is positive semi-definite: a belief
     GaussianBelief([0.0, 0.0], np.ones((2, 2)) * 1e-12)
 
