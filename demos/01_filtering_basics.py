@@ -9,22 +9,27 @@ import pathlib
 
 import numpy as np
 
-from tacd import (
-    ClockDynamics,
+from tacd.clock import ClockDynamics, build_state_space
+from tacd.netcomm import (
     GaussianBelief,
     GsfVbFilter,
     KalmanBaseline,
-    LinkConfig,
-    ScenarioConfig,
-    TempSkewModel,
     VbSettings,
     build_measurement,
-    build_state_space,
+    isotropic_mixture_model,
+    nominal_noise_cov,
+)
+from tacd.report import emit_plot_svg
+from tacd.scenario import (
+    LinkConfig,
+    PdvProfile,
+    ScenarioConfig,
+    ThermalProfile,
+    ThermalSegment,
+    TruthOptions,
     generate_scenario,
 )
-from tacd.netcomm import isotropic_mixture_model, nominal_noise_cov
-from tacd.scenario import PdvProfile, ThermalProfile, ThermalSegment, TruthOptions
-from tacd.report import emit_plot_svg
+from tacd.thermal import TempSkewModel
 
 OUT = pathlib.Path(__file__).parent / "out"
 

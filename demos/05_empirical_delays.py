@@ -10,9 +10,9 @@ import pathlib
 
 import numpy as np
 
-from tacd import ScenarioConfig, TempSkewModel, generate_scenario, load_delay_csv
-from tacd.scenario import EmpiricalSource, TruthOptions
 from tacd.netcomm import build_measurement
+from tacd.scenario import EmpiricalSource, ScenarioConfig, TruthOptions, generate_scenario, load_delay_csv
+from tacd.thermal import TempSkewModel
 
 OUT = pathlib.Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)

@@ -49,8 +49,8 @@ class StateSpace:
     build_state_space gives: the Gaussian-sum filter reads only these four
     entries and drops the zero and unit ones from its products, so any other
     A or H raises. It reads them and the entries q00, q01, q11 of Q_v as
-    operands (read-only 0-d arrays). Instances compare and hash by identity,
-    as the arrays they hold cannot.
+    operands (read-only 0-d arrays), which unpickling builds again from A,
+    Q_v and H. Instances compare and hash by identity, as arrays cannot.
     """
 
     A: np.ndarray
@@ -76,6 +76,9 @@ class StateSpace:
         values = dict(A=A, Q_v=Q_v, H=H, **{name: operand(x) for name, x in entries.items()})
         for name, value in values.items():
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return StateSpace, (self.A, self.Q_v, self.H)
 
 
 def build_state_space(dyn: ClockDynamics) -> StateSpace:

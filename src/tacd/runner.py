@@ -135,7 +135,7 @@ def _network_phase(cfg: RunConfig, z: np.ndarray, temp_meas: np.ndarray) -> dict
 def _gptp(cfg: RunConfig, z: np.ndarray, temp_meas: np.ndarray) -> dict:
     """Plain two-way arithmetic on the measurement; skew needs two exchanges,
     so it is NaN at k = 0."""
-    return {"gptp": {"skew": z[..., 0] / cfg.scenario.tau, "offset": z[..., 1] / 2.0}}
+    return {"gptp": {"skew": z[..., 0] / cfg.dynamics.tau, "offset": z[..., 1] / 2.0}}
 
 
 def _kalman(cfg: RunConfig, z: np.ndarray, temp_meas: np.ndarray) -> dict:

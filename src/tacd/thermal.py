@@ -1,8 +1,7 @@
 """Frequency self-correction from measured temperature.
 
-A quadratic temperature-skew map converts a (noisy) oscillator temperature
-reading into a skew estimate, together with the closed-form bias and second
-moment of that estimate's error under Gaussian sensor noise.
+A quadratic map turns a noisy temperature reading into a skew estimate;
+its error's bias is thermal_bias, its variance fusion.thermal_variance.
 """
 from __future__ import annotations
 
@@ -42,14 +41,3 @@ def thermal_bias(model: TempSkewModel) -> float:
     averages out; only the squared-noise term survives).
     """
     return model.kappa * model.sigma_T_sq
-
-
-def thermal_second_moment(model: TempSkewModel, temp: float) -> float:
-    """Second moment of the thermal estimate error at operating temperature.
-
-    kappa^2 * (4*sigma_T_sq*(T - T0)^2 + 3*sigma_T_sq^2); the 3*sigma^4 term
-    is the Gaussian fourth moment of the squared sensor noise.
-    """
-    d = temp - model.T0
-    s2 = model.sigma_T_sq
-    return model.kappa**2 * (4.0 * s2 * d * d + 3.0 * s2 * s2)

@@ -66,29 +66,6 @@ def golden_section_beta_vec(eps, kappa, s2, gap, lam, iters=120):
     return (0.5 * (a + b)).astype(float)
 
 
-def brute_force_mixture_update(x, P, z, H, weights, covs):
-    """Reference Gaussian-sum update: explicit weights and moment matching."""
-    n = len(weights)
-    logw = np.empty(n)
-    means, posts = [], []
-    for j in range(n):
-        S = H @ P @ H.T + covs[j]
-        v = z - H @ x
-        logw[j] = np.log(weights[j]) - 0.5 * (
-            v @ np.linalg.solve(S, v) + np.linalg.slogdet(S)[1] + 2.0 * np.log(2.0 * np.pi)
-        )
-        K = P @ H.T @ np.linalg.inv(S)
-        xn = x + K @ v
-        IKH = np.eye(2) - K @ H
-        means.append(xn)
-        posts.append(IKH @ P @ IKH.T + K @ covs[j] @ K.T)
-    w = np.exp(logw - logw.max())
-    w /= w.sum()
-    mean = sum(w[j] * means[j] for j in range(n))
-    cov = sum(w[j] * (posts[j] + np.outer(means[j] - mean, means[j] - mean)) for j in range(n))
-    return w, mean, cov
-
-
 # --------------------------------------------------------------------------
 # Scalar Gaussian-sum / VB filter: the per-run implementation the batched
 # tacd.netcomm path replaced, kept verbatim (np.linalg per 2x2 matrix) as the

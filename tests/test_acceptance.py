@@ -32,7 +32,7 @@ from tacd.scenario import (
     generate_scenario,
     pdv_params_table,
 )
-from tacd.thermal import TempSkewModel, skew_from_temperature, thermal_bias, thermal_second_moment
+from tacd.thermal import TempSkewModel, skew_from_temperature, thermal_bias
 
 from conftest import (
     STUDY,
@@ -48,12 +48,8 @@ from conftest import (
     thermal_run,
     toy_trajectories,
 )
-from oracles import (
-    brute_force_mixture_update,
-    closed_form_beta,
-    golden_section_beta_vec,
-    random_fusion_tuples,
-)
+import oracles
+from oracles import closed_form_beta, golden_section_beta_vec, random_fusion_tuples
 
 MC_RUNS = 200
 
@@ -116,7 +112,7 @@ def test_criterion_2_thermal_statistics():
         xi = rng.standard_normal(10**7) * np.sqrt(model.sigma_T_sq)
         err = model.kappa * (2.0 * (t_op - model.T0) * xi + xi**2)
         emp = float(np.mean(err**2))
-        closed = thermal_second_moment(model, t_op)
+        closed = thermal_variance(t_op - model.T0, model) + thermal_bias(model) ** 2
         mom_ok &= abs(emp - closed) < 0.05 * closed
         details.append(f"E[e^2]({t_op:g}C) {emp:.3e}/{closed:.3e}")
     elapsed = time.time() - t0
@@ -307,7 +303,7 @@ def test_criterion_9_property_suites():
         simplex_ok &= bool(np.all((w >= 0) & (w <= 1)) and np.all(s >= prof.stddev_floor))
 
     # SPD, symmetric posterior covariance, responsibilities summing to one,
-    # and brute-force moment matching
+    # and the moments of oracles.gsf_update, the np.linalg reference
     spd_ok, match_ok = True, True
     for _ in range(n_cases):
         d = rng.uniform(1e-13, 1e-9, 2)
@@ -321,9 +317,11 @@ def test_criterion_9_property_suites():
         cov = res.belief.cov
         spd_ok &= bool(np.linalg.eigvalsh(cov)[0] > 0 and np.allclose(cov, cov.T, atol=0.0))
         spd_ok &= bool(abs(res.responsibilities.sum() - 1.0) < 1e-12)
-        w_ref, mean_ref, cov_ref = brute_force_mixture_update(
-            belief.mean, belief.cov, z, ss.H, noise.point_weights, noise.point_covariances
+        ref = oracles.gsf_update(
+            oracles.GaussianBelief(belief.mean, belief.cov), z,
+            oracles.MixtureNoiseModel(noise.dirichlet_concentration, noise.iw_dof, noise.iw_scale), ss,
         )
+        w_ref, mean_ref, cov_ref = ref.responsibilities, ref.belief.mean, ref.belief.cov
         # absolute tolerance scaled to the state/covariance magnitude: a
         # zero-crossing mean entry has no meaningful elementwise relative error
         match_ok &= bool(
@@ -366,6 +364,6 @@ def test_criterion_9_property_suites():
     _report(
         9, "property suites",
         ok,
-        f"simplex {simplex_ok}, SPD {spd_ok}, moment-match {match_ok}, "
+        f"simplex {simplex_ok}, SPD {spd_ok}, oracle update {match_ok}, "
         f"cooling {cool_ok}, RMSE {rmse_ok} (1000 instances each)",
     )

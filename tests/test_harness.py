@@ -6,6 +6,7 @@ import pickle
 import re
 import shutil
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,7 +266,19 @@ def test_gptp_is_the_two_way_arithmetic_at_every_period():
     assert est["offset"].tobytes() == (((ex.t2 + ex.t3 - ex.t1 - ex.t4) - d) / 2.0).tobytes()
     assert np.all(np.isnan(est["skew"][:, 0]))
     pairs = ex.t2[:, 1:] - ex.t2[:, :-1] - ex.t1[:, 1:] + ex.t1[:, :-1]
-    assert est["skew"][:, 1:].tobytes() == (pairs / cfg.scenario.tau).tobytes()
+    assert est["skew"][:, 1:].tobytes() == (pairs / cfg.dynamics.tau).tobytes()
+
+
+def test_gptp_reads_the_estimators_period_not_the_truths():
+    # like the filters (H = diag(tau, 2)), gptp divides by the model's
+    # dynamics.tau; a config file fills it and the truth's scenario.tau from
+    # one key, so set them apart here
+    cfg = load_config(config_path("case1")).with_overrides(estimators=("gptp",))
+    cfg = replace(cfg, dynamics=replace(cfg.dynamics, tau=2.0 * cfg.scenario.tau))
+    skew = simulate_run(cfg, [0]).est["gptp"]["skew"]
+    ex = generate_scenario(cfg.scenario, [_run_rng(cfg.master_seed, 0)]).exchanges
+    pairs = ex.t2[:, 1:] - ex.t2[:, :-1] - ex.t1[:, 1:] + ex.t1[:, :-1]
+    assert skew[:, 1:].tobytes() == (pairs / cfg.dynamics.tau).tobytes()
 
 
 def test_shared_thermal_row_keeps_the_bytes_across_batches(tmp_path, one_run_per_part):

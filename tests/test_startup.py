@@ -1,5 +1,5 @@
 """scipy is loaded by the VB refinement alone, the pool's modules by a
-started pool alone.
+started pool alone, and no tacd module by `import tacd`.
 
 netcomm.vb_refine imports scipy.special on its first call, so commands that
 run no VB step (bclb, plot, and simulate/evaluate without `tacd` or
@@ -9,8 +9,9 @@ no command that runs in-process loads them, whatever its `--workers`.
 Pytest's own process already holds scipy (tests/oracles.py) and the pool
 modules, so the commands run in one fresh interpreter, which reports which
 of these modules each of them found loaded. concurrent.futures itself is
-not checked: scipy.special imports it. The tests check imports, not
-timings.
+not checked: scipy.special imports it. The package re-exports nothing, so
+every name has one import path: its defining module. The tests check
+imports, not timings.
 """
 import json
 import os
@@ -24,6 +25,8 @@ from conftest import ROOT, config_path
 CHILD = """
 import json, os, sys
 out, config = sys.argv[1], sys.argv[2]
+import tacd
+package = sorted(name for name in sys.modules if name.startswith("tacd."))
 import tacd.cli
 from tacd.config import load_config
 load_config(config)
@@ -39,7 +42,7 @@ def simulate(name, workers):
             "--estimators", "gptp,kalman,thermal-only"]
 
 
-seen = {"import": loaded()}
+seen = {"package": package, "import": loaded()}
 steps = {
     "bclb": ["bclb", "--config", config, "--out", out + "/bclb"],
     "plot": ["plot", out + "/bclb/bclb.csv", "--y", "bclb_L,bclb_F", "--out", out + "/bclb.svg"],
@@ -80,6 +83,11 @@ def child(tmp_path_factory):
     )
     assert proc.returncode == 0, proc.stderr
     return out, json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_the_package_import_loads_no_tacd_module(child):
+    _, seen = child
+    assert seen["package"] == []
 
 
 def test_only_the_vb_refinement_loads_scipy(child):

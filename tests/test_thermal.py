@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from tacd.thermal import (
-    TempSkewModel,
-    skew_from_temperature,
-    thermal_bias,
-    thermal_second_moment,
-)
+from tacd.fusion import thermal_variance
+from tacd.thermal import TempSkewModel, skew_from_temperature, thermal_bias
 
 from conftest import thermal_run
 
@@ -57,8 +53,11 @@ def test_bias_values(model):
 
 
 def test_second_moment_values(model):
-    assert thermal_second_moment(TempSkewModel(sigma_T_sq=0.0), 35.0) == 0.0
-    at_vertex = thermal_second_moment(model, 25.0)
+    # the error's second moment is its variance plus its squared bias; the
+    # variance reads the gap T - T0 (T = 35 C: a gap of 10)
+    perfect = TempSkewModel(sigma_T_sq=0.0)
+    assert thermal_variance(10.0, perfect) + thermal_bias(perfect) ** 2 == 0.0
+    at_vertex = thermal_variance(0.0, model) + thermal_bias(model) ** 2
     assert at_vertex == pytest.approx(3 * model.kappa**2 * 0.1**2, rel=1e-12, abs=0.0)
     assert at_vertex == pytest.approx(4.8e-17, rel=1e-9, abs=0.0)
-    assert thermal_second_moment(model, 35.0) == pytest.approx(6.4048e-14, rel=1e-6, abs=0.0)
+    assert thermal_variance(10.0, model) + thermal_bias(model) ** 2 == pytest.approx(6.4048e-14, rel=1e-6, abs=0.0)
