@@ -87,7 +87,7 @@ skew_baseline = [belief0.mean[0]]
 for zk in z[1:]:
     skew_adaptive.append(adaptive.step(zk).belief.mean[0])
     skew_baseline.append(baseline.step(zk).mean[0])
-skew_gptp = z[:, 0] / scenario.tau  # NaN at period 0
+skew_gptp = z[:, 0] / dyn.tau  # NaN at period 0
 
 for name, est in [("adaptive", skew_adaptive), ("kalman", skew_baseline), ("gptp", skew_gptp)]:
     err = np.asarray(est[60:]) - skew_true[60:]

@@ -41,54 +41,50 @@ class ClockDynamics:
             raise ValueError(f"tau must be > 0, got {self.tau}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class StateSpace:
-    """Linear state-space matrices for the (skew, offset) state.
+    """Linear state-space model of the (skew, offset) state, a function of
+    the dynamics alone: A = [[m, 0], [m*tau, 1]], Q_v = sigma_u_sq *
+    [[1, tau], [tau, tau^2]] (rank one, PSD), H = diag(tau, 2).
 
-    A must be [[a00, 0], [a10, 1]] and H diagonal, diag(h0, h1), the form
-    build_state_space gives: the Gaussian-sum filter reads only these four
-    entries and drops the zero and unit ones from its products, so any other
-    A or H raises. It reads them and the entries q00, q01, q11 of Q_v as
-    operands (read-only 0-d arrays), which unpickling builds again from A,
-    Q_v and H. Instances compare and hash by identity, as arrays cannot.
+    The Gaussian-sum filter reads the entries a00, a10, h0, h1 of A and H
+    and q00, q01, q11 of Q_v as operands (read-only 0-d arrays), computed
+    once from dyn; A, Q_v and H are built from them on each read, so a
+    write into a returned matrix does not reach the model. Instances
+    compare, hash and pickle by dyn.
     """
 
-    A: np.ndarray
-    Q_v: np.ndarray
-    H: np.ndarray
-    a00: np.ndarray = field(init=False, repr=False)
-    a10: np.ndarray = field(init=False, repr=False)
-    h0: np.ndarray = field(init=False, repr=False)
-    h1: np.ndarray = field(init=False, repr=False)
-    q00: np.ndarray = field(init=False, repr=False)
-    q01: np.ndarray = field(init=False, repr=False)
-    q11: np.ndarray = field(init=False, repr=False)
+    dyn: ClockDynamics
+    a00: np.ndarray = field(init=False, repr=False, compare=False)
+    a10: np.ndarray = field(init=False, repr=False, compare=False)
+    h0: np.ndarray = field(init=False, repr=False, compare=False)
+    h1: np.ndarray = field(init=False, repr=False, compare=False)
+    q00: np.ndarray = field(init=False, repr=False, compare=False)
+    q01: np.ndarray = field(init=False, repr=False, compare=False)
+    q11: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        A, Q_v, H = (np.asarray(M, dtype=float) for M in (self.A, self.Q_v, self.H))
-        if A.shape != (2, 2) or Q_v.shape != (2, 2) or H.shape != (2, 2):
-            raise ValueError("A, Q_v and H must be 2x2")
-        if A[0, 1] != 0.0 or A[1, 1] != 1.0:
-            raise ValueError(f"A must be [[a00, 0], [a10, 1]], got {A.tolist()}")
-        if H[0, 1] != 0.0 or H[1, 0] != 0.0:
-            raise ValueError(f"H must be diagonal, got {H.tolist()}")
-        entries = dict(a00=A[0, 0], a10=A[1, 0], h0=H[0, 0], h1=H[1, 1], q00=Q_v[0, 0], q01=Q_v[0, 1], q11=Q_v[1, 1])
-        values = dict(A=A, Q_v=Q_v, H=H, **{name: operand(x) for name, x in entries.items()})
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
+        m, s, tau = self.dyn.m, self.dyn.sigma_u_sq, self.dyn.tau
+        entries = dict(a00=m, a10=m * tau, h0=tau, h1=2.0, q00=s * 1.0, q01=s * tau, q11=s * (tau * tau))
+        for name, x in entries.items():
+            object.__setattr__(self, name, operand(x))
 
     def __reduce__(self):
-        return StateSpace, (self.A, self.Q_v, self.H)
+        return StateSpace, (self.dyn,)
+
+    @property
+    def A(self) -> np.ndarray:
+        return np.array([[self.a00, 0.0], [self.a10, 1.0]])
+
+    @property
+    def Q_v(self) -> np.ndarray:
+        return np.array([[self.q00, self.q01], [self.q01, self.q11]])
+
+    @property
+    def H(self) -> np.ndarray:
+        return np.diag([self.h0, self.h1])
 
 
 def build_state_space(dyn: ClockDynamics) -> StateSpace:
-    """Compose A, Q_v, H from the dynamics.
-
-    A = [[m, 0], [m*tau, 1]], Q_v = sigma_u_sq * [[1, tau], [tau, tau^2]]
-    (rank one, PSD), H = diag(tau, 2).
-    """
-    m, s, tau = dyn.m, dyn.sigma_u_sq, dyn.tau
-    A = np.array([[m, 0.0], [m * tau, 1.0]])
-    Q_v = s * np.array([[1.0, tau], [tau, tau * tau]])
-    H = np.diag([tau, 2.0])
-    return StateSpace(A=A, Q_v=Q_v, H=H)
+    """The state-space form of the dynamics."""
+    return StateSpace(dyn)

@@ -51,7 +51,7 @@ from .scenario import NOISE_CORR, ExchangeBatch
 
 _DIM = 2
 # Smallest inverse-Wishart dof with a finite mean margin for 2x2 matrices;
-# dofs at or below dim+1 are clamped here when the point covariance is formed.
+# dofs below it are clamped here when the point covariance is formed.
 MIN_IW_DOF = 4.0
 SPD_EIGENVALUE_FLOOR = 1e-30
 # A closed-form minimum eigenvalue this close to the floor (relative to the
@@ -224,8 +224,8 @@ def _point_weights(chi):
 
 def _point_covariance_rows(rows: np.ndarray) -> np.ndarray:
     """Entry rows (R00, R01, R11) of the inverse-Wishart means V / (dof - 3)
-    of noise rows (chi, dof, V00, V01, V11), dof clamped at MIN_IW_DOF where
-    the mean would not exist."""
+    of noise rows (chi, dof, V00, V01, V11), a dof below MIN_IW_DOF clamped
+    to it."""
     return rows[2:] / (np.maximum(rows[1], _DOF_CLAMP) - _DIM_PLUS_1)
 
 
@@ -238,10 +238,9 @@ class MixtureNoiseModel:
     (..., N_g, 2, 2) symmetric positive definite scales; runs=n adds a
     leading run axis of length n.
     The filter uses the plug-in values point_weights, the Dirichlet mean,
-    and point_covariances, the inverse-Wishart mean V / (dof - 3) with dof
-    clamped at MIN_IW_DOF when the mean would not exist; dof_clamped says
-    whether that clamp applies in any run. These and iw_scale are built on
-    access.
+    and point_covariances, the inverse-Wishart mean V / (dof - 3) with a
+    dof below MIN_IW_DOF clamped to it; dof_clamped says whether that clamp
+    applies in any run. These and iw_scale are built on access.
     """
 
     __slots__ = ("rows",)
@@ -288,7 +287,7 @@ class MixtureNoiseModel:
 
     @property
     def dof_clamped(self) -> bool:
-        return bool(np.any(self.iw_dof <= _DIM + 1))
+        return bool(np.any(self.iw_dof < MIN_IW_DOF))
 
     @property
     def point_weights(self) -> np.ndarray:

@@ -268,7 +268,8 @@ def _exchange_times(offset, link: LinkConfig, w1, w2, k, tau: float):
 
 
 class EmpiricalDelayTable:
-    """One-way delay samples grouped by (packet_bytes, load_percent) cell."""
+    """One-way delay samples grouped by (packet_bytes, load_percent) cell,
+    each cell sorted and read-only, so the samples stay as checked."""
 
     def __init__(self, cells: dict[tuple[int, float], np.ndarray]):
         if not cells:
@@ -277,6 +278,7 @@ class EmpiricalDelayTable:
         for key, samples in self._cells.items():
             if not np.all(np.isfinite(samples) & (samples > 0.0)):
                 raise DelayCsvError(f"cell {key}: delay samples must be finite and > 0")
+            samples.flags.writeable = False
 
     @property
     def cells(self) -> dict[tuple[int, float], np.ndarray]:

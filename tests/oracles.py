@@ -234,7 +234,7 @@ def vb_refine(noise: MixtureNoiseModel, z, belief: GaussianBelief, ss, settings,
         dirichlet_concentration=chi,
         iw_dof=dof,
         iw_scale=scale,
-        dof_clamped=bool(np.any(dof <= _DIM + 1)),
+        dof_clamped=bool(np.any(dof < MIN_IW_DOF)),
     )
 
 

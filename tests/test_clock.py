@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tacd.clock import ClockDynamics, StateSpace, build_state_space
+from tacd.clock import ClockDynamics, build_state_space
 from tacd.scenario import PdvProfile, TruthOptions, generate_scenario
 
 from conftest import STUDY, constant_thermal
@@ -95,23 +95,22 @@ def test_state_space_reads_the_structured_entries():
         assert not x.flags.writeable and x == value, name
 
 
-def test_state_space_compares_by_identity(dyn):
-    # a dataclass over arrays: equal but distinct state spaces compare
-    # unequal and hash, where array-wise == would raise
+def test_state_space_compares_by_dynamics(dyn):
+    # a function of its dynamics: equal dynamics give equal state spaces
+    # with equal hashes, other dynamics an unequal one
     a, b = build_state_space(dyn), build_state_space(dyn)
-    assert a == a and a != b
-    assert len({a, b}) == 2
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != build_state_space(replace(dyn, m=0.5 * dyn.m))
 
 
-@pytest.mark.parametrize("entry", [("A", 0, 1, 1e-9), ("A", 1, 1, 0.5), ("H", 0, 1, 1e-9), ("H", 1, 0, -1.0),
-                                   ("H", 1, 0, np.nan)])
-def test_state_space_rejects_unstructured_matrices(entry, ss):
-    # the filters read only a00, a10, h0 and h1, so any other A or H raises
-    name, i, j, value = entry
-    matrices = {"A": ss.A.copy(), "Q_v": ss.Q_v, "H": ss.H.copy()}
-    matrices[name][i, j] = value
-    with pytest.raises(ValueError, match=name):
-        StateSpace(**matrices)
+def test_state_space_writes_into_a_matrix_do_not_reach_the_model(dyn):
+    # A, Q_v and H are built on each read, so the scalar oracle, which reads
+    # them, and the filters, which read the operands, step one model
+    ss = build_state_space(dyn)
+    for name in ("A", "Q_v", "H"):
+        getattr(ss, name)[...] = 0.7
+    assert ss.A[0, 0] == ss.a00 == dyn.m
+    assert ss.Q_v[0, 0] == ss.q00 == dyn.sigma_u_sq and ss.H[1, 1] == ss.h1 == 2.0
 
 
 def test_invalid_dynamics_rejected():

@@ -125,9 +125,9 @@ MUTATIONS = {
     ),
     "offset-entry-of-h-read-from-its-skew-entry": (
         "tacd.clock",
-        "h1=H[1, 1]",
-        "h1=H[0, 0]",
-        [("test_batched_filters", "test_batched_filter_matches_scalar_oracle", {"case": "case3"})],
+        "h1=2.0",
+        "h1=tau",
+        [("test_clock", "test_state_space_unit_parameters", {})],
     ),
     "joseph-factor-transposed": (
         "tacd.netcomm",
@@ -141,10 +141,10 @@ MUTATIONS = {
         "rows[1]",
         [("test_batched_filters", "test_batched_filter_matches_scalar_oracle", {"case": "case3"})],
     ),
-    "dof-at-existence-boundary-not-clamped": (
+    "dof-clamp-flag-read-at-the-existence-boundary": (
         "tacd.netcomm",
+        "return bool(np.any(self.iw_dof < MIN_IW_DOF))",
         "return bool(np.any(self.iw_dof <= _DIM + 1))",
-        "return bool(np.any(self.iw_dof < _DIM + 1))",
         [("test_netcomm", "test_dof_clamped_reads_the_dofs_of_a_directly_built_model", {})],
     ),
     "filter-run-shapes-not-checked": (

@@ -4,7 +4,7 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 import pytest
 
-from tacd.clock import ClockDynamics, StateSpace, build_state_space
+from tacd.clock import ClockDynamics, build_state_space
 from tacd.netcomm import (
     GaussianBelief,
     GsfVbFilter,
@@ -141,11 +141,7 @@ def test_gptp_forward_path_skew():
 # ------------------------------------------------------------------ predict
 
 def test_predict_deterministic_when_noise_free():
-    ss = StateSpace(
-        A=np.array([[0.9, 0.0], [0.9, 1.0]]),
-        Q_v=np.zeros((2, 2)),
-        H=np.diag([1.0, 2.0]),
-    )
+    ss = build_state_space(ClockDynamics(m=0.9, sigma_u_sq=1e-40, tau=1.0))
     belief = GaussianBelief(mean=np.array([1e-6, 2e-6]), cov=np.eye(2) * 1e-30)
     out = gsf_predict(belief, ss)
     assert np.allclose(out.mean, ss.A @ [1e-6, 2e-6], rtol=1e-15, atol=0.0)
@@ -253,9 +249,12 @@ def test_vb_dof_clamped_mean(ss):
 
 
 def test_dof_clamped_reads_the_dofs_of_a_directly_built_model():
-    # a dof of 3 is at the existence boundary however the model was built
+    # the flag reports the clamp the point covariances apply, a dof below
+    # MIN_IW_DOF = 4 read as 4, however the model was built
     scale = np.array([np.eye(2), np.eye(2)]) * 1e-7
     assert MixtureNoiseModel(np.ones(2), np.array([3.0, 5.0]), scale).dof_clamped
+    noise = MixtureNoiseModel(np.ones(2), np.array([3.5, 5.0]), scale)
+    assert noise.dof_clamped and np.array_equal(noise.point_covariances[0], scale[0])
     assert not MixtureNoiseModel(np.ones(2), np.array([4.0, 5.0]), scale).dof_clamped
 
 

@@ -246,6 +246,15 @@ def test_table_rejects_sample_not_finite_and_positive(bad):
         EmpiricalDelayTable({(64, 25.0): np.array([2e-6]), (64, 5.0): np.array([bad, 1e-6])})
 
 
+def test_table_samples_are_read_only():
+    # a write would get round the check above: fixed_delay reads the minimum
+    table = EmpiricalDelayTable({(64, 5.0): np.array([2e-6, 1e-6])})
+    for samples in (table.cells[(64, 5.0)], table.samples(64, 5.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            samples[0] = -1.0
+    assert table.fixed_delay(64, 5.0) == 1e-6
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     rows = []
