@@ -2,7 +2,8 @@
 
 Subcommands: simulate (trajectory CSV), evaluate (RMSE summary CSV),
 fusion-study (study curves CSV), bclb (bound curves CSV), plot (CSV to SVG).
-All outputs are deterministic for a given config and seed.
+All outputs are deterministic for a given config and seed. Each command
+steps its Monte-Carlo runs in-process as one batch.
 """
 from __future__ import annotations
 
@@ -18,7 +19,6 @@ import numpy as np
 from .config import RUN_KEYS, ConfigError, RunConfig, load_config
 from .report import emit_plot_svg, emit_table, load_csv_columns
 from .runner import (
-    _RUNS_PER_PART,
     bclb_table,
     bound_reduction,
     evaluate_rmse,
@@ -29,7 +29,11 @@ from .runner import (
 )
 
 # Every flag an artifact subcommand can take; the flags that override a
-# config run key (config.RUN_KEYS) have that key as their dest.
+# config run key (config.RUN_KEYS) have that key as their dest. --workers
+# has a dest outside RUN_KEYS and is read by nothing, since every command
+# runs in-process; it is still accepted because bench/run.py passes it on
+# every workload and test_bench_contract::test_workload_command_runs asserts
+# that it does.
 _FLAGS = {
     "--config": dict(required=True, help="path to the JSON run configuration"),
     "--runs": dict(type=int, help="override the Monte-Carlo run count"),
@@ -37,9 +41,8 @@ _FLAGS = {
     "--out": dict(dest="output_dir", help="output directory (default from config)"),
     "--estimators": dict(type=lambda s: tuple(x.strip() for x in s.split(",")),
                          help="comma-separated estimator selection"),
-    "--workers": dict(type=int, metavar="N",
-                      help=f"at most N worker processes, each a slice of at least {_RUNS_PER_PART} runs "
-                           "and at most one per usable CPU; in-process below two"),
+    "--workers": dict(type=int, metavar="N", dest="ignored_workers",
+                      help="accepted for compatibility; has no effect (every run is in-process)"),
     "--plot": dict(action="store_true", help="also write an SVG next to the CSV"),
 }
 

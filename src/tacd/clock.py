@@ -51,7 +51,7 @@ class StateSpace:
     and q00, q01, q11 of Q_v as operands (read-only 0-d arrays), computed
     once from dyn; A, Q_v and H are built from them on each read, so a
     write into a returned matrix does not reach the model. Instances
-    compare, hash and pickle by dyn.
+    compare and hash by dyn.
     """
 
     dyn: ClockDynamics
@@ -68,9 +68,6 @@ class StateSpace:
         entries = dict(a00=m, a10=m * tau, h0=tau, h1=2.0, q00=s * 1.0, q01=s * tau, q11=s * (tau * tau))
         for name, x in entries.items():
             object.__setattr__(self, name, operand(x))
-
-    def __reduce__(self):
-        return StateSpace, (self.dyn,)
 
     @property
     def A(self) -> np.ndarray:

@@ -87,7 +87,6 @@ class RunConfig:
     kalman_nominal_stddev: float = 5e-6
     fusion: FusionSettings = FusionSettings()
     steady_window: int = 10
-    workers: int = 1
     output_dir: str = "out"
 
     def with_overrides(self, **settings) -> "RunConfig":
@@ -254,7 +253,6 @@ _NETCOMM_INIT = {
 _RUN = {
     "runs": ("runs", _min(_int, 1), False),
     "master_seed": ("master_seed", _min(_int, 0), False),
-    "workers": ("workers", _min(_int, 1), False),
     "estimators": ("estimators", _estimators, False),
     "output_dir": ("output_dir", _str, False),
 }

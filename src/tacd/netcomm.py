@@ -190,9 +190,9 @@ def _positive_diagonal(rows: np.ndarray) -> GaussianBelief:
 class VbSettings:
     """Mean-field iteration controls for the noise-model refinement.
 
-    vb_refine reads them as operands (read-only 0-d arrays) built here, and
-    again on unpickling: rho (the forgetting factor), dof_inflow ((1 - rho) *
-    MIN_IW_DOF, the dof the discount adds back) and tol (convergence_tol).
+    vb_refine reads them as operands (read-only 0-d arrays) built here: rho
+    (the forgetting factor), dof_inflow ((1 - rho) * MIN_IW_DOF, the dof the
+    discount adds back) and tol (convergence_tol).
     """
 
     max_iterations: int = 5
@@ -210,9 +210,6 @@ class VbSettings:
         rho = self.forgetting_factor
         for name, value in dict(rho=rho, dof_inflow=(1.0 - rho) * MIN_IW_DOF, tol=self.convergence_tol).items():
             object.__setattr__(self, name, operand(value))
-
-    def __reduce__(self):
-        return VbSettings, (self.max_iterations, self.convergence_tol, self.forgetting_factor)
 
 
 # ------------------------------------------------------------ noise models

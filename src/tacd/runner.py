@@ -9,7 +9,8 @@ filter over both estimators' rows stacked. Every estimator reads the same
 draws and none reads another's output (the stacked rows stay independent),
 so comparisons are paired and adding an estimator never changes another's
 trajectory. Estimators step a whole batch of runs per period, and a run's
-trajectory is bit-identical whatever batch it is in. Results are one
+trajectory is bit-identical whatever batch it is in; run_case steps all of a
+command's runs in-process as one batch. Results are one
 Trajectories record: the truth plus each estimator's columns, which tables
 read by estimator name, never by selection order. Each CSV artifact is one
 table built here: an ordered dict of named columns that broadcast to one
@@ -19,8 +20,7 @@ reduction bound_reduction, the bounds case_bounds.
 """
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
@@ -66,23 +66,6 @@ class Trajectories:
     @property
     def horizon(self) -> int:
         return self.theta_true.shape[1]
-
-    @classmethod
-    def concat(cls, parts: Sequence[Trajectories]) -> Trajectories:
-        """Join records along the run axis, in the given order. Where all
-        temp_osc rows hold the same bits (a pool worker's broadcast row
-        arrives as a full array), the joined temp_osc is that one row
-        broadcast over the runs, read-only, again."""
-        def join(xs):
-            if isinstance(xs[0], dict):
-                return {key: join([x[key] for x in xs]) for key in xs[0]}
-            return np.concatenate(xs)
-
-        out = cls(**{f.name: join([getattr(p, f.name) for p in parts]) for f in fields(cls)})
-        bits = out.temp_osc.view(np.int64)
-        if len(bits) and (bits == bits[0]).all():
-            out.temp_osc = np.broadcast_to(out.temp_osc[0], out.temp_osc.shape)
-        return out
 
 
 def _run_rng(master_seed: int, run_index: int) -> np.random.Generator:
@@ -202,36 +185,9 @@ def simulate_run(cfg: RunConfig, runs: Sequence[int]) -> Trajectories:
                         temp_meas=data.temp_meas, est={name: est[name] for name in cfg.estimators})
 
 
-# The fewest runs a pool slice gets. The filters are bound by numpy's per-call
-# cost, so a slice of half the runs costs nearly what the whole batch does, and
-# the fork, pickling and pool shutdown come on top. run_case wall time, two
-# workers against one (2 vCPUs, median ratio of 15 alternating pairs): 1.2-1.6x
-# at 50 runs, 1.0-1.3x at 100; at 200, 0.91-0.92x with the GSF-VB filter
-# (fusion_study; case3 with all five estimators) but 1.17x for case2's
-# baselines alone, which break even near 400; at 800, 0.69-0.79x.
-_RUNS_PER_PART = 100
-
-
 def run_case(cfg: RunConfig) -> Trajectories:
-    """Execute all Monte-Carlo runs; output is identical for any worker count.
-
-    With several workers each pool worker steps one contiguous slice of run
-    indices as a batch: at most one slice per CPU this process may use, and
-    none of fewer than _RUNS_PER_PART runs. Below two slices every run is
-    stepped in-process as one batch. The pool's modules (multiprocessing,
-    concurrent.futures.process) are imported only where a pool starts, so
-    a process that never starts one never loads them.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    parts = min(cfg.workers, cpus, cfg.runs // _RUNS_PER_PART)
-    if parts <= 1:
-        return simulate_run(cfg, range(cfg.runs))
-    edges = [cfg.runs * p // parts for p in range(parts + 1)]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=parts) as pool:
-        slices = [range(a, b) for a, b in zip(edges, edges[1:])]
-        return Trajectories.concat(list(pool.map(simulate_run, [cfg] * parts, slices)))
+    """Execute all Monte-Carlo runs in-process, as one batch."""
+    return simulate_run(cfg, range(cfg.runs))
 
 
 def trajectory_table(cfg: RunConfig, t: Trajectories) -> dict[str, np.ndarray]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import types
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -269,7 +270,8 @@ def _exchange_times(offset, link: LinkConfig, w1, w2, k, tau: float):
 
 class EmpiricalDelayTable:
     """One-way delay samples grouped by (packet_bytes, load_percent) cell,
-    each cell sorted and read-only, so the samples stay as checked."""
+    each cell sorted and read-only, and cells a read-only view, so the
+    samples stay as checked."""
 
     def __init__(self, cells: dict[tuple[int, float], np.ndarray]):
         if not cells:
@@ -281,8 +283,8 @@ class EmpiricalDelayTable:
             samples.flags.writeable = False
 
     @property
-    def cells(self) -> dict[tuple[int, float], np.ndarray]:
-        return self._cells
+    def cells(self) -> types.MappingProxyType[tuple[int, float], np.ndarray]:
+        return types.MappingProxyType(self._cells)
 
     def samples(self, packet_bytes: int, load_percent: float) -> np.ndarray:
         key = (int(packet_bytes), float(load_percent))

@@ -54,19 +54,6 @@ def run_outside_the_repository(tmp_path_factory):
     os.chdir(cwd)
 
 
-def set_runs_per_part(mp: pytest.MonkeyPatch, runs: int) -> None:
-    """Set the fewest runs of a pool slice where the bound run_case reads it
-    (a mutation check binds a stand-in module's run_case)."""
-    mp.setitem(runner.run_case.__globals__, "_RUNS_PER_PART", runs)
-
-
-@pytest.fixture
-def one_run_per_part(monkeypatch) -> None:
-    """run_case starts its pool from one run per slice, so a test's few runs
-    with several workers go through the pool, not one in-process batch."""
-    set_runs_per_part(monkeypatch, 1)
-
-
 @pytest.fixture
 def dyn() -> ClockDynamics:
     return STUDY.dynamics

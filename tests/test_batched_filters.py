@@ -23,10 +23,10 @@ from tacd.netcomm import (
     vb_refine,
 )
 from tacd.report import load_csv_columns
-from tacd.runner import FUSION_BOUND_ALPHA, Trajectories, case_bounds, simulate_run
+from tacd.runner import FUSION_BOUND_ALPHA, case_bounds, simulate_run
 from tacd.scenario import generate_scenario, pdv_params_table
 
-from conftest import SHIPPED, STUDY, config_path, run_measurements, study_doc, study_prior
+from conftest import SHIPPED, config_path, run_measurements, study_doc, study_prior
 
 
 def _measurements(cfg, seeds) -> np.ndarray:
@@ -181,8 +181,8 @@ def test_batch_split_invariance(case):
     cfg = cfg.with_overrides(estimators=("tacd", "gptp", "kalman", "thermal-only", "linear-only"))
     n = 6
     whole = _trajectory_arrays(simulate_run(cfg, range(n)))
-    singles = _trajectory_arrays(Trajectories.concat([simulate_run(cfg, [r]) for r in range(n)]))
-    uneven = _trajectory_arrays(Trajectories.concat([simulate_run(cfg, range(2)), simulate_run(cfg, range(2, n))]))
+    singles = [row for r in range(n) for row in _trajectory_arrays(simulate_run(cfg, [r]))]
+    uneven = [row for runs in (range(2), range(2, n)) for row in _trajectory_arrays(simulate_run(cfg, runs))]
     assert _same(whole, singles)
     assert _same(whole, uneven)
 
@@ -233,22 +233,20 @@ def _run_cli(tmp_path, doc, sub, tag, *flags):
     return rc, out
 
 
-def test_simulated_bound_is_the_fusion_study_bound(tmp_path, capsys, one_run_per_part):
+def test_simulated_bound_is_the_fusion_study_bound(tmp_path, capsys):
     # the bound is one per case: each simulated run carries the fusion
-    # study's bound, whatever the worker count
+    # study's bound
     doc = study_doc()
     runs, h = 6, doc["horizon"]
-    for workers in ("1", "2"):
-        flags = ("--runs", str(runs), "--workers", workers)
-        rc, sim = _run_cli(tmp_path, doc, "simulate", f"sim{workers}", *flags)
-        assert rc == 0, capsys.readouterr().err
-        rc, study = _run_cli(tmp_path, doc, "fusion-study", f"study{workers}", *flags)
-        assert rc == 0, capsys.readouterr().err
-        bound = load_csv_columns(study / "fusion_study.csv")["bclb_fusion"]
-        per_run = load_csv_columns(sim / "trajectory.csv")["bclb_F"].reshape(runs, h)
-        assert np.all(np.isfinite(bound))
-        for row in per_run:
-            assert np.array_equal(row.view(np.uint64), bound.view(np.uint64)), workers
+    rc, sim = _run_cli(tmp_path, doc, "simulate", "sim", "--runs", str(runs))
+    assert rc == 0, capsys.readouterr().err
+    rc, study = _run_cli(tmp_path, doc, "fusion-study", "study", "--runs", str(runs))
+    assert rc == 0, capsys.readouterr().err
+    bound = load_csv_columns(study / "fusion_study.csv")["bclb_fusion"]
+    per_run = load_csv_columns(sim / "trajectory.csv")["bclb_F"].reshape(runs, h)
+    assert np.all(np.isfinite(bound))
+    for row in per_run:
+        assert np.array_equal(row.view(np.uint64), bound.view(np.uint64))
 
 
 def test_fusion_bound_guard_agrees_across_commands(tmp_path, capsys):

@@ -1,8 +1,6 @@
-import concurrent.futures
 import contextlib
 import io
 import json
-import pickle
 import re
 import shutil
 import xml.etree.ElementTree as ET
@@ -11,7 +9,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tacd import runner
 from tacd.cli import _FLAGS, SUBCOMMANDS
 from tacd.cli import main as cli_main
 from tacd.config import RUN_KEYS, ConfigError, RunConfig, load_config, parse_config
@@ -28,7 +25,7 @@ from tacd.runner import (
 )
 from tacd.scenario import generate_scenario
 
-from conftest import ROOT, STUDY, config_path, rmse_by_name, set_runs_per_part, study_doc, toy_trajectories
+from conftest import ROOT, STUDY, config_path, rmse_by_name, study_doc, toy_trajectories
 
 RMSE_HEADER = ["estimator", "skew_rmse", "offset_rmse"]
 
@@ -93,7 +90,7 @@ def test_required_keys_only_reads_the_documented_defaults():
     doc["thermal"] = {"segments": base["thermal"]["segments"]}
     cfg = parse_config(doc)
     sc = cfg.scenario
-    assert (cfg.runs, cfg.master_seed, cfg.workers) == (1000, 0, 1)
+    assert (cfg.runs, cfg.master_seed) == (1000, 0)
     assert cfg.dynamics.tau == sc.tau == 1.0
     assert sc.gm_coefficient == cfg.dynamics.m and sc.empirical is None
     assert sc.pdv.rate_schedule == () and sc.pdv.stddev_floor == 1e-7
@@ -223,7 +220,7 @@ def test_null_block_reads_as_absent(tmp_path):
 
 
 def test_every_run_key_flag_reaches_with_overrides(tmp_path, monkeypatch):
-    given = {"--runs": ("2", 2), "--seed": ("5", 5), "--workers": ("1", 1), "--estimators": ("gptp", ("gptp",)),
+    given = {"--runs": ("2", 2), "--seed": ("5", 5), "--estimators": ("gptp", ("gptp",)),
              "--out": (str(tmp_path), str(tmp_path))}
     seen, real = {}, RunConfig.with_overrides
 
@@ -279,99 +276,6 @@ def test_gptp_reads_the_estimators_period_not_the_truths():
     ex = generate_scenario(cfg.scenario, [_run_rng(cfg.master_seed, 0)]).exchanges
     pairs = ex.t2[:, 1:] - ex.t2[:, :-1] - ex.t1[:, 1:] + ex.t1[:, :-1]
     assert skew[:, 1:].tobytes() == (pairs / cfg.dynamics.tau).tobytes()
-
-
-def test_shared_thermal_row_keeps_the_bytes_across_batches(tmp_path, one_run_per_part):
-    # case2's thermal path draws nothing, so a batch's temp_osc is one row
-    # broadcast over its runs; joined batches write the same bytes
-    cfg = load_config(config_path("case2")).with_overrides(runs=4, estimators=("gptp", "thermal-only"))
-    whole = simulate_run(cfg, range(4))
-    joined = Trajectories.concat([simulate_run(cfg, range(2)), simulate_run(cfg, range(2, 4))])
-    assert whole.temp_osc.strides[0] == 0
-    a = emit_table(trajectory_table(cfg, whole), tmp_path / "whole.csv").read_bytes()
-    assert emit_table(trajectory_table(cfg, joined), tmp_path / "joined.csv").read_bytes() == a
-    for workers in ("1", "2"):
-        argv = ["simulate", "--config", str(config_path("case2")), "--runs", "4", "--workers", workers,
-                "--out", str(tmp_path / workers)]
-        assert cli_main(argv) == 0
-    assert (tmp_path / "1" / "trajectory.csv").read_bytes() == (tmp_path / "2" / "trajectory.csv").read_bytes()
-
-
-def test_pool_slices_keep_the_shared_thermal_row(tmp_path):
-    # a pool worker's broadcast temp_osc arrives pickled as a full array;
-    # joining slices whose rows hold the same bits gives back one read-only
-    # row broadcast over the runs (stride 0), so the trajectory CSV converts
-    # h T_osc values, not R*h; rows that differ are joined as they are
-    for case, shared in (("case2", True), ("fusion_study", False)):
-        cfg = load_config(config_path(case)).with_overrides(runs=5, estimators=("gptp",))
-        parts = [pickle.loads(pickle.dumps(simulate_run(cfg, runs))) for runs in (range(2), range(2, 5))]
-        assert all(p.temp_osc.strides[0] != 0 for p in parts)
-        joined, whole = Trajectories.concat(parts), simulate_run(cfg, range(5))
-        assert joined.temp_osc.shape == whole.temp_osc.shape
-        assert (joined.temp_osc.strides[0] == 0) is shared
-        assert not (shared and joined.temp_osc.flags.writeable)
-        assert np.array_equal(joined.temp_osc.view(np.int64), whole.temp_osc.view(np.int64))
-        a = emit_table(trajectory_table(cfg, whole), tmp_path / f"{case}-whole.csv").read_bytes()
-        assert emit_table(trajectory_table(cfg, joined), tmp_path / f"{case}-joined.csv").read_bytes() == a
-
-
-def _pool_sizes(monkeypatch, source, cpus, runs, workers, runs_per_part):
-    """Run a case with an in-process stand-in for the pool; return the pool
-    sizes it was asked for. No process starts. The stand-in goes where
-    run_case's call-time import reads it, so a mutation check's stand-in
-    module uses it too."""
-    sizes = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    set_runs_per_part(monkeypatch, runs_per_part)
-    if source == "sched_getaffinity":
-        monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    else:
-        monkeypatch.delattr(runner.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(runner.os, "cpu_count", lambda: cpus)
-    cfg = parse_config(_doc(runs=runs, workers=workers)).with_overrides(estimators=("gptp",))
-    t = run_case(cfg)
-    assert t.runs.tolist() == list(range(runs))
-    assert t.est["gptp"]["offset"].tobytes() == simulate_run(cfg, range(runs)).est["gptp"]["offset"].tobytes()
-    return sizes
-
-
-@pytest.mark.parametrize("source, cpus, pools", [
-    ("sched_getaffinity", 3, [3]),
-    ("cpu_count", 3, [3]),
-    ("sched_getaffinity", 1, []),
-])
-def test_pool_capped_at_usable_cpus(source, cpus, pools, monkeypatch):
-    # one run per slice, as the one_run_per_part fixture sets: the CPUs cap the pool
-    assert _pool_sizes(monkeypatch, source, cpus, runs=6, workers=1000, runs_per_part=1) == pools
-
-
-_FLOOR = runner._RUNS_PER_PART
-
-
-@pytest.mark.parametrize("cpus, runs, workers, pools", [
-    (2, 50, 2, []),
-    (2, 2 * _FLOOR - 1, 2, []),
-    (2, 2 * _FLOOR, 2, [2]),
-    (3, 3 * _FLOOR, 8, [3]),
-])
-def test_pool_slices_hold_at_least_the_run_floor(cpus, runs, workers, pools, monkeypatch):
-    # the shipped floor: no slice of fewer than _RUNS_PER_PART runs
-    sizes = _pool_sizes(monkeypatch, "sched_getaffinity", cpus, runs, workers, runs_per_part=_FLOOR)
-    assert sizes == pools
 
 
 def test_estimator_isolation():
@@ -549,10 +453,24 @@ def test_cli_plot_flag_writes_each_series(sub, tmp_path):
     ("fusion-study", "--estimators"),
 ])
 def test_cli_rejects_flag_the_subcommand_ignores(sub, flag, tmp_path):
+    # --workers alone is accepted where ignored (test_cli_workers_flag_changes_no_byte)
     with pytest.raises(SystemExit) as exc:
         cli_main([sub, "--config", str(config_path("fusion_study")), "--out", str(tmp_path), flag, "2"])
     assert exc.value.code == 2
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("sub", ["simulate", "evaluate", "fusion-study"])
+def test_cli_workers_flag_changes_no_byte(sub, tmp_path, capsys):
+    # --workers is accepted for compatibility and read by nothing
+    argv = [sub, "--config", str(config_path("case2")), "--runs", "3"]
+    outputs = []
+    for name, extra in (("plain", []), ("workers", ["--workers", "3"])):
+        out = tmp_path / name
+        assert cli_main(argv + ["--out", str(out)] + extra) == 0
+        stdout = capsys.readouterr().out.replace(str(out), "<out>")
+        outputs.append((stdout, {p.name: p.read_bytes() for p in out.iterdir()}))
+    assert outputs[0] == outputs[1]
 
 
 def test_readme_trajectory_header_is_the_table():
@@ -670,8 +588,6 @@ def test_cli_rejects_missing_segment_parameter(tmp_path, capsys):
     (["simulate", "--runs", "0"], "runs"),
     (["simulate", "--runs", "-3"], "runs"),
     (["fusion-study", "--runs", "0"], "runs"),
-    (["simulate", "--workers", "0"], "workers"),
-    (["simulate", "--workers", "-4"], "workers"),
     (["simulate", "--seed", "-1"], "master_seed"),
 ])
 def test_cli_overrides_keep_config_bounds(argv, field, tmp_path, capsys):
@@ -707,6 +623,8 @@ def test_overrides_are_read_by_config_key():
         cfg.with_overrides(master_seed=-1)
     with pytest.raises(ConfigError, match=r"unknown key\(s\) \['seed'\]"):
         cfg.with_overrides(seed=5)
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) \['workers'\]"):
+        cfg.with_overrides(workers=2)
 
 
 def test_cli_rejects_duplicate_key(tmp_path, capsys):

@@ -1,5 +1,4 @@
-import pickle
-from dataclasses import astuple, fields, replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -383,20 +382,6 @@ def test_noise_model_rejects_a_scale_that_is_not_symmetric_positive_definite():
         with pytest.raises(ValueError, match="symmetric positive definite"):
             MixtureNoiseModel(np.ones(2), np.full(2, 5.0), scale)
     MixtureNoiseModel(np.ones(2), np.full(2, 5.0), np.stack([np.eye(2), NOISE_CORR]) * 1e-7)
-
-
-def test_unpickled_operands_stay_read_only():
-    # a pool worker receives its settings pickled, and numpy unpickles every
-    # array writeable: the derived operands are built again, read-only
-    settings = VbSettings(max_iterations=3, convergence_tol=1e-5, forgetting_factor=0.9)
-    for obj in (settings, build_state_space(ClockDynamics(m=0.5, sigma_u_sq=1.0, tau=3.0))):
-        copy = pickle.loads(pickle.dumps(obj))
-        for f in fields(obj):
-            value = getattr(copy, f.name)
-            assert np.array_equal(value, getattr(obj, f.name)), f.name
-            if not f.init:
-                assert not value.flags.writeable, f.name
-    assert pickle.loads(pickle.dumps(settings)) == settings
 
 
 def test_filter_rejects_run_shapes_that_differ():

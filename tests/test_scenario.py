@@ -252,6 +252,8 @@ def test_table_samples_are_read_only():
     for samples in (table.cells[(64, 5.0)], table.samples(64, 5.0)):
         with pytest.raises(ValueError, match="read-only"):
             samples[0] = -1.0
+    with pytest.raises(TypeError):
+        table.cells[(64, 5.0)] = np.array([-1.0])
     assert table.fixed_delay(64, 5.0) == 1e-6
 
 
